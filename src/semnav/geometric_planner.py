@@ -9,6 +9,15 @@ robot radius; the margin (default 0.02 m) covers both the spacing of motion
 interpolation points and the worst-case interpolation error near carved gap
 ends, so returned paths hold up under arbitrarily dense re-checking.
 
+Validity checks are the hot path. Rooms are axis-aligned rectangles, so room
+containment is two box comparisons; only points within a few 1e-9 of a
+room's edges fall back to the exact ring test, whose 1e-9 boundary tolerance
+the box test cannot reproduce. A motion check runs the bbox test, the room
+boxes and the bilinear field lookup inline for every interpolated point.
+Both give exactly the answers of the general ring test and ``sdf_query``,
+point for point (see ``_Region``), and neither changes what the virtual clock
+charges.
+
 Budgets come from a pluggable clock. The default "virtual" clock charges
 ticks per primitive operation: one per sample draw, one per 32 points of a
 vectorized nearest-neighbour scan, and, per point validity check, one field
@@ -27,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyRegion, InvalidGoal, InvalidStart
+from .errors import EmptyRegion, InvalidGoal, InvalidStart, OutOfBounds
 from .geometry import Point2, dist
 from .map_builder import Contour, GlobalMap, point_in_contour, sdf_query
 from .rng import make_stream
@@ -47,6 +56,9 @@ MOTION_STEP_CAP = 0.025
 WALL_CHECK_PERIOD = 64
 DEFAULT_OPS_PER_SECOND = 2_000_000
 INFORMED_MAX_ATTEMPTS = 64
+# half-width of the band around a rectangle room's edges where containment
+# falls back to the exact ring test (its boundary tolerance is 1e-9)
+_RECT_BAND = 4e-9
 
 CLOCK_VIRTUAL = "virtual"
 CLOCK_WALL = "wall"
@@ -167,6 +179,21 @@ class _Region:
 
     Bundles the allowed-room contours, the allowed doorway opening rectangles
     and the clearance threshold so the hot loop does no per-call filtering.
+
+    Room containment has a rectangle fast path. On an axis-aligned rectangle
+    ring, the even-odd test of ``point_in_contour`` accepts exactly the
+    half-open box ``x0 <= x < x1, y0 <= y < y1`` by crossing count, plus every
+    point within 1e-9 of an edge (so its corners are rounded). A point in a
+    room's half-open box is therefore inside with two comparisons. Only a
+    point within ``_RECT_BAND`` (a few 1e-9) of a room's closed box falls back
+    to the unchanged ``point_in_contour``; farther out it is not in that room.
+    A contour that is not an axis-aligned rectangle always takes the fallback.
+
+    ``motion_valid`` fuses the bbox test, the room boxes and the bilinear
+    field lookup of ``sdf_query`` (the same float arithmetic in the same
+    order) for each interpolated point, without building points or calling
+    out. Its answers are those of ``valid`` on every point, and
+    ``check_cost`` is untouched, so virtual-clock charges are unchanged.
     """
 
     def __init__(self, gmap: GlobalMap, problem: GeometricProblem):
@@ -183,6 +210,20 @@ class _Region:
                 self.rects = tuple(gmap.openings[d]
                                    for d in sorted(problem.allowed_doorways)
                                    if d in gmap.openings)
+        # half-open boxes of the rectangle rooms; (closed box grown by the
+        # fallback band, contour) for every room
+        self.boxes: list[tuple[float, float, float, float]] = []
+        self.bands: list[tuple[float, float, float, float, Contour]] = []
+        for c in self.contours:
+            box = _rectangle(c.ring)
+            if box is None:
+                inf = math.inf
+                self.bands.append((-inf, -inf, inf, inf, c))
+                continue
+            x0, y0, x1, y1 = box
+            band = _RECT_BAND + 16 * math.ulp(max(map(abs, box)))
+            self.boxes.append(box)
+            self.bands.append((x0 - band, y0 - band, x1 + band, y1 + band, c))
         # virtual-clock ticks per validity check: one field lookup plus one
         # tick per room contour the check has in scope. An unconstrained
         # check answers against the whole map, a constrained one only
@@ -197,15 +238,25 @@ class _Region:
     def contains(self, p: Point2) -> bool:
         """Region membership only (bbox and allowed rooms), no clearance."""
         lo, hi = self.bbox
-        if not (lo.x <= p.x <= hi.x and lo.y <= p.y <= hi.y):
+        x, y = p
+        if not (lo.x <= x <= hi.x and lo.y <= y <= hi.y):
             return False
         if not self.constrained:
             return True
-        for c in self.contours:
-            if point_in_contour(c, p):
+        for x0, y0, x1, y1 in self.boxes:
+            if x0 <= x < x1 and y0 <= y < y1:
+                return True
+        return self._edge_or_opening(x, y)
+
+    def _edge_or_opening(self, x: float, y: float) -> bool:
+        """Membership of a point in no room's half-open box: the exact ring
+        test near room edges, then the doorway openings."""
+        for ox0, oy0, ox1, oy1, c in self.bands:
+            if (ox0 <= x <= ox1 and oy0 <= y <= oy1
+                    and point_in_contour(c, Point2(x, y))):
                 return True
         for x0, y0, x1, y1 in self.rects:
-            if x0 <= p.x <= x1 and y0 <= p.y <= y1:
+            if x0 <= x <= x1 and y0 <= y <= y1:
                 return True
         return False
 
@@ -219,12 +270,65 @@ class _Region:
 
     def motion_valid(self, a: Point2, b: Point2) -> bool:
         n = self.motion_points(a, b) - 1
+        lo, hi = self.bbox
+        bx0, by0, bx1, by1 = lo.x, lo.y, hi.x, hi.y
+        constrained = self.constrained
+        boxes = self.boxes
+        clearance = self.clearance
+        grid = self.gmap.sdf
+        v = grid.flat_values
+        ox, oy = grid.origin
+        res = grid.resolution
+        nx = grid.nx
+        fx_max = nx - 1 + 1e-9
+        fy_max = grid.ny - 1 + 1e-9
+        i_max = nx - 2
+        j_max = grid.ny - 2
+        ax, ay = a
+        dx = b.x - ax
+        dy = b.y - ay
         for k in range(n + 1):
             t = k / n
-            p = Point2(a.x + (b.x - a.x) * t, a.y + (b.y - a.y) * t)
-            if not self.valid(p):
+            x = ax + dx * t
+            y = ay + dy * t
+            if not (bx0 <= x <= bx1 and by0 <= y <= by1):
+                return False
+            if constrained:
+                for x0, y0, x1, y1 in boxes:
+                    if x0 <= x < x1 and y0 <= y < y1:
+                        break
+                else:
+                    if not self._edge_or_opening(x, y):
+                        return False
+            # sdf_query, inlined
+            fx = (x - ox) / res
+            fy = (y - oy) / res
+            if not (-1e-9 <= fx <= fx_max and -1e-9 <= fy <= fy_max):
+                raise OutOfBounds(f"query point {(x, y)} outside the sampled grid")
+            i0 = int(fx)
+            if i0 > i_max:
+                i0 = i_max
+            j0 = int(fy)
+            if j0 > j_max:
+                j0 = j_max
+            tx = fx - i0
+            ty = fy - j0
+            m = j0 * nx + i0
+            if not ((v[m] * (1.0 - tx) + v[m + 1] * tx) * (1.0 - ty)
+                    + (v[m + nx] * (1.0 - tx) + v[m + nx + 1] * tx) * ty >= clearance):
                 return False
         return True
+
+
+def _rectangle(ring: tuple[Point2, ...]) -> tuple[float, float, float, float] | None:
+    """``(x0, y0, x1, y1)`` of an axis-aligned rectangle ring, else None."""
+    xs = sorted({p.x for p in ring})
+    ys = sorted({p.y for p in ring})
+    if len(ring) != 4 or len(xs) != 2 or len(ys) != 2:
+        return None
+    if not all((p.x == q.x) != (p.y == q.y) for p, q in zip(ring, ring[1:] + ring[:1])):
+        return None
+    return xs[0], ys[0], xs[1], ys[1]
 
 
 def motion_step(resolution: float) -> float:
@@ -488,11 +592,16 @@ def plan(gmap: GlobalMap, problem: GeometricProblem, config: PlannerConfig,
                 d2n = d2
             else:
                 d2n = (xs[:n] - new_pt.x) ** 2 + (ys[:n] - new_pt.y) ** 2
-            neighbor_list = [int(i) for i in np.nonzero(d2n <= radius * radius)[0]]
-            candidates = sorted(neighbor_list,
-                                key=lambda i: (cost[i] + math.sqrt(float(d2n[i])), i))
-            for i in candidates:
-                c = cost[i] + math.sqrt(float(d2n[i]))
+            near = np.flatnonzero(d2n <= radius * radius)
+            neighbor_list = near.tolist()
+            # candidate parents by cost through them; a stable sort breaks
+            # ties by node index
+            via_costs = np.array([cost[i] for i in neighbor_list]) + np.sqrt(d2n[near])
+            order = np.argsort(via_costs, kind="stable").tolist()
+            via_costs = via_costs.tolist()
+            for k in order:
+                i = neighbor_list[k]
+                c = via_costs[k]
                 if c >= parent_cost:
                     break
                 budget.charge(region.motion_points(pts[i], new_pt) * check_cost)

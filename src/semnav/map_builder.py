@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -56,6 +57,14 @@ class SdfGrid:
     nx: int
     ny: int
     values: np.ndarray  # shape (ny, nx); values[j, i] sampled at origin + (i, j) * resolution
+
+    @cached_property
+    def flat_values(self) -> list[float]:
+        """Row-major copy of ``values`` as Python floats: ``values[j, i]`` is
+        ``flat_values[j * nx + i]``. Scalar reads from a list are several
+        times cheaper than ndarray indexing; the copy is built on first use,
+        and the builders mark ``values`` read-only so it cannot go stale."""
+        return self.values.ravel().tolist()
 
 
 @dataclass(frozen=True)
@@ -224,6 +233,7 @@ def build_sdf(walls: CarvedWalls, bbox: tuple[Point2, Point2],
             d = np.hypot(gx - (ax + t * dx), gy - (ay + t * dy))
         np.minimum(dmin, d, out=dmin)
     values = np.where(dmin < wall_half_width, -dmin, dmin)
+    values.setflags(write=False)
     return SdfGrid(origin=origin, resolution=resolution, nx=nx, ny=ny, values=values)
 
 
@@ -237,17 +247,19 @@ def sdf_query(grid: SdfGrid, p: Point2) -> float:
     tol = 1e-9
     if not (-tol <= fx <= grid.nx - 1 + tol and -tol <= fy <= grid.ny - 1 + tol):
         raise OutOfBounds(f"query point {tuple(p)} outside the sampled grid")
-    i0 = min(max(int(math.floor(fx)), 0), grid.nx - 2)
-    j0 = min(max(int(math.floor(fy)), 0), grid.ny - 2)
+    # fx, fy > -1 here, where int() truncation is the floor clamped at 0
+    i0 = min(int(fx), grid.nx - 2)
+    j0 = min(int(fy), grid.ny - 2)
     tx = fx - i0
     ty = fy - j0
-    v = grid.values
-    v00 = v[j0, i0]
-    v10 = v[j0, i0 + 1]
-    v01 = v[j0 + 1, i0]
-    v11 = v[j0 + 1, i0 + 1]
-    return float((v00 * (1.0 - tx) + v10 * tx) * (1.0 - ty)
-                 + (v01 * (1.0 - tx) + v11 * tx) * ty)
+    v = grid.flat_values
+    k = j0 * grid.nx + i0
+    v00 = v[k]
+    v10 = v[k + 1]
+    v01 = v[k + grid.nx]
+    v11 = v[k + grid.nx + 1]
+    return ((v00 * (1.0 - tx) + v10 * tx) * (1.0 - ty)
+            + (v01 * (1.0 - tx) + v11 * tx) * ty)
 
 
 def build_global_map(scene: SceneGraph,
@@ -292,6 +304,7 @@ def load_sdf_text(path: str) -> SdfGrid:
     values = np.vstack(rows)
     if values.shape != (ny, nx):
         raise ValueError(f"grid body shape {values.shape} does not match header")
+    values.setflags(write=False)
     return SdfGrid(origin=Point2(float(header["origin"][0]), float(header["origin"][1])),
                    resolution=float(header["resolution"][0]),
                    nx=nx, ny=ny, values=values)

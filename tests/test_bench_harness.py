@@ -353,3 +353,22 @@ class TestCsvExport:
         path = tmp_path / "summary.json"
         export_summary_json(summary, str(path))
         assert json.loads(path.read_text()) == summary
+
+
+# ---------------------------------------------------------------------------
+# golden virtual-clock CSV
+# ---------------------------------------------------------------------------
+
+
+class TestGoldenCsv:
+    """Pins the planners' virtual-clock output across refactors: any change
+    to a float the planners compute, to a budget charge or to the random
+    streams shows up as a byte difference."""
+
+    def test_grid8_campaign_reproduces_golden_csv(self, tmp_path):
+        cfg = BenchConfig(map_path=fixture_path("grid8.map"), n_queries=8, seed=3)
+        out = tmp_path / "bench.csv"
+        export_csv(run_bench(cfg, workers=1), str(out))
+        with open(fixture_path("golden_grid8_bench.csv"), "rb") as f:
+            golden = f.read()
+        assert out.read_bytes() == golden

@@ -8,12 +8,17 @@ import statistics
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from semnav import (EmptyRegion, GeometricPath, GeometricProblem, InvalidGoal,
-                    InvalidStart, PlannerConfig, Point2, SceneGraph,
+from semnav import (CarvedWalls, Contour, EmptyRegion, GeometricPath,
+                    GeometricProblem, GlobalMap, InvalidGoal, InvalidStart,
+                    PlannerConfig, Point2, SceneGraph, SdfGrid,
                     build_global_map, build_topology, informed_axes,
                     motion_valid, path_from_dict, path_to_dict, plan,
-                    sample_informed, sample_state, semantic_route, state_valid)
+                    point_in_contour, sample_informed, sample_state,
+                    sdf_query, semantic_route, state_valid)
+from semnav.geometric_planner import _Region
 from semnav.rng import make_stream
 
 from conftest import rect_room
@@ -408,3 +413,182 @@ def test_path_dict_round_trip():
     assert again.waypoints == path.waypoints
     assert again.length == path.length
     assert path_to_dict(path)["length_m"] == path.length
+
+
+# ------------------------------------- rectangle fast path, fused motion check
+
+
+def _reference_contains(region: _Region, p: Point2) -> bool:
+    """Region membership by the exact ring test on every allowed contour."""
+    lo, hi = region.bbox
+    if not (lo.x <= p.x <= hi.x and lo.y <= p.y <= hi.y):
+        return False
+    if not region.constrained:
+        return True
+    return (any(point_in_contour(c, p) for c in region.contours)
+            or any(x0 <= p.x <= x1 and y0 <= p.y <= y1
+                   for x0, y0, x1, y1 in region.rects))
+
+
+def _reference_motion_valid(region: _Region, a: Point2, b: Point2) -> bool:
+    n = region.motion_points(a, b) - 1
+    for k in range(n + 1):
+        t = k / n
+        p = Point2(a.x + (b.x - a.x) * t, a.y + (b.y - a.y) * t)
+        if not (_reference_contains(region, p)
+                and sdf_query(region.gmap.sdf, p) >= region.clearance):
+            return False
+    return True
+
+
+def _contour_region(contours, openings=None) -> _Region:
+    """A region over bare contours: a map holding only what containment
+    reads, with the bbox one metre around the contours."""
+    xs = [p.x for c in contours for p in c.ring]
+    ys = [p.y for c in contours for p in c.ring]
+    bbox = (Point2(min(xs) - 1.0, min(ys) - 1.0), Point2(max(xs) + 1.0, max(ys) + 1.0))
+    scene = SceneGraph(frame="map", bbox=bbox, rooms=(), doorways=())
+    sdf = SdfGrid(origin=bbox[0], resolution=0.05, nx=2, ny=2, values=np.zeros((2, 2)))
+    gmap = GlobalMap(scene=scene, contours=tuple(contours), walls=CarvedWalls(()),
+                     sdf=sdf, openings=dict(openings or {}))
+    problem = GeometricProblem(start=bbox[0], goal=bbox[0],
+                               allowed_rooms=frozenset(c.room_id for c in contours),
+                               allowed_doorways=frozenset(openings or ()))
+    return _Region(gmap, problem)
+
+
+_OFFSETS = (st.sampled_from([0.0, 1e-9, -1e-9, 2e-9, -2e-9, 4e-9, -4e-9, 6e-9, -6e-9])
+            | st.floats(-1e-8, 1e-8) | st.floats(-2.0, 2.0))
+
+
+@st.composite
+def _near(draw, lo: float, hi: float) -> float:
+    """A coordinate on, just beside or away from the interval's ends."""
+    anchor = draw(st.sampled_from([lo, hi, (lo + hi) / 2.0]) | st.floats(lo - 1.0, hi + 1.0))
+    return anchor + draw(_OFFSETS)
+
+
+@st.composite
+def _rectangle_contours(draw) -> Contour:
+    """An axis-aligned rectangle ring at a random scale, starting at any
+    corner, either orientation."""
+    scale = draw(st.sampled_from([1.0, 1e3, 1e6]))
+    x0 = scale * draw(st.floats(-1.0, 1.0))
+    y0 = scale * draw(st.floats(-1.0, 1.0))
+    x1 = x0 + draw(st.floats(0.05, 20.0))
+    y1 = y0 + draw(st.floats(0.05, 20.0))
+    ring = [Point2(x0, y0), Point2(x1, y0), Point2(x1, y1), Point2(x0, y1)]
+    if draw(st.booleans()):
+        ring.reverse()
+    k = draw(st.integers(0, 3))
+    return Contour(room_id="a", ring=tuple(ring[k:] + ring[:k]))
+
+
+@settings(max_examples=600, deadline=None)
+@given(contour=_rectangle_contours(), data=st.data())
+def test_rectangle_containment_equals_ring_test(contour, data):
+    region = _contour_region([contour])
+    assert len(region.boxes) == 1
+    x0, y0, x1, y1 = region.boxes[0]
+    p = Point2(data.draw(_near(x0, x1)), data.draw(_near(y0, y1)))
+    assert region.contains(p) == point_in_contour(contour, p)
+
+
+def test_rectangle_containment_boundary_band():
+    contour = Contour(room_id="a", ring=(Point2(0.0, 0.0), Point2(2.0, 0.0),
+                                         Point2(2.0, 1.0), Point2(0.0, 1.0)))
+    region = _contour_region([contour])
+    for p, inside in [(Point2(1.0, 0.5), True), (Point2(2.0, 0.5), True),
+                      (Point2(2.0 + 5e-10, 1.0), True), (Point2(-5e-10, 0.5), True),
+                      (Point2(2.0 + 6e-10, 1.0 + 6e-10), True),
+                      (Point2(2.0 + 2e-9, 0.5), False), (Point2(1.0, -1e-8), False),
+                      # the 1e-9 tolerance rounds the corners
+                      (Point2(2.0 + 8e-10, 1.0 + 8e-10), False)]:
+        assert region.contains(p) is inside
+        assert point_in_contour(contour, p) is inside
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_non_rectangle_contour_falls_back_to_ring_test(data):
+    tri = Contour(room_id="t", ring=(Point2(0.0, 0.0), Point2(4.0, 0.0), Point2(0.0, 3.0)))
+    region = _contour_region([tri])
+    assert region.boxes == []
+    p = Point2(data.draw(_near(0.0, 4.0)), data.draw(_near(0.0, 3.0)))
+    assert region.contains(p) == point_in_contour(tri, p)
+
+
+@st.composite
+def _grid8_problems(draw, grid8_map) -> GeometricProblem:
+    """Unconstrained, or a random room subset with a random doorway subset."""
+    origin = Point2(0.0, 0.0)
+    if draw(st.integers(0, 4)) == 0:
+        return GeometricProblem(start=origin, goal=origin)
+    rooms = sorted(c.room_id for c in grid8_map.contours)
+    doors = sorted(grid8_map.openings)
+    return GeometricProblem(
+        start=origin, goal=origin,
+        allowed_rooms=frozenset(draw(st.lists(st.sampled_from(rooms), min_size=1))),
+        allowed_doorways=frozenset(draw(st.lists(st.sampled_from(doors)))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_grid8_containment_equals_ring_test(grid8_map, data):
+    region = _Region(grid8_map, data.draw(_grid8_problems(grid8_map)))
+    c = data.draw(st.sampled_from(grid8_map.contours))
+    (x0, y0), _, (x1, y1), _ = c.ring
+    p = Point2(data.draw(_near(x0, x1)), data.draw(_near(y0, y1)))
+    assert region.contains(p) == _reference_contains(region, p)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_fused_motion_check_equals_pointwise_check(grid8_map, grid8_scene, data):
+    region = _Region(grid8_map, data.draw(_grid8_problems(grid8_map)))
+    lo, hi = grid8_scene.bbox
+    kind = data.draw(st.sampled_from(["doorway", "to_wall", "anywhere"]))
+    if kind == "doorway":
+        # through a doorway opening, across the wall gap
+        x0, y0, x1, y1 = grid8_map.openings[data.draw(st.sampled_from(sorted(grid8_map.openings)))]
+        a = Point2(data.draw(st.floats(x0 - 0.5, x1 + 0.5)), data.draw(st.floats(y0 - 0.5, y1 + 0.5)))
+        b = Point2(2.0 * (x0 + x1) / 2.0 - a.x, 2.0 * (y0 + y1) / 2.0 - a.y)
+    elif kind == "to_wall":
+        # from a room's center to an end point about one clearance from its
+        # left wall, where the last interpolated point decides
+        c = data.draw(st.sampled_from(grid8_map.contours))
+        (x0, y0), _, (x1, y1), _ = c.ring
+        a = Point2((x0 + x1) / 2.0, (y0 + y1) / 2.0)
+        b = Point2(x0 + data.draw(st.floats(CLEARANCE - 0.03, CLEARANCE + 0.03)),
+                   data.draw(st.floats(y0 + 0.5, y1 - 0.5)))
+    else:
+        # anywhere, possibly leaving the bbox
+        a = Point2(data.draw(st.floats(lo.x - 0.5, hi.x + 0.5)),
+                   data.draw(st.floats(lo.y - 0.5, hi.y + 0.5)))
+        b = Point2(a.x + data.draw(st.floats(-2.0, 2.0)), a.y + data.draw(st.floats(-2.0, 2.0)))
+    assert region.motion_valid(a, b) == _reference_motion_valid(region, a, b)
+
+
+def test_fused_motion_check_through_every_doorway(grid8_map, grid8_scene):
+    # straight across each doorway, through its gap and beside it, with the
+    # opening allowed or not; both outcomes must occur so that the equality
+    # is not vacuous
+    outcomes = set()
+    for d in grid8_scene.doorways:
+        x0, y0, x1, y1 = grid8_map.openings[d.id]
+        across_x = x1 - x0 < y1 - y0  # the opening is shallow along x
+        for rooms, doors in [(d.rooms, {d.id}), (d.rooms, ()), (d.rooms[:1], {d.id})]:
+            region = _Region(grid8_map, GeometricProblem(
+                start=Point2(0.0, 0.0), goal=Point2(0.0, 0.0),
+                allowed_rooms=frozenset(rooms), allowed_doorways=frozenset(doors)))
+            for shift in (0.0, d.width):
+                if across_x:
+                    y = d.center.y + shift
+                    a, b = Point2(x0 - 0.4, y), Point2(x1 + 0.4, y)
+                else:
+                    x = d.center.x + shift
+                    a, b = Point2(x, y0 - 0.4), Point2(x, y1 + 0.4)
+                got = region.motion_valid(a, b)
+                assert got == _reference_motion_valid(region, a, b)
+                outcomes.add(got)
+    assert outcomes == {True, False}

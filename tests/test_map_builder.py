@@ -7,6 +7,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semnav import (CarvedWalls, DegenerateRoom, Doorway, DoorwayPlacement,
                     EmptyMap, OutOfBounds, Point2, Room, SceneGraph,
@@ -313,3 +315,67 @@ def test_contour_sdf_consistency(ring4_map, ring4_scene):
             p = interior_point(rng, room, margin=0.3)
             assert point_in_contour(contour, p)
             assert sdf_query(ring4_map.sdf, p) > 0.1
+
+
+# ------------------------------------------------------- list-backed lookup
+
+
+def _ndarray_sdf_query(grid, p: Point2) -> float:
+    """Bilinear lookup by scalar ndarray indexing, the formula the
+    list-backed sdf_query replaced."""
+    fx = (p.x - grid.origin.x) / grid.resolution
+    fy = (p.y - grid.origin.y) / grid.resolution
+    i0 = min(max(int(math.floor(fx)), 0), grid.nx - 2)
+    j0 = min(max(int(math.floor(fy)), 0), grid.ny - 2)
+    tx = fx - i0
+    ty = fy - j0
+    v = grid.values
+    return float((v[j0, i0] * (1.0 - tx) + v[j0, i0 + 1] * tx) * (1.0 - ty)
+                 + (v[j0 + 1, i0] * (1.0 - tx) + v[j0 + 1, i0 + 1] * tx) * ty)
+
+
+@st.composite
+def _grid_points(draw, grid) -> Point2:
+    """A point anywhere in the sampled extent, on a node, or on the last
+    row or column."""
+    kind = draw(st.sampled_from(["any", "node", "last_row", "last_col", "corner"]))
+    fi = draw(st.floats(0.0, grid.nx - 1))
+    fj = draw(st.floats(0.0, grid.ny - 1))
+    if kind == "node":
+        fi, fj = float(int(fi)), float(int(fj))
+    elif kind == "last_row":
+        fj = float(grid.ny - 1)
+    elif kind == "last_col":
+        fi = float(grid.nx - 1)
+    elif kind == "corner":
+        fi, fj = float(grid.nx - 1), float(grid.ny - 1)
+    return Point2(grid.origin.x + grid.resolution * fi,
+                  grid.origin.y + grid.resolution * fj)
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_sdf_query_equals_ndarray_formula(threeroom_map, data):
+    grid = threeroom_map.sdf
+    p = data.draw(_grid_points(grid))
+    got = sdf_query(grid, p)
+    assert type(got) is float
+    assert got == _ndarray_sdf_query(grid, p)
+
+
+def test_flat_values_mirror_the_grid(threeroom_map):
+    grid = threeroom_map.sdf
+    assert len(grid.flat_values) == grid.nx * grid.ny
+    assert grid.flat_values is grid.flat_values  # built once, then cached
+    for j, i in [(0, 0), (0, grid.nx - 1), (grid.ny - 1, 0), (grid.ny - 1, grid.nx - 1)]:
+        assert grid.flat_values[j * grid.nx + i] == grid.values[j, i]
+
+
+def test_sdf_values_are_read_only(tmp_path, threeroom_map):
+    with pytest.raises(ValueError):
+        threeroom_map.sdf.values[0, 0] = 1.0
+    path = str(tmp_path / "field.sdf")
+    export_sdf_text(threeroom_map.sdf, path)
+    loaded = load_sdf_text(path)
+    with pytest.raises(ValueError):
+        loaded.values[1, 1] += 1.0
