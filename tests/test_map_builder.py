@@ -336,9 +336,10 @@ def _ndarray_sdf_query(grid, p: Point2) -> float:
 
 @st.composite
 def _grid_points(draw, grid) -> Point2:
-    """A point anywhere in the sampled extent, on a node, or on the last
-    row or column."""
-    kind = draw(st.sampled_from(["any", "node", "last_row", "last_col", "corner"]))
+    """A point anywhere in the sampled extent, on a node, on the last row or
+    column, or past the first or last node by less than the 1e-9 tolerance."""
+    kind = draw(st.sampled_from(["any", "node", "last_row", "last_col", "corner",
+                                 "before_first", "past_last"]))
     fi = draw(st.floats(0.0, grid.nx - 1))
     fj = draw(st.floats(0.0, grid.ny - 1))
     if kind == "node":
@@ -349,6 +350,10 @@ def _grid_points(draw, grid) -> Point2:
         fi = float(grid.nx - 1)
     elif kind == "corner":
         fi, fj = float(grid.nx - 1), float(grid.ny - 1)
+    elif kind == "before_first":
+        fi, fj = -5e-10, draw(st.sampled_from([fj, -5e-10]))
+    elif kind == "past_last":
+        fi, fj = grid.nx - 1 + 5e-10, draw(st.sampled_from([fj, grid.ny - 1 + 5e-10]))
     return Point2(grid.origin.x + grid.resolution * fi,
                   grid.origin.y + grid.resolution * fj)
 
