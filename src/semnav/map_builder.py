@@ -12,6 +12,16 @@ Distances stored in the grid are exact point-to-segment distances against the
 carved wall set. Nodes closer to a wall than the wall's half thickness store
 the negated distance, which marks the inside of the obstacle band while
 keeping the magnitude exact.
+
+Walls are axis-aligned, so the field is built per segment from 1-D residuals:
+the clamped projection onto a horizontal piece depends only on the node
+column and the offset across it only on the row, and ``hypot`` of the two
+broadcast residuals returns, element by element, the floats the full-grid
+formula returns. A node can only get closer to a piece than its current
+minimum if both residuals are below that minimum, because ``hypot(a, b) >=
+max(|a|, |b|)``; so each piece evaluates only the block of rows and columns
+whose largest current minimum exceeds its residual there. Both facts are
+exact, and the grid equals the full per-segment evaluation bit for bit.
 """
 
 from __future__ import annotations
@@ -22,7 +32,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DegenerateRoom, DoorwayPlacement, EmptyMap, OutOfBounds
+from .errors import (DegenerateRoom, DoorwayPlacement, EmptyMap, OutOfBounds,
+                     ValidationError)
 from .geometry import Point2, WallSegment, point_in_ring
 from .scene_graph import Room, SceneGraph, _rect_from_walls, shared_boundary
 
@@ -33,6 +44,8 @@ DEFAULT_ATTACH_THRESHOLD = 0.5
 
 _CARVE_TOL = 1e-9
 _MIN_PIECE = 1e-12
+# Largest distance field build_sdf allocates: 128 MiB per float64 grid.
+_MAX_NODES = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -201,37 +214,102 @@ def build_sdf(walls: CarvedWalls, bbox: tuple[Point2, Point2],
     """Sample the wall distance field on a regular grid.
 
     The grid covers the bbox inflated by two cells on every side. Node values
-    are exact (vectorized per segment, minimum over segments); negation marks
-    nodes inside the wall band.
+    are exact (minimum over segments of the clamped point-to-segment
+    distance); negation marks nodes inside the wall band.
+
+    Every value is bit-identical to folding in, segment by segment with
+    ``minimum``, the full-grid formula ``hypot(gx - (ax + t*dx), gy - (ay +
+    t*dy))`` with ``t = clip(((gx-ax)*dx + (gy-ay)*dy) / denom, 0, 1)``. Two
+    exact facts cut the work for axis-aligned pieces:
+
+    * Separable form. For a piece with ``dy == 0.0`` the ``(gy-ay)*dy`` term
+      is a signed zero, which leaves every sum it enters unchanged in value.
+      So ``t``, the projection and the residual along x depend only on the
+      node column and are computed on ``xs`` with the same operations in the
+      same order; the residual across is ``ys - ay`` per row. Vertical pieces
+      swap the axes, and pieces shorter than 1e-12 are points.
+      ``hypot`` of the broadcast residuals is then the same elementwise call
+      on the same operands (up to the sign of a zero, which hypot ignores).
+    * Exact window. ``hypot(a, b) >= max(|a|, |b|)``: the exact value is at
+      least the larger operand, which is itself a float, so a faithfully
+      rounded hypot cannot fall below it. Node ``(j, i)`` can therefore
+      lower its running minimum only if ``|ry[j]|`` is below the largest
+      minimum of row j and ``|rx[i]|`` below the largest of column i. Those
+      maxima are refreshed only for the rows and columns a piece touched;
+      the others are stale, hence too large, which only widens a window.
+      Long pieces go first so the maxima fall early, and every later piece
+      evaluates only the bounding block of its candidate rows and columns.
+      ``minimum`` is exact, so neither the order of the pieces nor skipping
+      a repeated piece changes a value.
+
+    Pieces that are not exactly axis-aligned (the loader accepts walls
+    tilted by up to ``CLOSURE_TOL``) take the full-grid formula.
+
+    Raises EmptyMap without segments, ValueError for a non-finite or
+    non-positive resolution and ValidationError when the grid would have
+    more than ``_MAX_NODES`` nodes; nothing is allocated before these checks.
     """
     if not walls.segments:
         raise EmptyMap("no wall segments to build a distance field from")
+    if not math.isfinite(resolution):
+        raise ValueError(f"resolution must be finite, got {resolution!r}")
     if resolution <= 0.0:
         raise ValueError("resolution must be positive")
     lo, hi = bbox
     origin = Point2(lo.x - 2.0 * resolution, lo.y - 2.0 * resolution)
     span_x = (hi.x + 2.0 * resolution) - origin.x
     span_y = (hi.y + 2.0 * resolution) - origin.y
-    nx = int(math.ceil(span_x / resolution - 1e-9)) + 1
-    ny = int(math.ceil(span_y / resolution - 1e-9)) + 1
+    cells_x = span_x / resolution - 1e-9
+    cells_y = span_y / resolution - 1e-9
+    where = f"bbox {tuple(lo)}-{tuple(hi)} at resolution {resolution!r}"
+    if not (math.isfinite(cells_x) and math.isfinite(cells_y)):
+        raise ValidationError(f"{where} does not span a finite grid")
+    nx = int(math.ceil(cells_x)) + 1
+    ny = int(math.ceil(cells_y)) + 1
+    if nx * ny > _MAX_NODES:
+        raise ValidationError(f"{where} needs {nx} x {ny} = {nx * ny} "
+                              f"distance-field nodes (limit {_MAX_NODES})")
 
     xs = origin.x + resolution * np.arange(nx)
     ys = origin.y + resolution * np.arange(ny)
-    gx, gy = np.meshgrid(xs, ys)  # shape (ny, nx)
     dmin = np.full((ny, nx), np.inf)
-    for seg in walls.segments:
+    pieces = []  # (squared length, residual per column, residual per row)
+    for seg in dict.fromkeys(walls.segments):
         ax, ay = seg.a
         bx, by = seg.b
         dx = bx - ax
         dy = by - ay
         denom = dx * dx + dy * dy
         if denom < 1e-24:
-            d = np.hypot(gx - ax, gy - ay)
+            pieces.append((denom, xs - ax, ys - ay))
+        elif dy == 0.0:
+            t = (xs - ax) * dx / denom
+            np.clip(t, 0.0, 1.0, out=t)
+            pieces.append((denom, xs - (ax + t * dx), ys - ay))
+        elif dx == 0.0:
+            t = (ys - ay) * dy / denom
+            np.clip(t, 0.0, 1.0, out=t)
+            pieces.append((denom, xs - ax, ys - (ay + t * dy)))
         else:
+            gx, gy = np.meshgrid(xs, ys)  # shape (ny, nx)
             t = ((gx - ax) * dx + (gy - ay) * dy) / denom
             np.clip(t, 0.0, 1.0, out=t)
-            d = np.hypot(gx - (ax + t * dx), gy - (ay + t * dy))
-        np.minimum(dmin, d, out=dmin)
+            np.minimum(dmin, np.hypot(gx - (ax + t * dx), gy - (ay + t * dy)), out=dmin)
+
+    rowmax = dmin.max(axis=1)
+    colmax = dmin.max(axis=0)
+    pieces.sort(key=lambda piece: piece[0], reverse=True)
+    for _, rx, ry in pieces:
+        rows = np.flatnonzero(np.abs(ry) < rowmax)
+        cols = np.flatnonzero(np.abs(rx) < colmax)
+        if rows.size == 0 or cols.size == 0:
+            continue
+        j0, j1 = rows[0], rows[-1] + 1
+        i0, i1 = cols[0], cols[-1] + 1
+        block = dmin[j0:j1, i0:i1]
+        np.minimum(block, np.hypot(rx[i0:i1], ry[j0:j1, None]), out=block)
+        dmin[j0:j1].max(axis=1, out=rowmax[j0:j1])
+        dmin[:, i0:i1].max(axis=0, out=colmax[i0:i1])
     values = np.where(dmin < wall_half_width, -dmin, dmin)
     values.setflags(write=False)
     return SdfGrid(origin=origin, resolution=resolution, nx=nx, ny=ny, values=values)

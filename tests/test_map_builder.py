@@ -12,11 +12,14 @@ from hypothesis import strategies as st
 
 from semnav import (CarvedWalls, DegenerateRoom, Doorway, DoorwayPlacement,
                     EmptyMap, OutOfBounds, Point2, Room, SceneGraph,
-                    WallSegment, build_global_map, build_sdf, carve_doorways,
-                    contour_from_room, doorway_openings, export_sdf_text,
-                    load_sdf_text, point_in_contour, sdf_query)
+                    ValidationError, WallSegment, build_global_map, build_sdf,
+                    carve_doorways, contour_from_room, doorway_openings,
+                    export_sdf_text, load_map, load_sdf_text, point_in_contour,
+                    save_map, sdf_query, set_doorway_blocked)
+from semnav import map_builder
+from semnav.scene_graph import CLOSURE_TOL
 
-from conftest import rect_room
+from conftest import fixture_path, rect_room
 from oracles import min_wall_distance, winding_contains
 
 
@@ -284,6 +287,139 @@ def test_build_sdf_rejects_bad_input():
     walls = carve_doorways(_scene([room]))
     with pytest.raises(ValueError):
         build_sdf(walls, (Point2(0, 0), Point2(2, 2)), resolution=0.0)
+
+
+@pytest.mark.parametrize("resolution", [math.nan, math.inf, -math.inf])
+def test_build_sdf_rejects_non_finite_resolution(resolution):
+    walls = carve_doorways(_scene([rect_room("a", 0.0, 0.0, 2.0, 2.0)]))
+    with pytest.raises(ValueError, match="resolution must be finite"):
+        build_sdf(walls, (Point2(0, 0), Point2(2, 2)), resolution=resolution)
+
+
+def test_build_sdf_rejects_oversized_grid_before_allocating(tmp_path):
+    # A 1e18 m bbox around a 2 m room loads fine. At 0.05 m its grid would
+    # have 2e19 nodes per side, so even without the guard np.arange would
+    # refuse at once: this test cannot allocate the grid it asks for.
+    room = rect_room("a", 0.0, 0.0, 2.0, 2.0)
+    path = str(tmp_path / "huge.map")
+    save_map(_scene([room], bbox=(Point2(0.0, 0.0), Point2(1e18, 1e18))), path)
+    scene = load_map(path)
+    with pytest.raises(ValidationError, match=r"bbox .* distance-field nodes"):
+        build_global_map(scene)
+    walls = carve_doorways(_scene([room]))
+    with pytest.raises(ValidationError, match="finite grid"):
+        build_sdf(walls, (Point2(0.0, 0.0), Point2(math.inf, 2.0)))
+    with pytest.raises(ValidationError, match="finite grid"):
+        build_sdf(walls, (Point2(0.0, 0.0), Point2(1e6, 2.0)), resolution=1e-320)
+
+
+def test_build_sdf_node_limit_is_exact(monkeypatch):
+    walls = carve_doorways(_scene([rect_room("a", 0.0, 0.0, 2.0, 1.0)]))
+    bbox = (Point2(0.0, 0.0), Point2(2.0, 1.0))
+    grid = build_sdf(walls, bbox, resolution=0.1)
+    monkeypatch.setattr(map_builder, "_MAX_NODES", grid.nx * grid.ny)
+    assert build_sdf(walls, bbox, resolution=0.1).values.shape == (grid.ny, grid.nx)
+    monkeypatch.setattr(map_builder, "_MAX_NODES", grid.nx * grid.ny - 1)
+    with pytest.raises(ValidationError,
+                       match=f"{grid.nx} x {grid.ny} = {grid.nx * grid.ny} "):
+        build_sdf(walls, bbox, resolution=0.1)
+
+
+# ------------------------------------------------- windowed build reference
+
+
+def _reference_sdf_values(walls: CarvedWalls, bbox, resolution: float,
+                          wall_half_width: float = 0.05) -> np.ndarray:
+    """The full-grid build_sdf loop the windowed build replaced: every
+    segment is evaluated on every node of the mesh."""
+    lo, hi = bbox
+    origin = Point2(lo.x - 2.0 * resolution, lo.y - 2.0 * resolution)
+    span_x = (hi.x + 2.0 * resolution) - origin.x
+    span_y = (hi.y + 2.0 * resolution) - origin.y
+    nx = int(math.ceil(span_x / resolution - 1e-9)) + 1
+    ny = int(math.ceil(span_y / resolution - 1e-9)) + 1
+
+    xs = origin.x + resolution * np.arange(nx)
+    ys = origin.y + resolution * np.arange(ny)
+    gx, gy = np.meshgrid(xs, ys)  # shape (ny, nx)
+    dmin = np.full((ny, nx), np.inf)
+    for seg in walls.segments:
+        ax, ay = seg.a
+        bx, by = seg.b
+        dx = bx - ax
+        dy = by - ay
+        denom = dx * dx + dy * dy
+        if denom < 1e-24:
+            d = np.hypot(gx - ax, gy - ay)
+        else:
+            t = ((gx - ax) * dx + (gy - ay) * dy) / denom
+            np.clip(t, 0.0, 1.0, out=t)
+            d = np.hypot(gx - (ax + t * dx), gy - (ay + t * dy))
+        np.minimum(dmin, d, out=dmin)
+    return np.where(dmin < wall_half_width, -dmin, dmin)
+
+
+@pytest.mark.parametrize("resolution", [0.025, 0.05, 0.1])
+@pytest.mark.parametrize("name", ["grid8", "ring4", "threeroom"])
+def test_build_sdf_bitwise_equals_full_grid_reference(name, resolution):
+    scene = load_map(fixture_path(f"{name}.map"))
+    variants = [scene] + [set_doorway_blocked(scene, d.id, True)
+                          for d in scene.doorways]
+    for variant in variants:
+        walls = carve_doorways(variant)
+        got = build_sdf(walls, variant.bbox, resolution=resolution)
+        want = _reference_sdf_values(walls, variant.bbox, resolution)
+        assert got.values.shape == want.shape
+        assert got.values.tobytes() == want.tobytes()
+
+
+@st.composite
+def _rectangle_walls(draw):
+    """Walls of one to three random rectangles. A wall may be reversed,
+    tilted by at most CLOSURE_TOL (so it takes the full-grid path), repeated,
+    or split around a zero-length or near-zero piece."""
+    segments: list[WallSegment] = []
+    for _ in range(draw(st.integers(1, 3))):
+        x0 = draw(st.floats(-3.0, 3.0))
+        y0 = draw(st.floats(-3.0, 3.0))
+        x1 = x0 + draw(st.floats(0.1, 3.0))
+        y1 = y0 + draw(st.floats(0.1, 3.0))
+        for a, b in rect_room("r", x0, y0, x1, y1).walls:
+            kind = draw(st.sampled_from(["plain", "reversed", "tilted", "split",
+                                         "repeated"]))
+            if kind == "reversed":
+                a, b = b, a
+            elif kind == "tilted":
+                tilt = draw(st.floats(-CLOSURE_TOL, CLOSURE_TOL))
+                b = (Point2(b.x + tilt, b.y) if a.x == b.x
+                     else Point2(b.x, b.y + tilt))
+            elif kind == "split":
+                f = draw(st.floats(0.0, 1.0))
+                eps = draw(st.sampled_from([0.0, 1e-13, 9e-13, 1e-12, 3e-12]))
+                p = Point2(a.x + f * (b.x - a.x), a.y + f * (b.y - a.y))
+                q = (Point2(p.x, p.y + eps) if a.x == b.x
+                     else Point2(p.x + eps, p.y))
+                segments += [WallSegment(a, p), WallSegment(p, q)]
+                a = q
+            elif kind == "repeated":
+                segments.append(WallSegment(a, b))
+            segments.append(WallSegment(a, b))
+    return CarvedWalls(segments=tuple(segments))
+
+
+@settings(max_examples=150, deadline=None)
+@given(walls=_rectangle_walls(),
+       margin=st.sampled_from([0.0, 0.3, 2.0]),
+       resolution=st.sampled_from([0.05, 0.1, 0.23]))
+def test_build_sdf_bitwise_equals_reference_on_random_walls(walls, margin,
+                                                            resolution):
+    xs = [c for s in walls.segments for c in (s.a.x, s.b.x)]
+    ys = [c for s in walls.segments for c in (s.a.y, s.b.y)]
+    bbox = (Point2(min(xs) - margin, min(ys) - margin),
+            Point2(max(xs) + margin, max(ys) + margin))
+    got = build_sdf(walls, bbox, resolution=resolution)
+    want = _reference_sdf_values(walls, bbox, resolution)
+    assert got.values.tobytes() == want.tobytes()
 
 
 # -------------------------------------------------------------- global map
