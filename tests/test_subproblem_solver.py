@@ -6,15 +6,18 @@ import math
 
 import pytest
 
-from semnav import (EmptyInput, GeometricPath, NoRoute, PlannerConfig,
-                    PlannerStats, Point2, SceneGraph, Doorway,
-                    SubproblemInfeasible, build_global_map, build_topology,
-                    decompose, global_path_from_dict, global_path_to_dict,
-                    join_segments, motion_valid, replan, semantic_route,
-                    solve_all)
+from semnav import (INFORMED_RRT_STAR, BenchConfig, EmptyInput, GeometricPath,
+                    NoRoute, PlannerConfig, PlannerStats, Point2, SceneGraph,
+                    Doorway, SemNavError, SubproblemInfeasible,
+                    build_global_map, build_topology, decompose,
+                    generate_pairs, global_path_from_dict, global_path_to_dict,
+                    join_segments, load_map, motion_valid, replan,
+                    semantic_route, solve_all)
+from semnav.bench_harness import _PLAN_SALT
 from semnav.geometric_planner import GeometricProblem
+from semnav.rng import mix
 
-from conftest import rect_room
+from conftest import fixture_path, rect_room
 from oracles import dense_path_clear
 
 
@@ -292,3 +295,63 @@ def test_replan_deterministic(ring4_scene, ring4_map):
         assert [s.waypoints for s in o1.path.segments] == \
             [s.waypoints for s in o2.path.segments]
     assert o1.stats == o2.stats
+
+
+# ------------------------------------------------------ golden replan pin
+
+REPLAN_PIN_HEADER = "query_id,doorway,reused,solved,total_length_m,resolved_samples"
+
+
+def replan_pin_text() -> str:
+    """Every feasible single-doorway replan of the first four grid8 pairs.
+
+    Pairs, planner seeds and budgets are those of ``run_bench`` with
+    ``BenchConfig(map_path=grid8.map, seed=3)``. Each pair is solved with
+    ``solve_all``, then each doorway of its route is blocked in turn; blocks
+    that raise are skipped. One row per block: the reused and the solved
+    subproblem indices, the joined length (``repr``, empty when unsolved)
+    and ``samples_created`` of every subproblem planned afresh. The reuse
+    decision runs every reused segment through ``motion_valid`` on the
+    rebuilt map, which the bench campaign never calls.
+    """
+    cfg = BenchConfig(map_path=fixture_path("grid8.map"), seed=3, n_queries=4)
+    scene = load_map(cfg.map_path)
+    gmap = build_global_map(scene)
+    topo = build_topology(scene, cfg.penalty, cfg.metric)
+    pk = {"goal_tolerance": cfg.goal_tolerance, "robot_radius": cfg.robot_radius,
+          "validity_margin": cfg.validity_margin}
+    lines = [REPLAN_PIN_HEADER]
+    for qid, (start, goal) in enumerate(generate_pairs(cfg)):
+        pcfg = PlannerConfig(algorithm=INFORMED_RRT_STAR, timeout=cfg.timeout,
+                             seed=mix(cfg.seed, qid, _PLAN_SALT))
+        route = semantic_route(topo, scene, start, goal)
+        gpath, _ = solve_all(decompose(route, scene), gmap, pcfg, workers=1, **pk)
+        for doorway in route.doorways:
+            try:
+                out = replan(scene, route, gpath, doorway, start, pcfg,
+                             penalty=cfg.penalty, metric=cfg.metric,
+                             workers=1, **pk)
+            except SemNavError:
+                continue
+            length = "" if out.path is None else repr(out.path.total_length)
+            samples = [st.samples_created for i, st in enumerate(out.stats, 1)
+                       if i not in out.reused_indices]
+            lines.append(",".join([
+                str(qid), doorway,
+                " ".join(map(str, out.reused_indices)),
+                " ".join(map(str, out.solved_indices)),
+                length, " ".join(map(str, samples))]))
+    return "\n".join(lines) + "\n"
+
+
+def test_grid8_replans_reproduce_golden_pin():
+    with open(fixture_path("golden_grid8_replan.csv"), "rb") as f:
+        golden = f.read()
+    assert replan_pin_text().encode() == golden
+
+
+if __name__ == "__main__":
+    # regenerate the pin: PYTHONPATH=src python3 tests/test_subproblem_solver.py
+    with open(fixture_path("golden_grid8_replan.csv"), "w", encoding="utf-8",
+              newline="\n") as f:
+        f.write(replan_pin_text())
