@@ -18,6 +18,20 @@ Both give exactly the answers of the general ring test and ``sdf_query``,
 point for point (see ``_Region``), and neither changes what the virtual clock
 charges.
 
+A motion check also skips points that the field value of the last checked
+point proves valid (the free-space "bubble" of elastic bands). Every node
+stores its exact wall distance except band nodes, closer than the wall half
+width ``w``, which store it negated. Adjacent exact nodes differ by at most
+the resolution ``res``, so the bilinear field is sqrt(2)-Lipschitz along any
+segment through cells without band corners; a cell with a band corner has
+every value below ``w + sqrt(2) * res``. So when the clearance ``c`` exceeds
+that bound, a point with value ``f >= c`` sees ``f >= c`` at every point of
+the segment within ``(f - c - eps) / sqrt(2)`` of it. Skipped points must
+also stay inside the point's room box and the bbox by ``eps``. Grids
+without a recorded band bound, coarse grids and points accepted by the exact
+ring test or a doorway opening do not skip, and every check returns what
+the point-by-point check returns.
+
 Budgets come from a pluggable clock. The default "virtual" clock charges
 ticks per primitive operation: one per sample draw, one per 32 points of a
 vectorized nearest-neighbour scan, and, per point validity check, one field
@@ -33,12 +47,13 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import EmptyRegion, InvalidGoal, InvalidStart, OutOfBounds
 from .geometry import Point2, dist
-from .map_builder import Contour, GlobalMap, point_in_contour, sdf_query
+from .map_builder import Contour, GlobalMap, SdfGrid, point_in_contour, sdf_query
 from .rng import make_stream
 
 RRT = "rrt"
@@ -59,6 +74,13 @@ INFORMED_MAX_ATTEMPTS = 64
 # half-width of the band around a rectangle room's edges where containment
 # falls back to the exact ring test (its boundary tolerance is 1e-9)
 _RECT_BAND = 4e-9
+# floor of the slack a motion check's stride keeps from the clearance and
+# from the box edges; it grows with the coordinate magnitude (_stride_eps)
+_STRIDE_EPS = 1e-9
+_SQRT2 = math.sqrt(2.0)
+# neighbourhood size above which the rewire scan filters in numpy first; at
+# a dozen neighbours the numpy calls cost as much as the scan they save
+_SCAN_FILTER_MIN = 12
 
 CLOCK_VIRTUAL = "virtual"
 CLOCK_WALL = "wall"
@@ -194,10 +216,23 @@ class _Region:
     order) for each interpolated point, without building points or calling
     out. Its answers are those of ``valid`` on every point, and
     ``check_cost`` is untouched, so virtual-clock charges are unchanged.
+
+    It also strides. After a point in a room's half-open box (or, without
+    rooms, in the bbox) passes with field value ``f``, the following points
+    within ``(f - c - eps) / sqrt(2)`` of it, and inside that box and the
+    bbox shrunk by ``eps``, are valid (module docstring) and are not
+    evaluated. The interpolated coordinates are monotone in the point
+    index, so a per-axis margin bounds all of them. ``stride`` holds the
+    condition ``c - eps > w + sqrt(2) * res``, evaluated once from the
+    grid's recorded band bound ``w``; without it, and after a point that
+    needed ``_edge_or_opening``, every point is evaluated. ``eps`` grows
+    with the coordinate magnitude, like ``_RECT_BAND``, and with the grid
+    size, to cover rounding in the points, in ``f`` and in the node values.
     """
 
     def __init__(self, gmap: GlobalMap, problem: GeometricProblem):
         self.gmap = gmap
+        self.goal = problem.goal
         self.bbox = gmap.scene.bbox
         self.clearance = problem.robot_radius + problem.validity_margin
         self.constrained = problem.allowed_rooms is not None
@@ -210,9 +245,19 @@ class _Region:
                 self.rects = tuple(gmap.openings[d]
                                    for d in sorted(problem.allowed_doorways)
                                    if d in gmap.openings)
-        # half-open boxes of the rectangle rooms; (closed box grown by the
-        # fallback band, contour) for every room
+        grid = gmap.sdf
+        lo, hi = self.bbox
+        eps = _stride_eps(grid, self.bbox)
+        self.stride = (self.clearance - eps
+                       > grid.wall_half_width + _SQRT2 * grid.resolution)
+        self.stride_eps = eps
+        # the bbox shrunk by eps: (x0, y0, x1, y1)
+        self.inner = (lo.x + eps, lo.y + eps, hi.x - eps, hi.y - eps)
+        # half-open boxes of the rectangle rooms; the same boxes followed by
+        # their intersection with the bbox shrunk by eps, for motion checks;
+        # (closed box grown by the fallback band, contour) for every room
         self.boxes: list[tuple[float, float, float, float]] = []
+        self.stride_boxes: list[tuple[float, ...]] = []
         self.bands: list[tuple[float, float, float, float, Contour]] = []
         for c in self.contours:
             box = _rectangle(c.ring)
@@ -223,6 +268,10 @@ class _Region:
             x0, y0, x1, y1 = box
             band = _RECT_BAND + 16 * math.ulp(max(map(abs, box)))
             self.boxes.append(box)
+            self.stride_boxes.append(box + (max(x0 + eps, self.inner[0]),
+                                            max(y0 + eps, self.inner[1]),
+                                            min(x1 - eps, self.inner[2]),
+                                            min(y1 - eps, self.inner[3])))
             self.bands.append((x0 - band, y0 - band, x1 + band, y1 + band, c))
         # virtual-clock ticks per validity check: one field lookup plus one
         # tick per room contour the check has in scope. An unconstrained
@@ -234,6 +283,43 @@ class _Region:
         else:
             self.check_cost = 1 + len(gmap.contours)
         self.step = motion_step(gmap.sdf.resolution)
+
+    @cached_property
+    def room_table(self) -> tuple[list[float], float, list[tuple[float, float, float, float]]]:
+        """Area of each allowed room in contour order, their sum and each
+        room's bounds."""
+        by_id = {r.id: r for r in self.gmap.scene.rooms}
+        rooms = [by_id[c.room_id] for c in self.contours]
+        areas = [r.widths[0] * r.widths[1] for r in rooms]
+        return areas, sum(areas), [r.bounds for r in rooms]
+
+    def sample(self, rng: np.random.Generator, goal_bias: float) -> Point2:
+        """``sample_state`` on this region."""
+        if goal_bias > 0.0 and rng.random() < goal_bias:
+            return self.goal
+        if not self.constrained:
+            lo, hi = self.bbox
+            return Point2(rng.uniform(lo.x, hi.x), rng.uniform(lo.y, hi.y))
+        if not self.contours:
+            raise EmptyRegion("allowed region contains no known rooms")
+        areas, total, bounds = self.room_table
+        pick = rng.uniform(0.0, total)
+        acc = 0.0
+        chosen = len(areas) - 1
+        for k, a in enumerate(areas):
+            acc += a
+            if pick <= acc:
+                chosen = k
+                break
+        x0, y0, x1, y1 = bounds[chosen]
+        contour = self.contours[chosen]
+        # rectangle contours accept immediately; the loop is shape safety in
+        # case contours ever grow beyond rectangles
+        for _ in range(64):
+            p = Point2(rng.uniform(x0, x1), rng.uniform(y0, y1))
+            if point_in_contour(contour, p):
+                return p
+        return Point2((x0 + x1) / 2.0, (y0 + y1) / 2.0)
 
     def contains(self, p: Point2) -> bool:
         """Region membership only (bbox and allowed rooms), no clearance."""
@@ -273,7 +359,7 @@ class _Region:
         lo, hi = self.bbox
         bx0, by0, bx1, by1 = lo.x, lo.y, hi.x, hi.y
         constrained = self.constrained
-        boxes = self.boxes
+        boxes = self.stride_boxes
         clearance = self.clearance
         grid = self.gmap.sdf
         v = grid.flat_values
@@ -287,19 +373,34 @@ class _Region:
         ax, ay = a
         dx = b.x - ax
         dy = b.y - ay
-        for k in range(n + 1):
+        # stride factors: points per unit of field value above the clearance
+        # and per unit of box margin along each axis
+        stride = self.stride
+        if stride:
+            length = math.hypot(dx, dy)
+            kf = n / (_SQRT2 * length) if length > 0.0 else math.inf
+            stride = kf < math.inf
+            c_eps = clearance + self.stride_eps
+            kx = n / abs(dx) if dx != 0.0 else math.inf
+            ky = n / abs(dy) if dy != 0.0 else math.inf
+            lx, ly, hx, hy = self.inner
+        k = 0
+        while k <= n:
             t = k / n
             x = ax + dx * t
             y = ay + dy * t
             if not (bx0 <= x <= bx1 and by0 <= y <= by1):
                 return False
             if constrained:
-                for x0, y0, x1, y1 in boxes:
+                for x0, y0, x1, y1, lx, ly, hx, hy in boxes:
                     if x0 <= x < x1 and y0 <= y < y1:
                         break
                 else:
                     if not self._edge_or_opening(x, y):
                         return False
+                    # no margin: this point does not stride
+                    lx = ly = math.inf
+                    hx = hy = -math.inf
             # sdf_query, inlined
             fx = (x - ox) / res
             fy = (y - oy) / res
@@ -314,10 +415,50 @@ class _Region:
             tx = fx - i0
             ty = fy - j0
             m = j0 * nx + i0
-            if not ((v[m] * (1.0 - tx) + v[m + 1] * tx) * (1.0 - ty)
-                    + (v[m + nx] * (1.0 - tx) + v[m + nx + 1] * tx) * ty >= clearance):
+            f = ((v[m] * (1.0 - tx) + v[m + 1] * tx) * (1.0 - ty)
+                 + (v[m + nx] * (1.0 - tx) + v[m + nx + 1] * tx) * ty)
+            if not f >= clearance:
                 return False
+            k += 1
+            if stride:
+                # the following points proven valid: a NaN margin (a
+                # constant coordinate on the box edge) bounds nothing
+                s = (f - c_eps) * kf
+                g = ((hx - x) if dx > 0.0 else (x - lx)) * kx
+                if g < s:
+                    s = g
+                g = ((hy - y) if dy > 0.0 else (y - ly)) * ky
+                if g < s:
+                    s = g
+                if s >= 1.0:
+                    k += int(s) if s < n else n
         return True
+
+
+def _may_rewire(parent_cost: float, d: np.ndarray, cost: np.ndarray) -> np.ndarray:
+    """Mask of the neighbours that can pass the rewire test.
+
+    The test is ``parent_cost + math.hypot(...) < cost - 1e-12``, where the
+    cost only falls during a rewire pass (``propagate`` applies negative
+    deltas), so a snapshot of the costs is an upper bound. Passing it
+    implies ``d < cost``, and ``np.sqrt`` of the summed squares is within a
+    few ulps of ``d`` of ``math.hypot``, so ``parent_cost + d`` is within a
+    few ulps of ``cost`` of the exact sum. The slack ``1e-14 * (1 + cost)``
+    is more than 5 times that, so every neighbour the test admits passes.
+    The bound is ``(cost - 1e-12) + 1e-14 * (1 + cost)`` regrouped.
+    """
+    return parent_cost + d < cost * (1.0 + 1e-14) - 9.9e-13
+
+
+def _stride_eps(grid: SdfGrid, bbox: tuple[Point2, Point2]) -> float:
+    """Slack a motion check's stride keeps from the clearance and from the
+    box edges. It covers the rounding of the interpolated points and of the
+    field value, a few ulps of the coordinate magnitude, and a node value
+    error of as much per cell on a stride across the whole grid."""
+    lo, hi = bbox
+    scale = max(abs(lo.x), abs(lo.y), abs(hi.x), abs(hi.y),
+                abs(grid.origin.x), abs(grid.origin.y))
+    return _STRIDE_EPS + 16 * math.ulp(scale) * (grid.nx + grid.ny)
 
 
 def _rectangle(ring: tuple[Point2, ...]) -> tuple[float, float, float, float] | None:
@@ -343,7 +484,12 @@ def state_valid(gmap: GlobalMap, problem: GeometricProblem, p: Point2) -> bool:
 
 def motion_valid(gmap: GlobalMap, problem: GeometricProblem,
                  a: Point2, b: Point2) -> bool:
-    """Straight-line motion check: every interpolated state must be valid."""
+    """Straight-line motion check: every interpolated state must be valid.
+
+    A non-finite endpoint is not a valid state, so its motion is invalid.
+    """
+    if not all(map(math.isfinite, (a.x, a.y, b.x, b.y))):
+        return False
     return _Region(gmap, problem).motion_valid(a, b)
 
 
@@ -355,33 +501,7 @@ def sample_state(gmap: GlobalMap, problem: GeometricProblem,
     area, then sample that room's rectangle, which is uniform over the union
     because rooms have disjoint interiors.
     """
-    if goal_bias > 0.0 and rng.random() < goal_bias:
-        return problem.goal
-    if problem.allowed_rooms is None:
-        lo, hi = gmap.scene.bbox
-        return Point2(rng.uniform(lo.x, hi.x), rng.uniform(lo.y, hi.y))
-    contours = [c for c in gmap.contours if c.room_id in problem.allowed_rooms]
-    if not contours:
-        raise EmptyRegion("allowed region contains no known rooms")
-    rooms = {r.id: r for r in gmap.scene.rooms}
-    areas = [rooms[c.room_id].widths[0] * rooms[c.room_id].widths[1] for c in contours]
-    total = sum(areas)
-    pick = rng.uniform(0.0, total)
-    acc = 0.0
-    chosen = contours[-1]
-    for c, a in zip(contours, areas):
-        acc += a
-        if pick <= acc:
-            chosen = c
-            break
-    x0, y0, x1, y1 = rooms[chosen.room_id].bounds
-    # rectangle contours accept immediately; the loop is shape safety in case
-    # contours ever grow beyond rectangles
-    for _ in range(64):
-        p = Point2(rng.uniform(x0, x1), rng.uniform(y0, y1))
-        if point_in_contour(chosen, p):
-            return p
-    return Point2((x0 + x1) / 2.0, (y0 + y1) / 2.0)
+    return _Region(gmap, problem).sample(rng, goal_bias)
 
 
 def informed_axes(start: Point2, goal: Point2, c_best: float) -> tuple[float, float]:
@@ -488,12 +608,15 @@ def plan(gmap: GlobalMap, problem: GeometricProblem, config: PlannerConfig,
             stats.planning_time = budget.elapsed()
             return path, stats
 
-    # flat tree storage; coordinates mirrored in numpy for neighbour scans
+    # flat tree storage; coordinates and costs mirrored in numpy for
+    # neighbour scans
     cap = 256
     xs = np.empty(cap)
     ys = np.empty(cap)
+    cs = np.empty(cap)
     xs[0] = start.x
     ys[0] = start.y
+    cs[0] = 0.0
     pts: list[Point2] = [start]
     parent: list[int] = [-1]
     cost: list[float] = [0.0]
@@ -506,9 +629,7 @@ def plan(gmap: GlobalMap, problem: GeometricProblem, config: PlannerConfig,
         lo, hi = gmap.scene.bbox
         free_area = (hi.x - lo.x) * (hi.y - lo.y)
     else:
-        rooms = {r.id: r for r in gmap.scene.rooms}
-        free_area = sum(rooms[c.room_id].widths[0] * rooms[c.room_id].widths[1]
-                        for c in region.contours)
+        free_area = region.room_table[1]
     gamma = config.rewire_factor * math.sqrt(3.0 * free_area / math.pi)
     rewiring = config.algorithm in (RRT_STAR, INFORMED_RRT_STAR)
     informed = config.algorithm == INFORMED_RRT_STAR
@@ -520,6 +641,7 @@ def plan(gmap: GlobalMap, problem: GeometricProblem, config: PlannerConfig,
         while stack:
             i = stack.pop()
             cost[i] += delta
+            cs[i] = cost[i]
             touched += 1
             stack.extend(children[i])
         return touched
@@ -544,7 +666,7 @@ def plan(gmap: GlobalMap, problem: GeometricProblem, config: PlannerConfig,
             if sample_hook is not None:
                 sample_hook(sample, best_cost)
         else:
-            sample = sample_state(gmap, problem, rng, goal_bias=config.goal_bias)
+            sample = region.sample(rng, config.goal_bias)
             stats.samples_created += 1
             budget.charge(1 + check_cost)
             if sample_hook is not None:
@@ -583,7 +705,6 @@ def plan(gmap: GlobalMap, problem: GeometricProblem, config: PlannerConfig,
 
         parent_idx = nearest
         parent_cost = cost[nearest] + edge_len
-        neighbor_list: list[int] = []
         if rewiring:
             radius = min(config.steer_range,
                          gamma * math.sqrt(math.log(n + 1.0) / (n + 1.0)))
@@ -593,15 +714,18 @@ def plan(gmap: GlobalMap, problem: GeometricProblem, config: PlannerConfig,
             else:
                 d2n = (xs[:n] - new_pt.x) ** 2 + (ys[:n] - new_pt.y) ** 2
             near = np.flatnonzero(d2n <= radius * radius)
-            neighbor_list = near.tolist()
-            # candidate parents by cost through them; a stable sort breaks
-            # ties by node index
-            via_costs = np.array([cost[i] for i in neighbor_list]) + np.sqrt(d2n[near])
-            order = np.argsort(via_costs, kind="stable").tolist()
-            via_costs = via_costs.tolist()
-            for k in order:
-                i = neighbor_list[k]
-                c = via_costs[k]
+            d_nbr = np.sqrt(d2n[near])
+            c_nbr = cs[near]
+            filtered = near.size > _SCAN_FILTER_MIN
+            # candidate parents by cost through them, up to the cost through
+            # the nearest node; a stable sort breaks ties by node index
+            via = c_nbr + d_nbr
+            if filtered:
+                better = np.flatnonzero(via < parent_cost)
+                order = better[np.argsort(via[better], kind="stable")]
+            else:
+                order = np.argsort(via, kind="stable")
+            for i, c in zip(near[order].tolist(), via[order].tolist()):
                 if c >= parent_cost:
                     break
                 budget.charge(region.motion_points(pts[i], new_pt) * check_cost)
@@ -615,8 +739,10 @@ def plan(gmap: GlobalMap, problem: GeometricProblem, config: PlannerConfig,
             cap *= 2
             xs = np.resize(xs, cap)
             ys = np.resize(ys, cap)
+            cs = np.resize(cs, cap)
         xs[new_idx] = new_pt.x
         ys[new_idx] = new_pt.y
+        cs[new_idx] = parent_cost
         pts.append(new_pt)
         parent.append(parent_idx)
         cost.append(parent_cost)
@@ -624,7 +750,11 @@ def plan(gmap: GlobalMap, problem: GeometricProblem, config: PlannerConfig,
         children[parent_idx].append(new_idx)
 
         if rewiring:
-            for i in neighbor_list:
+            # in a large neighbourhood, visit only the neighbours that can
+            # pass the exact test, in neighbour order
+            if filtered:
+                near = near[_may_rewire(parent_cost, d_nbr, c_nbr)]
+            for i in near.tolist():
                 if i == parent_idx:
                     continue
                 via = parent_cost + dist(new_pt, pts[i])

@@ -65,11 +65,21 @@ class CarvedWalls:
 
 @dataclass(frozen=True)
 class SdfGrid:
+    """Wall distance field sampled on a regular grid.
+
+    ``wall_half_width`` is the band bound: nodes closer than it to a wall
+    store their distance negated, every other node stores its exact
+    distance. ``build_sdf`` records it; the default ``math.inf`` means no
+    bound is known (a grid read from text or built by hand), and the
+    planner then makes no use of the field's Lipschitz bound.
+    """
+
     origin: Point2
     resolution: float
     nx: int
     ny: int
     values: np.ndarray  # shape (ny, nx); values[j, i] sampled at origin + (i, j) * resolution
+    wall_half_width: float = math.inf
 
     @cached_property
     def flat_values(self) -> list[float]:
@@ -312,7 +322,8 @@ def build_sdf(walls: CarvedWalls, bbox: tuple[Point2, Point2],
         dmin[:, i0:i1].max(axis=0, out=colmax[i0:i1])
     values = np.where(dmin < wall_half_width, -dmin, dmin)
     values.setflags(write=False)
-    return SdfGrid(origin=origin, resolution=resolution, nx=nx, ny=ny, values=values)
+    return SdfGrid(origin=origin, resolution=resolution, nx=nx, ny=ny, values=values,
+                   wall_half_width=wall_half_width)
 
 
 def sdf_query(grid: SdfGrid, p: Point2) -> float:

@@ -11,14 +11,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from semnav import (CarvedWalls, Contour, EmptyRegion, GeometricPath,
+from semnav import (CarvedWalls, Contour, Doorway, EmptyRegion, GeometricPath,
                     GeometricProblem, GlobalMap, InvalidGoal, InvalidStart,
                     PlannerConfig, Point2, SceneGraph, SdfGrid,
                     build_global_map, build_topology, informed_axes,
                     motion_valid, path_from_dict, path_to_dict, plan,
                     point_in_contour, sample_informed, sample_state,
                     sdf_query, semantic_route, state_valid)
-from semnav.geometric_planner import _Region
+from semnav.geometric_planner import _may_rewire, _Region
+from semnav.geometry import dist
 from semnav.rng import make_stream
 
 from conftest import rect_room
@@ -547,7 +548,8 @@ def test_grid8_containment_equals_ring_test(grid8_map, data):
 def test_fused_motion_check_equals_pointwise_check(grid8_map, grid8_scene, data):
     region = _Region(grid8_map, data.draw(_grid8_problems(grid8_map)))
     lo, hi = grid8_scene.bbox
-    kind = data.draw(st.sampled_from(["doorway", "to_wall", "anywhere"]))
+    kind = data.draw(st.sampled_from(["doorway", "to_wall", "to_corner", "tight",
+                                      "long", "anywhere"]))
     if kind == "doorway":
         # through a doorway opening, across the wall gap
         x0, y0, x1, y1 = grid8_map.openings[data.draw(st.sampled_from(sorted(grid8_map.openings)))]
@@ -561,12 +563,62 @@ def test_fused_motion_check_equals_pointwise_check(grid8_map, grid8_scene, data)
         a = Point2((x0 + x1) / 2.0, (y0 + y1) / 2.0)
         b = Point2(x0 + data.draw(st.floats(CLEARANCE - 0.03, CLEARANCE + 0.03)),
                    data.draw(st.floats(y0 + 0.5, y1 - 0.5)))
+    elif kind == "to_corner":
+        # along a room's diagonal toward a corner, where the bilinear field
+        # falls at up to sqrt(2) per metre, to about one clearance from
+        # both walls
+        c = data.draw(st.sampled_from(grid8_map.contours))
+        (x0, y0), _, (x1, y1), _ = c.ring
+        sx, sy = data.draw(st.sampled_from([1.0, -1.0])), data.draw(st.sampled_from([1.0, -1.0]))
+        cx, cy = (x0, x1)[sx < 0], (y0, y1)[sy < 0]
+        s = data.draw(st.floats(CLEARANCE - 0.03, CLEARANCE + 0.03))
+        length = data.draw(st.floats(0.05, 1.0))
+        skew = data.draw(st.sampled_from([0.0, 0.0]) | st.floats(-0.02, 0.02))
+        b = Point2(cx + sx * s, cy + sy * s)
+        a = Point2(b.x + sx * length, b.y + sy * length * (1.0 + skew))
+    elif kind == "tight":
+        # a long stride from the far side of a room, then a last point whose
+        # field value is the clearance, or 1e-12 off it
+        c = data.draw(st.sampled_from(grid8_map.contours))
+        (x0, y0), _, (x1, y1), _ = c.ring
+        y = data.draw(st.floats(y0 + 1.0, y1 - 1.0))
+        a = Point2(x1 - data.draw(st.floats(0.5, 1.5)), data.draw(st.floats(y0 + 1.0, y1 - 1.0)))
+        b = Point2(x0 + CLEARANCE + data.draw(st.sampled_from([-1e-12, 0.0, 1e-12])), y)
+    elif kind == "long":
+        # between two points of one room, often far apart
+        c = data.draw(st.sampled_from(grid8_map.contours))
+        (x0, y0), _, (x1, y1), _ = c.ring
+        a, b = (Point2(data.draw(st.floats(x0, x1)), data.draw(st.floats(y0, y1)))
+                for _ in range(2))
     else:
         # anywhere, possibly leaving the bbox
         a = Point2(data.draw(st.floats(lo.x - 0.5, hi.x + 0.5)),
                    data.draw(st.floats(lo.y - 0.5, hi.y + 0.5)))
         b = Point2(a.x + data.draw(st.floats(-2.0, 2.0)), a.y + data.draw(st.floats(-2.0, 2.0)))
     assert region.motion_valid(a, b) == _reference_motion_valid(region, a, b)
+
+
+def test_stride_toward_every_room_corner(grid8_map):
+    # Along a room's diagonal the bilinear field falls at up to sqrt(2) per
+    # metre inside cells that straddle the diagonal; edges end around the
+    # point where it crosses the clearance, so a stride too long for that
+    # slope skips a last point that fails.
+    region = _Region(grid8_map, GeometricProblem(start=Point2(0.0, 0.0),
+                                                 goal=Point2(0.0, 0.0)))
+    outcomes = set()
+    for c in grid8_map.contours:
+        (x0, y0), _, (x1, y1), _ = c.ring
+        for cx, cy, sx, sy in ((x0, y0, 1, 1), (x1, y0, -1, 1),
+                               (x1, y1, -1, -1), (x0, y1, 1, -1)):
+            for k in range(41):
+                s = CLEARANCE - 0.02 + k * 0.001
+                b = Point2(cx + sx * s, cy + sy * s)
+                for length in (0.35, 0.4, 0.45):
+                    a = Point2(b.x + sx * length, b.y + sy * length)
+                    got = region.motion_valid(a, b)
+                    assert got == _reference_motion_valid(region, a, b)
+                    outcomes.add(got)
+    assert outcomes == {True, False}
 
 
 def test_fused_motion_check_through_every_doorway(grid8_map, grid8_scene):
@@ -592,3 +644,171 @@ def test_fused_motion_check_through_every_doorway(grid8_map, grid8_scene):
                 assert got == _reference_motion_valid(region, a, b)
                 outcomes.add(got)
     assert outcomes == {True, False}
+
+
+# ------------------------------------------------------- motion stride
+
+
+def test_stride_needs_a_band_bound_and_a_fine_grid(grid8_scene, grid8_map):
+    problem = GeometricProblem(start=Point2(0.0, 0.0), goal=Point2(0.0, 0.0))
+    assert _Region(grid8_map, problem).stride
+    assert _Region(build_global_map(grid8_scene, resolution=0.1), problem).stride
+    # 0.05 + sqrt(2) * 0.2 > 0.32: a cell next to the wall band can hold
+    # values above the clearance
+    assert not _Region(build_global_map(grid8_scene, resolution=0.2), problem).stride
+    # a grid without a recorded band bound
+    sdf = SdfGrid(origin=grid8_map.sdf.origin, resolution=grid8_map.sdf.resolution,
+                  nx=grid8_map.sdf.nx, ny=grid8_map.sdf.ny, values=grid8_map.sdf.values)
+    bare = GlobalMap(scene=grid8_map.scene, contours=grid8_map.contours,
+                     walls=grid8_map.walls, sdf=sdf, openings=grid8_map.openings)
+    assert not _Region(bare, problem).stride
+
+
+@pytest.fixture(scope="module")
+def grid8_coarse_map(grid8_scene):
+    return build_global_map(grid8_scene, resolution=0.2)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_coarse_grid_motion_check_equals_pointwise_check(grid8_coarse_map,
+                                                         grid8_scene, data):
+    region = _Region(grid8_coarse_map, data.draw(_grid8_problems(grid8_coarse_map)))
+    assert not region.stride
+    c = data.draw(st.sampled_from(grid8_coarse_map.contours))
+    (x0, y0), _, (x1, y1), _ = c.ring
+    a, b = (Point2(data.draw(st.floats(x0 - 0.5, x1 + 0.5)),
+                   data.draw(st.floats(y0 - 0.5, y1 + 0.5))) for _ in range(2))
+    assert region.motion_valid(a, b) == _reference_motion_valid(region, a, b)
+
+
+@pytest.fixture(scope="module")
+def wide_door_map():
+    """Two rooms joined by a 2 m doorway, in a bbox 3 m wider than the
+    walls: a stride could carry a check out of a room's box into the other
+    room, or out of the bbox, through free space."""
+    rooms = (rect_room("a", 0.0, 0.0, 4.0, 4.0), rect_room("b", 4.0, 0.0, 8.0, 4.0))
+    door = Doorway(id="d", center=Point2(4.0, 2.0), width=2.0, rooms=("a", "b"))
+    scene = SceneGraph(frame="map", bbox=(Point2(-3.0, -3.0), Point2(11.0, 7.0)),
+                       rooms=rooms, doorways=(door,))
+    return build_global_map(scene)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_stride_stays_inside_room_boxes_and_bbox(wide_door_map, data):
+    rooms, doors = data.draw(st.sampled_from([
+        (None, None), (frozenset({"a"}), frozenset()),
+        (frozenset({"a"}), frozenset({"d"})), (frozenset({"a", "b"}), frozenset())]))
+    region = _Region(wide_door_map, GeometricProblem(
+        start=Point2(0.0, 0.0), goal=Point2(0.0, 0.0),
+        allowed_rooms=rooms, allowed_doorways=doors))
+    assert region.stride
+    if data.draw(st.booleans()):
+        # across the doorway, ending on either side of room a's box edge
+        a = Point2(data.draw(st.floats(2.0, 3.8)), data.draw(st.floats(1.4, 2.6)))
+        b = Point2(4.0 + data.draw(st.sampled_from([-1e-9, 0.0, 1e-9, 0.01, 0.1, 0.16, 0.5])),
+                   data.draw(st.floats(1.4, 2.6)))
+    else:
+        # outward through free space, ending on either side of the bbox edge
+        a = Point2(data.draw(st.floats(-2.5, -1.0)), data.draw(st.floats(-2.0, 6.0)))
+        b = Point2(-3.0 + data.draw(st.sampled_from([-1e-9, 0.0, 1e-9, 0.01, 0.1])),
+                   a.y + data.draw(st.floats(-0.5, 0.5)))
+    if data.draw(st.booleans()):
+        a, b = b, a
+    assert region.motion_valid(a, b) == _reference_motion_valid(region, a, b)
+
+
+def test_stride_outcomes_on_the_wide_door_map(wide_door_map):
+    # both answers occur where a stride reaches a box or bbox edge
+    free = _Region(wide_door_map, GeometricProblem(start=Point2(0.0, 0.0),
+                                                   goal=Point2(0.0, 0.0)))
+    room_a = _Region(wide_door_map, GeometricProblem(
+        start=Point2(0.0, 0.0), goal=Point2(0.0, 0.0),
+        allowed_rooms=frozenset({"a"}), allowed_doorways=frozenset()))
+    assert free.motion_valid(Point2(-1.5, 2.0), Point2(-3.0, 2.0))
+    assert not free.motion_valid(Point2(-1.5, 2.0), Point2(-3.0 - 1e-9, 2.0))
+    assert room_a.motion_valid(Point2(3.0, 2.0), Point2(4.0 - 1e-9, 2.0))
+    assert not room_a.motion_valid(Point2(3.0, 2.0), Point2(4.0 + 0.01, 2.0))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_motion_valid_rejects_non_finite_endpoints(threeroom_map, bad):
+    problem = GeometricProblem(start=Point2(1.0, 1.0), goal=Point2(3.0, 3.0))
+    good = Point2(2.0, 2.0)
+    for p in (Point2(bad, 2.0), Point2(2.0, bad)):
+        assert not state_valid(threeroom_map, problem, p)
+        assert motion_valid(threeroom_map, problem, good, p) is False
+        assert motion_valid(threeroom_map, problem, p, good) is False
+
+
+# ------------------------------------------------------ rewire pre-filter
+
+
+@settings(max_examples=400, deadline=None)
+@given(parent_cost=st.sampled_from([0.0, 1e-3]) | st.floats(0.0, 200.0),
+       dx=st.floats(-1.0, 1.0), dy=st.floats(-1.0, 1.0), ulps=st.integers(0, 4))
+def test_rewire_filter_admits_every_near_tie(parent_cost, dx, dy, ulps):
+    # the smallest costs the exact rewire test admits, and a few ulps above:
+    # the filter, which sums np.sqrt of the squares instead of math.hypot,
+    # must admit them too
+    new_pt, other = Point2(5.0, 5.0), Point2(5.0 - dx, 5.0 - dy)
+    via = parent_cost + dist(new_pt, other)
+    cost = via + 1e-12
+    while not via < cost - 1e-12:
+        cost = math.nextafter(cost, math.inf)
+    for _ in range(ulps):
+        cost = math.nextafter(cost, math.inf)
+    d = np.sqrt(np.array([(other.x - new_pt.x) ** 2 + (other.y - new_pt.y) ** 2]))
+    assert _may_rewire(parent_cost, d, np.array([cost]))[0]
+
+
+def test_rewire_filter_drops_plain_non_improvements():
+    cost = np.array([1.0, 2.0, 3.0, 2.5])
+    d = np.array([0.5, 0.5, 0.5, 0.5])
+    # 1.5 + 0.5 against 1.0, 2.0 (a tie), 3.0 and 2.5
+    assert _may_rewire(1.5, d, cost).tolist() == [False, False, True, True]
+
+
+# ------------------------------------------------------------- sampling
+
+
+def _reference_sample_state(gmap, problem, rng, goal_bias=0.0):
+    """sample_state as it was before its room table moved into _Region."""
+    if goal_bias > 0.0 and rng.random() < goal_bias:
+        return problem.goal
+    if problem.allowed_rooms is None:
+        lo, hi = gmap.scene.bbox
+        return Point2(rng.uniform(lo.x, hi.x), rng.uniform(lo.y, hi.y))
+    contours = [c for c in gmap.contours if c.room_id in problem.allowed_rooms]
+    rooms = {r.id: r for r in gmap.scene.rooms}
+    areas = [rooms[c.room_id].widths[0] * rooms[c.room_id].widths[1] for c in contours]
+    pick = rng.uniform(0.0, sum(areas))
+    acc = 0.0
+    chosen = contours[-1]
+    for c, a in zip(contours, areas):
+        acc += a
+        if pick <= acc:
+            chosen = c
+            break
+    x0, y0, x1, y1 = rooms[chosen.room_id].bounds
+    for _ in range(64):
+        p = Point2(rng.uniform(x0, x1), rng.uniform(y0, y1))
+        if point_in_contour(chosen, p):
+            return p
+    return Point2((x0 + x1) / 2.0, (y0 + y1) / 2.0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), seed=st.integers(0, 2**32 - 1),
+       goal_bias=st.sampled_from([0.0, 0.05, 0.5]))
+def test_region_sampling_draws_what_sample_state_drew(grid8_map, data, seed, goal_bias):
+    problem = data.draw(_grid8_problems(grid8_map))
+    region = _Region(grid8_map, problem)
+    ours, theirs = make_stream(seed), make_stream(seed)
+    for _ in range(20):
+        assert region.sample(ours, goal_bias) == \
+            _reference_sample_state(grid8_map, problem, theirs, goal_bias)
+        assert sample_state(grid8_map, problem, ours, goal_bias) == \
+            _reference_sample_state(grid8_map, problem, theirs, goal_bias)
+    assert ours.random() == theirs.random()

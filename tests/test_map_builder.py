@@ -17,6 +17,7 @@ from semnav import (CarvedWalls, DegenerateRoom, Doorway, DoorwayPlacement,
                     export_sdf_text, load_map, load_sdf_text, point_in_contour,
                     save_map, sdf_query, set_doorway_blocked)
 from semnav import map_builder
+from semnav.geometric_planner import _SQRT2, _stride_eps
 from semnav.scene_graph import CLOSURE_TOL
 
 from conftest import fixture_path, rect_room
@@ -420,6 +421,84 @@ def test_build_sdf_bitwise_equals_reference_on_random_walls(walls, margin,
     got = build_sdf(walls, bbox, resolution=resolution)
     want = _reference_sdf_values(walls, bbox, resolution)
     assert got.values.tobytes() == want.tobytes()
+
+
+def test_build_sdf_records_the_band_bound(tmp_path, threeroom_map):
+    walls = carve_doorways(_scene([rect_room("a", 0.0, 0.0, 2.0, 2.0)]))
+    grid = build_sdf(walls, (Point2(0, 0), Point2(2, 2)), wall_half_width=0.08)
+    assert grid.wall_half_width == 0.08
+    assert threeroom_map.sdf.wall_half_width == map_builder.DEFAULT_WALL_HALF_WIDTH
+    # a grid read back from text has no known bound
+    path = str(tmp_path / "field.sdf")
+    export_sdf_text(grid, path)
+    assert load_sdf_text(path).wall_half_width == math.inf
+
+
+@st.composite
+def _offset_rectangles(draw):
+    """Walls of one to three random rectangles, shifted by up to 1e5 m."""
+    off = draw(st.sampled_from([0.0, 1e3, -1e4, 1e5, -1e5]) | st.floats(-1e5, 1e5))
+    rects = []
+    for _ in range(draw(st.integers(1, 3))):
+        x0 = off + draw(st.floats(-3.0, 3.0))
+        y0 = off + draw(st.floats(-3.0, 3.0))
+        rects.append((x0, y0, x0 + draw(st.floats(0.8, 4.0)),
+                      y0 + draw(st.floats(0.8, 4.0))))
+    return rects
+
+
+@settings(max_examples=150, deadline=None)
+@given(rects=_offset_rectangles(), resolution=st.floats(0.025, 0.1),
+       seed=st.integers(0, 2**32 - 1))
+def test_field_value_bounds_the_field_along_a_stride(rects, resolution, seed):
+    # The lemma a motion check's stride rests on: with c - eps above the
+    # band bound w + sqrt(2) * res, a point p with f(p) >= c sees f >= c at
+    # every q with |q - p| <= (f(p) - c - eps) / sqrt(2).
+    segments = [w for k, r in enumerate(rects) for w in rect_room(f"r{k}", *r).walls]
+    walls = CarvedWalls(segments=tuple(segments))
+    lo = Point2(min(r[0] for r in rects) - 0.5, min(r[1] for r in rects) - 0.5)
+    hi = Point2(max(r[2] for r in rects) + 0.5, max(r[3] for r in rects) + 0.5)
+    grid = build_sdf(walls, (lo, hi), resolution=resolution)
+    eps = _stride_eps(grid, (lo, hi))
+    c_min = grid.wall_half_width + _SQRT2 * resolution + eps + 1e-9
+    rng = random.Random(seed)
+
+    def node_near(x, y):
+        i = round((x - grid.origin.x) / resolution)
+        j = round((y - grid.origin.y) / resolution)
+        return Point2(grid.origin.x + i * resolution, grid.origin.y + j * resolution)
+
+    cases = []
+    for x0, y0, x1, y1 in rects:
+        # from a node near a room's inner corner straight toward the corner,
+        # where the bilinear field falls at up to sqrt(2) per metre
+        for cx, cy, sx, sy in ((x0, y0, 1, 1), (x1, y0, -1, 1),
+                               (x1, y1, -1, -1), (x0, y1, 1, -1)):
+            d = rng.uniform(0.3, min(x1 - x0, y1 - y0) / 2.0)
+            cases.append((node_near(cx + sx * d, cy + sy * d), -sx, -sy, "tight"))
+    for _ in range(30):
+        p = Point2(rng.uniform(lo.x, hi.x), rng.uniform(lo.y, hi.y))
+        if rng.random() < 0.5:
+            p = node_near(*p)
+        phi = rng.choice([0.0, 0.5, 1.0, 1.5, 0.25, 0.75, 1.25, 1.75, rng.uniform(0, 2)])
+        cases.append((p, math.cos(math.pi * phi), math.sin(math.pi * phi),
+                      rng.choice(["tight", "loose"])))
+    for p, ux, uy, kind in cases:
+        if not (lo.x <= p.x <= hi.x and lo.y <= p.y <= hi.y):
+            continue
+        f = sdf_query(grid, p)
+        if f - eps <= c_min:
+            continue
+        if kind == "tight":
+            c = max(c_min, f - eps - rng.uniform(1e-6, resolution))
+        else:
+            c = rng.uniform(c_min, f - eps)
+        r = (f - c - eps) / _SQRT2
+        norm = math.hypot(ux, uy)
+        for frac in (1.0, rng.random()):
+            q = Point2(p.x + ux / norm * r * frac, p.y + uy / norm * r * frac)
+            if lo.x <= q.x <= hi.x and lo.y <= q.y <= hi.y:
+                assert sdf_query(grid, q) >= c, (p, q, c)
 
 
 # -------------------------------------------------------------- global map
