@@ -629,7 +629,7 @@ def plan(gmap: GlobalMap, problem: GeometricProblem, config: PlannerConfig,
         lo, hi = gmap.scene.bbox
         free_area = (hi.x - lo.x) * (hi.y - lo.y)
     else:
-        free_area = region.room_table[1]
+        _, free_area, _ = region.room_table
     gamma = config.rewire_factor * math.sqrt(3.0 * free_area / math.pi)
     rewiring = config.algorithm in (RRT_STAR, INFORMED_RRT_STAR)
     informed = config.algorithm == INFORMED_RRT_STAR
