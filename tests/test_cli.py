@@ -12,7 +12,10 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
+from semnav import BenchConfig, Point2, run_bench
+from semnav.bench_harness import _PLAN_SALT
 from semnav.cli import main
+from semnav.rng import mix
 
 from conftest import fixture_path
 
@@ -166,6 +169,25 @@ def test_plan_writes_report_and_svg(tmp_path, capsys):
 
     root = ET.fromstring(svg_path.read_text())
     assert any(el.get("data-layer") == "path" for el in root.iter())
+
+
+def test_plan_agrees_with_bench_records(capsys):
+    # one query, answered by `plan` and by the benchmark with the seed the
+    # benchmark derives for query 0: every mode prints the record's numbers
+    records = run_bench(BenchConfig(map_path=THREEROOM, pairs="fixed",
+                                    start=Point2(1.0, 1.0),
+                                    goal=Point2(10.5, 2.0), seed=4,
+                                    timeout=0.05), workers=1)
+    assert [r.mode for r in records] == ["irrt", "irrt_sg", "irrt_sg_sps"]
+    seed = mix(4, 0, _PLAN_SALT)
+    for rec in records:
+        assert rec.solved, rec.mode
+        code = main(["plan", "--map", THREEROOM, "--start", "1,1",
+                     "--goal", "10.5,2", "--mode", rec.mode,
+                     "--timeout", "0.05", "--seed", str(seed)])
+        assert code == 0
+        assert capsys.readouterr().out == (f"length_m: {rec.path_length!r}\n"
+                                           f"samples: {rec.samples}\n")
 
 
 def test_plan_route_logged_at_info_level(monkeypatch, caplog):

@@ -270,6 +270,16 @@ def test_replan_partial_reuse_on_invalidated_segment(ring4_scene, ring4_map):
     assert outcome.path.segments[1].waypoints != seg2.waypoints
 
 
+def test_replan_start_without_clearance_is_infeasible(ring4_scene, ring4_map):
+    # the robot stands 0.2 m from d12's wall gap; closing the gap leaves the
+    # replan's first subproblem a start closer to the wall than the robot radius
+    route, gpath = _solved_ring4(ring4_scene, ring4_map, goal=Point2(6.0, 2.0))
+    with pytest.raises(SubproblemInfeasible) as exc_info:
+        replan(ring4_scene, route, gpath, "d12", Point2(3.8, 2.0),
+               PlannerConfig(timeout=0.3, seed=9))
+    assert exc_info.value.index == 1
+
+
 def test_replan_disconnection_raises(threeroom_scene, threeroom_map):
     route = _route(threeroom_scene, Point2(2.0, 2.0), Point2(10.0, 2.0))
     subs = decompose(route, threeroom_scene)
