@@ -20,8 +20,7 @@ from .scene_graph import (Doorway, Room, SceneGraph, load_map, locate_room,
 from .map_builder import (CarvedWalls, Contour, GlobalMap, SdfGrid,
                           build_global_map, build_sdf, carve_doorways,
                           contour_from_room, doorway_openings,
-                          export_sdf_text, load_sdf_text, point_in_contour,
-                          sdf_query)
+                          point_in_contour, sdf_query)
 from .semantic_planner import (EUCLIDEAN, METRICS, SQUARED, SemanticRoute,
                                TopologyGraph, build_topology, edge_cost,
                                route_from_dict, route_to_dict, semantic_route)
@@ -36,9 +35,9 @@ from .subproblem_solver import (GlobalPath, ReplanOutcome, Subproblem,
                                 decompose, global_path_from_dict,
                                 global_path_to_dict, join_segments, replan,
                                 solve_all)
-from .bench_harness import (MODES, BenchConfig, BenchRecord, export_csv,
-                            export_summary_json, generate_pairs, read_csv,
-                            run_bench, summarize)
+from .bench_harness import (MODES, BenchConfig, BenchRecord, QueryResult,
+                            export_csv, export_summary_json, generate_pairs,
+                            plan_query, read_csv, run_bench, summarize)
 from .svg_render import render_boxplot_svg, render_map_svg, render_summary_svg
 
 __version__ = "0.1.0"
@@ -51,17 +50,16 @@ __all__ = [
     "GeometricProblem", "GlobalMap", "GlobalPath", "GoalOutsideMap",
     "INFORMED_RRT_STAR", "InvalidGoal", "InvalidStart", "METRICS", "MODES",
     "NoRoute", "NotIncident", "OutOfBounds", "ParseError", "PlannerConfig",
-    "PlannerStats", "Point2", "ReplanOutcome", "Room", "RRT", "RRT_STAR",
+    "PlannerStats", "Point2", "QueryResult", "ReplanOutcome", "Room", "RRT", "RRT_STAR",
     "SQUARED", "SceneGraph", "SdfGrid", "SemNavError", "SemanticRoute",
     "StartOutsideMap", "Subproblem", "SubproblemInfeasible", "TopologyGraph",
     "UnknownId", "ValidationError", "WallSegment", "build_global_map",
     "build_sdf", "build_topology", "carve_doorways", "contour_from_room",
     "decompose", "doorway_openings", "edge_cost",
-    "export_csv", "export_sdf_text", "export_summary_json", "generate_pairs",
+    "export_csv", "export_summary_json", "generate_pairs",
     "global_path_from_dict", "global_path_to_dict", "informed_axes",
-    "join_segments", "load_map", "load_sdf_text", "locate_room",
-    "motion_valid",
-    "path_from_dict", "path_to_dict", "plan", "point_in_contour",
+    "join_segments", "load_map", "locate_room", "motion_valid",
+    "path_from_dict", "path_to_dict", "plan", "plan_query", "point_in_contour",
     "read_csv", "render_boxplot_svg", "render_map_svg", "render_summary_svg",
     "replan", "route_from_dict", "route_to_dict", "run_bench",
     "sample_informed", "sample_state", "save_map", "sdf_query",

@@ -26,16 +26,17 @@ from dataclasses import dataclass
 
 from .errors import EmptyInput
 from .geometry import Point2
-from .map_builder import build_global_map
 from .geometric_planner import (CLOCK_VIRTUAL, DEFAULT_GOAL_TOLERANCE,
                                 DEFAULT_OPS_PER_SECOND, DEFAULT_ROBOT_RADIUS,
                                 DEFAULT_VALIDITY_MARGIN, INFORMED_RRT_STAR,
-                                GeometricProblem, PlannerConfig, _Region, plan)
+                                GeometricPath, GeometricProblem, PlannerConfig,
+                                PlannerStats, _Region, plan)
+from .map_builder import GlobalMap, build_global_map
 from .rng import make_stream, mix
-from .scene_graph import load_map, locate_room
-from .semantic_planner import (DEFAULT_DOORWAY_PENALTY, SQUARED,
-                               build_topology, semantic_route)
-from .subproblem_solver import decompose, solve_all
+from .scene_graph import SceneGraph, load_map, locate_room
+from .semantic_planner import (DEFAULT_DOORWAY_PENALTY, SQUARED, SemanticRoute,
+                               TopologyGraph, build_topology, semantic_route)
+from .subproblem_solver import GlobalPath, decompose, solve_all
 
 MODE_IRRT = "irrt"
 MODE_IRRT_SG = "irrt_sg"
@@ -50,6 +51,64 @@ CSV_HEADER = ("query_id", "mode", "seed", "solved", "samples",
 
 _PAIR_SALT = 0xA5
 _PLAN_SALT = 0x13
+
+
+@dataclass(frozen=True)
+class QueryResult:
+    """One query answered in one mode.
+
+    ``route`` is None for ``irrt``. ``path`` is a GeometricPath for the
+    single-tree modes, a GlobalPath for ``irrt_sg_sps`` and None when the
+    query stays unsolved; ``stats`` has one entry per planner run.
+    """
+
+    route: SemanticRoute | None
+    path: GeometricPath | GlobalPath | None
+    stats: tuple[PlannerStats, ...]
+    length: float | None
+
+    @property
+    def solved(self) -> bool:
+        return self.length is not None
+
+    @property
+    def samples(self) -> int:
+        return sum(s.samples_created for s in self.stats)
+
+    @property
+    def time_s(self) -> float:
+        return sum(s.planning_time for s in self.stats)
+
+
+def plan_query(scene: SceneGraph, gmap: GlobalMap, topo: TopologyGraph,
+               mode: str, start: Point2, goal: Point2, config: PlannerConfig, *,
+               redistribute: bool = False,
+               goal_tolerance: float = DEFAULT_GOAL_TOLERANCE,
+               robot_radius: float = DEFAULT_ROBOT_RADIUS,
+               validity_margin: float = DEFAULT_VALIDITY_MARGIN) -> QueryResult:
+    """Answer one start-to-goal query in one of ``MODES``.
+
+    ``irrt`` plans over the whole map. ``irrt_sg`` routes over ``topo`` and
+    restricts the same planner to the route's rooms and doorway openings.
+    ``irrt_sg_sps`` cuts the route into per-room subproblems for
+    ``solve_all``; ``redistribute`` only applies there.
+    """
+    if mode not in MODES:
+        raise ValueError(f"unknown planning mode '{mode}'")
+    pk = {"goal_tolerance": goal_tolerance, "robot_radius": robot_radius,
+          "validity_margin": validity_margin}
+    route = None if mode == MODE_IRRT else semantic_route(topo, scene, start, goal)
+    if mode == MODE_IRRT_SG_SPS:
+        gpath, sub_stats = solve_all(decompose(route, scene), gmap, config,
+                                     redistribute=redistribute, **pk)
+        return QueryResult(route, gpath, tuple(sub_stats),
+                           gpath.total_length if gpath is not None else None)
+    if mode == MODE_IRRT_SG:
+        pk["allowed_rooms"] = route.free_space
+        pk["allowed_doorways"] = frozenset(route.doorways)
+    path, stats = plan(gmap, GeometricProblem(start=start, goal=goal, **pk), config)
+    return QueryResult(route, path, (stats,),
+                       path.length if path is not None else None)
 
 
 @dataclass(frozen=True)
@@ -85,8 +144,10 @@ class BenchConfig:
                 raise ValueError(f"unknown benchmark mode '{m}'")
         if self.n_queries < 1:
             raise ValueError("n_queries must be at least 1")
-        if self.timeout <= 0:
-            raise ValueError("timeout must be positive")
+        if not (math.isfinite(self.timeout) and self.timeout > 0):
+            raise ValueError("timeout must be positive and finite")
+        if not (math.isfinite(self.ops_per_second) and self.ops_per_second > 0):
+            raise ValueError("ops_per_second must be positive and finite")
         if self.pairs not in (PAIRS_RANDOM, PAIRS_FIXED):
             raise ValueError(f"unknown pair policy '{self.pairs}'")
         if self.pairs == PAIRS_FIXED and (self.start is None or self.goal is None):
@@ -170,47 +231,16 @@ def _run_query(config: BenchConfig, qid: int,
                          seed=plan_seed, clock=config.clock,
                          ops_per_second=config.ops_per_second)
     records = []
-    route = None
     for mode in config.modes:
-        if mode == MODE_IRRT:
-            problem = GeometricProblem(
-                start=start, goal=goal,
-                goal_tolerance=config.goal_tolerance,
-                robot_radius=config.robot_radius,
-                validity_margin=config.validity_margin)
-            path, stats = plan(gmap, problem, base)
-            samples = stats.samples_created
-            time_s = stats.planning_time
-            length = path.length if path is not None else None
-        elif mode == MODE_IRRT_SG:
-            if route is None:
-                route = semantic_route(topo, scene, start, goal)
-            problem = GeometricProblem(
-                start=start, goal=goal,
-                allowed_rooms=route.free_space,
-                allowed_doorways=frozenset(route.doorways),
-                goal_tolerance=config.goal_tolerance,
-                robot_radius=config.robot_radius,
-                validity_margin=config.validity_margin)
-            path, stats = plan(gmap, problem, base)
-            samples = stats.samples_created
-            time_s = stats.planning_time
-            length = path.length if path is not None else None
-        else:
-            if route is None:
-                route = semantic_route(topo, scene, start, goal)
-            subs = decompose(route, scene)
-            gpath, sub_stats = solve_all(
-                subs, gmap, base, workers=1,
-                goal_tolerance=config.goal_tolerance,
-                robot_radius=config.robot_radius,
-                validity_margin=config.validity_margin)
-            samples = sum(s.samples_created for s in sub_stats)
-            time_s = sum(s.planning_time for s in sub_stats)
-            length = gpath.total_length if gpath is not None else None
+        result = plan_query(scene, gmap, topo, mode, start, goal, base,
+                            goal_tolerance=config.goal_tolerance,
+                            robot_radius=config.robot_radius,
+                            validity_margin=config.validity_margin)
         records.append(BenchRecord(query_id=qid, mode=mode, seed=plan_seed,
-                                   solved=length is not None, samples=samples,
-                                   path_length=length, time_s=time_s))
+                                   solved=result.solved,
+                                   samples=result.samples,
+                                   path_length=result.length,
+                                   time_s=result.time_s))
     return records
 
 

@@ -19,15 +19,14 @@ from .geometry import Point2
 from .map_builder import build_global_map
 from .geometric_planner import (ALGORITHMS, CLOCK_VIRTUAL, CLOCK_WALL,
                                 DEFAULT_OPS_PER_SECOND, INFORMED_RRT_STAR,
-                                GeometricProblem, PlannerConfig, plan,
-                                path_to_dict)
+                                PlannerConfig, path_to_dict)
 from .bench_harness import (MODES, PAIRS_FIXED, PAIRS_RANDOM, BenchConfig,
-                            export_csv, export_summary_json, run_bench,
-                            summarize)
+                            export_csv, export_summary_json, plan_query,
+                            run_bench, summarize)
 from .scene_graph import load_map
 from .semantic_planner import (DEFAULT_DOORWAY_PENALTY, METRICS, SQUARED,
-                               build_topology, route_to_dict, semantic_route)
-from .subproblem_solver import decompose, global_path_to_dict, solve_all
+                               build_topology, route_to_dict)
+from .subproblem_solver import GlobalPath, global_path_to_dict
 from .svg_render import render_map_svg, render_summary_svg
 
 log = logging.getLogger("semnav")
@@ -73,12 +72,6 @@ def cmd_validate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _planner_config(args: argparse.Namespace, seed: int) -> PlannerConfig:
-    return PlannerConfig(algorithm=args.algorithm, timeout=args.timeout,
-                         seed=seed, clock=args.clock,
-                         ops_per_second=args.ops_per_second)
-
-
 def cmd_plan(args: argparse.Namespace) -> int:
     if (args.goal is None) == (args.goal_room is None):
         raise ValueError("exactly one of --goal and --goal-room is required")
@@ -89,58 +82,43 @@ def cmd_plan(args: argparse.Namespace) -> int:
         goal = scene.room(args.goal_room).center
     else:
         goal = _parse_point(args.goal)
-    config = _planner_config(args, args.seed)
+    config = PlannerConfig(algorithm=args.algorithm, timeout=args.timeout,
+                           seed=args.seed, clock=args.clock,
+                           ops_per_second=args.ops_per_second)
+    topo = build_topology(scene, args.p_d, args.metric)
+    result = plan_query(scene, gmap, topo, args.mode, start, goal, config,
+                        redistribute=args.redistribute)
 
     report: dict = {"mode": args.mode, "start": list(start), "goal": list(goal)}
-    route = None
-    if args.mode in ("irrt_sg", "irrt_sg_sps"):
-        topo = build_topology(scene, args.p_d, args.metric)
-        route = semantic_route(topo, scene, start, goal)
+    route = result.route
+    if route is not None:
         report["route"] = route_to_dict(route)
         log.info("route: %s via %s", " -> ".join(route.rooms),
                  ", ".join(route.doorways) or "no doorways")
-
-    if args.mode == "irrt":
-        problem = GeometricProblem(start=start, goal=goal)
-        path, stats = plan(gmap, problem, config)
-        samples = stats.samples_created
-        length = path.length if path is not None else None
-        waypoints = list(path.waypoints) if path is not None else None
-        report["path"] = path_to_dict(path) if path is not None else None
-    elif args.mode == "irrt_sg":
-        problem = GeometricProblem(start=start, goal=goal,
-                                   allowed_rooms=route.free_space,
-                                   allowed_doorways=frozenset(route.doorways))
-        path, stats = plan(gmap, problem, config)
-        samples = stats.samples_created
-        length = path.length if path is not None else None
-        waypoints = list(path.waypoints) if path is not None else None
-        report["path"] = path_to_dict(path) if path is not None else None
-    else:
-        subs = decompose(route, scene)
-        gpath, sub_stats = solve_all(subs, gmap, config, workers=args.jobs,
-                                     redistribute=args.redistribute)
-        samples = sum(s.samples_created for s in sub_stats)
-        length = gpath.total_length if gpath is not None else None
-        waypoints = ([p for seg in gpath.segments for p in seg.waypoints]
-                     if gpath is not None else None)
-        report["path"] = global_path_to_dict(gpath) if gpath is not None else None
-
-    report["solved"] = length is not None
-    report["samples"] = samples
-    report["length_m"] = length
+    path = result.path
+    waypoints = None
+    report["path"] = None
+    if isinstance(path, GlobalPath):
+        waypoints = [p for seg in path.segments for p in seg.waypoints]
+        report["path"] = global_path_to_dict(path)
+    elif path is not None:
+        waypoints = list(path.waypoints)
+        report["path"] = path_to_dict(path)
+    report["solved"] = result.solved
+    report["samples"] = result.samples
+    report["length_m"] = result.length
 
     if args.out:
         _write_text(args.out, json.dumps(report, indent=2) + "\n")
     if args.svg:
         _write_text(args.svg, render_map_svg(scene, gmap, path=waypoints))
 
-    if length is None:
+    if not result.solved:
         print("no path found within budget")
-        print(f"samples: {samples}")
+        print(f"samples: {result.samples}")
         return 1
-    print(f"length_m: {length!r}")
-    print(f"samples: {samples}")
+    print(f"length_m: {result.length!r}")
+    print(f"samples: {result.samples}")
     return 0
 
 
@@ -227,7 +205,6 @@ def build_parser() -> argparse.ArgumentParser:
                         default=DEFAULT_DOORWAY_PENALTY,
                         help="doorway crossing penalty")
     p_plan.add_argument("--metric", choices=METRICS, default=SQUARED)
-    p_plan.add_argument("--jobs", type=int, default=None)
     p_plan.add_argument("--redistribute", action="store_true",
                         help="give leftover budget to unsolved subproblems")
     p_plan.add_argument("--clock", choices=(CLOCK_VIRTUAL, CLOCK_WALL),

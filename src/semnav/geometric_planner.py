@@ -144,6 +144,13 @@ class PlannerConfig:
     clock: str = CLOCK_VIRTUAL
     ops_per_second: float = DEFAULT_OPS_PER_SECOND
 
+    def __post_init__(self) -> None:
+        # a budget that can never run out would let the tree grow forever
+        if self.timeout is not None and not math.isfinite(self.timeout):
+            raise ValueError("timeout must be finite")
+        if not math.isfinite(self.ops_per_second):
+            raise ValueError("ops_per_second must be finite")
+
     def validate(self) -> None:
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm '{self.algorithm}'")

@@ -53,17 +53,6 @@ def point_on_segment(p: Point2, a: Point2, b: Point2, tol: float = EPS) -> bool:
     return point_segment_distance(p, a, b) <= tol
 
 
-def ring_area(ring: tuple[Point2, ...]) -> float:
-    """Signed shoelace area; positive for counter-clockwise rings."""
-    total = 0.0
-    n = len(ring)
-    for i in range(n):
-        p = ring[i]
-        q = ring[(i + 1) % n]
-        total += p.x * q.y - q.x * p.y
-    return 0.5 * total
-
-
 def point_in_ring(p: Point2, ring: tuple[Point2, ...], boundary_tol: float = 1e-12) -> bool:
     """Even-odd containment test, counting the boundary as inside.
 

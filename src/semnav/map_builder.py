@@ -70,7 +70,7 @@ class SdfGrid:
     ``wall_half_width`` is the band bound: nodes closer than it to a wall
     store their distance negated, every other node stores its exact
     distance. ``build_sdf`` records it; the default ``math.inf`` means no
-    bound is known (a grid read from text or built by hand), and the
+    bound is known (a grid built by hand), and the
     planner then makes no use of the field's Lipschitz bound.
     """
 
@@ -366,34 +366,3 @@ def build_global_map(scene: SceneGraph,
     openings = doorway_openings(scene, depth=opening_depth)
     return GlobalMap(scene=scene, contours=contours, walls=walls,
                      sdf=sdf, openings=openings)
-
-
-def export_sdf_text(grid: SdfGrid, path: str) -> None:
-    """Write the grid as a portable text file (header, then row-major values)."""
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(f"origin {grid.origin.x!r} {grid.origin.y!r}\n")
-        f.write(f"resolution {grid.resolution!r}\n")
-        f.write(f"nx {grid.nx}\n")
-        f.write(f"ny {grid.ny}\n")
-        for j in range(grid.ny):
-            f.write(" ".join(repr(float(v)) for v in grid.values[j]))
-            f.write("\n")
-
-
-def load_sdf_text(path: str) -> SdfGrid:
-    """Read a grid written by export_sdf_text."""
-    with open(path, "r", encoding="utf-8") as f:
-        header = {}
-        for _ in range(4):
-            name, *vals = f.readline().split()
-            header[name] = vals
-        nx = int(header["nx"][0])
-        ny = int(header["ny"][0])
-        rows = [np.array([float(tok) for tok in f.readline().split()]) for _ in range(ny)]
-    values = np.vstack(rows)
-    if values.shape != (ny, nx):
-        raise ValueError(f"grid body shape {values.shape} does not match header")
-    values.setflags(write=False)
-    return SdfGrid(origin=Point2(float(header["origin"][0]), float(header["origin"][1])),
-                   resolution=float(header["resolution"][0]),
-                   nx=nx, ny=ny, values=values)

@@ -16,6 +16,7 @@ to the goal point, with no extra penalty).
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 
 from .errors import GoalOutsideMap, NoRoute, NotIncident, StartOutsideMap
@@ -71,6 +72,9 @@ class TopologyGraph:
 def build_topology(graph: SceneGraph, p_d: float = DEFAULT_DOORWAY_PENALTY,
                    metric: str = SQUARED) -> TopologyGraph:
     """Topology graph over all rooms and unblocked doorways."""
+    # a negative penalty can make edge costs negative, and Dijkstra unsound
+    if not (math.isfinite(p_d) and p_d >= 0):
+        raise ValueError(f"doorway penalty must be finite and non-negative, got {p_d}")
     rooms = {r.id: r for r in graph.rooms}
     edges: dict[tuple[str, str], float] = {}
     room_doors: dict[str, list[str]] = {r.id: [] for r in graph.rooms}

@@ -4,8 +4,10 @@ A route through n doorways becomes n + 1 independent subproblems: within each
 room, plan from the previous waypoint (query start or entry doorway center)
 to the next one (exit doorway center or query goal). Each subproblem is
 restricted to its own room plus the openings of its entry and exit doorways,
-receives an equal share of the total budget, and gets its own seed, so the
-set can run concurrently with deterministic results.
+receives an equal share of the total budget, and gets its own seed, so each
+result is a pure function of the subproblem and the configuration. The
+subproblems are planned in index order on the calling thread: the planner is
+pure Python, so threads would run one at a time under the GIL.
 
 Joining solved segments relies on exact waypoint identity: subproblem k's
 goal point and subproblem k+1's start point are the same doorway center, the
@@ -20,8 +22,6 @@ segment that still checks out against the new map.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
 
 from .errors import EmptyInput, InvalidGoal, InvalidStart, SubproblemInfeasible
@@ -113,16 +113,22 @@ def _sub_config(config: PlannerConfig, n: int, index: int,
                    seed=(config.seed ^ index ^ salt) & 0xFFFFFFFFFFFFFFFF)
 
 
-def _solve_one(gmap: GlobalMap, sub: Subproblem, config: PlannerConfig,
-               problem_kwargs: dict):
-    """Run one subproblem; exceptions are returned, not raised, so the caller
-    can surface the lowest-index failure deterministically."""
-    problem = sub.to_problem(**problem_kwargs)
-    try:
-        path, stats = plan(gmap, problem, config)
-    except (InvalidStart, InvalidGoal) as exc:
-        return ("infeasible", str(exc), None)
-    return ("ok", path, stats)
+def _solve_in_order(gmap: GlobalMap,
+                    tasks: list[tuple[Subproblem, PlannerConfig]],
+                    problem_kwargs: dict,
+                    ) -> list[tuple[GeometricPath | None, PlannerStats]]:
+    """Plan each (subproblem, sub-config) in the given order.
+
+    Raises SubproblemInfeasible at the first subproblem whose endpoints cannot
+    be valid states; tasks come in index order, so that is the lowest index.
+    """
+    results = []
+    for sub, config in tasks:
+        try:
+            results.append(plan(gmap, sub.to_problem(**problem_kwargs), config))
+        except (InvalidStart, InvalidGoal) as exc:
+            raise SubproblemInfeasible(sub.index, str(exc)) from exc
+    return results
 
 
 def solve_all(subs: tuple[Subproblem, ...] | list[Subproblem], gmap: GlobalMap,
@@ -136,9 +142,10 @@ def solve_all(subs: tuple[Subproblem, ...] | list[Subproblem], gmap: GlobalMap,
 
     The total budget is split evenly: with a timeout of T and n subproblems
     each planner run gets T/n (iteration caps divide the same way), and
-    subproblem i plans with seed ``config.seed ^ i``. Runs execute on a
-    thread pool of ``min(n, workers)``; results are gathered by index, so the
-    outcome does not depend on scheduling.
+    subproblem i plans with seed ``config.seed ^ i``. Subproblems run one
+    after another in index order. ``workers`` is accepted and ignored: the
+    planner is pure Python, so a thread pool gained nothing under the GIL,
+    and existing callers still pass it.
 
     Returns (path, stats). ``path`` is None when any subproblem stays
     unsolved; ``stats`` always has one entry per subproblem. A subproblem
@@ -155,36 +162,23 @@ def solve_all(subs: tuple[Subproblem, ...] | list[Subproblem], gmap: GlobalMap,
     n = len(subs)
     pk = {"goal_tolerance": goal_tolerance, "robot_radius": robot_radius,
           "validity_margin": validity_margin}
-    pool_size = min(n, workers if workers is not None else (os.cpu_count() or 1))
-    pool_size = max(1, pool_size)
+    results = _solve_in_order(
+        gmap, [(s, _sub_config(config, n, s.index)) for s in subs], pk)
+    paths = [path for path, _ in results]
+    stats = [st for _, st in results]
 
-    def run_pass(tasks: list[tuple[Subproblem, PlannerConfig]]):
-        with ThreadPoolExecutor(max_workers=min(pool_size, len(tasks))) as pool:
-            futures = [pool.submit(_solve_one, gmap, s, c, pk) for s, c in tasks]
-            return [f.result() for f in futures]
-
-    results = run_pass([(s, _sub_config(config, n, s.index)) for s in subs])
-    for sub, (kind, payload, _) in zip(subs, results):
-        if kind == "infeasible":
-            raise SubproblemInfeasible(sub.index, payload)
-
-    paths: list[GeometricPath | None] = [r[1] for r in results]
-    stats: list[PlannerStats] = [r[2] for r in results]
-
-    if redistribute and config.timeout is not None and any(p is None for p in paths):
+    retry_idx = [i for i, p in enumerate(paths) if p is None]
+    if redistribute and config.timeout is not None and retry_idx:
         allotted = config.timeout / n
         leftover = sum(max(0.0, allotted - st.planning_time) for st in stats)
-        retry_idx = [i for i, p in enumerate(paths) if p is None]
-        if leftover > 0.0 and retry_idx:
+        if leftover > 0.0:
             extra = leftover / len(retry_idx)
             tasks = [(subs[i], _sub_config(config, n, subs[i].index,
                                            salt=_RETRY_SALT,
                                            timeout=allotted + extra))
                      for i in retry_idx]
-            retry = run_pass(tasks)
-            for i, (kind, payload, st) in zip(retry_idx, retry):
-                if kind == "infeasible":
-                    raise SubproblemInfeasible(subs[i].index, payload)
+            retry = _solve_in_order(gmap, tasks, pk)
+            for i, (path, st) in zip(retry_idx, retry):
                 first = stats[i]
                 st.samples_created += first.samples_created
                 st.samples_valid += first.samples_valid
@@ -192,8 +186,8 @@ def solve_all(subs: tuple[Subproblem, ...] | list[Subproblem], gmap: GlobalMap,
                 st.iterations += first.iterations
                 st.planning_time += first.planning_time
                 stats[i] = st
-                if payload is not None:
-                    paths[i] = payload
+                if path is not None:
+                    paths[i] = path
 
     if any(p is None for p in paths):
         return None, stats
@@ -261,8 +255,11 @@ def replan(scene: SceneGraph, prev_route: SemanticRoute,
     solves the new decomposition. Segments of ``prev_path`` whose
     (start, goal, room) key matches a new subproblem are reused when they
     still pass motion checks on the rebuilt map; everything else is planned
-    fresh with the usual equal budget split. Raises NoRoute when blocking the
-    doorway disconnects the goal.
+    fresh with the usual equal budget split, in index order, as in
+    ``solve_all``; ``workers`` is accepted and ignored for the same reason.
+    Raises NoRoute when blocking the doorway disconnects the goal, and
+    SubproblemInfeasible at the first re-planned subproblem whose endpoints
+    cannot be valid states.
     """
     new_scene = set_doorway_blocked(scene, blocked_id, True)
     gmap = build_global_map(new_scene, resolution=resolution,
@@ -296,24 +293,14 @@ def replan(scene: SceneGraph, prev_route: SemanticRoute,
         else:
             to_plan.append(sub)
 
+    results = _solve_in_order(
+        gmap, [(s, _sub_config(config, n, s.index)) for s in to_plan], pk)
     solved: list[int] = []
-    if to_plan:
-        pool_size = min(len(to_plan),
-                        workers if workers is not None else (os.cpu_count() or 1))
-        pool_size = max(1, pool_size)
-        with ThreadPoolExecutor(max_workers=pool_size) as pool:
-            futures = [pool.submit(_solve_one, gmap, s,
-                                   _sub_config(config, n, s.index), pk)
-                       for s in to_plan]
-            results = [f.result() for f in futures]
-        for sub, (kind, payload, st) in zip(to_plan, results):
-            if kind == "infeasible":
-                raise SubproblemInfeasible(sub.index, payload)
-            i = sub.index - 1
-            stats[i] = st
-            if payload is not None:
-                segments[i] = payload
-                solved.append(sub.index)
+    for sub, (path, st) in zip(to_plan, results):
+        stats[sub.index - 1] = st
+        if path is not None:
+            segments[sub.index - 1] = path
+            solved.append(sub.index)
 
     filled = [st if st is not None else PlannerStats() for st in stats]
     if any(s is None for s in segments):

@@ -11,13 +11,18 @@ from semnav import (
     BenchConfig,
     BenchRecord,
     EmptyInput,
+    GeometricPath,
     GeometricProblem,
+    GlobalPath,
     MODES,
+    PlannerConfig,
     Point2,
+    build_topology,
     export_csv,
     export_summary_json,
     generate_pairs,
     locate_room,
+    plan_query,
     read_csv,
     run_bench,
     state_valid,
@@ -68,6 +73,12 @@ class TestConfigValidation:
     def test_nonpositive_timeout_rejected(self):
         with pytest.raises(ValueError, match="timeout must be positive"):
             _config(timeout=0.0).validate()
+
+    @pytest.mark.parametrize("field", ["timeout", "ops_per_second"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_non_finite_budget_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be positive and finite"):
+            _config(**{field: value}).validate()
 
     def test_unknown_pair_policy_rejected(self):
         with pytest.raises(ValueError, match="pair policy"):
@@ -202,6 +213,60 @@ class TestRunBench:
     def test_repeated_runs_identical(self):
         cfg = _config(modes=("irrt", "irrt_sg"), n_queries=3, timeout=0.02, seed=8)
         assert run_bench(cfg, workers=2) == run_bench(cfg, workers=2)
+
+
+# ---------------------------------------------------------------------------
+# one query in one mode
+# ---------------------------------------------------------------------------
+
+
+class TestPlanQuery:
+    @staticmethod
+    def _query(scene, gmap, mode, start, goal, cfg, **kwargs):
+        return plan_query(scene, gmap, build_topology(scene), mode, start, goal,
+                          cfg, **kwargs)
+
+    def test_modes_return_their_route_and_path_kind(self, threeroom_scene,
+                                                    threeroom_map):
+        cfg = PlannerConfig(timeout=0.05, seed=3)
+        start, goal = Point2(1.0, 1.0), Point2(10.5, 2.0)
+        results = {m: self._query(threeroom_scene, threeroom_map, m, start,
+                                  goal, cfg) for m in MODES}
+        assert results["irrt"].route is None
+        assert results["irrt_sg"].route == results["irrt_sg_sps"].route
+        assert results["irrt_sg"].route.doorways == ("d1", "d2")
+        for mode in ("irrt", "irrt_sg"):
+            res = results[mode]
+            assert isinstance(res.path, GeometricPath)
+            assert len(res.stats) == 1
+            assert res.length == res.path.length
+            assert res.samples == res.stats[0].samples_created
+            assert res.time_s == res.stats[0].planning_time
+        sps = results["irrt_sg_sps"]
+        assert isinstance(sps.path, GlobalPath)
+        assert len(sps.stats) == len(sps.path.segments) == 3
+        assert sps.length == sps.path.total_length
+        assert sps.samples == sum(st.samples_created for st in sps.stats)
+        assert all(r.solved for r in results.values())
+
+    def test_redistribute_reaches_solve_all(self, threeroom_scene,
+                                            threeroom_map):
+        # the budget of test_solve_all_redistribute_flips_unsolved: unsolved
+        # with the even split, solved once leftover budget is handed on
+        cfg = PlannerConfig(timeout=0.006, seed=2)
+        args = (threeroom_scene, threeroom_map, "irrt_sg_sps",
+                Point2(4.0, 2.0), Point2(10.0, 2.0), cfg)
+        base = self._query(*args)
+        redo = self._query(*args, redistribute=True)
+        assert not base.solved and base.path is None
+        assert redo.solved
+        assert redo.samples > base.samples
+
+    def test_unknown_mode_rejected(self, threeroom_scene, threeroom_map):
+        with pytest.raises(ValueError, match="unknown planning mode"):
+            self._query(threeroom_scene, threeroom_map, "rrt_connect",
+                        Point2(1.0, 1.0), Point2(2.5, 2.0),
+                        PlannerConfig(timeout=0.01))
 
 
 # ---------------------------------------------------------------------------

@@ -190,6 +190,35 @@ def test_plan_agrees_with_bench_records(capsys):
                                            f"samples: {rec.samples}\n")
 
 
+@pytest.mark.parametrize("extra", [
+    ("--timeout", "inf"), ("--timeout", "nan"), ("--ops-per-second", "nan"),
+    ("--ops-per-second", "inf"), ("--p-d", "-1"), ("--p-d", "nan"),
+])
+def test_plan_non_finite_budget_or_negative_penalty_is_usage_error(extra):
+    # a real process with a deadline: a budget that never runs out would hang
+    argv = ["plan", "--map", THREEROOM, "--start", "1,1", "--goal", "10.5,2",
+            *extra]
+    code = f"import sys; from semnav.cli import main; sys.exit(main({argv!r}))"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=30)
+    assert done.returncode == 2
+    assert done.stderr.startswith("error: ")
+
+
+@pytest.mark.parametrize("extra", [("--timeout", "inf"),
+                                   ("--ops-per-second", "nan")])
+def test_bench_non_finite_budget_is_usage_error(tmp_path, capsys, extra):
+    argv, csv_path = _bench(tmp_path, "x.csv", *extra)
+    assert main(argv) == 2
+    assert "must be positive and finite" in capsys.readouterr().err
+    assert not csv_path.exists()
+
+
+def test_plan_has_no_jobs_option(capsys):
+    assert main(_plan("--start", "1,1", "--goal", "2.5,2", "--jobs", "2")) == 2
+    assert "--jobs" in capsys.readouterr().err
+
+
 def test_plan_route_logged_at_info_level(monkeypatch, caplog):
     monkeypatch.setenv("SNAV_LOG", "info")
     assert main(_plan("--start", "1,1", "--goal", "10.5,2")) == 0

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import random
 import statistics
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -61,6 +62,20 @@ def test_config_validation():
         PlannerConfig(timeout=1.0, clock="cpu").validate()
     with pytest.raises(ValueError, match="ops_per_second"):
         PlannerConfig(timeout=1.0, ops_per_second=0.0).validate()
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"timeout": math.inf}, {"timeout": math.nan},
+    {"timeout": 1.0, "ops_per_second": math.nan},
+    {"timeout": 1.0, "ops_per_second": math.inf},
+    {"max_iterations": 10, "timeout": math.inf},
+])
+def test_config_rejects_a_budget_that_never_runs_out(kwargs):
+    # the budget's limit would never trip, so plan() would not return
+    with pytest.raises(ValueError, match="finite"):
+        PlannerConfig(**kwargs)
+    with pytest.raises(ValueError, match="finite"):
+        replace(PlannerConfig(timeout=1.0), **kwargs)
 
 
 # ---------------------------------------------------------------- validity

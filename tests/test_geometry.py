@@ -6,7 +6,7 @@ import math
 import random
 
 from semnav.geometry import (Point2, WallSegment, dist, dist_sq,
-                             point_in_ring, point_segment_distance, ring_area)
+                             point_in_ring, point_segment_distance)
 
 from oracles import seg_distance, winding_contains
 
@@ -47,12 +47,6 @@ def test_segment_distance_endpoint_regions():
 def test_wall_segment_length():
     seg = WallSegment(Point2(0.0, 0.0), Point2(3.0, 4.0))
     assert seg.length() == 5.0
-
-
-def test_ring_area_rectangle_and_orientation():
-    ring = [Point2(0, 0), Point2(4, 0), Point2(4, 3), Point2(0, 3)]
-    assert ring_area(ring) == 12.0
-    assert ring_area(list(reversed(ring))) == -12.0
 
 
 def test_point_in_ring_matches_winding_oracle():

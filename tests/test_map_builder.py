@@ -12,10 +12,10 @@ from hypothesis import strategies as st
 
 from semnav import (CarvedWalls, DegenerateRoom, Doorway, DoorwayPlacement,
                     EmptyMap, OutOfBounds, Point2, Room, SceneGraph,
-                    ValidationError, WallSegment, build_global_map, build_sdf,
-                    carve_doorways, contour_from_room, doorway_openings,
-                    export_sdf_text, load_map, load_sdf_text, point_in_contour,
-                    save_map, sdf_query, set_doorway_blocked)
+                    SdfGrid, ValidationError, WallSegment, build_global_map,
+                    build_sdf, carve_doorways, contour_from_room,
+                    doorway_openings, load_map, point_in_contour, save_map,
+                    sdf_query, set_doorway_blocked)
 from semnav import map_builder
 from semnav.geometric_planner import _SQRT2, _stride_eps
 from semnav.scene_graph import CLOSURE_TOL
@@ -271,16 +271,6 @@ def test_sdf_covers_bbox_with_margin(threeroom_map, threeroom_scene):
         sdf_query(threeroom_map.sdf, Point2(lo.x, lo.y - 0.2))
 
 
-def test_sdf_text_round_trip(tmp_path, threeroom_map):
-    path = str(tmp_path / "field.sdf")
-    export_sdf_text(threeroom_map.sdf, path)
-    again = load_sdf_text(path)
-    assert again.origin == threeroom_map.sdf.origin
-    assert again.resolution == threeroom_map.sdf.resolution
-    assert (again.nx, again.ny) == (threeroom_map.sdf.nx, threeroom_map.sdf.ny)
-    assert np.array_equal(again.values, threeroom_map.sdf.values)
-
-
 def test_build_sdf_rejects_bad_input():
     with pytest.raises(EmptyMap):
         build_sdf(CarvedWalls(segments=()), (Point2(0, 0), Point2(1, 1)))
@@ -423,15 +413,15 @@ def test_build_sdf_bitwise_equals_reference_on_random_walls(walls, margin,
     assert got.values.tobytes() == want.tobytes()
 
 
-def test_build_sdf_records_the_band_bound(tmp_path, threeroom_map):
+def test_build_sdf_records_the_band_bound(threeroom_map):
     walls = carve_doorways(_scene([rect_room("a", 0.0, 0.0, 2.0, 2.0)]))
     grid = build_sdf(walls, (Point2(0, 0), Point2(2, 2)), wall_half_width=0.08)
     assert grid.wall_half_width == 0.08
     assert threeroom_map.sdf.wall_half_width == map_builder.DEFAULT_WALL_HALF_WIDTH
-    # a grid read back from text has no known bound
-    path = str(tmp_path / "field.sdf")
-    export_sdf_text(grid, path)
-    assert load_sdf_text(path).wall_half_width == math.inf
+    # a hand-built grid has no known bound
+    by_hand = SdfGrid(origin=grid.origin, resolution=grid.resolution,
+                      nx=grid.nx, ny=grid.ny, values=grid.values)
+    assert by_hand.wall_half_width == math.inf
 
 
 @st.composite
@@ -591,11 +581,6 @@ def test_flat_values_mirror_the_grid(threeroom_map):
         assert grid.flat_values[j * grid.nx + i] == grid.values[j, i]
 
 
-def test_sdf_values_are_read_only(tmp_path, threeroom_map):
+def test_sdf_values_are_read_only(threeroom_map):
     with pytest.raises(ValueError):
         threeroom_map.sdf.values[0, 0] = 1.0
-    path = str(tmp_path / "field.sdf")
-    export_sdf_text(threeroom_map.sdf, path)
-    loaded = load_sdf_text(path)
-    with pytest.raises(ValueError):
-        loaded.values[1, 1] += 1.0

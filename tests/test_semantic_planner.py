@@ -59,6 +59,12 @@ def test_topology_counts(threeroom_scene, ring4_scene, grid8_scene):
     assert (topo8.node_count, topo8.edge_count) == (18, 20)
 
 
+@pytest.mark.parametrize("p_d", [-1.0, -1e-12, math.nan, math.inf])
+def test_topology_rejects_a_penalty_that_breaks_dijkstra(threeroom_scene, p_d):
+    with pytest.raises(ValueError, match="doorway penalty"):
+        build_topology(threeroom_scene, p_d=p_d)
+
+
 def test_topology_excludes_blocked(threeroom_scene):
     blocked = set_doorway_blocked(threeroom_scene, "d1", True)
     topo = build_topology(blocked)

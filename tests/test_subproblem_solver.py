@@ -1,4 +1,4 @@
-"""Route decomposition, concurrent solving, joining and replanning."""
+"""Route decomposition, in-order solving, joining and replanning."""
 
 from __future__ import annotations
 
