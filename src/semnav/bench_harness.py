@@ -8,6 +8,7 @@ Modes:
 * ``irrt_sg_sps``   The semantic route decomposed into per-room subproblems,
                     each solved with an equal share of the budget.
 
+``plan_query`` answers one query in one mode; ``semnav plan`` calls it too.
 Every query id gets one (start, goal, seed) triple, shared by all modes, so
 the rows are directly comparable. Queries run in parallel across processes;
 the modes of one query always run sequentially inside the same worker. With
