@@ -23,21 +23,19 @@ from .map_builder import (CarvedWalls, Contour, GlobalMap, SdfGrid,
                           point_in_contour, sdf_query)
 from .semantic_planner import (EUCLIDEAN, METRICS, SQUARED, SemanticRoute,
                                TopologyGraph, build_topology, edge_cost,
-                               route_from_dict, route_to_dict, semantic_route)
+                               route_to_dict, semantic_route)
 from .geometric_planner import (ALGORITHMS, CLOCK_VIRTUAL, CLOCK_WALL,
                                 INFORMED_RRT_STAR, RRT, RRT_STAR,
                                 GeometricPath, GeometricProblem,
-                                PlannerConfig, PlannerStats, informed_axes,
-                                motion_valid, path_from_dict, path_to_dict,
-                                plan, sample_informed, sample_state,
-                                state_valid)
+                                PlannerConfig, PlannerStats, Region,
+                                motion_valid, path_to_dict, plan,
+                                sample_state, state_valid)
 from .subproblem_solver import (GlobalPath, ReplanOutcome, Subproblem,
-                                decompose, global_path_from_dict,
-                                global_path_to_dict, join_segments, replan,
-                                solve_all)
+                                decompose, global_path_to_dict,
+                                join_segments, replan, solve_all)
 from .bench_harness import (MODES, BenchConfig, BenchRecord, QueryResult,
                             export_csv, export_summary_json, generate_pairs,
-                            plan_query, read_csv, run_bench, summarize)
+                            plan_query, run_bench, summarize)
 from .svg_render import render_boxplot_svg, render_map_svg, render_summary_svg
 
 __version__ = "0.1.0"
@@ -50,19 +48,18 @@ __all__ = [
     "GeometricProblem", "GlobalMap", "GlobalPath", "GoalOutsideMap",
     "INFORMED_RRT_STAR", "InvalidGoal", "InvalidStart", "METRICS", "MODES",
     "NoRoute", "NotIncident", "OutOfBounds", "ParseError", "PlannerConfig",
-    "PlannerStats", "Point2", "QueryResult", "ReplanOutcome", "Room", "RRT", "RRT_STAR",
-    "SQUARED", "SceneGraph", "SdfGrid", "SemNavError", "SemanticRoute",
+    "PlannerStats", "Point2", "QueryResult", "Region", "ReplanOutcome", "Room",
+    "RRT", "RRT_STAR", "SQUARED", "SceneGraph", "SdfGrid", "SemNavError",
+    "SemanticRoute",
     "StartOutsideMap", "Subproblem", "SubproblemInfeasible", "TopologyGraph",
     "UnknownId", "ValidationError", "WallSegment", "build_global_map",
     "build_sdf", "build_topology", "carve_doorways", "contour_from_room",
     "decompose", "doorway_openings", "edge_cost",
     "export_csv", "export_summary_json", "generate_pairs",
-    "global_path_from_dict", "global_path_to_dict", "informed_axes",
-    "join_segments", "load_map", "locate_room", "motion_valid",
-    "path_from_dict", "path_to_dict", "plan", "plan_query", "point_in_contour",
-    "read_csv", "render_boxplot_svg", "render_map_svg", "render_summary_svg",
-    "replan", "route_from_dict", "route_to_dict", "run_bench",
-    "sample_informed", "sample_state", "save_map", "sdf_query",
-    "semantic_route", "set_doorway_blocked", "shared_boundary", "solve_all",
-    "state_valid", "summarize",
+    "global_path_to_dict", "join_segments", "load_map", "locate_room",
+    "motion_valid", "path_to_dict", "plan", "plan_query", "point_in_contour",
+    "render_boxplot_svg", "render_map_svg", "render_summary_svg",
+    "replan", "route_to_dict", "run_bench", "sample_state", "save_map",
+    "sdf_query", "semantic_route", "set_doorway_blocked", "shared_boundary",
+    "solve_all", "state_valid", "summarize",
 ]

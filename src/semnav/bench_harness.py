@@ -31,7 +31,7 @@ from .geometric_planner import (CLOCK_VIRTUAL, DEFAULT_GOAL_TOLERANCE,
                                 DEFAULT_OPS_PER_SECOND, DEFAULT_ROBOT_RADIUS,
                                 DEFAULT_VALIDITY_MARGIN, INFORMED_RRT_STAR,
                                 GeometricPath, GeometricProblem, PlannerConfig,
-                                PlannerStats, _Region, plan)
+                                PlannerStats, Region, plan)
 from .map_builder import GlobalMap, build_global_map
 from .rng import make_stream, mix
 from .scene_graph import SceneGraph, load_map, locate_room
@@ -199,7 +199,7 @@ def generate_pairs(config: BenchConfig) -> list[tuple[Point2, Point2]]:
     probe = GeometricProblem(start=Point2(0.0, 0.0), goal=Point2(0.0, 0.0),
                              robot_radius=config.robot_radius,
                              validity_margin=config.validity_margin)
-    region = _Region(gmap, probe)
+    region = Region(gmap, probe)
     lo, hi = scene.bbox
     pairs = []
     for qid in range(config.n_queries):
@@ -256,8 +256,10 @@ def run_bench(config: BenchConfig, *, workers: int | None = None,
     config.validate()
     pairs = generate_pairs(config)
     total = len(pairs)
+    # a process pool starts all its workers up front: never more than queries
+    workers = min(workers or 1, total)
     records: list[BenchRecord] = []
-    if workers is None or workers <= 1:
+    if workers <= 1:
         for qid, pair in enumerate(pairs):
             records.extend(_run_query(config, qid, pair))
             if progress is not None:
@@ -335,23 +337,6 @@ def export_csv(records: list[BenchRecord], path: str) -> None:
                 "" if r.path_length is None else repr(r.path_length),
                 repr(r.time_s),
             ])
-
-
-def read_csv(path: str) -> list[BenchRecord]:
-    with open(path, newline="") as f:
-        reader = csv.reader(f)
-        header = tuple(next(reader))
-        if header != CSV_HEADER:
-            raise ValueError(f"unexpected CSV header: {header}")
-        records = []
-        for row in reader:
-            qid, mode, seed, solved, samples, length, time_s = row
-            records.append(BenchRecord(
-                query_id=int(qid), mode=mode, seed=int(seed),
-                solved=solved == "true", samples=int(samples),
-                path_length=float(length) if length else None,
-                time_s=float(time_s)))
-    return records
 
 
 def export_summary_json(summary: dict, path: str) -> None:

@@ -23,7 +23,7 @@ from .geometric_planner import (ALGORITHMS, CLOCK_VIRTUAL, CLOCK_WALL,
 from .bench_harness import (MODES, PAIRS_FIXED, PAIRS_RANDOM, BenchConfig,
                             export_csv, export_summary_json, plan_query,
                             run_bench, summarize)
-from .scene_graph import load_map
+from .scene_graph import _point, load_map
 from .semantic_planner import (DEFAULT_DOORWAY_PENALTY, METRICS, SQUARED,
                                build_topology, route_to_dict)
 from .subproblem_solver import GlobalPath, global_path_to_dict
@@ -158,21 +158,37 @@ def cmd_bench(args: argparse.Namespace) -> int:
     return 0
 
 
+def _read_waypoints(path: str) -> list[Point2]:
+    """Waypoints of a plan report, or of a bare path or joined path object."""
+    with open(path) as f:
+        data = json.load(f)
+    if not isinstance(data, dict):
+        raise errors.ParseError(f"{path}: top level must be an object")
+    payload = data.get("path", data) or {}
+    if not isinstance(payload, dict):
+        raise errors.ParseError(f"{path}: path: expected an object")
+    if "segments" in payload:
+        segments = payload["segments"]
+        if not (isinstance(segments, list)
+                and all(isinstance(s, dict) for s in segments)):
+            raise errors.ParseError(f"{path}: segments: expected a list of objects")
+        runs = [seg.get("waypoints") for seg in segments]
+    elif "waypoints" in payload:
+        runs = [payload["waypoints"]]
+    else:
+        raise ValueError(f"no waypoints found in {path}")
+    waypoints = []
+    for run in runs:
+        if not isinstance(run, list):
+            raise errors.ParseError(f"{path}: waypoints: expected a list")
+        waypoints.extend(_point(p, f"{path}: waypoints") for p in run)
+    return waypoints
+
+
 def cmd_render(args: argparse.Namespace) -> int:
     scene = load_map(args.map)
     gmap = build_global_map(scene)
-    waypoints = None
-    if args.path:
-        with open(args.path) as f:
-            data = json.load(f)
-        payload = data.get("path", data) or {}
-        if "segments" in payload:
-            waypoints = [Point2(*p) for seg in payload["segments"]
-                         for p in seg["waypoints"]]
-        elif "waypoints" in payload:
-            waypoints = [Point2(*p) for p in payload["waypoints"]]
-        else:
-            raise ValueError(f"no waypoints found in {args.path}")
+    waypoints = _read_waypoints(args.path) if args.path else None
     _write_text(args.out, render_map_svg(scene, gmap, path=waypoints,
                                          show_sdf=args.show_sdf))
     print(f"wrote {args.out}")

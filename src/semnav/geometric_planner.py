@@ -15,7 +15,7 @@ room's edges fall back to the exact ring test, whose 1e-9 boundary tolerance
 the box test cannot reproduce. A motion check runs the bbox test, the room
 boxes and the bilinear field lookup inline for every interpolated point.
 Both give exactly the answers of the general ring test and ``sdf_query``,
-point for point (see ``_Region``), and neither changes what the virtual clock
+point for point (see ``Region``), and neither changes what the virtual clock
 charges.
 
 A motion check also skips points that the field value of the last checked
@@ -203,11 +203,21 @@ class _Budget:
         return time.perf_counter() - self.t0
 
 
-class _Region:
-    """Validity context prepared once per planning run.
+class Region:
+    """The search region of one problem: validity and sampling, prepared once.
 
     Bundles the allowed-room contours, the allowed doorway opening rectangles
     and the clearance threshold so the hot loop does no per-call filtering.
+    The module-level ``state_valid``, ``motion_valid`` and ``sample_state``
+    build a fresh region on every call; a caller that checks or samples
+    many states of one problem should build one ``Region`` and call its
+    methods.
+
+    ``sample`` draws uniformly from the allowed rooms' bounds, which is
+    uniform over their contours because ``build_global_map`` makes every
+    room contour exactly its bounds rectangle. ``sample_informed`` draws
+    from the informed ellipse of Informed RRT* and rejects draws outside
+    the region.
 
     Room containment has a rectangle fast path. On an axis-aligned rectangle
     ring, the even-odd test of ``point_in_contour`` accepts exactly the
@@ -239,6 +249,7 @@ class _Region:
 
     def __init__(self, gmap: GlobalMap, problem: GeometricProblem):
         self.gmap = gmap
+        self.start = problem.start
         self.goal = problem.goal
         self.bbox = gmap.scene.bbox
         self.clearance = problem.robot_radius + problem.validity_margin
@@ -300,6 +311,14 @@ class _Region:
         areas = [r.widths[0] * r.widths[1] for r in rooms]
         return areas, sum(areas), [r.bounds for r in rooms]
 
+    @property
+    def free_area(self) -> float:
+        """Area of the region: the bbox without rooms, else the rooms'."""
+        if not self.constrained:
+            lo, hi = self.bbox
+            return (hi.x - lo.x) * (hi.y - lo.y)
+        return self.room_table[1]
+
     def sample(self, rng: np.random.Generator, goal_bias: float) -> Point2:
         """``sample_state`` on this region."""
         if goal_bias > 0.0 and rng.random() < goal_bias:
@@ -319,14 +338,45 @@ class _Region:
                 chosen = k
                 break
         x0, y0, x1, y1 = bounds[chosen]
-        contour = self.contours[chosen]
-        # rectangle contours accept immediately; the loop is shape safety in
-        # case contours ever grow beyond rectangles
-        for _ in range(64):
-            p = Point2(rng.uniform(x0, x1), rng.uniform(y0, y1))
-            if point_in_contour(contour, p):
-                return p
-        return Point2((x0 + x1) / 2.0, (y0 + y1) / 2.0)
+        return Point2(rng.uniform(x0, x1), rng.uniform(y0, y1))
+
+    def sample_informed(self, c_best: float,
+                        rng: np.random.Generator) -> tuple[Point2 | None, int]:
+        """Sample the ellipse with foci start/goal, transverse diameter c_best.
+
+        Draws are uniform over the ellipse (unit-disk transform) and rejected
+        against the region. Returns (point, draws); the point is None when
+        all ``INFORMED_MAX_ATTEMPTS`` draws were rejected. A degenerate
+        ellipse (c_best equal to the straight-line distance) collapses to
+        the start-goal segment.
+        """
+        start, goal = self.start, self.goal
+        c_min = dist(start, goal)
+        a, b = _informed_axes(start, goal, c_best)
+        cx = (start.x + goal.x) / 2.0
+        cy = (start.y + goal.y) / 2.0
+        if c_min > 0.0:
+            ux = (goal.x - start.x) / c_min
+            uy = (goal.y - start.y) / c_min
+        else:
+            ux, uy = 1.0, 0.0
+        degenerate = b <= 1e-12
+        draws = 0
+        while draws < INFORMED_MAX_ATTEMPTS:
+            draws += 1
+            if degenerate:
+                t = rng.random()
+                p = Point2(start.x + (goal.x - start.x) * t,
+                           start.y + (goal.y - start.y) * t)
+            else:
+                r = math.sqrt(rng.random())
+                phi = 2.0 * math.pi * rng.random()
+                ex = a * r * math.cos(phi)
+                ey = b * r * math.sin(phi)
+                p = Point2(cx + ex * ux - ey * uy, cy + ex * uy + ey * ux)
+            if self.contains(p):
+                return p, draws
+        return None, draws
 
     def contains(self, p: Point2) -> bool:
         """Region membership only (bbox and allowed rooms), no clearance."""
@@ -486,7 +536,7 @@ def motion_step(resolution: float) -> float:
 def state_valid(gmap: GlobalMap, problem: GeometricProblem, p: Point2) -> bool:
     """True when ``p`` is inside the map, inside the allowed region, and has
     clearance of at least robot_radius + validity_margin."""
-    return _Region(gmap, problem).valid(p)
+    return Region(gmap, problem).valid(p)
 
 
 def motion_valid(gmap: GlobalMap, problem: GeometricProblem,
@@ -497,7 +547,7 @@ def motion_valid(gmap: GlobalMap, problem: GeometricProblem,
     """
     if not all(map(math.isfinite, (a.x, a.y, b.x, b.y))):
         return False
-    return _Region(gmap, problem).motion_valid(a, b)
+    return Region(gmap, problem).motion_valid(a, b)
 
 
 def sample_state(gmap: GlobalMap, problem: GeometricProblem,
@@ -508,10 +558,10 @@ def sample_state(gmap: GlobalMap, problem: GeometricProblem,
     area, then sample that room's rectangle, which is uniform over the union
     because rooms have disjoint interiors.
     """
-    return _Region(gmap, problem).sample(rng, goal_bias)
+    return Region(gmap, problem).sample(rng, goal_bias)
 
 
-def informed_axes(start: Point2, goal: Point2, c_best: float) -> tuple[float, float]:
+def _informed_axes(start: Point2, goal: Point2, c_best: float) -> tuple[float, float]:
     """Semi-axes of the informed sampling ellipse (transverse, conjugate).
 
     A nearly straight solution can sum its segment lengths to a hair below
@@ -523,52 +573,6 @@ def informed_axes(start: Point2, goal: Point2, c_best: float) -> tuple[float, fl
         raise ValueError("best cost below the straight-line distance")
     c = max(c_best, c_min)
     return c / 2.0, math.sqrt(max(0.0, c * c - c_min * c_min)) / 2.0
-
-
-def sample_informed(gmap: GlobalMap, problem: GeometricProblem, c_best: float,
-                    rng: np.random.Generator,
-                    max_attempts: int = INFORMED_MAX_ATTEMPTS) -> tuple[Point2 | None, int]:
-    """Sample the ellipse with foci start/goal and transverse diameter c_best.
-
-    Draws are uniform over the ellipse (unit-disk transform) and rejected
-    against the allowed region. Returns (point, draws); the point is None when
-    every attempt was rejected. A degenerate ellipse (c_best equal to the
-    straight-line distance) collapses to the start-goal segment.
-    """
-    region = _Region(gmap, problem)
-    return _sample_informed(region, problem, c_best, rng, max_attempts)
-
-
-def _sample_informed(region: _Region, problem: GeometricProblem, c_best: float,
-                     rng: np.random.Generator,
-                     max_attempts: int) -> tuple[Point2 | None, int]:
-    start, goal = problem.start, problem.goal
-    c_min = dist(start, goal)
-    a, b = informed_axes(start, goal, c_best)
-    cx = (start.x + goal.x) / 2.0
-    cy = (start.y + goal.y) / 2.0
-    if c_min > 0.0:
-        ux = (goal.x - start.x) / c_min
-        uy = (goal.y - start.y) / c_min
-    else:
-        ux, uy = 1.0, 0.0
-    degenerate = b <= 1e-12
-    draws = 0
-    while draws < max_attempts:
-        draws += 1
-        if degenerate:
-            t = rng.random()
-            p = Point2(start.x + (goal.x - start.x) * t,
-                       start.y + (goal.y - start.y) * t)
-        else:
-            r = math.sqrt(rng.random())
-            phi = 2.0 * math.pi * rng.random()
-            ex = a * r * math.cos(phi)
-            ey = b * r * math.sin(phi)
-            p = Point2(cx + ex * ux - ey * uy, cy + ex * uy + ey * ux)
-        if region.contains(p):
-            return p, draws
-    return None, draws
 
 
 def plan(gmap: GlobalMap, problem: GeometricProblem, config: PlannerConfig,
@@ -585,7 +589,7 @@ def plan(gmap: GlobalMap, problem: GeometricProblem, config: PlannerConfig,
     """
     config.validate()
     stats = PlannerStats()
-    region = _Region(gmap, problem)
+    region = Region(gmap, problem)
     if region.constrained and not region.contours:
         raise EmptyRegion("allowed region contains no known rooms")
     if not region.valid(problem.start):
@@ -632,12 +636,7 @@ def plan(gmap: GlobalMap, problem: GeometricProblem, config: PlannerConfig,
     best_cost = math.inf
     best_node = -1
 
-    if problem.allowed_rooms is None:
-        lo, hi = gmap.scene.bbox
-        free_area = (hi.x - lo.x) * (hi.y - lo.y)
-    else:
-        _, free_area, _ = region.room_table
-    gamma = config.rewire_factor * math.sqrt(3.0 * free_area / math.pi)
+    gamma = config.rewire_factor * math.sqrt(3.0 * region.free_area / math.pi)
     rewiring = config.algorithm in (RRT_STAR, INFORMED_RRT_STAR)
     informed = config.algorithm == INFORMED_RRT_STAR
 
@@ -662,8 +661,7 @@ def plan(gmap: GlobalMap, problem: GeometricProblem, config: PlannerConfig,
 
         # ----- sample
         if informed and best_cost < math.inf:
-            sample, draws = _sample_informed(region, problem, best_cost, rng,
-                                             INFORMED_MAX_ATTEMPTS)
+            sample, draws = region.sample_informed(best_cost, rng)
             stats.samples_created += draws
             budget.charge(draws * check_cost)
             if sample is None:
@@ -820,7 +818,3 @@ def plan(gmap: GlobalMap, problem: GeometricProblem, config: PlannerConfig,
 def path_to_dict(path: GeometricPath) -> dict:
     """JSON-ready representation of a geometric path."""
     return {"waypoints": [list(p) for p in path.waypoints], "length_m": path.length}
-
-
-def path_from_dict(data: dict) -> GeometricPath:
-    return GeometricPath.from_waypoints(tuple(Point2(*w) for w in data["waypoints"]))

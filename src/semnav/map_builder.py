@@ -33,7 +33,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import (DegenerateRoom, DoorwayPlacement, EmptyMap, OutOfBounds,
-                     ValidationError)
+                     UnknownId, ValidationError)
 from .geometry import Point2, WallSegment, point_in_ring
 from .scene_graph import Room, SceneGraph, _rect_from_walls, shared_boundary
 
@@ -104,7 +104,7 @@ class GlobalMap:
         for c in self.contours:
             if c.room_id == room_id:
                 return c
-        raise KeyError(room_id)
+        raise UnknownId(f"unknown room id '{room_id}'")
 
 
 def contour_from_room(room: Room) -> Contour:

@@ -206,15 +206,3 @@ def route_to_dict(route: SemanticRoute) -> dict:
         "rooms": list(route.rooms),
         "cost": route.cost,
     }
-
-
-def route_from_dict(data: dict) -> SemanticRoute:
-    rooms = tuple(data["rooms"])
-    return SemanticRoute(
-        start=Point2(*data["start"]),
-        goal=Point2(*data["goal"]),
-        doorways=tuple(data["doorways"]),
-        rooms=rooms,
-        free_space=frozenset(rooms),
-        cost=float(data["cost"]),
-    )

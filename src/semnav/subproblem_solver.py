@@ -32,7 +32,7 @@ from .map_builder import (DEFAULT_ATTACH_THRESHOLD, DEFAULT_OPENING_DEPTH,
 from .geometric_planner import (DEFAULT_GOAL_TOLERANCE, DEFAULT_ROBOT_RADIUS,
                                 DEFAULT_VALIDITY_MARGIN, GeometricPath,
                                 GeometricProblem, PlannerConfig, PlannerStats,
-                                _Region, path_from_dict, path_to_dict, plan)
+                                Region, path_to_dict, plan)
 from .scene_graph import SceneGraph, set_doorway_blocked
 from .semantic_planner import (DEFAULT_DOORWAY_PENALTY, SQUARED, SemanticRoute,
                                build_topology, semantic_route)
@@ -229,7 +229,7 @@ class ReplanOutcome:
 
 def _segment_ok(gmap: GlobalMap, problem: GeometricProblem,
                 segment: GeometricPath) -> bool:
-    region = _Region(gmap, problem)
+    region = Region(gmap, problem)
     pts = segment.waypoints
     if len(pts) == 1:
         return region.valid(pts[0])
@@ -319,10 +319,3 @@ def global_path_to_dict(path: GlobalPath) -> dict:
         "total_length_m": path.total_length,
         "stats": [asdict(s) for s in path.stats],
     }
-
-
-def global_path_from_dict(data: dict) -> GlobalPath:
-    segments = tuple(path_from_dict(s) for s in data["segments"])
-    stats = tuple(PlannerStats(**s) for s in data.get("stats", []))
-    return GlobalPath(segments=segments, total_length=data["total_length_m"],
-                      stats=stats)

@@ -4,9 +4,11 @@ summary statistics, CSV round trips, and worker-count invariance."""
 import json
 import math
 import random
+from concurrent.futures import Future
 
 import pytest
 
+from semnav import bench_harness
 from semnav import (
     BenchConfig,
     BenchRecord,
@@ -23,7 +25,6 @@ from semnav import (
     generate_pairs,
     locate_room,
     plan_query,
-    read_csv,
     run_bench,
     state_valid,
     summarize,
@@ -214,6 +215,34 @@ class TestRunBench:
         cfg = _config(modes=("irrt", "irrt_sg"), n_queries=3, timeout=0.02, seed=8)
         assert run_bench(cfg, workers=2) == run_bench(cfg, workers=2)
 
+    def test_pool_never_outnumbers_the_queries(self, monkeypatch):
+        sizes = []
+
+        class InlinePool:
+            """Records its size and runs each task at once, in process."""
+
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                done = Future()
+                done.set_result(fn(*args))
+                return done
+
+        monkeypatch.setattr(bench_harness, "ProcessPoolExecutor", InlinePool)
+        cfg = _config(n_queries=2, timeout=0.02, seed=11)
+        assert run_bench(cfg, workers=64) == run_bench(cfg, workers=1)
+        assert sizes == [2]
+        # one query needs no pool at all
+        run_bench(_config(n_queries=1), workers=500)
+        assert sizes == [2]
+
 
 # ---------------------------------------------------------------------------
 # one query in one mode
@@ -389,7 +418,11 @@ class TestCsvExport:
         records = self._sample_records()
         path = tmp_path / "bench.csv"
         export_csv(records, str(path))
-        assert read_csv(str(path)) == records
+        rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
+        # the repr floats parse back to the very floats written
+        assert [float(r[5]) if r[5] else None for r in rows] == \
+            [r.path_length for r in records]
+        assert [float(r[6]) for r in rows] == [r.time_s for r in records]
 
     def test_file_format(self, tmp_path):
         records = self._sample_records()

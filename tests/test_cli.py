@@ -326,6 +326,24 @@ def test_render_accepts_bare_waypoint_json(tmp_path):
     assert any(el.get("data-layer") == "path" for el in root.iter())
 
 
+@pytest.mark.parametrize("payload", [
+    [1, 2],
+    {"waypoints": [[1]]},
+    {"waypoints": [["a", 1]]},
+    {"path": {"segments": 3}},
+])
+def test_render_rejects_malformed_plan_report(tmp_path, capsys, payload):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+    out = tmp_path / "never.svg"
+    assert main(["render", "--map", THREEROOM, "--out", str(out),
+                 "--path", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(bad) in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_render_rejects_json_without_waypoints(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"speed": 4}))

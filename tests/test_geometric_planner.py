@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 import random
 import statistics
@@ -14,12 +15,11 @@ from hypothesis import strategies as st
 
 from semnav import (CarvedWalls, Contour, Doorway, EmptyRegion, GeometricPath,
                     GeometricProblem, GlobalMap, InvalidGoal, InvalidStart,
-                    PlannerConfig, Point2, SceneGraph, SdfGrid,
-                    build_global_map, build_topology, informed_axes,
-                    motion_valid, path_from_dict, path_to_dict, plan,
-                    point_in_contour, sample_informed, sample_state,
+                    PlannerConfig, Point2, Region, SceneGraph, SdfGrid,
+                    build_global_map, build_topology, motion_valid,
+                    path_to_dict, plan, point_in_contour, sample_state,
                     sdf_query, semantic_route, state_valid)
-from semnav.geometric_planner import _may_rewire, _Region
+from semnav.geometric_planner import _informed_axes, _may_rewire
 from semnav.geometry import dist
 from semnav.rng import make_stream
 
@@ -186,25 +186,26 @@ def test_sample_state_empty_region(threeroom_map):
 
 
 def test_informed_axes_values():
-    a, b = informed_axes(Point2(0.0, 0.0), Point2(10.0, 0.0), 12.0)
+    a, b = _informed_axes(Point2(0.0, 0.0), Point2(10.0, 0.0), 12.0)
     assert a == 6.0
     assert b == pytest.approx(math.sqrt(11.0), abs=1e-12)
-    a, b = informed_axes(Point2(0.0, 0.0), Point2(10.0, 0.0), 10.0)
+    a, b = _informed_axes(Point2(0.0, 0.0), Point2(10.0, 0.0), 10.0)
     assert (a, b) == (5.0, 0.0)
     # a hair below the straight-line distance clamps instead of raising
-    a, b = informed_axes(Point2(0.0, 0.0), Point2(10.0, 0.0), 10.0 - 1e-12)
+    a, b = _informed_axes(Point2(0.0, 0.0), Point2(10.0, 0.0), 10.0 - 1e-12)
     assert (a, b) == (5.0, 0.0)
     with pytest.raises(ValueError):
-        informed_axes(Point2(0.0, 0.0), Point2(10.0, 0.0), 9.9)
+        _informed_axes(Point2(0.0, 0.0), Point2(10.0, 0.0), 9.9)
 
 
 def test_sample_informed_inside_ellipse(empty_room_map):
     problem = GeometricProblem(start=Point2(2.0, 5.0), goal=Point2(8.0, 5.0))
+    region = Region(empty_room_map, problem)
     rng = make_stream(10)
     c_best = 7.0
     total_draws = 0
     for _ in range(2000):
-        p, draws = sample_informed(empty_room_map, problem, c_best, rng)
+        p, draws = region.sample_informed(c_best, rng)
         total_draws += draws
         assert p is not None
         assert draws >= 1
@@ -214,9 +215,10 @@ def test_sample_informed_inside_ellipse(empty_room_map):
 
 def test_sample_informed_degenerate_collapses_to_segment(empty_room_map):
     problem = GeometricProblem(start=Point2(2.0, 5.0), goal=Point2(8.0, 5.0))
+    region = Region(empty_room_map, problem)
     rng = make_stream(11)
     for _ in range(500):
-        p, _ = sample_informed(empty_room_map, problem, 6.0, rng)
+        p, _ = region.sample_informed(6.0, rng)
         assert p is not None
         assert abs(p.y - 5.0) <= 1e-9
         assert 2.0 - 1e-9 <= p.x <= 8.0 + 1e-9
@@ -226,7 +228,7 @@ def test_sample_informed_rejects_outside_region(threeroom_map):
     # ellipse sits wholly inside r1 but only r3 is allowed
     problem = GeometricProblem(start=Point2(1.0, 2.0), goal=Point2(2.0, 2.0),
                                allowed_rooms=frozenset({"r3"}))
-    p, draws = sample_informed(threeroom_map, problem, 1.5, make_stream(12))
+    p, draws = Region(threeroom_map, problem).sample_informed(1.5, make_stream(12))
     assert p is None
     assert draws == 64
 
@@ -236,13 +238,14 @@ def test_sample_informed_uniform_chi_square(empty_room_map):
     problem = GeometricProblem(start=Point2(2.0, 5.0), goal=Point2(8.0, 5.0))
     start, goal = problem.start, problem.goal
     c_best = 8.0
-    a, b = informed_axes(start, goal, c_best)
+    a, b = _informed_axes(start, goal, c_best)
     cx, cy = 5.0, 5.0
+    region = Region(empty_room_map, problem)
     rng = make_stream(13)
     n = 20_000
     bins = np.zeros((10, 10))
     for _ in range(n):
-        p, _ = sample_informed(empty_room_map, problem, c_best, rng)
+        p, _ = region.sample_informed(c_best, rng)
         u1 = (p.x - cx) / a  # start-goal axis is +x, no rotation needed
         u2 = (p.y - cy) / b
         r2 = min(u1 * u1 + u2 * u2, 1.0 - 1e-15)
@@ -424,17 +427,18 @@ def test_plan_route_constraint_shortens_paths(grid8_map, grid8_scene):
 
 def test_path_dict_round_trip():
     path = GeometricPath.from_waypoints((Point2(0.0, 0.0), Point2(1.5, 2.0),
-                                         Point2(3.0, 3.5)))
-    again = path_from_dict(path_to_dict(path))
-    assert again.waypoints == path.waypoints
-    assert again.length == path.length
-    assert path_to_dict(path)["length_m"] == path.length
+                                         Point2(0.1 + 0.2, 3.5)))
+    data = path_to_dict(path)
+    assert data == {"waypoints": [[0.0, 0.0], [1.5, 2.0], [0.1 + 0.2, 3.5]],
+                    "length_m": path.length}
+    # the JSON a plan report holds gives back every float exactly
+    assert json.loads(json.dumps(data)) == data
 
 
 # ------------------------------------- rectangle fast path, fused motion check
 
 
-def _reference_contains(region: _Region, p: Point2) -> bool:
+def _reference_contains(region: Region, p: Point2) -> bool:
     """Region membership by the exact ring test on every allowed contour."""
     lo, hi = region.bbox
     if not (lo.x <= p.x <= hi.x and lo.y <= p.y <= hi.y):
@@ -446,7 +450,7 @@ def _reference_contains(region: _Region, p: Point2) -> bool:
                    for x0, y0, x1, y1 in region.rects))
 
 
-def _reference_motion_valid(region: _Region, a: Point2, b: Point2) -> bool:
+def _reference_motion_valid(region: Region, a: Point2, b: Point2) -> bool:
     n = region.motion_points(a, b) - 1
     for k in range(n + 1):
         t = k / n
@@ -457,7 +461,7 @@ def _reference_motion_valid(region: _Region, a: Point2, b: Point2) -> bool:
     return True
 
 
-def _contour_region(contours, openings=None) -> _Region:
+def _contour_region(contours, openings=None) -> Region:
     """A region over bare contours: a map holding only what containment
     reads, with the bbox one metre around the contours."""
     xs = [p.x for c in contours for p in c.ring]
@@ -470,7 +474,7 @@ def _contour_region(contours, openings=None) -> _Region:
     problem = GeometricProblem(start=bbox[0], goal=bbox[0],
                                allowed_rooms=frozenset(c.room_id for c in contours),
                                allowed_doorways=frozenset(openings or ()))
-    return _Region(gmap, problem)
+    return Region(gmap, problem)
 
 
 _OFFSETS = (st.sampled_from([0.0, 1e-9, -1e-9, 2e-9, -2e-9, 4e-9, -4e-9, 6e-9, -6e-9])
@@ -535,13 +539,14 @@ def test_non_rectangle_contour_falls_back_to_ring_test(data):
 
 
 @st.composite
-def _grid8_problems(draw, grid8_map) -> GeometricProblem:
-    """Unconstrained, or a random room subset with a random doorway subset."""
+def _problems(draw, gmap) -> GeometricProblem:
+    """Unconstrained, or a random subset of the map's rooms with a random
+    subset of its doorways."""
     origin = Point2(0.0, 0.0)
     if draw(st.integers(0, 4)) == 0:
         return GeometricProblem(start=origin, goal=origin)
-    rooms = sorted(c.room_id for c in grid8_map.contours)
-    doors = sorted(grid8_map.openings)
+    rooms = sorted(c.room_id for c in gmap.contours)
+    doors = sorted(gmap.openings)
     return GeometricProblem(
         start=origin, goal=origin,
         allowed_rooms=frozenset(draw(st.lists(st.sampled_from(rooms), min_size=1))),
@@ -551,7 +556,7 @@ def _grid8_problems(draw, grid8_map) -> GeometricProblem:
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_grid8_containment_equals_ring_test(grid8_map, data):
-    region = _Region(grid8_map, data.draw(_grid8_problems(grid8_map)))
+    region = Region(grid8_map, data.draw(_problems(grid8_map)))
     c = data.draw(st.sampled_from(grid8_map.contours))
     (x0, y0), _, (x1, y1), _ = c.ring
     p = Point2(data.draw(_near(x0, x1)), data.draw(_near(y0, y1)))
@@ -561,7 +566,7 @@ def test_grid8_containment_equals_ring_test(grid8_map, data):
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_fused_motion_check_equals_pointwise_check(grid8_map, grid8_scene, data):
-    region = _Region(grid8_map, data.draw(_grid8_problems(grid8_map)))
+    region = Region(grid8_map, data.draw(_problems(grid8_map)))
     lo, hi = grid8_scene.bbox
     kind = data.draw(st.sampled_from(["doorway", "to_wall", "to_corner", "tight",
                                       "long", "anywhere"]))
@@ -618,7 +623,7 @@ def test_stride_toward_every_room_corner(grid8_map):
     # metre inside cells that straddle the diagonal; edges end around the
     # point where it crosses the clearance, so a stride too long for that
     # slope skips a last point that fails.
-    region = _Region(grid8_map, GeometricProblem(start=Point2(0.0, 0.0),
+    region = Region(grid8_map, GeometricProblem(start=Point2(0.0, 0.0),
                                                  goal=Point2(0.0, 0.0)))
     outcomes = set()
     for c in grid8_map.contours:
@@ -645,7 +650,7 @@ def test_fused_motion_check_through_every_doorway(grid8_map, grid8_scene):
         x0, y0, x1, y1 = grid8_map.openings[d.id]
         across_x = x1 - x0 < y1 - y0  # the opening is shallow along x
         for rooms, doors in [(d.rooms, {d.id}), (d.rooms, ()), (d.rooms[:1], {d.id})]:
-            region = _Region(grid8_map, GeometricProblem(
+            region = Region(grid8_map, GeometricProblem(
                 start=Point2(0.0, 0.0), goal=Point2(0.0, 0.0),
                 allowed_rooms=frozenset(rooms), allowed_doorways=frozenset(doors)))
             for shift in (0.0, d.width):
@@ -666,17 +671,17 @@ def test_fused_motion_check_through_every_doorway(grid8_map, grid8_scene):
 
 def test_stride_needs_a_band_bound_and_a_fine_grid(grid8_scene, grid8_map):
     problem = GeometricProblem(start=Point2(0.0, 0.0), goal=Point2(0.0, 0.0))
-    assert _Region(grid8_map, problem).stride
-    assert _Region(build_global_map(grid8_scene, resolution=0.1), problem).stride
+    assert Region(grid8_map, problem).stride
+    assert Region(build_global_map(grid8_scene, resolution=0.1), problem).stride
     # 0.05 + sqrt(2) * 0.2 > 0.32: a cell next to the wall band can hold
     # values above the clearance
-    assert not _Region(build_global_map(grid8_scene, resolution=0.2), problem).stride
+    assert not Region(build_global_map(grid8_scene, resolution=0.2), problem).stride
     # a grid without a recorded band bound
     sdf = SdfGrid(origin=grid8_map.sdf.origin, resolution=grid8_map.sdf.resolution,
                   nx=grid8_map.sdf.nx, ny=grid8_map.sdf.ny, values=grid8_map.sdf.values)
     bare = GlobalMap(scene=grid8_map.scene, contours=grid8_map.contours,
                      walls=grid8_map.walls, sdf=sdf, openings=grid8_map.openings)
-    assert not _Region(bare, problem).stride
+    assert not Region(bare, problem).stride
 
 
 @pytest.fixture(scope="module")
@@ -688,7 +693,7 @@ def grid8_coarse_map(grid8_scene):
 @given(data=st.data())
 def test_coarse_grid_motion_check_equals_pointwise_check(grid8_coarse_map,
                                                          grid8_scene, data):
-    region = _Region(grid8_coarse_map, data.draw(_grid8_problems(grid8_coarse_map)))
+    region = Region(grid8_coarse_map, data.draw(_problems(grid8_coarse_map)))
     assert not region.stride
     c = data.draw(st.sampled_from(grid8_coarse_map.contours))
     (x0, y0), _, (x1, y1), _ = c.ring
@@ -715,7 +720,7 @@ def test_stride_stays_inside_room_boxes_and_bbox(wide_door_map, data):
     rooms, doors = data.draw(st.sampled_from([
         (None, None), (frozenset({"a"}), frozenset()),
         (frozenset({"a"}), frozenset({"d"})), (frozenset({"a", "b"}), frozenset())]))
-    region = _Region(wide_door_map, GeometricProblem(
+    region = Region(wide_door_map, GeometricProblem(
         start=Point2(0.0, 0.0), goal=Point2(0.0, 0.0),
         allowed_rooms=rooms, allowed_doorways=doors))
     assert region.stride
@@ -736,9 +741,9 @@ def test_stride_stays_inside_room_boxes_and_bbox(wide_door_map, data):
 
 def test_stride_outcomes_on_the_wide_door_map(wide_door_map):
     # both answers occur where a stride reaches a box or bbox edge
-    free = _Region(wide_door_map, GeometricProblem(start=Point2(0.0, 0.0),
+    free = Region(wide_door_map, GeometricProblem(start=Point2(0.0, 0.0),
                                                    goal=Point2(0.0, 0.0)))
-    room_a = _Region(wide_door_map, GeometricProblem(
+    room_a = Region(wide_door_map, GeometricProblem(
         start=Point2(0.0, 0.0), goal=Point2(0.0, 0.0),
         allowed_rooms=frozenset({"a"}), allowed_doorways=frozenset()))
     assert free.motion_valid(Point2(-1.5, 2.0), Point2(-3.0, 2.0))
@@ -789,7 +794,7 @@ def test_rewire_filter_drops_plain_non_improvements():
 
 
 def _reference_sample_state(gmap, problem, rng, goal_bias=0.0):
-    """sample_state as it was before its room table moved into _Region."""
+    """sample_state as it was before its room table moved into Region."""
     if goal_bias > 0.0 and rng.random() < goal_bias:
         return problem.goal
     if problem.allowed_rooms is None:
@@ -814,16 +819,24 @@ def _reference_sample_state(gmap, problem, rng, goal_bias=0.0):
     return Point2((x0 + x1) / 2.0, (y0 + y1) / 2.0)
 
 
+@pytest.fixture(scope="module")
+def fixture_maps(grid8_map, ring4_map, threeroom_map):
+    return {"grid8": grid8_map, "ring4": ring4_map, "threeroom": threeroom_map}
+
+
+@pytest.mark.parametrize("name", ["grid8", "ring4", "threeroom"])
 @settings(max_examples=100, deadline=None)
 @given(data=st.data(), seed=st.integers(0, 2**32 - 1),
        goal_bias=st.sampled_from([0.0, 0.05, 0.5]))
-def test_region_sampling_draws_what_sample_state_drew(grid8_map, data, seed, goal_bias):
-    problem = data.draw(_grid8_problems(grid8_map))
-    region = _Region(grid8_map, problem)
+def test_region_sampling_draws_what_sample_state_drew(fixture_maps, name, data,
+                                                       seed, goal_bias):
+    gmap = fixture_maps[name]
+    problem = data.draw(_problems(gmap))
+    region = Region(gmap, problem)
     ours, theirs = make_stream(seed), make_stream(seed)
     for _ in range(20):
         assert region.sample(ours, goal_bias) == \
-            _reference_sample_state(grid8_map, problem, theirs, goal_bias)
-        assert sample_state(grid8_map, problem, ours, goal_bias) == \
-            _reference_sample_state(grid8_map, problem, theirs, goal_bias)
+            _reference_sample_state(gmap, problem, theirs, goal_bias)
+        assert sample_state(gmap, problem, ours, goal_bias) == \
+            _reference_sample_state(gmap, problem, theirs, goal_bias)
     assert ours.random() == theirs.random()

@@ -12,10 +12,10 @@ from hypothesis import strategies as st
 
 from semnav import (CarvedWalls, DegenerateRoom, Doorway, DoorwayPlacement,
                     EmptyMap, OutOfBounds, Point2, Room, SceneGraph,
-                    SdfGrid, ValidationError, WallSegment, build_global_map,
-                    build_sdf, carve_doorways, contour_from_room,
-                    doorway_openings, load_map, point_in_contour, save_map,
-                    sdf_query, set_doorway_blocked)
+                    SdfGrid, UnknownId, ValidationError, WallSegment,
+                    build_global_map, build_sdf, carve_doorways,
+                    contour_from_room, doorway_openings, load_map,
+                    point_in_contour, save_map, sdf_query, set_doorway_blocked)
 from semnav import map_builder
 from semnav.geometric_planner import _SQRT2, _stride_eps
 from semnav.scene_graph import CLOSURE_TOL
@@ -500,7 +500,7 @@ def test_build_global_map_shapes(grid8_map, grid8_scene):
     assert set(grid8_map.openings) == {d.id for d in grid8_scene.doorways}
     assert grid8_map.sdf.resolution == 0.05
     assert grid8_map.contour("r5").room_id == "r5"
-    with pytest.raises(KeyError):
+    with pytest.raises(UnknownId):
         grid8_map.contour("r99")
 
 

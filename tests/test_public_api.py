@@ -1,0 +1,62 @@
+"""The package's public surface: what ``semnav`` exports, and what the
+benchmark driver in ``perfbench/run.py`` relies on."""
+
+import inspect
+import os
+import re
+
+import pytest
+
+import semnav
+
+RUN_PY = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                      "perfbench", "run.py")
+
+# every ``semnav.<name>`` that perfbench/run.py calls
+PERFBENCH_NAMES = (
+    "load_map", "build_global_map", "build_topology", "generate_pairs",
+    "PlannerConfig", "INFORMED_RRT_STAR", "GeometricProblem", "plan",
+    "semantic_route", "decompose", "solve_all", "replan",
+    "set_doorway_blocked", "state_valid", "motion_valid", "run_bench",
+    "BenchConfig", "SemNavError",
+)
+
+
+def test_all_names_resolve_once():
+    assert len(semnav.__all__) == len(set(semnav.__all__))
+    for name in semnav.__all__:
+        assert hasattr(semnav, name), name
+
+
+def test_region_is_public():
+    assert "Region" in semnav.__all__
+    assert semnav.Region is semnav.geometric_planner.Region
+
+
+@pytest.mark.parametrize("name", ["sample_informed", "informed_axes", "path_from_dict",
+                                  "global_path_from_dict", "route_from_dict",
+                                  "read_csv", "_Region"])
+def test_removed_names_are_gone(name):
+    assert name not in semnav.__all__
+    assert not hasattr(semnav, name)
+    for module in (semnav.geometric_planner, semnav.subproblem_solver,
+                   semnav.semantic_planner, semnav.bench_harness):
+        assert not hasattr(module, name), (module.__name__, name)
+
+
+@pytest.mark.parametrize("name", PERFBENCH_NAMES)
+def test_perfbench_names_are_exported(name):
+    assert name in semnav.__all__
+
+
+def test_perfbench_names_are_the_ones_run_py_uses():
+    with open(RUN_PY) as f:
+        used = set(re.findall(r"\bsemnav\.([A-Za-z_]\w*)", f.read()))
+    used = {name for name in used if not name.startswith("__")
+            and not inspect.ismodule(getattr(semnav, name, None))}
+    assert used == set(PERFBENCH_NAMES)
+
+
+@pytest.mark.parametrize("fn", [semnav.solve_all, semnav.replan])
+def test_solvers_accept_workers(fn):
+    assert "workers" in inspect.signature(fn).parameters

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 import random
 
@@ -9,7 +10,7 @@ import pytest
 
 from semnav import (Doorway, GoalOutsideMap, NoRoute, NotIncident, Point2,
                     StartOutsideMap, build_topology, edge_cost,
-                    route_from_dict, route_to_dict, semantic_route,
+                    route_to_dict, semantic_route,
                     set_doorway_blocked)
 
 from conftest import interior_point, random_scene, rect_room
@@ -154,8 +155,12 @@ def test_route_penalty_multiplicity(threeroom_scene):
 def test_route_dict_round_trip(threeroom_scene):
     topo = build_topology(threeroom_scene)
     route = semantic_route(topo, threeroom_scene, Point2(1.0, 1.0), Point2(11.0, 3.0))
-    again = route_from_dict(route_to_dict(route))
-    assert again == route
+    data = route_to_dict(route)
+    assert data == {"start": [1.0, 1.0], "goal": [11.0, 3.0],
+                    "doorways": list(route.doorways), "rooms": list(route.rooms),
+                    "cost": route.cost}
+    # the JSON a plan report holds gives back every float exactly
+    assert json.loads(json.dumps(data)) == data
 
 
 # ------------------------------------------------- randomized cross-checks

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 
 import pytest
@@ -10,7 +11,7 @@ from semnav import (INFORMED_RRT_STAR, BenchConfig, EmptyInput, GeometricPath,
                     NoRoute, PlannerConfig, PlannerStats, Point2, SceneGraph,
                     Doorway, SemNavError, SubproblemInfeasible,
                     build_global_map, build_topology, decompose,
-                    generate_pairs, global_path_from_dict, global_path_to_dict,
+                    generate_pairs, global_path_to_dict,
                     join_segments, load_map, motion_valid, replan,
                     semantic_route, solve_all)
 from semnav.bench_harness import _PLAN_SALT
@@ -188,11 +189,13 @@ def test_global_path_dict_round_trip(threeroom_map, threeroom_scene):
     route = _route(threeroom_scene, Point2(2.0, 2.0), Point2(10.0, 2.0))
     subs = decompose(route, threeroom_scene)
     gpath, _ = solve_all(subs, threeroom_map, PlannerConfig(timeout=0.09, seed=1))
-    again = global_path_from_dict(global_path_to_dict(gpath))
-    assert again.total_length == gpath.total_length
-    assert [s.waypoints for s in again.segments] == [s.waypoints
-                                                     for s in gpath.segments]
-    assert again.stats == gpath.stats
+    data = global_path_to_dict(gpath)
+    assert data["total_length_m"] == gpath.total_length
+    assert [[tuple(p) for p in s["waypoints"]] for s in data["segments"]] == \
+        [list(s.waypoints) for s in gpath.segments]
+    assert [PlannerStats(**s) for s in data["stats"]] == list(gpath.stats)
+    # the JSON a plan report holds gives back every float exactly
+    assert json.loads(json.dumps(data)) == data
 
 
 def test_single_room_solution_near_straight_line():
