@@ -123,6 +123,8 @@ def cmd_plan(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
+    if args.jobs is not None and args.jobs < 1:
+        raise ValueError("--jobs must be at least 1")
     modes = tuple(m.strip() for m in args.modes.split(",") if m.strip())
     fixed = args.start is not None and args.goal is not None
     config = BenchConfig(

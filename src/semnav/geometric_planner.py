@@ -311,6 +311,29 @@ class Region:
         areas = [r.widths[0] * r.widths[1] for r in rooms]
         return areas, sum(areas), [r.bounds for r in rooms]
 
+    @cached_property
+    def _ellipse_frame(self) -> tuple[float, float, float, float, float]:
+        """c_min, centre and unit transverse axis of the informed ellipse."""
+        start, goal = self.start, self.goal
+        c_min = dist(start, goal)
+        if c_min > 0.0:
+            ux = (goal.x - start.x) / c_min
+            uy = (goal.y - start.y) / c_min
+        else:
+            ux, uy = 1.0, 0.0
+        return c_min, (start.x + goal.x) / 2.0, (start.y + goal.y) / 2.0, ux, uy
+
+    @cached_property
+    def _motion_frame(self) -> tuple:
+        """The locals of ``motion_valid`` that depend only on the region."""
+        lo, hi = self.bbox
+        grid = self.gmap.sdf
+        return (lo.x, lo.y, hi.x, hi.y, self.constrained, self.stride_boxes,
+                self.clearance, grid.flat_values, grid.origin.x, grid.origin.y,
+                grid.resolution, grid.nx, grid.nx - 1 + 1e-9, grid.ny - 1 + 1e-9,
+                grid.nx - 2, grid.ny - 2, self.stride,
+                self.clearance + self.stride_eps) + self.inner
+
     @property
     def free_area(self) -> float:
         """Area of the region: the bbox without rooms, else the rooms'."""
@@ -351,15 +374,8 @@ class Region:
         the start-goal segment.
         """
         start, goal = self.start, self.goal
-        c_min = dist(start, goal)
-        a, b = _informed_axes(start, goal, c_best)
-        cx = (start.x + goal.x) / 2.0
-        cy = (start.y + goal.y) / 2.0
-        if c_min > 0.0:
-            ux = (goal.x - start.x) / c_min
-            uy = (goal.y - start.y) / c_min
-        else:
-            ux, uy = 1.0, 0.0
+        c_min, cx, cy, ux, uy = self._ellipse_frame
+        a, b = _informed_axes(c_min, c_best)
         degenerate = b <= 1e-12
         draws = 0
         while draws < INFORMED_MAX_ATTEMPTS:
@@ -409,38 +425,30 @@ class Region:
         return sdf_query(self.gmap.sdf, p) >= self.clearance
 
     def motion_points(self, a: Point2, b: Point2) -> int:
-        return max(1, int(math.ceil(dist(a, b) / self.step))) + 1
+        return self._points(dist(a, b))
+
+    def _points(self, length: float) -> int:
+        return max(1, int(math.ceil(length / self.step))) + 1
 
     def motion_valid(self, a: Point2, b: Point2) -> bool:
-        n = self.motion_points(a, b) - 1
-        lo, hi = self.bbox
-        bx0, by0, bx1, by1 = lo.x, lo.y, hi.x, hi.y
-        constrained = self.constrained
-        boxes = self.stride_boxes
-        clearance = self.clearance
-        grid = self.gmap.sdf
-        v = grid.flat_values
-        ox, oy = grid.origin
-        res = grid.resolution
-        nx = grid.nx
-        fx_max = nx - 1 + 1e-9
-        fy_max = grid.ny - 1 + 1e-9
-        i_max = nx - 2
-        j_max = grid.ny - 2
+        length = dist(a, b)
+        return self._motion_valid(a, b, self._points(length) - 1, length)
+
+    def _motion_valid(self, a: Point2, b: Point2, n: int, length: float) -> bool:
+        """``motion_valid`` given ``length == dist(a, b)`` and ``n + 1`` points."""
+        (bx0, by0, bx1, by1, constrained, boxes, clearance, v, ox, oy, res, nx,
+         fx_max, fy_max, i_max, j_max, stride, c_eps,
+         lx, ly, hx, hy) = self._motion_frame
         ax, ay = a
         dx = b.x - ax
         dy = b.y - ay
         # stride factors: points per unit of field value above the clearance
         # and per unit of box margin along each axis
-        stride = self.stride
         if stride:
-            length = math.hypot(dx, dy)
             kf = n / (_SQRT2 * length) if length > 0.0 else math.inf
             stride = kf < math.inf
-            c_eps = clearance + self.stride_eps
             kx = n / abs(dx) if dx != 0.0 else math.inf
             ky = n / abs(dy) if dy != 0.0 else math.inf
-            lx, ly, hx, hy = self.inner
         k = 0
         while k <= n:
             t = k / n
@@ -507,6 +515,32 @@ def _may_rewire(parent_cost: float, d: np.ndarray, cost: np.ndarray) -> np.ndarr
     return parent_cost + d < cost * (1.0 + 1e-14) - 9.9e-13
 
 
+def _cheapest_first(via: np.ndarray, bound: float):
+    """Yield ``(k, via[k])`` below ``bound`` in stable-argsort order, one
+    first-minimum ``argmin`` at a time (the caller nearly always stops at
+    the first); tried entries are set to inf."""
+    while via.size:
+        k = int(via.argmin())
+        c = float(via[k])
+        if c >= bound:
+            return
+        via[k] = math.inf
+        yield k, c
+
+
+def _best_solution(solutions: list[tuple[int, float]], cost: list[float]):
+    """``(cost to goal, node)`` of the cheapest ``(node, goal distance)``,
+    the earliest on a tie; at tens of solutions a loop beats numpy."""
+    total = math.inf
+    node = -1
+    for i, dg in solutions:
+        c = cost[i] + dg
+        if c < total:
+            total = c
+            node = i
+    return total, node
+
+
 def _stride_eps(grid: SdfGrid, bbox: tuple[Point2, Point2]) -> float:
     """Slack a motion check's stride keeps from the clearance and from the
     box edges. It covers the rounding of the interpolated points and of the
@@ -561,14 +595,13 @@ def sample_state(gmap: GlobalMap, problem: GeometricProblem,
     return Region(gmap, problem).sample(rng, goal_bias)
 
 
-def _informed_axes(start: Point2, goal: Point2, c_best: float) -> tuple[float, float]:
+def _informed_axes(c_min: float, c_best: float) -> tuple[float, float]:
     """Semi-axes of the informed sampling ellipse (transverse, conjugate).
 
     A nearly straight solution can sum its segment lengths to a hair below
-    the direct start-goal distance in floating point, so c_best is clamped
-    up to that distance; only a clearly impossible cost raises.
+    the direct start-goal distance ``c_min`` in floating point, so c_best is
+    clamped up to that distance; only a clearly impossible cost raises.
     """
-    c_min = dist(start, goal)
     if c_best < c_min - 1e-9 * (1.0 + c_min):
         raise ValueError("best cost below the straight-line distance")
     c = max(c_best, c_min)
@@ -603,16 +636,20 @@ def plan(gmap: GlobalMap, problem: GeometricProblem, config: PlannerConfig,
     rng = make_stream(config.seed)
     start, goal = problem.start, problem.goal
 
+    def motion_ok(a: Point2, b: Point2, length: float) -> bool:
+        """Charge a motion check by its points and run it; length is dist(a, b)."""
+        m = region._points(length)
+        budget.charge(m * check_cost)
+        return region._motion_valid(a, b, m - 1, length)
+
     d0 = dist(start, goal)
     if d0 <= problem.goal_tolerance:
         if d0 == 0.0:
             path = GeometricPath.from_waypoints((start,))
+        elif motion_ok(start, goal, d0):
+            path = GeometricPath.from_waypoints((start, goal))
         else:
-            budget.charge(region.motion_points(start, goal) * check_cost)
-            if region.motion_valid(start, goal):
-                path = GeometricPath.from_waypoints((start, goal))
-            else:
-                path = None
+            path = None
         if path is not None:
             stats.solved = True
             stats.best_cost = path.length
@@ -632,7 +669,8 @@ def plan(gmap: GlobalMap, problem: GeometricProblem, config: PlannerConfig,
     parent: list[int] = [-1]
     cost: list[float] = [0.0]
     children: list[list[int]] = [[]]
-    solutions: list[int] = []
+    # (node, its distance to the goal), which never changes
+    solutions: list[tuple[int, float]] = []
     best_cost = math.inf
     best_node = -1
 
@@ -704,8 +742,7 @@ def plan(gmap: GlobalMap, problem: GeometricProblem, config: PlannerConfig,
 
         # ----- connect to the tree
         edge_len = dist(near_pt, new_pt)
-        budget.charge(region.motion_points(near_pt, new_pt) * check_cost)
-        if not region.motion_valid(near_pt, new_pt):
+        if not motion_ok(near_pt, new_pt, edge_len):
             continue
 
         parent_idx = nearest
@@ -721,20 +758,11 @@ def plan(gmap: GlobalMap, problem: GeometricProblem, config: PlannerConfig,
             near = np.flatnonzero(d2n <= radius * radius)
             d_nbr = np.sqrt(d2n[near])
             c_nbr = cs[near]
-            filtered = near.size > _SCAN_FILTER_MIN
-            # candidate parents by cost through them, up to the cost through
-            # the nearest node; a stable sort breaks ties by node index
-            via = c_nbr + d_nbr
-            if filtered:
-                better = np.flatnonzero(via < parent_cost)
-                order = better[np.argsort(via[better], kind="stable")]
-            else:
-                order = np.argsort(via, kind="stable")
-            for i, c in zip(near[order].tolist(), via[order].tolist()):
-                if c >= parent_cost:
-                    break
-                budget.charge(region.motion_points(pts[i], new_pt) * check_cost)
-                if region.motion_valid(pts[i], new_pt):
+            # candidate parents by cost through them, below the cost through
+            # the nearest node; ties go by neighbour order, which is node order
+            for k, c in _cheapest_first(c_nbr + d_nbr, parent_cost):
+                i = int(near[k])
+                if motion_ok(pts[i], new_pt, dist(pts[i], new_pt)):
                     parent_idx = i
                     parent_cost = c
                     break
@@ -757,39 +785,28 @@ def plan(gmap: GlobalMap, problem: GeometricProblem, config: PlannerConfig,
         if rewiring:
             # in a large neighbourhood, visit only the neighbours that can
             # pass the exact test, in neighbour order
-            if filtered:
+            if near.size > _SCAN_FILTER_MIN:
                 near = near[_may_rewire(parent_cost, d_nbr, c_nbr)]
             for i in near.tolist():
                 if i == parent_idx:
                     continue
-                via = parent_cost + dist(new_pt, pts[i])
-                if via < cost[i] - 1e-12:
-                    budget.charge(region.motion_points(new_pt, pts[i]) * check_cost)
-                    if region.motion_valid(new_pt, pts[i]):
-                        children[parent[i]].remove(i)
-                        parent[i] = new_idx
-                        children[new_idx].append(i)
-                        budget.charge(propagate(i, via - cost[i]))
+                d = dist(new_pt, pts[i])
+                via = parent_cost + d
+                if via < cost[i] - 1e-12 and motion_ok(new_pt, pts[i], d):
+                    children[parent[i]].remove(i)
+                    parent[i] = new_idx
+                    children[new_idx].append(i)
+                    budget.charge(propagate(i, via - cost[i]))
 
         # ----- goal connection
         d_goal = dist(new_pt, goal)
         if d_goal <= problem.goal_tolerance:
-            if d_goal == 0.0:
-                solutions.append(new_idx)
-            else:
-                budget.charge(region.motion_points(new_pt, goal) * check_cost)
-                if region.motion_valid(new_pt, goal):
-                    solutions.append(new_idx)
+            if d_goal == 0.0 or motion_ok(new_pt, goal, d_goal):
+                solutions.append((new_idx, d_goal))
 
         if solutions:
             budget.charge(len(solutions))
-            total = math.inf
-            node = -1
-            for i in solutions:
-                c = cost[i] + dist(pts[i], goal)
-                if c < total:
-                    total = c
-                    node = i
+            total, node = _best_solution(solutions, cost)
             if total < best_cost:
                 best_cost = total
                 best_node = node

@@ -273,6 +273,14 @@ def test_bench_fixed_pair_with_summary_and_svg(tmp_path, capsys):
     assert any(el.get("data-metric") == "samples" for el in root.iter())
 
 
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_bench_jobs_below_one_is_usage_error(tmp_path, capsys, jobs):
+    argv, csv_path = _bench(tmp_path, "x.csv", "--jobs", jobs)
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: --jobs must be at least 1\n"
+    assert not csv_path.exists()
+
+
 def test_bench_unknown_mode_is_usage_error(tmp_path, capsys):
     argv, _ = _bench(tmp_path, "x.csv", "--modes", "dijkstra")
     assert main(argv) == 2

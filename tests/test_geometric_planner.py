@@ -10,7 +10,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from semnav import (CarvedWalls, Contour, Doorway, EmptyRegion, GeometricPath,
@@ -19,7 +19,8 @@ from semnav import (CarvedWalls, Contour, Doorway, EmptyRegion, GeometricPath,
                     build_global_map, build_topology, motion_valid,
                     path_to_dict, plan, point_in_contour, sample_state,
                     sdf_query, semantic_route, state_valid)
-from semnav.geometric_planner import _informed_axes, _may_rewire
+from semnav.geometric_planner import (_best_solution, _cheapest_first, _informed_axes,
+                                      _may_rewire)
 from semnav.geometry import dist
 from semnav.rng import make_stream
 
@@ -186,16 +187,17 @@ def test_sample_state_empty_region(threeroom_map):
 
 
 def test_informed_axes_values():
-    a, b = _informed_axes(Point2(0.0, 0.0), Point2(10.0, 0.0), 12.0)
+    c_min = dist(Point2(0.0, 0.0), Point2(10.0, 0.0))
+    a, b = _informed_axes(c_min, 12.0)
     assert a == 6.0
     assert b == pytest.approx(math.sqrt(11.0), abs=1e-12)
-    a, b = _informed_axes(Point2(0.0, 0.0), Point2(10.0, 0.0), 10.0)
+    a, b = _informed_axes(c_min, 10.0)
     assert (a, b) == (5.0, 0.0)
     # a hair below the straight-line distance clamps instead of raising
-    a, b = _informed_axes(Point2(0.0, 0.0), Point2(10.0, 0.0), 10.0 - 1e-12)
+    a, b = _informed_axes(c_min, 10.0 - 1e-12)
     assert (a, b) == (5.0, 0.0)
     with pytest.raises(ValueError):
-        _informed_axes(Point2(0.0, 0.0), Point2(10.0, 0.0), 9.9)
+        _informed_axes(c_min, 9.9)
 
 
 def test_sample_informed_inside_ellipse(empty_room_map):
@@ -238,7 +240,7 @@ def test_sample_informed_uniform_chi_square(empty_room_map):
     problem = GeometricProblem(start=Point2(2.0, 5.0), goal=Point2(8.0, 5.0))
     start, goal = problem.start, problem.goal
     c_best = 8.0
-    a, b = _informed_axes(start, goal, c_best)
+    a, b = _informed_axes(dist(start, goal), c_best)
     cx, cy = 5.0, 5.0
     region = Region(empty_room_map, problem)
     rng = make_stream(13)
@@ -788,6 +790,54 @@ def test_rewire_filter_drops_plain_non_improvements():
     d = np.array([0.5, 0.5, 0.5, 0.5])
     # 1.5 + 0.5 against 1.0, 2.0 (a tie), 3.0 and 2.5
     assert _may_rewire(1.5, d, cost).tolist() == [False, False, True, True]
+
+
+# ------------------------------------------------ candidate parents, solutions
+
+
+def _reference_candidates(via, parent_cost, filtered):
+    """The candidate-parent order that ``_cheapest_first`` replaced: a stable
+    argsort of the costs through each neighbour (over all of them, or over
+    those below ``parent_cost`` in a filtered neighbourhood), cut at the
+    first cost at or above ``parent_cost``."""
+    if filtered:
+        better = np.flatnonzero(via < parent_cost)
+        order = better[np.argsort(via[better], kind="stable")]
+    else:
+        order = np.argsort(via, kind="stable")
+    out = []
+    for k, c in zip(order.tolist(), via[order].tolist()):
+        if c >= parent_cost:
+            break
+        out.append((k, c))
+    return out
+
+
+# costs on a coarse grid tie exactly and often; free floats rarely do
+_VIA = st.lists(st.integers(0, 8).map(lambda t: t * 0.25) | st.floats(0.0, 2.0),
+                max_size=40)
+
+
+@settings(max_examples=400, deadline=None)
+@given(via=_VIA, parent_cost=st.integers(0, 9).map(lambda t: t * 0.25) | st.floats(0.0, 2.5))
+@example(via=[], parent_cost=1.0)
+@example(via=[0.5, 0.75, 0.5], parent_cost=0.5)
+@example(via=[0.5, 0.25, 0.5, 0.25, 0.25], parent_cost=0.75)
+def test_cheapest_first_visits_in_stable_argsort_order(via, parent_cost):
+    via = np.array(via, dtype=float)
+    want = _reference_candidates(via, parent_cost, filtered=False)
+    assert want == _reference_candidates(via, parent_cost, filtered=True)
+    assert list(_cheapest_first(via.copy(), parent_cost)) == want
+
+
+def test_best_solution_keeps_the_earlier_of_equal_totals():
+    cost = [0.0, 1.0, 0.5, 0.75]
+    # nodes 1, 2 and 3 each total exactly 1.25
+    assert _best_solution([(1, 0.25), (2, 0.75), (3, 0.5)], cost) == (1.25, 1)
+    assert _best_solution([(2, 0.75), (1, 0.25), (3, 0.5)], cost) == (1.25, 2)
+    # a strictly cheaper later solution still wins
+    assert _best_solution([(1, 0.25), (3, 0.25)], cost) == (1.0, 3)
+    assert _best_solution([], cost) == (math.inf, -1)
 
 
 # ------------------------------------------------------------- sampling

@@ -1,6 +1,8 @@
 """The package's public surface: what ``semnav`` exports, and what the
 benchmark driver in ``perfbench/run.py`` relies on."""
 
+import ast
+import importlib
 import inspect
 import os
 import re
@@ -55,6 +57,31 @@ def test_perfbench_names_are_the_ones_run_py_uses():
     used = {name for name in used if not name.startswith("__")
             and not inspect.ismodule(getattr(semnav, name, None))}
     assert used == set(PERFBENCH_NAMES)
+
+
+def _run_py_list(name):
+    """The string list that perfbench/run.py assigns to ``name``."""
+    with open(RUN_PY) as f:
+        tree = ast.parse(f.read())
+    for node in tree.body:
+        if (isinstance(node, ast.Assign) and len(node.targets) == 1
+                and getattr(node.targets[0], "id", None) == name):
+            return ast.literal_eval(node.value)
+    raise AssertionError(f"perfbench/run.py assigns no {name}")
+
+
+# a target perfbench's tracer cannot wrap reads null in its per-layer metrics
+@pytest.mark.parametrize("target", _run_py_list("SPAN_TARGETS")
+                         + _run_py_list("HOT_TARGETS"))
+def test_perfbench_trace_targets_resolve(target):
+    module, function = target.split(".")
+    assert callable(getattr(importlib.import_module(f"semnav.{module}"), function))
+
+
+def test_perfbench_reads_harness_internals():
+    # run.py clears the world cache before each set-up and salts plan seeds
+    assert isinstance(semnav.bench_harness._WORLD_CACHE, dict)
+    assert type(semnav.bench_harness._PLAN_SALT) is int
 
 
 @pytest.mark.parametrize("fn", [semnav.solve_all, semnav.replan])
