@@ -250,9 +250,11 @@ def run_bench(config: BenchConfig, *, workers: int | None = None,
     """Run the campaign and return records sorted by (query_id, mode).
 
     ``workers`` > 1 distributes query ids over a process pool; the result is
-    identical for any worker count. ``progress(done, total)`` is called after
-    each finished query when given.
+    identical for any worker count, and fewer than 1 raises ValueError.
+    ``progress(done, total)`` is called after each finished query when given.
     """
+    if workers is not None and workers < 1:
+        raise ValueError("workers must be at least 1")
     config.validate()
     pairs = generate_pairs(config)
     total = len(pairs)

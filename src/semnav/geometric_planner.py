@@ -187,9 +187,6 @@ class _Budget:
             self.limit_ops = math.inf
             self.deadline = self.t0 + config.timeout
 
-    def charge(self, n: int) -> None:
-        self.ops += n
-
     def exhausted(self, iterations: int) -> bool:
         if self.mode == CLOCK_VIRTUAL:
             return self.ops >= self.limit_ops
@@ -217,7 +214,7 @@ class Region:
     uniform over their contours because ``build_global_map`` makes every
     room contour exactly its bounds rectangle. ``sample_informed`` draws
     from the informed ellipse of Informed RRT* and rejects draws outside
-    the region.
+    the region; it keeps the ellipse's semi-axes until ``c_best`` changes.
 
     Room containment has a rectangle fast path. On an axis-aligned rectangle
     ring, the even-odd test of ``point_in_contour`` accepts exactly the
@@ -301,6 +298,8 @@ class Region:
         else:
             self.check_cost = 1 + len(gmap.contours)
         self.step = motion_step(gmap.sdf.resolution)
+        # (c_best, a, b) of the last informed ellipse drawn from
+        self._axes = (None, 0.0, 0.0)
 
     @cached_property
     def room_table(self) -> tuple[list[float], float, list[tuple[float, float, float, float]]]:
@@ -375,7 +374,10 @@ class Region:
         """
         start, goal = self.start, self.goal
         c_min, cx, cy, ux, uy = self._ellipse_frame
-        a, b = _informed_axes(c_min, c_best)
+        key, a, b = self._axes
+        if key != c_best:
+            a, b = _informed_axes(c_min, c_best)
+            self._axes = (c_best, a, b)
         degenerate = b <= 1e-12
         draws = 0
         while draws < INFORMED_MAX_ATTEMPTS:
@@ -424,15 +426,9 @@ class Region:
             return False
         return sdf_query(self.gmap.sdf, p) >= self.clearance
 
-    def motion_points(self, a: Point2, b: Point2) -> int:
-        return self._points(dist(a, b))
-
-    def _points(self, length: float) -> int:
-        return max(1, int(math.ceil(length / self.step))) + 1
-
     def motion_valid(self, a: Point2, b: Point2) -> bool:
         length = dist(a, b)
-        return self._motion_valid(a, b, self._points(length) - 1, length)
+        return self._motion_valid(a, b, max(1, math.ceil(length / self.step)), length)
 
     def _motion_valid(self, a: Point2, b: Point2, n: int, length: float) -> bool:
         """``motion_valid`` given ``length == dist(a, b)`` and ``n + 1`` points."""
@@ -528,17 +524,18 @@ def _cheapest_first(via: np.ndarray, bound: float):
         yield k, c
 
 
-def _best_solution(solutions: list[tuple[int, float]], cost: list[float]):
-    """``(cost to goal, node)`` of the cheapest ``(node, goal distance)``,
-    the earliest on a tie; at tens of solutions a loop beats numpy."""
-    total = math.inf
-    node = -1
-    for i, dg in solutions:
-        c = cost[i] + dg
-        if c < total:
-            total = c
-            node = i
-    return total, node
+def _lower_best(noted: list[int], goal_dist: dict[int, float],
+                cost: list[float], best_cost: float, best_node: int):
+    """``(cost to goal, node)`` of the best solution after the ``noted``
+    ones joined or got cheaper: costs only fall, so no other solution beats
+    ``best_cost``, and node order with a strict ``<`` keeps the earliest of
+    equal totals, as a rescan of every solution would."""
+    for i in sorted(noted):
+        c = cost[i] + goal_dist[i]
+        if c < best_cost:
+            best_cost = c
+            best_node = i
+    return best_cost, best_node
 
 
 def _stride_eps(grid: SdfGrid, bbox: tuple[Point2, Point2]) -> float:
@@ -619,6 +616,11 @@ def plan(gmap: GlobalMap, problem: GeometricProblem, config: PlannerConfig,
     once a first solution exists. ``sample_hook(point, c_best)`` and
     ``iteration_hook(iteration, best_cost)`` are optional observers used by
     diagnostics and tests; c_best is None before the first solution.
+
+    The neighbour scans compute into buffers that grow with the tree, and
+    the best solution is updated from the solutions that joined or got
+    cheaper (costs only fall) instead of a rescan of all of them; neither
+    changes a float, random draw or virtual tick.
     """
     config.validate()
     stats = PlannerStats()
@@ -632,15 +634,17 @@ def plan(gmap: GlobalMap, problem: GeometricProblem, config: PlannerConfig,
 
     budget = _Budget(config)
     check_cost = region.check_cost
-    budget.charge(2 * check_cost)
+    budget.ops += 2 * check_cost
     rng = make_stream(config.seed)
     start, goal = problem.start, problem.goal
+    step = region.step
+    check_motion = region._motion_valid
 
     def motion_ok(a: Point2, b: Point2, length: float) -> bool:
         """Charge a motion check by its points and run it; length is dist(a, b)."""
-        m = region._points(length)
-        budget.charge(m * check_cost)
-        return region._motion_valid(a, b, m - 1, length)
+        m = max(1, math.ceil(length / step))
+        budget.ops += (m + 1) * check_cost
+        return check_motion(a, b, m, length)
 
     d0 = dist(start, goal)
     if d0 <= problem.goal_tolerance:
@@ -657,11 +661,12 @@ def plan(gmap: GlobalMap, problem: GeometricProblem, config: PlannerConfig,
             return path, stats
 
     # flat tree storage; coordinates and costs mirrored in numpy for
-    # neighbour scans
+    # neighbour scans, which compute into the bx, by and mask buffers
     cap = 256
     xs = np.empty(cap)
     ys = np.empty(cap)
     cs = np.empty(cap)
+    bx, by, mask = np.empty(cap), np.empty(cap), np.empty(cap, dtype=bool)
     xs[0] = start.x
     ys[0] = start.y
     cs[0] = 0.0
@@ -669,8 +674,10 @@ def plan(gmap: GlobalMap, problem: GeometricProblem, config: PlannerConfig,
     parent: list[int] = [-1]
     cost: list[float] = [0.0]
     children: list[list[int]] = [[]]
-    # (node, its distance to the goal), which never changes
-    solutions: list[tuple[int, float]] = []
+    # solution node -> its distance to the goal, which never changes
+    goal_dist: dict[int, float] = {}
+    # solution nodes that joined or got cheaper in this iteration
+    noted: list[int] = []
     best_cost = math.inf
     best_node = -1
 
@@ -687,6 +694,8 @@ def plan(gmap: GlobalMap, problem: GeometricProblem, config: PlannerConfig,
             cost[i] += delta
             cs[i] = cost[i]
             touched += 1
+            if i in goal_dist:
+                noted.append(i)
             stack.extend(children[i])
         return touched
 
@@ -701,7 +710,7 @@ def plan(gmap: GlobalMap, problem: GeometricProblem, config: PlannerConfig,
         if informed and best_cost < math.inf:
             sample, draws = region.sample_informed(best_cost, rng)
             stats.samples_created += draws
-            budget.charge(draws * check_cost)
+            budget.ops += draws * check_cost
             if sample is None:
                 stats.samples_rejected += draws
                 continue
@@ -711,15 +720,18 @@ def plan(gmap: GlobalMap, problem: GeometricProblem, config: PlannerConfig,
         else:
             sample = region.sample(rng, config.goal_bias)
             stats.samples_created += 1
-            budget.charge(1 + check_cost)
+            budget.ops += 1 + check_cost
             if sample_hook is not None:
                 sample_hook(sample, None)
 
-        # ----- nearest neighbour (np.argmin keeps the first minimum)
+        # ----- nearest neighbour: d2 = (xs - x) ** 2 + (ys - y) ** 2 in the
+        # buffers (argmin keeps the first minimum)
         n = len(pts)
-        budget.charge(1 + (n >> 5))
-        d2 = (xs[:n] - sample.x) ** 2 + (ys[:n] - sample.y) ** 2
-        nearest = int(np.argmin(d2))
+        budget.ops += 1 + (n >> 5)
+        d2, sq = bx[:n], by[:n]
+        np.add(np.square(np.subtract(xs[:n], sample.x, out=d2), out=d2),
+               np.square(np.subtract(ys[:n], sample.y, out=sq), out=sq), out=d2)
+        nearest = int(d2.argmin())
         near_pt = pts[nearest]
         d_near = math.sqrt(float(d2[nearest]))
         if d_near <= 1e-12:
@@ -734,7 +746,7 @@ def plan(gmap: GlobalMap, problem: GeometricProblem, config: PlannerConfig,
             new_pt = Point2(near_pt.x + (sample.x - near_pt.x) * t,
                             near_pt.y + (sample.y - near_pt.y) * t)
 
-        budget.charge(check_cost)
+        budget.ops += check_cost
         if not region.valid(new_pt):
             stats.samples_rejected += 1
             continue
@@ -750,13 +762,13 @@ def plan(gmap: GlobalMap, problem: GeometricProblem, config: PlannerConfig,
         if rewiring:
             radius = min(config.steer_range,
                          gamma * math.sqrt(math.log(n + 1.0) / (n + 1.0)))
-            budget.charge(1 + (n >> 5))
-            if new_pt is sample:
-                d2n = d2
-            else:
-                d2n = (xs[:n] - new_pt.x) ** 2 + (ys[:n] - new_pt.y) ** 2
-            near = np.flatnonzero(d2n <= radius * radius)
-            d_nbr = np.sqrt(d2n[near])
+            budget.ops += 1 + (n >> 5)
+            if new_pt is not sample:
+                # d2 is dead: the neighbourhood scan reuses its buffer
+                np.add(np.square(np.subtract(xs[:n], new_pt.x, out=d2), out=d2),
+                       np.square(np.subtract(ys[:n], new_pt.y, out=sq), out=sq), out=d2)
+            near = np.less_equal(d2, radius * radius, out=mask[:n]).nonzero()[0]
+            d_nbr = np.sqrt(d2[near])
             c_nbr = cs[near]
             # candidate parents by cost through them, below the cost through
             # the nearest node; ties go by neighbour order, which is node order
@@ -773,6 +785,7 @@ def plan(gmap: GlobalMap, problem: GeometricProblem, config: PlannerConfig,
             xs = np.resize(xs, cap)
             ys = np.resize(ys, cap)
             cs = np.resize(cs, cap)
+            bx, by, mask = np.empty(cap), np.empty(cap), np.empty(cap, dtype=bool)
         xs[new_idx] = new_pt.x
         ys[new_idx] = new_pt.y
         cs[new_idx] = parent_cost
@@ -796,20 +809,22 @@ def plan(gmap: GlobalMap, problem: GeometricProblem, config: PlannerConfig,
                     children[parent[i]].remove(i)
                     parent[i] = new_idx
                     children[new_idx].append(i)
-                    budget.charge(propagate(i, via - cost[i]))
+                    budget.ops += propagate(i, via - cost[i])
 
         # ----- goal connection
         d_goal = dist(new_pt, goal)
         if d_goal <= problem.goal_tolerance:
             if d_goal == 0.0 or motion_ok(new_pt, goal, d_goal):
-                solutions.append((new_idx, d_goal))
+                goal_dist[new_idx] = d_goal
+                noted.append(new_idx)
 
-        if solutions:
-            budget.charge(len(solutions))
-            total, node = _best_solution(solutions, cost)
-            if total < best_cost:
-                best_cost = total
-                best_node = node
+        if goal_dist:
+            # charged as a scan of every solution
+            budget.ops += len(goal_dist)
+            if noted:
+                best_cost, best_node = _lower_best(noted, goal_dist, cost,
+                                                   best_cost, best_node)
+                noted.clear()
 
         if iteration_hook is not None:
             iteration_hook(stats.iterations, best_cost)

@@ -240,7 +240,10 @@ def _validate_graph(graph: SceneGraph) -> None:
 def _num(value: object, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ParseError(f"{where}: expected a number")
-    v = float(value)
+    try:
+        v = float(value)
+    except OverflowError:  # an integer too large for a float
+        v = math.inf
     if not math.isfinite(v):
         raise ParseError(f"{where}: coordinate must be finite")
     return v
@@ -266,8 +269,8 @@ def _check_fields(obj: dict, required: tuple[str, ...], optional: tuple[str, ...
 def load_map(path: str, lenient: bool = False) -> SceneGraph:
     """Load and validate a scene-graph map file.
 
-    Raises ParseError for malformed or off-schema files (with the offending
-    location in the message) and ValidationError when the geometry or the
+    Raises ParseError for malformed or off-schema files (naming the file and
+    the offending location) and ValidationError when the geometry or the
     references violate an invariant. OSError propagates for missing files.
     """
     with open(path, "r", encoding="utf-8") as f:
@@ -275,6 +278,8 @@ def load_map(path: str, lenient: bool = False) -> SceneGraph:
             data = json.load(f)
         except json.JSONDecodeError as e:
             raise ParseError(f"{path}:{e.lineno}: {e.msg}") from e
+        except (RecursionError, ValueError) as e:  # nesting or digits past a limit
+            raise ParseError(f"{path}: {e}") from e
 
     if not isinstance(data, dict):
         raise ParseError(f"{path}: top level must be an object")
@@ -285,14 +290,15 @@ def load_map(path: str, lenient: bool = False) -> SceneGraph:
     bbox_obj = data["bbox"]
     if not isinstance(bbox_obj, dict):
         raise ParseError(f"{path}: bbox: expected an object")
-    _check_fields(bbox_obj, ("min", "max"), (), "bbox", lenient)
-    bbox = (_point(bbox_obj["min"], "bbox.min"), _point(bbox_obj["max"], "bbox.max"))
+    _check_fields(bbox_obj, ("min", "max"), (), f"{path}: bbox", lenient)
+    bbox = (_point(bbox_obj["min"], f"{path}: bbox.min"),
+            _point(bbox_obj["max"], f"{path}: bbox.max"))
 
     if not isinstance(data["rooms"], list):
         raise ParseError(f"{path}: rooms: expected a list")
     rooms = []
     for i, entry in enumerate(data["rooms"]):
-        where = f"rooms[{i}]"
+        where = f"{path}: rooms[{i}]"
         if not isinstance(entry, dict):
             raise ParseError(f"{where}: expected an object")
         _check_fields(entry, ("id", "center", "walls"), (), where, lenient)
@@ -319,7 +325,7 @@ def load_map(path: str, lenient: bool = False) -> SceneGraph:
         raise ParseError(f"{path}: doorways: expected a list")
     doorways = []
     for i, entry in enumerate(data["doorways"]):
-        where = f"doorways[{i}]"
+        where = f"{path}: doorways[{i}]"
         if not isinstance(entry, dict):
             raise ParseError(f"{where}: expected an object")
         _check_fields(entry, ("id", "center", "width", "rooms"), ("blocked",), where, lenient)

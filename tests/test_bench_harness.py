@@ -243,6 +243,11 @@ class TestRunBench:
         run_bench(_config(n_queries=1), workers=500)
         assert sizes == [2]
 
+    @pytest.mark.parametrize("workers", [0, -5])
+    def test_workers_below_one_is_rejected(self, workers):
+        with pytest.raises(ValueError, match="workers must be at least 1"):
+            run_bench(_config(n_queries=1), workers=workers)
+
 
 # ---------------------------------------------------------------------------
 # one query in one mode

@@ -60,6 +60,29 @@ def test_validate_malformed_json_is_usage_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def _huge_coordinate(digits):
+    data = _read_json(THREEROOM)
+    data["bbox"]["max"][0] = 0.125
+    return json.dumps(data).replace("0.125", "1" * digits)
+
+
+@pytest.mark.parametrize("text", [
+    _huge_coordinate(401),  # parses as an int too large for a float
+    _huge_coordinate(5000),  # past Python's digit limit for int parsing
+    "[" * 200_000,  # past json's nesting limit
+], ids=["huge-int", "digit-limit", "deep-nesting"])
+def test_validate_unreadable_numbers_and_nesting_are_usage_errors(tmp_path, text):
+    bad = tmp_path / "bad.map"
+    bad.write_text(text)
+    code = ("import sys; from semnav.cli import main; "
+            f"sys.exit(main(['validate', {str(bad)!r}]))")
+    done = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True)
+    assert done.returncode == 2
+    assert done.stderr.startswith(f"error: {bad}: ")
+    assert "Traceback" not in done.stderr
+
+
 def test_validate_dangling_reference_is_domain_error(tmp_path, capsys):
     data = _read_json(THREEROOM)
     data["doorways"][0]["rooms"] = ["r1", "r9"]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import random
@@ -16,15 +17,15 @@ from hypothesis import strategies as st
 from semnav import (CarvedWalls, Contour, Doorway, EmptyRegion, GeometricPath,
                     GeometricProblem, GlobalMap, InvalidGoal, InvalidStart,
                     PlannerConfig, Point2, Region, SceneGraph, SdfGrid,
-                    build_global_map, build_topology, motion_valid,
-                    path_to_dict, plan, point_in_contour, sample_state,
-                    sdf_query, semantic_route, state_valid)
-from semnav.geometric_planner import (_best_solution, _cheapest_first, _informed_axes,
+                    build_global_map, build_topology, decompose, load_map,
+                    motion_valid, path_to_dict, plan, point_in_contour,
+                    sample_state, sdf_query, semantic_route, state_valid)
+from semnav.geometric_planner import (_cheapest_first, _informed_axes, _lower_best,
                                       _may_rewire)
 from semnav.geometry import dist
 from semnav.rng import make_stream
 
-from conftest import rect_room
+from conftest import fixture_path, rect_room
 from oracles import dense_path_clear, ellipse_contains, min_wall_distance, path_in_region
 
 CLEARANCE = 0.3 + 0.02  # default robot radius plus validity margin
@@ -437,6 +438,58 @@ def test_path_dict_round_trip():
     assert json.loads(json.dumps(data)) == data
 
 
+# ------------------------------------------------------------ anytime curve
+
+ANYTIME_CURVES = fixture_path("anytime_curves.json")
+
+
+def _anytime_curves() -> dict[str, dict]:
+    """Fingerprint of every ``iteration_hook(iteration, best_cost)`` call.
+
+    Three seeds of a three-room query on ``threeroom.map`` and two seeds of
+    two constrained grid8 subproblems (the first and third room of the
+    route from (2, 3.5) to (15, 12)), for each algorithm, 600 iterations.
+    The golden CSVs see only each run's end; this pins every step of the
+    anytime curve, float for float. Regenerate ``ANYTIME_CURVES`` with
+    ``PYTHONPATH=src:tests python -c "import test_geometric_planner as t;
+    t._write_anytime_curves()"`` only for a change that means to move it.
+    """
+    threeroom = build_global_map(load_map(fixture_path("threeroom.map")))
+    grid8_scene = load_map(fixture_path("grid8.map"))
+    grid8 = build_global_map(grid8_scene)
+    route = semantic_route(build_topology(grid8_scene), grid8_scene,
+                           Point2(2.0, 3.5), Point2(15.0, 12.0))
+    subs = decompose(route, grid8_scene)
+    cases = [(f"threeroom/seed{s}", threeroom,
+              GeometricProblem(start=Point2(2.0, 2.0), goal=Point2(10.0, 2.0)), s)
+             for s in (0, 1, 2)]
+    cases += [(f"grid8-{subs[k].room}/seed{s}", grid8, subs[k].to_problem(), s)
+              for k in (0, 2) for s in (1, 2)]
+    out = {}
+    for algorithm in ("rrt", "rrt_star", "informed_rrt_star"):
+        for name, gmap, problem, seed in cases:
+            lines = []
+            cfg = PlannerConfig(algorithm=algorithm, max_iterations=600, seed=seed)
+            plan(gmap, problem, cfg,
+                 iteration_hook=lambda i, c: lines.append(f"{i} {c.hex()}\n"))
+            out[f"{algorithm}/{name}"] = {
+                "hook_calls": len(lines), "final": lines[-1].split()[1],
+                "sha256": hashlib.sha256("".join(lines).encode()).hexdigest()}
+    return out
+
+
+def _write_anytime_curves() -> None:
+    with open(ANYTIME_CURVES, "w") as f:
+        json.dump(_anytime_curves(), f, indent=1, sort_keys=True)
+        f.write("\n")
+
+
+def test_anytime_curves_are_pinned():
+    with open(ANYTIME_CURVES) as f:
+        want = json.load(f)
+    assert _anytime_curves() == want
+
+
 # ------------------------------------- rectangle fast path, fused motion check
 
 
@@ -453,7 +506,7 @@ def _reference_contains(region: Region, p: Point2) -> bool:
 
 
 def _reference_motion_valid(region: Region, a: Point2, b: Point2) -> bool:
-    n = region.motion_points(a, b) - 1
+    n = max(1, int(math.ceil(dist(a, b) / region.step)))
     for k in range(n + 1):
         t = k / n
         p = Point2(a.x + (b.x - a.x) * t, a.y + (b.y - a.y) * t)
@@ -830,6 +883,20 @@ def test_cheapest_first_visits_in_stable_argsort_order(via, parent_cost):
     assert list(_cheapest_first(via.copy(), parent_cost)) == want
 
 
+def _best_solution(solutions: list[tuple[int, float]], cost: list[float]):
+    """Reference for ``_lower_best``: ``(cost to goal, node)`` of the
+    cheapest ``(node, goal distance)`` by a rescan of every solution, the
+    earliest on a tie."""
+    total = math.inf
+    node = -1
+    for i, dg in solutions:
+        c = cost[i] + dg
+        if c < total:
+            total = c
+            node = i
+    return total, node
+
+
 def test_best_solution_keeps_the_earlier_of_equal_totals():
     cost = [0.0, 1.0, 0.5, 0.75]
     # nodes 1, 2 and 3 each total exactly 1.25
@@ -838,6 +905,51 @@ def test_best_solution_keeps_the_earlier_of_equal_totals():
     # a strictly cheaper later solution still wins
     assert _best_solution([(1, 0.25), (3, 0.25)], cost) == (1.0, 3)
     assert _best_solution([], cost) == (math.inf, -1)
+
+
+def test_lower_best_keeps_the_earlier_of_equal_totals():
+    cost = [0.0, 1.0, 0.5, 0.75]
+    goal_dist = {1: 0.25, 2: 0.75, 3: 0.5}
+    # nodes 1, 2 and 3 each total exactly 1.25, noted out of node order
+    assert _lower_best([3, 1, 2], goal_dist, cost, math.inf, -1) == (1.25, 1)
+    # a node reaching the best total later does not take over
+    assert _lower_best([1], goal_dist, cost, 1.25, 2) == (1.25, 2)
+    # a strictly cheaper later solution still wins
+    assert _lower_best([3, 1], {1: 0.25, 3: 0.25}, cost, math.inf, -1) == (1.0, 3)
+    assert _lower_best([], goal_dist, cost, 2.0, 1) == (2.0, 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 40), st.none() | st.integers(0, 4),
+                          st.lists(st.tuples(st.integers(0, 20), st.integers(1, 8)),
+                                   max_size=4)),
+                max_size=20))
+# a joining solution and a rewired earlier one reach the same new best
+@example([(8, 0, []), (4, 0, [(0, 4)])])
+def test_lower_best_follows_a_rescan_of_every_solution(steps):
+    # each step adds a node (a solution when it has a goal distance) and
+    # lowers some costs; on a 0.25 grid, so equal totals are common
+    cost: list[float] = []
+    goal_dist: dict[int, float] = {}
+    solutions: list[tuple[int, float]] = []
+    want = got = (math.inf, -1)
+    for new_cost, dg, drops in steps:
+        noted = []
+        cost.append(0.25 * new_cost)
+        if dg is not None:
+            goal_dist[len(cost) - 1] = 0.25 * dg
+            solutions.append((len(cost) - 1, 0.25 * dg))
+            noted.append(len(cost) - 1)
+        for i, drop in drops:
+            if i < len(cost):
+                cost[i] -= 0.25 * drop
+                if i in goal_dist:
+                    noted.append(i)
+        total, node = _best_solution(solutions, cost)
+        if total < want[0]:
+            want = (total, node)
+        got = _lower_best(noted, goal_dist, cost, *got)
+        assert got == want
 
 
 # ------------------------------------------------------------- sampling
