@@ -23,7 +23,7 @@ from .geometric_planner import (ALGORITHMS, CLOCK_VIRTUAL, CLOCK_WALL,
 from .bench_harness import (MODES, PAIRS_FIXED, PAIRS_RANDOM, BenchConfig,
                             export_csv, export_summary_json, plan_query,
                             run_bench, summarize)
-from .scene_graph import _point, load_map
+from .scene_graph import _point, _read_json, load_map
 from .semantic_planner import (DEFAULT_DOORWAY_PENALTY, METRICS, SQUARED,
                                build_topology, route_to_dict)
 from .subproblem_solver import GlobalPath, global_path_to_dict
@@ -162,8 +162,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 def _read_waypoints(path: str) -> list[Point2]:
     """Waypoints of a plan report, or of a bare path or joined path object."""
-    with open(path) as f:
-        data = json.load(f)
+    data = _read_json(path)
     if not isinstance(data, dict):
         raise errors.ParseError(f"{path}: top level must be an object")
     payload = data.get("path", data) or {}
@@ -178,7 +177,7 @@ def _read_waypoints(path: str) -> list[Point2]:
     elif "waypoints" in payload:
         runs = [payload["waypoints"]]
     else:
-        raise ValueError(f"no waypoints found in {path}")
+        raise errors.ParseError(f"{path}: no waypoints found")
     waypoints = []
     for run in runs:
         if not isinstance(run, list):

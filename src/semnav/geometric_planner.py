@@ -210,9 +210,8 @@ class Region:
     many states of one problem should build one ``Region`` and call its
     methods.
 
-    ``sample`` draws uniformly from the allowed rooms' bounds, which is
-    uniform over their contours because ``build_global_map`` makes every
-    room contour exactly its bounds rectangle. ``sample_informed`` draws
+    ``sample`` draws uniformly from the allowed rooms' boxes, each picked
+    with probability proportional to its area. ``sample_informed`` draws
     from the informed ellipse of Informed RRT* and rejects draws outside
     the region; it keeps the ellipse's semi-axes until ``c_best`` changes.
 
@@ -223,7 +222,6 @@ class Region:
     room's half-open box is therefore inside with two comparisons. Only a
     point within ``_RECT_BAND`` (a few 1e-9) of a room's closed box falls back
     to the unchanged ``point_in_contour``; farther out it is not in that room.
-    A contour that is not an axis-aligned rectangle always takes the fallback.
 
     ``motion_valid`` fuses the bbox test, the room boxes and the bilinear
     field lookup of ``sdf_query`` (the same float arithmetic in the same
@@ -268,26 +266,24 @@ class Region:
         self.stride_eps = eps
         # the bbox shrunk by eps: (x0, y0, x1, y1)
         self.inner = (lo.x + eps, lo.y + eps, hi.x - eps, hi.y - eps)
-        # half-open boxes of the rectangle rooms; the same boxes followed by
-        # their intersection with the bbox shrunk by eps, for motion checks;
+        # half-open boxes of the rooms; the same boxes followed by their
+        # intersection with the bbox shrunk by eps, for motion checks;
         # (closed box grown by the fallback band, contour) for every room
-        self.boxes: list[tuple[float, float, float, float]] = []
+        self.boxes = [c.bounds for c in self.contours]
         self.stride_boxes: list[tuple[float, ...]] = []
         self.bands: list[tuple[float, float, float, float, Contour]] = []
         for c in self.contours:
-            box = _rectangle(c.ring)
-            if box is None:
-                inf = math.inf
-                self.bands.append((-inf, -inf, inf, inf, c))
-                continue
-            x0, y0, x1, y1 = box
+            box = x0, y0, x1, y1 = c.bounds
             band = _RECT_BAND + 16 * math.ulp(max(map(abs, box)))
-            self.boxes.append(box)
             self.stride_boxes.append(box + (max(x0 + eps, self.inner[0]),
                                             max(y0 + eps, self.inner[1]),
                                             min(x1 - eps, self.inner[2]),
                                             min(y1 - eps, self.inner[3])))
             self.bands.append((x0 - band, y0 - band, x1 + band, y1 + band, c))
+        # area of each room in contour order, their sum, and the boxes:
+        # everything ``sample`` reads, in one attribute
+        areas = [(x1 - x0) * (y1 - y0) for x0, y0, x1, y1 in self.boxes]
+        self.sampling = (areas, sum(areas), self.boxes)
         # virtual-clock ticks per validity check: one field lookup plus one
         # tick per room contour the check has in scope. An unconstrained
         # check answers against the whole map, a constrained one only
@@ -300,15 +296,6 @@ class Region:
         self.step = motion_step(gmap.sdf.resolution)
         # (c_best, a, b) of the last informed ellipse drawn from
         self._axes = (None, 0.0, 0.0)
-
-    @cached_property
-    def room_table(self) -> tuple[list[float], float, list[tuple[float, float, float, float]]]:
-        """Area of each allowed room in contour order, their sum and each
-        room's bounds."""
-        by_id = {r.id: r for r in self.gmap.scene.rooms}
-        rooms = [by_id[c.room_id] for c in self.contours]
-        areas = [r.widths[0] * r.widths[1] for r in rooms]
-        return areas, sum(areas), [r.bounds for r in rooms]
 
     @cached_property
     def _ellipse_frame(self) -> tuple[float, float, float, float, float]:
@@ -339,7 +326,7 @@ class Region:
         if not self.constrained:
             lo, hi = self.bbox
             return (hi.x - lo.x) * (hi.y - lo.y)
-        return self.room_table[1]
+        return self.sampling[1]
 
     def sample(self, rng: np.random.Generator, goal_bias: float) -> Point2:
         """``sample_state`` on this region."""
@@ -350,7 +337,7 @@ class Region:
             return Point2(rng.uniform(lo.x, hi.x), rng.uniform(lo.y, hi.y))
         if not self.contours:
             raise EmptyRegion("allowed region contains no known rooms")
-        areas, total, bounds = self.room_table
+        areas, total, bounds = self.sampling
         pick = rng.uniform(0.0, total)
         acc = 0.0
         chosen = len(areas) - 1
@@ -547,17 +534,6 @@ def _stride_eps(grid: SdfGrid, bbox: tuple[Point2, Point2]) -> float:
     scale = max(abs(lo.x), abs(lo.y), abs(hi.x), abs(hi.y),
                 abs(grid.origin.x), abs(grid.origin.y))
     return _STRIDE_EPS + 16 * math.ulp(scale) * (grid.nx + grid.ny)
-
-
-def _rectangle(ring: tuple[Point2, ...]) -> tuple[float, float, float, float] | None:
-    """``(x0, y0, x1, y1)`` of an axis-aligned rectangle ring, else None."""
-    xs = sorted({p.x for p in ring})
-    ys = sorted({p.y for p in ring})
-    if len(ring) != 4 or len(xs) != 2 or len(ys) != 2:
-        return None
-    if not all((p.x == q.x) != (p.y == q.y) for p, q in zip(ring, ring[1:] + ring[:1])):
-        return None
-    return xs[0], ys[0], xs[1], ys[1]
 
 
 def motion_step(resolution: float) -> float:

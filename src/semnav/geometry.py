@@ -21,9 +21,6 @@ class WallSegment(NamedTuple):
     a: Point2
     b: Point2
 
-    def length(self) -> float:
-        return math.hypot(self.b.x - self.a.x, self.b.y - self.a.y)
-
 
 # math.dist takes fabs(p_i - q_i) and the vector norm of math.hypot, so it
 # equals math.hypot(p.x - q.x, p.y - q.y) float for float, one frame fewer

@@ -2,7 +2,8 @@
 
 The builder turns the semantic layer into geometry a sampling planner can use:
 
-* one closed counter-clockwise contour per room,
+* one contour per room: its axis-aligned box, with the closed
+  counter-clockwise ring through its corners derived from it,
 * the wall set with doorway-width gaps carved out of both adjacent walls,
 * a signed distance field sampled on a regular grid, exact at the nodes and
   bilinearly interpolated between them,
@@ -33,7 +34,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import (DegenerateRoom, DoorwayPlacement, EmptyMap, OutOfBounds,
-                     UnknownId, ValidationError)
+                     ValidationError)
 from .geometry import Point2, WallSegment, point_in_ring
 from .scene_graph import Room, SceneGraph, _rect_from_walls, shared_boundary
 
@@ -50,10 +51,16 @@ _MAX_NODES = 1 << 24
 
 @dataclass(frozen=True)
 class Contour:
-    """Closed CCW ring of a room, starting at its lexicographically smallest corner."""
+    """A room's rectangle as ``bounds = (x0, y0, x1, y1)``."""
 
     room_id: str
-    ring: tuple[Point2, ...]
+    bounds: tuple[float, float, float, float]
+
+    @property
+    def ring(self) -> tuple[Point2, ...]:
+        """Closed CCW ring of the box, starting at its smallest corner ``(x0, y0)``."""
+        x0, y0, x1, y1 = self.bounds
+        return (Point2(x0, y0), Point2(x1, y0), Point2(x1, y1), Point2(x0, y1))
 
 
 @dataclass(frozen=True)
@@ -100,21 +107,14 @@ class GlobalMap:
     sdf: SdfGrid
     openings: dict[str, tuple[float, float, float, float]]
 
-    def contour(self, room_id: str) -> Contour:
-        for c in self.contours:
-            if c.room_id == room_id:
-                return c
-        raise UnknownId(f"unknown room id '{room_id}'")
-
 
 def contour_from_room(room: Room) -> Contour:
-    """Closed CCW rectangle ring through the room's wall corners."""
+    """The rectangle through the room's wall corners."""
     try:
-        x0, y0, x1, y1 = _rect_from_walls(room.walls)
+        bounds = _rect_from_walls(room.walls)
     except ValueError as e:
         raise DegenerateRoom(f"room {room.id}: {e}") from e
-    ring = (Point2(x0, y0), Point2(x1, y0), Point2(x1, y1), Point2(x0, y1))
-    return Contour(room_id=room.id, ring=ring)
+    return Contour(room_id=room.id, bounds=bounds)
 
 
 def point_in_contour(contour: Contour, p: Point2) -> bool:

@@ -96,17 +96,12 @@ def _rect_from_walls(walls: tuple[WallSegment, ...]) -> tuple[float, float, floa
 
 @dataclass(frozen=True)
 class Room:
-    """Axis-aligned rectangular room.
-
-    ``widths`` holds the distance between each opposing wall pair (x extent,
-    y extent), measured from the walls themselves. ``bounds`` caches the
-    rectangle as (xmin, ymin, xmax, ymax).
-    """
+    """Axis-aligned rectangular room; ``bounds`` is the rectangle its walls
+    close, as (xmin, ymin, xmax, ymax)."""
 
     id: str
     center: Point2
     walls: tuple[WallSegment, ...]
-    widths: tuple[float, float]
     bounds: tuple[float, float, float, float]
 
     @classmethod
@@ -119,7 +114,6 @@ class Room:
             id=room_id,
             center=center,
             walls=walls,
-            widths=(x1 - x0, y1 - y0),
             bounds=(x0, y0, x1, y1),
         )
 
@@ -156,9 +150,6 @@ class SceneGraph:
             if d.id == doorway_id:
                 return d
         raise UnknownId(f"unknown doorway id '{doorway_id}'")
-
-    def doorways_of(self, room_id: str) -> tuple[Doorway, ...]:
-        return tuple(d for d in self.doorways if room_id in d.rooms)
 
 
 def shared_boundary(room_a: Room, room_b: Room) -> SharedBoundary | None:
@@ -266,6 +257,21 @@ def _check_fields(obj: dict, required: tuple[str, ...], optional: tuple[str, ...
                 raise ParseError(f"{where}: unknown field '{key}'")
 
 
+def _read_json(path: str) -> object:
+    """Parsed contents of a JSON file.
+
+    Raises ParseError naming the file when the text is not JSON or nests or
+    has digits past a parser limit. OSError propagates for missing files.
+    """
+    with open(path, "r", encoding="utf-8") as f:
+        try:
+            return json.load(f)
+        except json.JSONDecodeError as e:
+            raise ParseError(f"{path}:{e.lineno}: {e.msg}") from e
+        except (RecursionError, ValueError) as e:  # nesting or digits past a limit
+            raise ParseError(f"{path}: {e}") from e
+
+
 def load_map(path: str, lenient: bool = False) -> SceneGraph:
     """Load and validate a scene-graph map file.
 
@@ -273,14 +279,7 @@ def load_map(path: str, lenient: bool = False) -> SceneGraph:
     the offending location) and ValidationError when the geometry or the
     references violate an invariant. OSError propagates for missing files.
     """
-    with open(path, "r", encoding="utf-8") as f:
-        try:
-            data = json.load(f)
-        except json.JSONDecodeError as e:
-            raise ParseError(f"{path}:{e.lineno}: {e.msg}") from e
-        except (RecursionError, ValueError) as e:  # nesting or digits past a limit
-            raise ParseError(f"{path}: {e}") from e
-
+    data = _read_json(path)
     if not isinstance(data, dict):
         raise ParseError(f"{path}: top level must be an object")
     _check_fields(data, ("frame", "bbox", "rooms", "doorways"), (), path, lenient)

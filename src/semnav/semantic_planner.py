@@ -60,14 +60,6 @@ class TopologyGraph:
     room_doors: dict[str, tuple[str, ...]]
     door_rooms: dict[str, tuple[str, str]]
 
-    @property
-    def node_count(self) -> int:
-        return len(self.room_ids) + len(self.doorway_ids)
-
-    @property
-    def edge_count(self) -> int:
-        return len(self.edges)
-
 
 def build_topology(graph: SceneGraph, p_d: float = DEFAULT_DOORWAY_PENALTY,
                    metric: str = SQUARED) -> TopologyGraph:

@@ -26,9 +26,7 @@ from dataclasses import asdict, dataclass, replace
 
 from .errors import EmptyInput, InvalidGoal, InvalidStart, SubproblemInfeasible
 from .geometry import Point2
-from .map_builder import (DEFAULT_ATTACH_THRESHOLD, DEFAULT_OPENING_DEPTH,
-                          DEFAULT_RESOLUTION, DEFAULT_WALL_HALF_WIDTH,
-                          GlobalMap, build_global_map)
+from .map_builder import GlobalMap, build_global_map
 from .geometric_planner import (DEFAULT_GOAL_TOLERANCE, DEFAULT_ROBOT_RADIUS,
                                 DEFAULT_VALIDITY_MARGIN, GeometricPath,
                                 GeometricProblem, PlannerConfig, PlannerStats,
@@ -240,10 +238,6 @@ def replan(scene: SceneGraph, prev_route: SemanticRoute,
            prev_path: GlobalPath | None, blocked_id: str,
            current_position: Point2, config: PlannerConfig, *,
            penalty: float = DEFAULT_DOORWAY_PENALTY, metric: str = SQUARED,
-           resolution: float = DEFAULT_RESOLUTION,
-           wall_half_width: float = DEFAULT_WALL_HALF_WIDTH,
-           opening_depth: float = DEFAULT_OPENING_DEPTH,
-           attach_threshold: float = DEFAULT_ATTACH_THRESHOLD,
            workers: int | None = None,
            goal_tolerance: float = DEFAULT_GOAL_TOLERANCE,
            robot_radius: float = DEFAULT_ROBOT_RADIUS,
@@ -262,10 +256,7 @@ def replan(scene: SceneGraph, prev_route: SemanticRoute,
     cannot be valid states.
     """
     new_scene = set_doorway_blocked(scene, blocked_id, True)
-    gmap = build_global_map(new_scene, resolution=resolution,
-                            wall_half_width=wall_half_width,
-                            opening_depth=opening_depth,
-                            attach_threshold=attach_threshold)
+    gmap = build_global_map(new_scene)
     topo = build_topology(new_scene, penalty, metric)
     route = semantic_route(topo, new_scene, current_position, prev_route.goal)
     subs = decompose(route, new_scene)

@@ -66,16 +66,26 @@ def _huge_coordinate(digits):
     return json.dumps(data).replace("0.125", "1" * digits)
 
 
-@pytest.mark.parametrize("text", [
-    _huge_coordinate(401),  # parses as an int too large for a float
-    _huge_coordinate(5000),  # past Python's digit limit for int parsing
-    "[" * 200_000,  # past json's nesting limit
-], ids=["huge-int", "digit-limit", "deep-nesting"])
-def test_validate_unreadable_numbers_and_nesting_are_usage_errors(tmp_path, text):
+_UNREADABLE = (
+    ("huge-int", _huge_coordinate(401)),  # parses as an int too large for a float
+    ("digit-limit", _huge_coordinate(5000)),  # past Python's digit limit for int parsing
+    ("deep-nesting", "[" * 200_000),  # past json's nesting limit
+)
+
+
+@pytest.mark.parametrize("command, text", [
+    pytest.param(command, text, id=prefix + name)
+    for prefix, command in (("", "validate"), ("render-path-", "render"))
+    for name, text in _UNREADABLE])
+def test_validate_unreadable_numbers_and_nesting_are_usage_errors(tmp_path, command, text):
     bad = tmp_path / "bad.map"
     bad.write_text(text)
-    code = ("import sys; from semnav.cli import main; "
-            f"sys.exit(main(['validate', {str(bad)!r}]))")
+    if command == "validate":
+        argv = ["validate", str(bad)]
+    else:
+        argv = ["render", "--map", THREEROOM, "--out", str(tmp_path / "never.svg"),
+                "--path", str(bad)]
+    code = f"import sys; from semnav.cli import main; sys.exit(main({argv!r}))"
     done = subprocess.run([sys.executable, "-c", code],
                           capture_output=True, text=True)
     assert done.returncode == 2

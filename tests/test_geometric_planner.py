@@ -391,7 +391,7 @@ def test_plan_constrained_stays_in_region(threeroom_map):
                                allowed_doorways=frozenset({"d1", "d2"}))
     path, stats = plan(threeroom_map, problem, PlannerConfig(timeout=0.1, seed=7))
     assert stats.solved
-    rings = [threeroom_map.contour("r2").ring]
+    rings = [c.ring for c in threeroom_map.contours if c.room_id == "r2"]
     rects = [threeroom_map.openings["d1"], threeroom_map.openings["d2"]]
     assert path_in_region(path.waypoints, rings, rects)
 
@@ -545,18 +545,13 @@ def _near(draw, lo: float, hi: float) -> float:
 
 @st.composite
 def _rectangle_contours(draw) -> Contour:
-    """An axis-aligned rectangle ring at a random scale, starting at any
-    corner, either orientation."""
+    """An axis-aligned rectangle at a random scale."""
     scale = draw(st.sampled_from([1.0, 1e3, 1e6]))
     x0 = scale * draw(st.floats(-1.0, 1.0))
     y0 = scale * draw(st.floats(-1.0, 1.0))
     x1 = x0 + draw(st.floats(0.05, 20.0))
     y1 = y0 + draw(st.floats(0.05, 20.0))
-    ring = [Point2(x0, y0), Point2(x1, y0), Point2(x1, y1), Point2(x0, y1)]
-    if draw(st.booleans()):
-        ring.reverse()
-    k = draw(st.integers(0, 3))
-    return Contour(room_id="a", ring=tuple(ring[k:] + ring[:k]))
+    return Contour(room_id="a", bounds=(x0, y0, x1, y1))
 
 
 @settings(max_examples=600, deadline=None)
@@ -570,8 +565,7 @@ def test_rectangle_containment_equals_ring_test(contour, data):
 
 
 def test_rectangle_containment_boundary_band():
-    contour = Contour(room_id="a", ring=(Point2(0.0, 0.0), Point2(2.0, 0.0),
-                                         Point2(2.0, 1.0), Point2(0.0, 1.0)))
+    contour = Contour(room_id="a", bounds=(0.0, 0.0, 2.0, 1.0))
     region = _contour_region([contour])
     for p, inside in [(Point2(1.0, 0.5), True), (Point2(2.0, 0.5), True),
                       (Point2(2.0 + 5e-10, 1.0), True), (Point2(-5e-10, 0.5), True),
@@ -581,16 +575,6 @@ def test_rectangle_containment_boundary_band():
                       (Point2(2.0 + 8e-10, 1.0 + 8e-10), False)]:
         assert region.contains(p) is inside
         assert point_in_contour(contour, p) is inside
-
-
-@settings(max_examples=200, deadline=None)
-@given(data=st.data())
-def test_non_rectangle_contour_falls_back_to_ring_test(data):
-    tri = Contour(room_id="t", ring=(Point2(0.0, 0.0), Point2(4.0, 0.0), Point2(0.0, 3.0)))
-    region = _contour_region([tri])
-    assert region.boxes == []
-    p = Point2(data.draw(_near(0.0, 4.0)), data.draw(_near(0.0, 3.0)))
-    assert region.contains(p) == point_in_contour(tri, p)
 
 
 @st.composite
@@ -964,7 +948,8 @@ def _reference_sample_state(gmap, problem, rng, goal_bias=0.0):
         return Point2(rng.uniform(lo.x, hi.x), rng.uniform(lo.y, hi.y))
     contours = [c for c in gmap.contours if c.room_id in problem.allowed_rooms]
     rooms = {r.id: r for r in gmap.scene.rooms}
-    areas = [rooms[c.room_id].widths[0] * rooms[c.room_id].widths[1] for c in contours]
+    areas = [(x1 - x0) * (y1 - y0)
+             for x0, y0, x1, y1 in (rooms[c.room_id].bounds for c in contours)]
     pick = rng.uniform(0.0, sum(areas))
     acc = 0.0
     chosen = contours[-1]

@@ -69,7 +69,7 @@ def test_segment_distance_endpoint_regions():
 
 def test_wall_segment_length():
     seg = WallSegment(Point2(0.0, 0.0), Point2(3.0, 4.0))
-    assert seg.length() == 5.0
+    assert dist(seg.a, seg.b) == 5.0
 
 
 def test_point_in_ring_matches_winding_oracle():

@@ -12,11 +12,12 @@ from hypothesis import strategies as st
 
 from semnav import (CarvedWalls, DegenerateRoom, Doorway, DoorwayPlacement,
                     EmptyMap, OutOfBounds, Point2, Room, SceneGraph,
-                    SdfGrid, UnknownId, ValidationError, WallSegment,
+                    SdfGrid, ValidationError, WallSegment,
                     build_global_map, build_sdf, carve_doorways,
                     contour_from_room, doorway_openings, load_map,
                     point_in_contour, save_map, sdf_query, set_doorway_blocked)
 from semnav import map_builder
+from semnav.geometry import dist
 from semnav.geometric_planner import _SQRT2, _stride_eps
 from semnav.scene_graph import CLOSURE_TOL
 
@@ -54,10 +55,20 @@ def test_contour_ring_ccw_from_min_corner():
     assert _shoelace(c.ring) > 0.0  # counter-clockwise
 
 
+@pytest.mark.parametrize("name", ["threeroom", "ring4", "grid8"])
+def test_contour_is_the_room_box(name):
+    for room in load_map(fixture_path(f"{name}.map")).rooms:
+        c = contour_from_room(room)
+        x0, y0, x1, y1 = room.bounds
+        assert c.bounds == room.bounds
+        assert c.ring == (Point2(x0, y0), Point2(x1, y0),
+                          Point2(x1, y1), Point2(x0, y1))
+
+
 def test_contour_degenerate_room():
     good = rect_room("a", 0.0, 0.0, 2.0, 2.0)
     broken = Room(id="bad", center=good.center, walls=good.walls[:3],
-                  widths=good.widths, bounds=good.bounds)
+                  bounds=good.bounds)
     with pytest.raises(DegenerateRoom, match="bad"):
         contour_from_room(broken)
 
@@ -85,8 +96,8 @@ def test_carve_counts(threeroom_scene, ring4_scene, grid8_scene):
 
 
 def test_carved_length_conservation(grid8_scene):
-    total_wall = sum(w.length() for r in grid8_scene.rooms for w in r.walls)
-    carved = sum(s.length() for s in carve_doorways(grid8_scene).segments)
+    total_wall = sum(dist(w.a, w.b) for r in grid8_scene.rooms for w in r.walls)
+    carved = sum(dist(s.a, s.b) for s in carve_doorways(grid8_scene).segments)
     removed = sum(2.0 * d.width for d in grid8_scene.doorways if not d.blocked)
     assert math.isclose(total_wall - carved, removed, abs_tol=1e-9)
 
@@ -108,7 +119,7 @@ def test_blocked_doorway_carves_nothing(threeroom_scene):
     full_right = [s for s in walls
                   if abs(s.a.x - 4.0) < 1e-12 and abs(s.b.x - 4.0) < 1e-12]
     assert len(full_right) == 2  # both rooms keep the uncut wall
-    assert all(s.length() == 4.0 for s in full_right)
+    assert all(dist(s.a, s.b) == 4.0 for s in full_right)
     assert "d1" not in doorway_openings(blocked)
 
 
@@ -499,9 +510,7 @@ def test_build_global_map_shapes(grid8_map, grid8_scene):
     assert len(grid8_map.walls.segments) == 52
     assert set(grid8_map.openings) == {d.id for d in grid8_scene.doorways}
     assert grid8_map.sdf.resolution == 0.05
-    assert grid8_map.contour("r5").room_id == "r5"
-    with pytest.raises(UnknownId):
-        grid8_map.contour("r99")
+    assert [c.room_id for c in grid8_map.contours] == [r.id for r in grid8_scene.rooms]
 
 
 def test_build_global_map_empty_scene():
@@ -515,7 +524,7 @@ def test_contour_sdf_consistency(ring4_map, ring4_scene):
     from conftest import interior_point
     rng = random.Random(16)
     for room in ring4_scene.rooms:
-        contour = ring4_map.contour(room.id)
+        contour = next(c for c in ring4_map.contours if c.room_id == room.id)
         for _ in range(50):
             p = interior_point(rng, room, margin=0.3)
             assert point_in_contour(contour, p)

@@ -2,6 +2,7 @@
 benchmark driver in ``perfbench/run.py`` relies on."""
 
 import ast
+import dataclasses
 import importlib
 import inspect
 import os
@@ -37,13 +38,36 @@ def test_region_is_public():
 
 @pytest.mark.parametrize("name", ["sample_informed", "informed_axes", "path_from_dict",
                                   "global_path_from_dict", "route_from_dict",
-                                  "read_csv", "_Region"])
+                                  "read_csv", "_Region", "_rectangle"])
 def test_removed_names_are_gone(name):
     assert name not in semnav.__all__
     assert not hasattr(semnav, name)
     for module in (semnav.geometric_planner, semnav.subproblem_solver,
                    semnav.semantic_planner, semnav.bench_harness):
         assert not hasattr(module, name), (module.__name__, name)
+
+
+@pytest.mark.parametrize("owner, name", [
+    (semnav.Room, "widths"), (semnav.SceneGraph, "doorways_of"),
+    (semnav.TopologyGraph, "node_count"), (semnav.TopologyGraph, "edge_count"),
+    (semnav.WallSegment, "length"), (semnav.GlobalMap, "contour"),
+    (semnav.Region, "room_table"),
+])
+def test_removed_attributes_are_gone(owner, name):
+    assert not hasattr(owner, name)
+    if dataclasses.is_dataclass(owner):
+        assert name not in {f.name for f in dataclasses.fields(owner)}
+
+
+def test_contour_stores_only_its_box():
+    assert [f.name for f in dataclasses.fields(semnav.Contour)] == ["room_id", "bounds"]
+    assert isinstance(semnav.Contour.ring, property)
+
+
+def test_replan_has_no_map_build_options():
+    params = inspect.signature(semnav.replan).parameters
+    for name in ("resolution", "wall_half_width", "opening_depth", "attach_threshold"):
+        assert name not in params
 
 
 @pytest.mark.parametrize("name", PERFBENCH_NAMES)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import math
 import random
@@ -34,15 +35,14 @@ def test_room_invariants(threeroom_scene):
         x0, y0, x1, y1 = room.bounds
         assert x0 < room.center.x < x1
         assert y0 < room.center.y < y1
-        w1, w2 = room.widths
-        assert math.isclose(w1, x1 - x0, abs_tol=1e-9)
-        assert math.isclose(w2, y1 - y0, abs_tol=1e-9)
+        assert {p.x for w in room.walls for p in w} == {x0, x1}
+        assert {p.y for w in room.walls for p in w} == {y0, y1}
 
 
 def test_lookup_helpers(threeroom_scene):
     assert threeroom_scene.room("r2").id == "r2"
     assert threeroom_scene.doorway("d1").width == 1.0
-    assert [d.id for d in threeroom_scene.doorways_of("r2")] == ["d1", "d2"]
+    assert [d.id for d in threeroom_scene.doorways if "r2" in d.rooms] == ["d1", "d2"]
     with pytest.raises(UnknownId):
         threeroom_scene.room("nope")
     with pytest.raises(UnknownId):
@@ -54,6 +54,18 @@ def test_save_load_round_trip(tmp_path, threeroom_scene):
     save_map(threeroom_scene, str(out))
     again = load_map(str(out))
     assert again == threeroom_scene
+
+
+@pytest.mark.parametrize("name", ["threeroom", "ring4", "grid8"])
+def test_fixture_generator_writes_the_committed_maps(tmp_path, name):
+    spec = importlib.util.spec_from_file_location(
+        "make_fixtures", fixture_path("make_fixtures.py"))
+    make_fixtures = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(make_fixtures)
+    out = tmp_path / f"{name}.map"
+    save_map(getattr(make_fixtures, name)(), str(out))
+    with open(fixture_path(f"{name}.map"), "rb") as f:
+        assert out.read_bytes() == f.read()
 
 
 def test_locate_room_basics(threeroom_scene):
@@ -252,7 +264,7 @@ def test_blocked_flag_round_trip(tmp_path):
 
 def test_direct_construction_helpers():
     room = rect_room("a", 0.0, 0.0, 3.0, 2.0)
-    assert room.widths == (3.0, 2.0)
+    assert room.bounds == (0.0, 0.0, 3.0, 2.0)
     assert room.contains(Point2(1.5, 1.0))
     assert room.contains(Point2(0.0, 0.0))
     assert not room.contains(Point2(3.1, 1.0))

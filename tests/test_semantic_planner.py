@@ -52,12 +52,11 @@ def test_edge_cost_rejects_unknown_metric():
 
 
 def test_topology_counts(threeroom_scene, ring4_scene, grid8_scene):
-    topo = build_topology(threeroom_scene)
-    assert (topo.node_count, topo.edge_count) == (5, 4)
-    topo4 = build_topology(ring4_scene)
-    assert (topo4.node_count, topo4.edge_count) == (8, 8)
-    topo8 = build_topology(grid8_scene)
-    assert (topo8.node_count, topo8.edge_count) == (18, 20)
+    for scene, nodes, edges in ((threeroom_scene, 5, 4), (ring4_scene, 8, 8),
+                                (grid8_scene, 18, 20)):
+        topo = build_topology(scene)
+        assert len(topo.room_ids) + len(topo.doorway_ids) == nodes
+        assert len(topo.edges) == edges
 
 
 @pytest.mark.parametrize("p_d", [-1.0, -1e-12, math.nan, math.inf])
@@ -69,7 +68,7 @@ def test_topology_rejects_a_penalty_that_breaks_dijkstra(threeroom_scene, p_d):
 def test_topology_excludes_blocked(threeroom_scene):
     blocked = set_doorway_blocked(threeroom_scene, "d1", True)
     topo = build_topology(blocked)
-    assert (topo.node_count, topo.edge_count) == (4, 2)
+    assert (len(topo.room_ids) + len(topo.doorway_ids), len(topo.edges)) == (4, 2)
     assert "d1" not in topo.doorway_ids
     assert all("d1" not in doors for doors in topo.room_doors.values())
 
