@@ -17,9 +17,8 @@ from .errors import (DegenerateRoom, DoorwayPlacement, EmptyInput, EmptyMap,
 from .geometry import Point2, WallSegment
 from .scene_graph import (Doorway, Room, SceneGraph, load_map, locate_room,
                           save_map, set_doorway_blocked, shared_boundary)
-from .map_builder import (CarvedWalls, Contour, GlobalMap, SdfGrid,
-                          build_global_map, build_sdf, carve_doorways,
-                          contour_from_room, doorway_openings,
+from .map_builder import (CarvedWalls, GlobalMap, SdfGrid, build_global_map,
+                          build_sdf, carve_doorways, doorway_openings,
                           point_in_contour, sdf_query)
 from .semantic_planner import (EUCLIDEAN, METRICS, SQUARED, SemanticRoute,
                                TopologyGraph, build_topology, edge_cost,
@@ -42,9 +41,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ALGORITHMS", "BenchConfig", "BenchRecord", "CLOCK_VIRTUAL", "CLOCK_WALL",
-    "CarvedWalls", "Contour", "DegenerateRoom", "Doorway", "DoorwayPlacement",
-    "EUCLIDEAN",
-    "EmptyInput", "EmptyMap", "EmptyRegion", "GeometricPath",
+    "CarvedWalls", "DegenerateRoom", "Doorway", "DoorwayPlacement",
+    "EUCLIDEAN", "EmptyInput", "EmptyMap", "EmptyRegion", "GeometricPath",
     "GeometricProblem", "GlobalMap", "GlobalPath", "GoalOutsideMap",
     "INFORMED_RRT_STAR", "InvalidGoal", "InvalidStart", "METRICS", "MODES",
     "NoRoute", "NotIncident", "OutOfBounds", "ParseError", "PlannerConfig",
@@ -53,8 +51,8 @@ __all__ = [
     "SemanticRoute",
     "StartOutsideMap", "Subproblem", "SubproblemInfeasible", "TopologyGraph",
     "UnknownId", "ValidationError", "WallSegment", "build_global_map",
-    "build_sdf", "build_topology", "carve_doorways", "contour_from_room",
-    "decompose", "doorway_openings", "edge_cost",
+    "build_sdf", "build_topology", "carve_doorways", "decompose",
+    "doorway_openings", "edge_cost",
     "export_csv", "export_summary_json", "generate_pairs",
     "global_path_to_dict", "join_segments", "load_map", "locate_room",
     "motion_valid", "path_to_dict", "plan", "plan_query", "point_in_contour",

@@ -149,6 +149,9 @@ class BenchConfig:
             raise ValueError("timeout must be positive and finite")
         if not (math.isfinite(self.ops_per_second) and self.ops_per_second > 0):
             raise ValueError("ops_per_second must be positive and finite")
+        if (self.clock == CLOCK_VIRTUAL
+                and not math.isfinite(self.timeout * self.ops_per_second)):
+            raise ValueError("timeout * ops_per_second must be finite")
         if self.pairs not in (PAIRS_RANDOM, PAIRS_FIXED):
             raise ValueError(f"unknown pair policy '{self.pairs}'")
         if self.pairs == PAIRS_FIXED and (self.start is None or self.goal is None):

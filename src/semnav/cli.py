@@ -125,8 +125,10 @@ def cmd_plan(args: argparse.Namespace) -> int:
 def cmd_bench(args: argparse.Namespace) -> int:
     if args.jobs is not None and args.jobs < 1:
         raise ValueError("--jobs must be at least 1")
+    if (args.start is None) != (args.goal is None):
+        raise ValueError("--start and --goal go together")
     modes = tuple(m.strip() for m in args.modes.split(",") if m.strip())
-    fixed = args.start is not None and args.goal is not None
+    fixed = args.start is not None
     config = BenchConfig(
         map_path=args.map, modes=modes, n_queries=args.queries,
         timeout=args.timeout, seed=args.seed,

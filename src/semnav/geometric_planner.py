@@ -2,7 +2,7 @@
 
 Planners run over a :class:`~semnav.map_builder.GlobalMap` and an optional
 room constraint: when ``allowed_rooms`` is set, valid states must lie inside
-one of those rooms' contours (or inside an allowed doorway opening), which is
+one of those rooms (or inside an allowed doorway opening), which is
 how a semantic route restricts the search region. Clearance is tested against
 the interpolated distance field with a small safety margin on top of the
 robot radius; the margin (default 0.02 m) covers both the spacing of motion
@@ -35,7 +35,7 @@ the point-by-point check returns.
 Budgets come from a pluggable clock. The default "virtual" clock charges
 ticks per primitive operation: one per sample draw, one per 32 points of a
 vectorized nearest-neighbour scan, and, per point validity check, one field
-lookup plus one tick per room contour the check has in scope (every room of
+lookup plus one tick per room the check has in scope (every room of
 the map for an unconstrained check, only the allowed rooms for a constrained
 one). Ticks convert to seconds with a fixed ops-per-second constant, which
 makes runs bit-reproducible across machines and worker counts; "wall" uses
@@ -53,8 +53,9 @@ import numpy as np
 
 from .errors import EmptyRegion, InvalidGoal, InvalidStart, OutOfBounds
 from .geometry import Point2, dist
-from .map_builder import Contour, GlobalMap, SdfGrid, point_in_contour, sdf_query
+from .map_builder import GlobalMap, SdfGrid, point_in_contour, sdf_query
 from .rng import make_stream
+from .scene_graph import Room
 
 RRT = "rrt"
 RRT_STAR = "rrt_star"
@@ -90,7 +91,7 @@ CLOCK_WALL = "wall"
 class GeometricProblem:
     """One geometric planning query.
 
-    ``allowed_rooms`` restricts valid states to those rooms' contours plus the
+    ``allowed_rooms`` restricts valid states to those rooms plus the
     openings of ``allowed_doorways``; both None means the whole map is fair
     game. ``validity_margin`` is added to the robot radius in every clearance
     test (see module docstring).
@@ -137,9 +138,6 @@ class PlannerConfig:
     algorithm: str = INFORMED_RRT_STAR
     timeout: float | None = None
     max_iterations: int | None = None
-    steer_range: float = DEFAULT_STEER_RANGE
-    goal_bias: float = DEFAULT_GOAL_BIAS
-    rewire_factor: float = DEFAULT_REWIRE_FACTOR
     seed: int = 0
     clock: str = CLOCK_VIRTUAL
     ops_per_second: float = DEFAULT_OPS_PER_SECOND
@@ -150,6 +148,10 @@ class PlannerConfig:
             raise ValueError("timeout must be finite")
         if not math.isfinite(self.ops_per_second):
             raise ValueError("ops_per_second must be finite")
+        # the virtual budget in ticks overflows to inf for a huge timeout
+        if (self.clock == CLOCK_VIRTUAL and self.timeout is not None
+                and not math.isfinite(self.timeout * self.ops_per_second)):
+            raise ValueError("timeout * ops_per_second must be finite")
 
     def validate(self) -> None:
         if self.algorithm not in ALGORITHMS:
@@ -157,12 +159,6 @@ class PlannerConfig:
         if not ((self.timeout is not None and self.timeout > 0)
                 or (self.max_iterations is not None and self.max_iterations > 0)):
             raise ValueError("config needs a positive timeout or max_iterations")
-        if not 0.0 <= self.goal_bias < 1.0:
-            raise ValueError("goal_bias must be in [0, 1)")
-        if self.steer_range <= 0:
-            raise ValueError("steer_range must be positive")
-        if self.rewire_factor <= 0:
-            raise ValueError("rewire_factor must be positive")
         if self.clock not in (CLOCK_VIRTUAL, CLOCK_WALL):
             raise ValueError(f"unknown clock '{self.clock}'")
         if self.ops_per_second <= 0:
@@ -203,8 +199,10 @@ class _Budget:
 class Region:
     """The search region of one problem: validity and sampling, prepared once.
 
-    Bundles the allowed-room contours, the allowed doorway opening rectangles
-    and the clearance threshold so the hot loop does no per-call filtering.
+    Bundles the allowed rooms (those of ``gmap.scene.rooms`` that
+    ``allowed_rooms`` names, in scene order), the allowed doorway opening
+    rectangles and the clearance threshold so the hot loop does no per-call
+    filtering.
     The module-level ``state_valid``, ``motion_valid`` and ``sample_state``
     build a fresh region on every call; a caller that checks or samples
     many states of one problem should build one ``Region`` and call its
@@ -249,11 +247,11 @@ class Region:
         self.bbox = gmap.scene.bbox
         self.clearance = problem.robot_radius + problem.validity_margin
         self.constrained = problem.allowed_rooms is not None
-        self.contours: tuple[Contour, ...] = ()
+        self.rooms: tuple[Room, ...] = ()
         self.rects: tuple[tuple[float, float, float, float], ...] = ()
         if self.constrained:
-            self.contours = tuple(c for c in gmap.contours
-                                  if c.room_id in problem.allowed_rooms)
+            self.rooms = tuple(r for r in gmap.scene.rooms
+                               if r.id in problem.allowed_rooms)
             if problem.allowed_doorways:
                 self.rects = tuple(gmap.openings[d]
                                    for d in sorted(problem.allowed_doorways)
@@ -268,31 +266,31 @@ class Region:
         self.inner = (lo.x + eps, lo.y + eps, hi.x - eps, hi.y - eps)
         # half-open boxes of the rooms; the same boxes followed by their
         # intersection with the bbox shrunk by eps, for motion checks;
-        # (closed box grown by the fallback band, contour) for every room
-        self.boxes = [c.bounds for c in self.contours]
+        # (closed box grown by the fallback band, room) for every room
+        self.boxes = [r.bounds for r in self.rooms]
         self.stride_boxes: list[tuple[float, ...]] = []
-        self.bands: list[tuple[float, float, float, float, Contour]] = []
-        for c in self.contours:
-            box = x0, y0, x1, y1 = c.bounds
+        self.bands: list[tuple[float, float, float, float, Room]] = []
+        for r in self.rooms:
+            box = x0, y0, x1, y1 = r.bounds
             band = _RECT_BAND + 16 * math.ulp(max(map(abs, box)))
             self.stride_boxes.append(box + (max(x0 + eps, self.inner[0]),
                                             max(y0 + eps, self.inner[1]),
                                             min(x1 - eps, self.inner[2]),
                                             min(y1 - eps, self.inner[3])))
-            self.bands.append((x0 - band, y0 - band, x1 + band, y1 + band, c))
-        # area of each room in contour order, their sum, and the boxes:
+            self.bands.append((x0 - band, y0 - band, x1 + band, y1 + band, r))
+        # area of each room in scene order, their sum, and the boxes:
         # everything ``sample`` reads, in one attribute
         areas = [(x1 - x0) * (y1 - y0) for x0, y0, x1, y1 in self.boxes]
         self.sampling = (areas, sum(areas), self.boxes)
         # virtual-clock ticks per validity check: one field lookup plus one
-        # tick per room contour the check has in scope. An unconstrained
+        # tick per room the check has in scope. An unconstrained
         # check answers against the whole map, a constrained one only
         # against the allowed rooms (and their openings), so narrowing the
         # region makes checks proportionally cheaper.
         if self.constrained:
-            self.check_cost = 1 + max(1, len(self.contours)) + (1 if self.rects else 0)
+            self.check_cost = 1 + max(1, len(self.rooms)) + (1 if self.rects else 0)
         else:
-            self.check_cost = 1 + len(gmap.contours)
+            self.check_cost = 1 + len(gmap.scene.rooms)
         self.step = motion_step(gmap.sdf.resolution)
         # (c_best, a, b) of the last informed ellipse drawn from
         self._axes = (None, 0.0, 0.0)
@@ -335,7 +333,7 @@ class Region:
         if not self.constrained:
             lo, hi = self.bbox
             return Point2(rng.uniform(lo.x, hi.x), rng.uniform(lo.y, hi.y))
-        if not self.contours:
+        if not self.rooms:
             raise EmptyRegion("allowed region contains no known rooms")
         areas, total, bounds = self.sampling
         pick = rng.uniform(0.0, total)
@@ -399,9 +397,9 @@ class Region:
     def _edge_or_opening(self, x: float, y: float) -> bool:
         """Membership of a point in no room's half-open box: the exact ring
         test near room edges, then the doorway openings."""
-        for ox0, oy0, ox1, oy1, c in self.bands:
+        for ox0, oy0, ox1, oy1, r in self.bands:
             if (ox0 <= x <= ox1 and oy0 <= y <= oy1
-                    and point_in_contour(c, Point2(x, y))):
+                    and point_in_contour(r, Point2(x, y))):
                 return True
         for x0, y0, x1, y1 in self.rects:
             if x0 <= x <= x1 and y0 <= y <= y1:
@@ -601,7 +599,7 @@ def plan(gmap: GlobalMap, problem: GeometricProblem, config: PlannerConfig,
     config.validate()
     stats = PlannerStats()
     region = Region(gmap, problem)
-    if region.constrained and not region.contours:
+    if region.constrained and not region.rooms:
         raise EmptyRegion("allowed region contains no known rooms")
     if not region.valid(problem.start):
         raise InvalidStart(f"start {tuple(problem.start)} is not a valid state")
@@ -657,7 +655,7 @@ def plan(gmap: GlobalMap, problem: GeometricProblem, config: PlannerConfig,
     best_cost = math.inf
     best_node = -1
 
-    gamma = config.rewire_factor * math.sqrt(3.0 * region.free_area / math.pi)
+    gamma = DEFAULT_REWIRE_FACTOR * math.sqrt(3.0 * region.free_area / math.pi)
     rewiring = config.algorithm in (RRT_STAR, INFORMED_RRT_STAR)
     informed = config.algorithm == INFORMED_RRT_STAR
 
@@ -694,7 +692,7 @@ def plan(gmap: GlobalMap, problem: GeometricProblem, config: PlannerConfig,
             if sample_hook is not None:
                 sample_hook(sample, best_cost)
         else:
-            sample = region.sample(rng, config.goal_bias)
+            sample = region.sample(rng, DEFAULT_GOAL_BIAS)
             stats.samples_created += 1
             budget.ops += 1 + check_cost
             if sample_hook is not None:
@@ -715,10 +713,10 @@ def plan(gmap: GlobalMap, problem: GeometricProblem, config: PlannerConfig,
             continue
 
         # ----- steer
-        if d_near <= config.steer_range:
+        if d_near <= DEFAULT_STEER_RANGE:
             new_pt = sample
         else:
-            t = config.steer_range / d_near
+            t = DEFAULT_STEER_RANGE / d_near
             new_pt = Point2(near_pt.x + (sample.x - near_pt.x) * t,
                             near_pt.y + (sample.y - near_pt.y) * t)
 
@@ -736,7 +734,7 @@ def plan(gmap: GlobalMap, problem: GeometricProblem, config: PlannerConfig,
         parent_idx = nearest
         parent_cost = cost[nearest] + edge_len
         if rewiring:
-            radius = min(config.steer_range,
+            radius = min(DEFAULT_STEER_RANGE,
                          gamma * math.sqrt(math.log(n + 1.0) / (n + 1.0)))
             budget.ops += 1 + (n >> 5)
             if new_pt is not sample:

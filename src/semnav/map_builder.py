@@ -2,8 +2,7 @@
 
 The builder turns the semantic layer into geometry a sampling planner can use:
 
-* one contour per room: its axis-aligned box, with the closed
-  counter-clockwise ring through its corners derived from it,
+* a check that each room's stored box is the rectangle its walls close,
 * the wall set with doorway-width gaps carved out of both adjacent walls,
 * a signed distance field sampled on a regular grid, exact at the nodes and
   bilinearly interpolated between them,
@@ -50,20 +49,6 @@ _MAX_NODES = 1 << 24
 
 
 @dataclass(frozen=True)
-class Contour:
-    """A room's rectangle as ``bounds = (x0, y0, x1, y1)``."""
-
-    room_id: str
-    bounds: tuple[float, float, float, float]
-
-    @property
-    def ring(self) -> tuple[Point2, ...]:
-        """Closed CCW ring of the box, starting at its smallest corner ``(x0, y0)``."""
-        x0, y0, x1, y1 = self.bounds
-        return (Point2(x0, y0), Point2(x1, y0), Point2(x1, y1), Point2(x0, y1))
-
-
-@dataclass(frozen=True)
 class CarvedWalls:
     """All wall segments after removing doorway openings."""
 
@@ -102,24 +87,14 @@ class GlobalMap:
     """Everything the geometric planner needs about one scene."""
 
     scene: SceneGraph
-    contours: tuple[Contour, ...]
     walls: CarvedWalls
     sdf: SdfGrid
     openings: dict[str, tuple[float, float, float, float]]
 
 
-def contour_from_room(room: Room) -> Contour:
-    """The rectangle through the room's wall corners."""
-    try:
-        bounds = _rect_from_walls(room.walls)
-    except ValueError as e:
-        raise DegenerateRoom(f"room {room.id}: {e}") from e
-    return Contour(room_id=room.id, bounds=bounds)
-
-
-def point_in_contour(contour: Contour, p: Point2) -> bool:
-    """Even-odd containment with the boundary counting as inside."""
-    return point_in_ring(p, contour.ring, boundary_tol=1e-9)
+def point_in_contour(room: Room, p: Point2) -> bool:
+    """Even-odd containment in the room's ring, boundary counting as inside."""
+    return point_in_ring(p, room.ring, boundary_tol=1e-9)
 
 
 def _wall_interval(wall: WallSegment) -> tuple[str, float, float, float]:
@@ -131,8 +106,7 @@ def _wall_interval(wall: WallSegment) -> tuple[str, float, float, float]:
     return "h", wall.a.y, lo, hi
 
 
-def carve_doorways(graph: SceneGraph,
-                   attach_threshold: float = DEFAULT_ATTACH_THRESHOLD) -> CarvedWalls:
+def carve_doorways(graph: SceneGraph) -> CarvedWalls:
     """Remove doorway-width openings from both rooms' closest walls.
 
     Blocked doorways carve nothing. Each unblocked doorway is projected onto
@@ -150,10 +124,10 @@ def carve_doorways(graph: SceneGraph,
         sb = shared_boundary(rooms[d.rooms[0]], rooms[d.rooms[1]])
         if sb is None:
             raise DoorwayPlacement(f"doorway {d.id}: rooms share no parallel walls")
-        if sb.gap >= attach_threshold:
+        if sb.gap >= DEFAULT_ATTACH_THRESHOLD:
             raise DoorwayPlacement(
                 f"doorway {d.id}: closest walls are {sb.gap:.3f} m apart "
-                f"(threshold {attach_threshold:.3f} m)")
+                f"(threshold {DEFAULT_ATTACH_THRESHOLD:.3f} m)")
         along = d.center.y if sb.axis == "x" else d.center.x
         lo = along - d.width / 2.0
         hi = along + d.width / 2.0
@@ -196,10 +170,10 @@ def _make_wall(axis: str, fixed: float, lo: float, hi: float) -> WallSegment:
     return WallSegment(Point2(lo, fixed), Point2(hi, fixed))
 
 
-def doorway_openings(graph: SceneGraph,
-                     depth: float = DEFAULT_OPENING_DEPTH) -> dict[str, tuple[float, float, float, float]]:
+def doorway_openings(graph: SceneGraph) -> dict[str, tuple[float, float, float, float]]:
     """Axis-aligned rectangle per unblocked doorway: doorway width along the
-    wall, ``depth`` across it, centered on the doorway center."""
+    wall, ``DEFAULT_OPENING_DEPTH`` across it, centered on the doorway center."""
+    depth = DEFAULT_OPENING_DEPTH
     rooms = {r.id: r for r in graph.rooms}
     rects: dict[str, tuple[float, float, float, float]] = {}
     for d in graph.doorways:
@@ -219,13 +193,13 @@ def doorway_openings(graph: SceneGraph,
 
 
 def build_sdf(walls: CarvedWalls, bbox: tuple[Point2, Point2],
-              resolution: float = DEFAULT_RESOLUTION,
-              wall_half_width: float = DEFAULT_WALL_HALF_WIDTH) -> SdfGrid:
+              resolution: float = DEFAULT_RESOLUTION) -> SdfGrid:
     """Sample the wall distance field on a regular grid.
 
     The grid covers the bbox inflated by two cells on every side. Node values
     are exact (minimum over segments of the clamped point-to-segment
-    distance); negation marks nodes inside the wall band.
+    distance); negation marks nodes closer than ``DEFAULT_WALL_HALF_WIDTH``
+    to a wall, inside the wall band.
 
     Every value is bit-identical to folding in, segment by segment with
     ``minimum``, the full-grid formula ``hypot(gx - (ax + t*dx), gy - (ay +
@@ -320,10 +294,10 @@ def build_sdf(walls: CarvedWalls, bbox: tuple[Point2, Point2],
         np.minimum(block, np.hypot(rx[i0:i1], ry[j0:j1, None]), out=block)
         dmin[j0:j1].max(axis=1, out=rowmax[j0:j1])
         dmin[:, i0:i1].max(axis=0, out=colmax[i0:i1])
-    values = np.where(dmin < wall_half_width, -dmin, dmin)
+    values = np.where(dmin < DEFAULT_WALL_HALF_WIDTH, -dmin, dmin)
     values.setflags(write=False)
     return SdfGrid(origin=origin, resolution=resolution, nx=nx, ny=ny, values=values,
-                   wall_half_width=wall_half_width)
+                   wall_half_width=DEFAULT_WALL_HALF_WIDTH)
 
 
 def sdf_query(grid: SdfGrid, p: Point2) -> float:
@@ -352,17 +326,23 @@ def sdf_query(grid: SdfGrid, p: Point2) -> float:
 
 
 def build_global_map(scene: SceneGraph,
-                     resolution: float = DEFAULT_RESOLUTION,
-                     wall_half_width: float = DEFAULT_WALL_HALF_WIDTH,
-                     opening_depth: float = DEFAULT_OPENING_DEPTH,
-                     attach_threshold: float = DEFAULT_ATTACH_THRESHOLD) -> GlobalMap:
-    """Build contours, carved walls, SDF and doorway openings for one scene."""
+                     resolution: float = DEFAULT_RESOLUTION) -> GlobalMap:
+    """Build carved walls, SDF and doorway openings for one scene.
+
+    The planner reads each room's ``bounds``, so a room whose walls do not
+    close exactly that box (a ``Room`` built by hand) raises DegenerateRoom.
+    """
     if not scene.rooms:
         raise EmptyMap("scene has no rooms")
-    contours = tuple(contour_from_room(r) for r in scene.rooms)
-    walls = carve_doorways(scene, attach_threshold=attach_threshold)
-    sdf = build_sdf(walls, scene.bbox, resolution=resolution,
-                    wall_half_width=wall_half_width)
-    openings = doorway_openings(scene, depth=opening_depth)
-    return GlobalMap(scene=scene, contours=contours, walls=walls,
-                     sdf=sdf, openings=openings)
+    for room in scene.rooms:
+        try:
+            box = _rect_from_walls(room.walls)
+        except ValueError as e:
+            raise DegenerateRoom(f"room {room.id}: {e}") from e
+        if box != room.bounds:
+            raise DegenerateRoom(f"room {room.id}: bounds {room.bounds} are not "
+                                 f"the box {box} its walls close")
+    walls = carve_doorways(scene)
+    sdf = build_sdf(walls, scene.bbox, resolution=resolution)
+    return GlobalMap(scene=scene, walls=walls, sdf=sdf,
+                     openings=doorway_openings(scene))

@@ -117,6 +117,12 @@ class Room:
             bounds=(x0, y0, x1, y1),
         )
 
+    @property
+    def ring(self) -> tuple[Point2, ...]:
+        """Closed CCW ring of the box, starting at its smallest corner ``(x0, y0)``."""
+        x0, y0, x1, y1 = self.bounds
+        return (Point2(x0, y0), Point2(x1, y0), Point2(x1, y1), Point2(x0, y1))
+
     def contains(self, p: Point2) -> bool:
         """Boundary-inclusive rectangle membership."""
         x0, y0, x1, y1 = self.bounds

@@ -18,8 +18,6 @@ _WALL_COLOR = "#3a3732"
 _DOOR_COLOR = "#2b7a4b"
 _BLOCKED_COLOR = "#b3402e"
 _PATH_COLOR = "#1d5fbf"
-_TREE_COLOR = "#9ec3e8"
-_SAMPLE_COLOR = "#d98c2b"
 _BOX_COLORS = {"irrt": "#b3402e", "irrt_sg": "#d98c2b", "irrt_sg_sps": "#2b7a4b"}
 
 
@@ -80,17 +78,14 @@ def _sdf_layer(frame: _Frame, gmap: GlobalMap, max_cells: int = 120) -> list[str
 
 def render_map_svg(scene: SceneGraph, gmap: GlobalMap | None = None,
                    path: list[Point2] | None = None,
-                   tree: list[tuple[Point2, Point2]] | None = None,
-                   samples: list[Point2] | None = None,
-                   show_sdf: bool = False, width_px: float = 800.0) -> str:
-    """Draw the scene (rooms, walls, doorways) with optional planner layers.
+                   show_sdf: bool = False) -> str:
+    """Draw the scene (rooms, walls, doorways) with an optional path.
 
-    ``path`` is a waypoint polyline, ``tree`` a list of parent-child segments
-    and ``samples`` a point cloud; ``show_sdf`` needs ``gmap`` and underlays
+    ``path`` is a waypoint polyline; ``show_sdf`` needs ``gmap`` and underlays
     the distance field as a heat map.
     """
     margin = 20.0
-    frame = _Frame(scene.bbox, width_px, margin)
+    frame = _Frame(scene.bbox, 800.0, margin)
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_fmt(frame.width)}" '
         f'height="{_fmt(frame.height)}" viewBox="0 0 {_fmt(frame.width)} '
@@ -135,19 +130,6 @@ def render_map_svg(scene: SceneGraph, gmap: GlobalMap | None = None,
                      f'data-doorway="{door.id}"/>')
     parts.append("</g>")
 
-    if tree:
-        parts.append(f'<g stroke="{_TREE_COLOR}" stroke-width="1" data-layer="tree">')
-        for a, b in tree:
-            parts.append(f'<line x1="{_fmt(frame.x(a.x))}" y1="{_fmt(frame.y(a.y))}" '
-                         f'x2="{_fmt(frame.x(b.x))}" y2="{_fmt(frame.y(b.y))}"/>')
-        parts.append("</g>")
-
-    if samples:
-        parts.append(f'<g fill="{_SAMPLE_COLOR}" data-layer="samples">')
-        for p in samples:
-            parts.append(f'<circle cx="{_fmt(frame.x(p.x))}" cy="{_fmt(frame.y(p.y))}" r="1.5"/>')
-        parts.append("</g>")
-
     if path:
         pts = " ".join(frame.pt(p) for p in path)
         parts.append(f'<polyline points="{pts}" fill="none" stroke="{_PATH_COLOR}" '
@@ -162,12 +144,10 @@ def render_map_svg(scene: SceneGraph, gmap: GlobalMap | None = None,
     return "\n".join(parts) + "\n"
 
 
-def render_summary_svg(summary: dict,
-                       metrics: tuple[str, ...] = ("path_length_m", "samples",
-                                                   "time_s")) -> str:
-    """Stack one boxplot per metric into a single SVG document."""
+def render_summary_svg(summary: dict) -> str:
+    """Stack boxplots of path length, samples and time into one SVG document."""
     panels = []
-    for metric in metrics:
+    for metric in ("path_length_m", "samples", "time_s"):
         try:
             panels.append(render_boxplot_svg(summary, metric))
         except ValueError:
@@ -186,8 +166,7 @@ def render_summary_svg(summary: dict,
     return "\n".join(parts) + "\n"
 
 
-def render_boxplot_svg(summary: dict, metric: str = "path_length_m",
-                       title: str | None = None) -> str:
+def render_boxplot_svg(summary: dict, metric: str = "path_length_m") -> str:
     """One box-and-whisker per mode for a metric of a benchmark summary.
 
     Box positions come straight from the summary's five-number entries and
@@ -219,7 +198,7 @@ def render_boxplot_svg(summary: dict, metric: str = "path_length_m",
         f'height="{_fmt(height)}" viewBox="0 0 {_fmt(width)} {_fmt(height)}">',
         f'<rect width="{_fmt(width)}" height="{_fmt(height)}" fill="#ffffff"/>',
         f'<text x="{_fmt(width / 2)}" y="22" font-size="14" text-anchor="middle" '
-        f'fill="#3a3732">{title or metric}</text>',
+        f'fill="#3a3732">{metric}</text>',
     ]
 
     for k in range(5):

@@ -81,6 +81,12 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=f"{field} must be positive and finite"):
             _config(**{field: value}).validate()
 
+    def test_virtual_budget_overflow_rejected(self):
+        # 1e308 s at 2e6 ticks per second is inf ticks: no query would stop
+        with pytest.raises(ValueError, match=r"timeout \* ops_per_second must be finite"):
+            _config(timeout=1e308).validate()
+        _config(timeout=1e308, clock="wall").validate()
+
     def test_unknown_pair_policy_rejected(self):
         with pytest.raises(ValueError, match="pair policy"):
             _config(pairs="adversarial").validate()

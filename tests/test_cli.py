@@ -226,6 +226,8 @@ def test_plan_agrees_with_bench_records(capsys):
 @pytest.mark.parametrize("extra", [
     ("--timeout", "inf"), ("--timeout", "nan"), ("--ops-per-second", "nan"),
     ("--ops-per-second", "inf"), ("--p-d", "-1"), ("--p-d", "nan"),
+    # finite, but the budget in virtual ticks overflows to inf
+    ("--timeout", "1e308"),
 ])
 def test_plan_non_finite_budget_or_negative_penalty_is_usage_error(extra):
     # a real process with a deadline: a budget that never runs out would hang
@@ -311,6 +313,14 @@ def test_bench_jobs_below_one_is_usage_error(tmp_path, capsys, jobs):
     argv, csv_path = _bench(tmp_path, "x.csv", "--jobs", jobs)
     assert main(argv) == 2
     assert capsys.readouterr().err == "error: --jobs must be at least 1\n"
+    assert not csv_path.exists()
+
+
+@pytest.mark.parametrize("half", [("--start", "2,2"), ("--goal", "2.5,2")])
+def test_bench_start_and_goal_go_together(tmp_path, capsys, half):
+    argv, csv_path = _bench(tmp_path, "x.csv", *half)
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: --start and --goal go together\n"
     assert not csv_path.exists()
 
 

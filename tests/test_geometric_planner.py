@@ -14,9 +14,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from semnav import (CarvedWalls, Contour, Doorway, EmptyRegion, GeometricPath,
+from semnav import (CarvedWalls, Doorway, EmptyRegion, GeometricPath,
                     GeometricProblem, GlobalMap, InvalidGoal, InvalidStart,
-                    PlannerConfig, Point2, Region, SceneGraph, SdfGrid,
+                    PlannerConfig, Point2, Region, Room, SceneGraph, SdfGrid,
                     build_global_map, build_topology, decompose, load_map,
                     motion_valid, path_to_dict, plan, point_in_contour,
                     sample_state, sdf_query, semantic_route, state_valid)
@@ -54,12 +54,6 @@ def test_config_validation():
         PlannerConfig(algorithm="dijkstra", timeout=1.0).validate()
     with pytest.raises(ValueError, match="timeout or max_iterations"):
         PlannerConfig().validate()
-    with pytest.raises(ValueError, match="goal_bias"):
-        PlannerConfig(timeout=1.0, goal_bias=1.0).validate()
-    with pytest.raises(ValueError, match="steer_range"):
-        PlannerConfig(timeout=1.0, steer_range=0.0).validate()
-    with pytest.raises(ValueError, match="rewire_factor"):
-        PlannerConfig(timeout=1.0, rewire_factor=-1.0).validate()
     with pytest.raises(ValueError, match="clock"):
         PlannerConfig(timeout=1.0, clock="cpu").validate()
     with pytest.raises(ValueError, match="ops_per_second"):
@@ -71,6 +65,8 @@ def test_config_validation():
     {"timeout": 1.0, "ops_per_second": math.nan},
     {"timeout": 1.0, "ops_per_second": math.inf},
     {"max_iterations": 10, "timeout": math.inf},
+    # finite, but the budget in virtual ticks overflows to inf
+    {"timeout": 1e308}, {"timeout": 1e300, "ops_per_second": 1e10},
 ])
 def test_config_rejects_a_budget_that_never_runs_out(kwargs):
     # the budget's limit would never trip, so plan() would not return
@@ -391,7 +387,7 @@ def test_plan_constrained_stays_in_region(threeroom_map):
                                allowed_doorways=frozenset({"d1", "d2"}))
     path, stats = plan(threeroom_map, problem, PlannerConfig(timeout=0.1, seed=7))
     assert stats.solved
-    rings = [c.ring for c in threeroom_map.contours if c.room_id == "r2"]
+    rings = [threeroom_map.scene.room("r2").ring]
     rects = [threeroom_map.openings["d1"], threeroom_map.openings["d2"]]
     assert path_in_region(path.waypoints, rings, rects)
 
@@ -494,13 +490,13 @@ def test_anytime_curves_are_pinned():
 
 
 def _reference_contains(region: Region, p: Point2) -> bool:
-    """Region membership by the exact ring test on every allowed contour."""
+    """Region membership by the exact ring test on every allowed room."""
     lo, hi = region.bbox
     if not (lo.x <= p.x <= hi.x and lo.y <= p.y <= hi.y):
         return False
     if not region.constrained:
         return True
-    return (any(point_in_contour(c, p) for c in region.contours)
+    return (any(point_in_contour(r, p) for r in region.rooms)
             or any(x0 <= p.x <= x1 and y0 <= p.y <= y1
                    for x0, y0, x1, y1 in region.rects))
 
@@ -516,18 +512,18 @@ def _reference_motion_valid(region: Region, a: Point2, b: Point2) -> bool:
     return True
 
 
-def _contour_region(contours, openings=None) -> Region:
-    """A region over bare contours: a map holding only what containment
-    reads, with the bbox one metre around the contours."""
-    xs = [p.x for c in contours for p in c.ring]
-    ys = [p.y for c in contours for p in c.ring]
+def _contour_region(rooms, openings=None) -> Region:
+    """A region over bare rooms: a map holding only what containment
+    reads, with the bbox one metre around the rooms."""
+    xs = [p.x for r in rooms for p in r.ring]
+    ys = [p.y for r in rooms for p in r.ring]
     bbox = (Point2(min(xs) - 1.0, min(ys) - 1.0), Point2(max(xs) + 1.0, max(ys) + 1.0))
-    scene = SceneGraph(frame="map", bbox=bbox, rooms=(), doorways=())
+    scene = SceneGraph(frame="map", bbox=bbox, rooms=tuple(rooms), doorways=())
     sdf = SdfGrid(origin=bbox[0], resolution=0.05, nx=2, ny=2, values=np.zeros((2, 2)))
-    gmap = GlobalMap(scene=scene, contours=tuple(contours), walls=CarvedWalls(()),
-                     sdf=sdf, openings=dict(openings or {}))
+    gmap = GlobalMap(scene=scene, walls=CarvedWalls(()), sdf=sdf,
+                     openings=dict(openings or {}))
     problem = GeometricProblem(start=bbox[0], goal=bbox[0],
-                               allowed_rooms=frozenset(c.room_id for c in contours),
+                               allowed_rooms=frozenset(r.id for r in rooms),
                                allowed_doorways=frozenset(openings or ()))
     return Region(gmap, problem)
 
@@ -544,29 +540,30 @@ def _near(draw, lo: float, hi: float) -> float:
 
 
 @st.composite
-def _rectangle_contours(draw) -> Contour:
-    """An axis-aligned rectangle at a random scale."""
+def _rectangle_contours(draw) -> Room:
+    """A room over an axis-aligned rectangle at a random scale."""
     scale = draw(st.sampled_from([1.0, 1e3, 1e6]))
     x0 = scale * draw(st.floats(-1.0, 1.0))
     y0 = scale * draw(st.floats(-1.0, 1.0))
     x1 = x0 + draw(st.floats(0.05, 20.0))
     y1 = y0 + draw(st.floats(0.05, 20.0))
-    return Contour(room_id="a", bounds=(x0, y0, x1, y1))
+    return Room(id="a", center=Point2((x0 + x1) / 2.0, (y0 + y1) / 2.0), walls=(),
+                bounds=(x0, y0, x1, y1))
 
 
 @settings(max_examples=600, deadline=None)
-@given(contour=_rectangle_contours(), data=st.data())
-def test_rectangle_containment_equals_ring_test(contour, data):
-    region = _contour_region([contour])
+@given(room=_rectangle_contours(), data=st.data())
+def test_rectangle_containment_equals_ring_test(room, data):
+    region = _contour_region([room])
     assert len(region.boxes) == 1
     x0, y0, x1, y1 = region.boxes[0]
     p = Point2(data.draw(_near(x0, x1)), data.draw(_near(y0, y1)))
-    assert region.contains(p) == point_in_contour(contour, p)
+    assert region.contains(p) == point_in_contour(room, p)
 
 
 def test_rectangle_containment_boundary_band():
-    contour = Contour(room_id="a", bounds=(0.0, 0.0, 2.0, 1.0))
-    region = _contour_region([contour])
+    room = Room(id="a", center=Point2(1.0, 0.5), walls=(), bounds=(0.0, 0.0, 2.0, 1.0))
+    region = _contour_region([room])
     for p, inside in [(Point2(1.0, 0.5), True), (Point2(2.0, 0.5), True),
                       (Point2(2.0 + 5e-10, 1.0), True), (Point2(-5e-10, 0.5), True),
                       (Point2(2.0 + 6e-10, 1.0 + 6e-10), True),
@@ -574,7 +571,7 @@ def test_rectangle_containment_boundary_band():
                       # the 1e-9 tolerance rounds the corners
                       (Point2(2.0 + 8e-10, 1.0 + 8e-10), False)]:
         assert region.contains(p) is inside
-        assert point_in_contour(contour, p) is inside
+        assert point_in_contour(room, p) is inside
 
 
 @st.composite
@@ -584,7 +581,7 @@ def _problems(draw, gmap) -> GeometricProblem:
     origin = Point2(0.0, 0.0)
     if draw(st.integers(0, 4)) == 0:
         return GeometricProblem(start=origin, goal=origin)
-    rooms = sorted(c.room_id for c in gmap.contours)
+    rooms = sorted(r.id for r in gmap.scene.rooms)
     doors = sorted(gmap.openings)
     return GeometricProblem(
         start=origin, goal=origin,
@@ -596,7 +593,7 @@ def _problems(draw, gmap) -> GeometricProblem:
 @given(data=st.data())
 def test_grid8_containment_equals_ring_test(grid8_map, data):
     region = Region(grid8_map, data.draw(_problems(grid8_map)))
-    c = data.draw(st.sampled_from(grid8_map.contours))
+    c = data.draw(st.sampled_from(grid8_map.scene.rooms))
     (x0, y0), _, (x1, y1), _ = c.ring
     p = Point2(data.draw(_near(x0, x1)), data.draw(_near(y0, y1)))
     assert region.contains(p) == _reference_contains(region, p)
@@ -617,7 +614,7 @@ def test_fused_motion_check_equals_pointwise_check(grid8_map, grid8_scene, data)
     elif kind == "to_wall":
         # from a room's center to an end point about one clearance from its
         # left wall, where the last interpolated point decides
-        c = data.draw(st.sampled_from(grid8_map.contours))
+        c = data.draw(st.sampled_from(grid8_map.scene.rooms))
         (x0, y0), _, (x1, y1), _ = c.ring
         a = Point2((x0 + x1) / 2.0, (y0 + y1) / 2.0)
         b = Point2(x0 + data.draw(st.floats(CLEARANCE - 0.03, CLEARANCE + 0.03)),
@@ -626,7 +623,7 @@ def test_fused_motion_check_equals_pointwise_check(grid8_map, grid8_scene, data)
         # along a room's diagonal toward a corner, where the bilinear field
         # falls at up to sqrt(2) per metre, to about one clearance from
         # both walls
-        c = data.draw(st.sampled_from(grid8_map.contours))
+        c = data.draw(st.sampled_from(grid8_map.scene.rooms))
         (x0, y0), _, (x1, y1), _ = c.ring
         sx, sy = data.draw(st.sampled_from([1.0, -1.0])), data.draw(st.sampled_from([1.0, -1.0]))
         cx, cy = (x0, x1)[sx < 0], (y0, y1)[sy < 0]
@@ -638,14 +635,14 @@ def test_fused_motion_check_equals_pointwise_check(grid8_map, grid8_scene, data)
     elif kind == "tight":
         # a long stride from the far side of a room, then a last point whose
         # field value is the clearance, or 1e-12 off it
-        c = data.draw(st.sampled_from(grid8_map.contours))
+        c = data.draw(st.sampled_from(grid8_map.scene.rooms))
         (x0, y0), _, (x1, y1), _ = c.ring
         y = data.draw(st.floats(y0 + 1.0, y1 - 1.0))
         a = Point2(x1 - data.draw(st.floats(0.5, 1.5)), data.draw(st.floats(y0 + 1.0, y1 - 1.0)))
         b = Point2(x0 + CLEARANCE + data.draw(st.sampled_from([-1e-12, 0.0, 1e-12])), y)
     elif kind == "long":
         # between two points of one room, often far apart
-        c = data.draw(st.sampled_from(grid8_map.contours))
+        c = data.draw(st.sampled_from(grid8_map.scene.rooms))
         (x0, y0), _, (x1, y1), _ = c.ring
         a, b = (Point2(data.draw(st.floats(x0, x1)), data.draw(st.floats(y0, y1)))
                 for _ in range(2))
@@ -665,7 +662,7 @@ def test_stride_toward_every_room_corner(grid8_map):
     region = Region(grid8_map, GeometricProblem(start=Point2(0.0, 0.0),
                                                  goal=Point2(0.0, 0.0)))
     outcomes = set()
-    for c in grid8_map.contours:
+    for c in grid8_map.scene.rooms:
         (x0, y0), _, (x1, y1), _ = c.ring
         for cx, cy, sx, sy in ((x0, y0, 1, 1), (x1, y0, -1, 1),
                                (x1, y1, -1, -1), (x0, y1, 1, -1)):
@@ -718,8 +715,8 @@ def test_stride_needs_a_band_bound_and_a_fine_grid(grid8_scene, grid8_map):
     # a grid without a recorded band bound
     sdf = SdfGrid(origin=grid8_map.sdf.origin, resolution=grid8_map.sdf.resolution,
                   nx=grid8_map.sdf.nx, ny=grid8_map.sdf.ny, values=grid8_map.sdf.values)
-    bare = GlobalMap(scene=grid8_map.scene, contours=grid8_map.contours,
-                     walls=grid8_map.walls, sdf=sdf, openings=grid8_map.openings)
+    bare = GlobalMap(scene=grid8_map.scene, walls=grid8_map.walls, sdf=sdf,
+                     openings=grid8_map.openings)
     assert not Region(bare, problem).stride
 
 
@@ -734,7 +731,7 @@ def test_coarse_grid_motion_check_equals_pointwise_check(grid8_coarse_map,
                                                          grid8_scene, data):
     region = Region(grid8_coarse_map, data.draw(_problems(grid8_coarse_map)))
     assert not region.stride
-    c = data.draw(st.sampled_from(grid8_coarse_map.contours))
+    c = data.draw(st.sampled_from(grid8_coarse_map.scene.rooms))
     (x0, y0), _, (x1, y1), _ = c.ring
     a, b = (Point2(data.draw(st.floats(x0 - 0.5, x1 + 0.5)),
                    data.draw(st.floats(y0 - 0.5, y1 + 0.5))) for _ in range(2))
@@ -946,19 +943,17 @@ def _reference_sample_state(gmap, problem, rng, goal_bias=0.0):
     if problem.allowed_rooms is None:
         lo, hi = gmap.scene.bbox
         return Point2(rng.uniform(lo.x, hi.x), rng.uniform(lo.y, hi.y))
-    contours = [c for c in gmap.contours if c.room_id in problem.allowed_rooms]
-    rooms = {r.id: r for r in gmap.scene.rooms}
-    areas = [(x1 - x0) * (y1 - y0)
-             for x0, y0, x1, y1 in (rooms[c.room_id].bounds for c in contours)]
+    rooms = [r for r in gmap.scene.rooms if r.id in problem.allowed_rooms]
+    areas = [(x1 - x0) * (y1 - y0) for x0, y0, x1, y1 in (r.bounds for r in rooms)]
     pick = rng.uniform(0.0, sum(areas))
     acc = 0.0
-    chosen = contours[-1]
-    for c, a in zip(contours, areas):
+    chosen = rooms[-1]
+    for r, a in zip(rooms, areas):
         acc += a
         if pick <= acc:
-            chosen = c
+            chosen = r
             break
-    x0, y0, x1, y1 = rooms[chosen.room_id].bounds
+    x0, y0, x1, y1 = chosen.bounds
     for _ in range(64):
         p = Point2(rng.uniform(x0, x1), rng.uniform(y0, y1))
         if point_in_contour(chosen, p):

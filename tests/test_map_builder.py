@@ -1,4 +1,4 @@
-"""Metric map construction: contours, wall carving, distance field."""
+"""Metric map construction: room rings, wall carving, distance field."""
 
 from __future__ import annotations
 
@@ -14,12 +14,12 @@ from semnav import (CarvedWalls, DegenerateRoom, Doorway, DoorwayPlacement,
                     EmptyMap, OutOfBounds, Point2, Room, SceneGraph,
                     SdfGrid, ValidationError, WallSegment,
                     build_global_map, build_sdf, carve_doorways,
-                    contour_from_room, doorway_openings, load_map,
-                    point_in_contour, save_map, sdf_query, set_doorway_blocked)
+                    doorway_openings, load_map, point_in_contour, save_map,
+                    sdf_query, set_doorway_blocked)
 from semnav import map_builder
 from semnav.geometry import dist
 from semnav.geometric_planner import _SQRT2, _stride_eps
-from semnav.scene_graph import CLOSURE_TOL
+from semnav.scene_graph import CLOSURE_TOL, _rect_from_walls
 
 from conftest import fixture_path, rect_room
 from oracles import min_wall_distance, winding_contains
@@ -47,22 +47,19 @@ def _shoelace(ring) -> float:
 
 def test_contour_ring_ccw_from_min_corner():
     room = rect_room("a", 1.0, 2.0, 5.0, 4.0)
-    c = contour_from_room(room)
-    assert c.room_id == "a"
-    assert c.ring == (Point2(1.0, 2.0), Point2(5.0, 2.0),
-                      Point2(5.0, 4.0), Point2(1.0, 4.0))
-    assert _shoelace(c.ring) == pytest.approx(8.0, abs=1e-12)
-    assert _shoelace(c.ring) > 0.0  # counter-clockwise
+    assert room.ring == (Point2(1.0, 2.0), Point2(5.0, 2.0),
+                         Point2(5.0, 4.0), Point2(1.0, 4.0))
+    assert _shoelace(room.ring) == pytest.approx(8.0, abs=1e-12)
+    assert _shoelace(room.ring) > 0.0  # counter-clockwise
 
 
 @pytest.mark.parametrize("name", ["threeroom", "ring4", "grid8"])
 def test_contour_is_the_room_box(name):
     for room in load_map(fixture_path(f"{name}.map")).rooms:
-        c = contour_from_room(room)
         x0, y0, x1, y1 = room.bounds
-        assert c.bounds == room.bounds
-        assert c.ring == (Point2(x0, y0), Point2(x1, y0),
-                          Point2(x1, y1), Point2(x0, y1))
+        assert _rect_from_walls(room.walls) == room.bounds
+        assert room.ring == (Point2(x0, y0), Point2(x1, y0),
+                             Point2(x1, y1), Point2(x0, y1))
 
 
 def test_contour_degenerate_room():
@@ -70,11 +67,21 @@ def test_contour_degenerate_room():
     broken = Room(id="bad", center=good.center, walls=good.walls[:3],
                   bounds=good.bounds)
     with pytest.raises(DegenerateRoom, match="bad"):
-        contour_from_room(broken)
+        build_global_map(_scene([good, broken]))
+
+
+def test_build_global_map_rejects_bounds_its_walls_do_not_close():
+    # the planner reads bounds, so a hand-built room whose box disagrees
+    # with its walls would plan in a room the distance field does not have
+    good = rect_room("a", 0.0, 0.0, 2.0, 2.0)
+    shifted = Room(id="off", center=good.center, walls=good.walls,
+                   bounds=(0.0, 0.0, 2.0, 3.0))
+    with pytest.raises(DegenerateRoom, match="off"):
+        build_global_map(_scene([shifted]))
 
 
 def test_point_in_contour(threeroom_scene):
-    c = contour_from_room(threeroom_scene.room("r2"))
+    c = threeroom_scene.room("r2")
     assert point_in_contour(c, Point2(6.0, 2.0))
     assert point_in_contour(c, Point2(4.0, 0.0))  # corner counts as inside
     assert not point_in_contour(c, Point2(3.9, 2.0))
@@ -130,9 +137,6 @@ def test_attach_threshold_rejects_distant_walls():
     scene = _scene([a, b], [d])
     with pytest.raises(DoorwayPlacement, match="d: closest walls"):
         carve_doorways(scene)
-    # a generous threshold lets the same doorway attach to both walls
-    walls = carve_doorways(scene, attach_threshold=2.0).segments
-    assert len(walls) == 8 + 2
 
 
 def test_opening_outside_overlap_rejected():
@@ -158,9 +162,6 @@ def test_opening_rects(threeroom_scene):
     x0, y0, x1, y1 = rects["d1"]
     assert (x0, x1) == (pytest.approx(3.85), pytest.approx(4.15))
     assert (y0, y1) == (1.5, 2.5)
-    deep = doorway_openings(threeroom_scene, depth=0.5)["d1"]
-    assert deep[0] == pytest.approx(3.75)
-    assert deep[2] == pytest.approx(4.25)
 
 
 # --------------------------------------------------------- distance field
@@ -426,8 +427,8 @@ def test_build_sdf_bitwise_equals_reference_on_random_walls(walls, margin,
 
 def test_build_sdf_records_the_band_bound(threeroom_map):
     walls = carve_doorways(_scene([rect_room("a", 0.0, 0.0, 2.0, 2.0)]))
-    grid = build_sdf(walls, (Point2(0, 0), Point2(2, 2)), wall_half_width=0.08)
-    assert grid.wall_half_width == 0.08
+    grid = build_sdf(walls, (Point2(0, 0), Point2(2, 2)))
+    assert grid.wall_half_width == map_builder.DEFAULT_WALL_HALF_WIDTH
     assert threeroom_map.sdf.wall_half_width == map_builder.DEFAULT_WALL_HALF_WIDTH
     # a hand-built grid has no known bound
     by_hand = SdfGrid(origin=grid.origin, resolution=grid.resolution,
@@ -506,11 +507,10 @@ def test_field_value_bounds_the_field_along_a_stride(rects, resolution, seed):
 
 
 def test_build_global_map_shapes(grid8_map, grid8_scene):
-    assert len(grid8_map.contours) == 8
+    assert len(grid8_map.scene.rooms) == 8
     assert len(grid8_map.walls.segments) == 52
     assert set(grid8_map.openings) == {d.id for d in grid8_scene.doorways}
     assert grid8_map.sdf.resolution == 0.05
-    assert [c.room_id for c in grid8_map.contours] == [r.id for r in grid8_scene.rooms]
 
 
 def test_build_global_map_empty_scene():
@@ -524,10 +524,9 @@ def test_contour_sdf_consistency(ring4_map, ring4_scene):
     from conftest import interior_point
     rng = random.Random(16)
     for room in ring4_scene.rooms:
-        contour = next(c for c in ring4_map.contours if c.room_id == room.id)
         for _ in range(50):
             p = interior_point(rng, room, margin=0.3)
-            assert point_in_contour(contour, p)
+            assert point_in_contour(room, p)
             assert sdf_query(ring4_map.sdf, p) > 0.1
 
 

@@ -38,12 +38,14 @@ def test_region_is_public():
 
 @pytest.mark.parametrize("name", ["sample_informed", "informed_axes", "path_from_dict",
                                   "global_path_from_dict", "route_from_dict",
-                                  "read_csv", "_Region", "_rectangle"])
+                                  "read_csv", "_Region", "_rectangle", "Contour",
+                                  "contour_from_room"])
 def test_removed_names_are_gone(name):
     assert name not in semnav.__all__
     assert not hasattr(semnav, name)
     for module in (semnav.geometric_planner, semnav.subproblem_solver,
-                   semnav.semantic_planner, semnav.bench_harness):
+                   semnav.semantic_planner, semnav.bench_harness,
+                   semnav.map_builder):
         assert not hasattr(module, name), (module.__name__, name)
 
 
@@ -51,7 +53,7 @@ def test_removed_names_are_gone(name):
     (semnav.Room, "widths"), (semnav.SceneGraph, "doorways_of"),
     (semnav.TopologyGraph, "node_count"), (semnav.TopologyGraph, "edge_count"),
     (semnav.WallSegment, "length"), (semnav.GlobalMap, "contour"),
-    (semnav.Region, "room_table"),
+    (semnav.Region, "room_table"), (semnav.GlobalMap, "contours"),
 ])
 def test_removed_attributes_are_gone(owner, name):
     assert not hasattr(owner, name)
@@ -59,9 +61,26 @@ def test_removed_attributes_are_gone(owner, name):
         assert name not in {f.name for f in dataclasses.fields(owner)}
 
 
-def test_contour_stores_only_its_box():
-    assert [f.name for f in dataclasses.fields(semnav.Contour)] == ["room_id", "bounds"]
-    assert isinstance(semnav.Contour.ring, property)
+def test_room_ring_is_a_property():
+    assert isinstance(semnav.Room.ring, property)
+    assert "ring" not in {f.name for f in dataclasses.fields(semnav.Room)}
+
+
+def test_option_lists_are_pinned():
+    # options no caller sets are constants; a new one needs a caller first
+    params = {
+        semnav.build_global_map: ["scene", "resolution"],
+        semnav.build_sdf: ["walls", "bbox", "resolution"],
+        semnav.carve_doorways: ["graph"],
+        semnav.doorway_openings: ["graph"],
+        semnav.render_map_svg: ["scene", "gmap", "path", "show_sdf"],
+        semnav.render_summary_svg: ["summary"],
+        semnav.render_boxplot_svg: ["summary", "metric"],
+    }
+    for fn, names in params.items():
+        assert list(inspect.signature(fn).parameters) == names, fn.__name__
+    assert [f.name for f in dataclasses.fields(semnav.PlannerConfig)] == [
+        "algorithm", "timeout", "max_iterations", "seed", "clock", "ops_per_second"]
 
 
 def test_replan_has_no_map_build_options():

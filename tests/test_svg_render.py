@@ -92,24 +92,9 @@ def test_map_svg_path_overlay(threeroom_scene):
     assert len(poly.get("points").split()) == len(path)
 
 
-def test_map_svg_tree_and_sample_layers(threeroom_scene):
-    tree = [
-        (Point2(1.0, 1.0), Point2(1.5, 1.2)),
-        (Point2(1.5, 1.2), Point2(2.0, 1.8)),
-    ]
-    samples = [Point2(1.0, 1.0), Point2(2.0, 2.0), Point2(3.0, 1.0)]
-    layers = _groups_by_layer(
-        _parse(render_map_svg(threeroom_scene, tree=tree, samples=samples))
-    )
-    tree_lines = [el for el in layers["tree"] if _local(el.tag) == "line"]
-    assert len(tree_lines) == 2
-    dots = [el for el in layers["samples"] if _local(el.tag) == "circle"]
-    assert len(dots) == 3
-
-
 def test_map_svg_optional_layers_absent_by_default(threeroom_scene):
     layers = _groups_by_layer(_parse(render_map_svg(threeroom_scene)))
-    for name in ("path", "tree", "samples", "sdf"):
+    for name in ("path", "sdf"):
         assert name not in layers
 
 
@@ -208,9 +193,6 @@ def test_boxplot_title_defaults_to_metric(two_mode_summary):
     root = _parse(render_boxplot_svg(two_mode_summary, "time_s"))
     texts = [el.text for el in root.iter() if _local(el.tag) == "text"]
     assert "time_s" in texts
-    custom = _parse(render_boxplot_svg(two_mode_summary, "time_s", title="wall time"))
-    texts = [el.text for el in custom.iter() if _local(el.tag) == "text"]
-    assert "wall time" in texts and "time_s" not in texts
 
 
 def test_summary_svg_stacks_one_panel_per_metric(two_mode_summary):
