@@ -12,11 +12,11 @@ ends, so returned paths hold up under arbitrarily dense re-checking.
 Validity checks are the hot path. Rooms are axis-aligned rectangles, so room
 containment is two box comparisons; only points within a few 1e-9 of a
 room's edges fall back to the exact ring test, whose 1e-9 boundary tolerance
-the box test cannot reproduce. A motion check runs the bbox test, the room
-boxes and the bilinear field lookup inline for every interpolated point.
-Both give exactly the answers of the general ring test and ``sdf_query``,
-point for point (see ``Region``), and neither changes what the virtual clock
-charges.
+the box test cannot reproduce. A state check, and a motion check for every
+interpolated point, run the bbox test, the room boxes and the bilinear field
+lookup inline. Both give exactly the answers of the general ring test and
+``sdf_query``, point for point (see ``Region``), and neither changes what the
+virtual clock charges.
 
 A motion check also skips points that the field value of the last checked
 point proves valid (the free-space "bubble" of elastic bands). Every node
@@ -53,8 +53,8 @@ import numpy as np
 
 from .errors import EmptyRegion, InvalidGoal, InvalidStart, OutOfBounds
 from .geometry import Point2, dist
-from .map_builder import GlobalMap, SdfGrid, point_in_contour, sdf_query
-from .rng import make_stream
+from .map_builder import GlobalMap, SdfGrid, point_in_contour
+from .rng import Stream, make_stream
 from .scene_graph import Room
 
 RRT = "rrt"
@@ -156,8 +156,11 @@ class PlannerConfig:
     def validate(self) -> None:
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm '{self.algorithm}'")
-        if not ((self.timeout is not None and self.timeout > 0)
-                or (self.max_iterations is not None and self.max_iterations > 0)):
+        # a bool is an int, but True is no iteration count
+        m = self.max_iterations
+        if m is not None and (isinstance(m, bool) or not isinstance(m, int) or m < 1):
+            raise ValueError("max_iterations must be an int of at least 1")
+        if not ((self.timeout is not None and self.timeout > 0) or m is not None):
             raise ValueError("config needs a positive timeout or max_iterations")
         if self.clock not in (CLOCK_VIRTUAL, CLOCK_WALL):
             raise ValueError(f"unknown clock '{self.clock}'")
@@ -221,11 +224,12 @@ class Region:
     point within ``_RECT_BAND`` (a few 1e-9) of a room's closed box falls back
     to the unchanged ``point_in_contour``; farther out it is not in that room.
 
-    ``motion_valid`` fuses the bbox test, the room boxes and the bilinear
-    field lookup of ``sdf_query`` (the same float arithmetic in the same
-    order) for each interpolated point, without building points or calling
-    out. Its answers are those of ``valid`` on every point, and
-    ``check_cost`` is untouched, so virtual-clock charges are unchanged.
+    ``valid`` fuses the bbox test, the room boxes and the bilinear field
+    lookup of ``sdf_query`` (the same float arithmetic in the same order),
+    and ``motion_valid`` does the same for each interpolated point, without
+    building points or calling out. Its answers are those of ``valid`` on
+    every point, and ``check_cost`` is untouched, so virtual-clock charges
+    are unchanged.
 
     It also strides. After a point in a room's half-open box (or, without
     rooms, in the bbox) passes with field value ``f``, the following points
@@ -308,15 +312,22 @@ class Region:
         return c_min, (start.x + goal.x) / 2.0, (start.y + goal.y) / 2.0, ux, uy
 
     @cached_property
-    def _motion_frame(self) -> tuple:
-        """The locals of ``motion_valid`` that depend only on the region."""
+    def _valid_frame(self) -> tuple:
+        """The locals of ``valid`` that depend only on the region."""
         lo, hi = self.bbox
         grid = self.gmap.sdf
-        return (lo.x, lo.y, hi.x, hi.y, self.constrained, self.stride_boxes,
+        return (lo.x, lo.y, hi.x, hi.y, self.constrained, self.boxes,
                 self.clearance, grid.flat_values, grid.origin.x, grid.origin.y,
                 grid.resolution, grid.nx, grid.nx - 1 + 1e-9, grid.ny - 1 + 1e-9,
-                grid.nx - 2, grid.ny - 2, self.stride,
-                self.clearance + self.stride_eps) + self.inner
+                grid.nx - 2, grid.ny - 2)
+
+    @cached_property
+    def _motion_frame(self) -> tuple:
+        """The locals of ``_motion_valid``: those of ``valid`` with the
+        stride boxes for the room boxes, then the stride's."""
+        f = self._valid_frame
+        return (f[:5] + (self.stride_boxes,) + f[6:]
+                + (self.stride, self.clearance + self.stride_eps) + self.inner)
 
     @property
     def free_area(self) -> float:
@@ -326,8 +337,9 @@ class Region:
             return (hi.x - lo.x) * (hi.y - lo.y)
         return self.sampling[1]
 
-    def sample(self, rng: np.random.Generator, goal_bias: float) -> Point2:
-        """``sample_state`` on this region."""
+    def sample(self, rng: Stream | np.random.Generator, goal_bias: float) -> Point2:
+        """``sample_state`` on this region: ``rng`` is a ``make_stream``
+        stream or any object with numpy's ``random()`` and ``uniform(lo, hi)``."""
         if goal_bias > 0.0 and rng.random() < goal_bias:
             return self.goal
         if not self.constrained:
@@ -347,15 +359,16 @@ class Region:
         x0, y0, x1, y1 = bounds[chosen]
         return Point2(rng.uniform(x0, x1), rng.uniform(y0, y1))
 
-    def sample_informed(self, c_best: float,
-                        rng: np.random.Generator) -> tuple[Point2 | None, int]:
+    def sample_informed(self, c_best: float, rng: Stream | np.random.Generator
+                        ) -> tuple[Point2 | None, int]:
         """Sample the ellipse with foci start/goal, transverse diameter c_best.
 
         Draws are uniform over the ellipse (unit-disk transform) and rejected
         against the region. Returns (point, draws); the point is None when
         all ``INFORMED_MAX_ATTEMPTS`` draws were rejected. A degenerate
         ellipse (c_best equal to the straight-line distance) collapses to
-        the start-goal segment.
+        the start-goal segment. ``rng`` is a ``make_stream`` stream or any
+        object with numpy's ``random()``.
         """
         start, goal = self.start, self.goal
         c_min, cx, cy, ux, uy = self._ellipse_frame
@@ -407,12 +420,49 @@ class Region:
         return False
 
     def valid(self, p: Point2) -> bool:
-        if not self.contains(p):
+        """``contains(p)`` and a field value of at least the clearance.
+
+        The bbox test, the room boxes and the bilinear lookup of
+        ``sdf_query`` run inline, as in ``_motion_valid``; a point in the
+        bbox but off the grid raises OutOfBounds, as ``sdf_query`` does.
+        """
+        (bx0, by0, bx1, by1, constrained, boxes, clearance, v, ox, oy, res, nx,
+         fx_max, fy_max, i_max, j_max) = self._valid_frame
+        x, y = p
+        if not (bx0 <= x <= bx1 and by0 <= y <= by1):
             return False
-        return sdf_query(self.gmap.sdf, p) >= self.clearance
+        if constrained:
+            for x0, y0, x1, y1 in boxes:
+                if x0 <= x < x1 and y0 <= y < y1:
+                    break
+            else:
+                if not self._edge_or_opening(x, y):
+                    return False
+        fx = (x - ox) / res
+        fy = (y - oy) / res
+        if not (-1e-9 <= fx <= fx_max and -1e-9 <= fy <= fy_max):
+            raise OutOfBounds(f"query point {(x, y)} outside the sampled grid")
+        i0 = int(fx)
+        if i0 > i_max:
+            i0 = i_max
+        j0 = int(fy)
+        if j0 > j_max:
+            j0 = j_max
+        tx = fx - i0
+        ty = fy - j0
+        m = j0 * nx + i0
+        return ((v[m] * (1.0 - tx) + v[m + 1] * tx) * (1.0 - ty)
+                + (v[m + nx] * (1.0 - tx) + v[m + nx + 1] * tx) * ty) >= clearance
 
     def motion_valid(self, a: Point2, b: Point2) -> bool:
+        """Straight-line motion check: every interpolated state must be valid.
+
+        A non-finite endpoint is not a valid state, so its motion is invalid
+        (its length is not finite either).
+        """
         length = dist(a, b)
+        if not math.isfinite(length):
+            return False
         return self._motion_valid(a, b, max(1, math.ceil(length / self.step)), length)
 
     def _motion_valid(self, a: Point2, b: Point2, n: int, length: float) -> bool:
@@ -546,22 +596,19 @@ def state_valid(gmap: GlobalMap, problem: GeometricProblem, p: Point2) -> bool:
 
 def motion_valid(gmap: GlobalMap, problem: GeometricProblem,
                  a: Point2, b: Point2) -> bool:
-    """Straight-line motion check: every interpolated state must be valid.
-
-    A non-finite endpoint is not a valid state, so its motion is invalid.
-    """
-    if not all(map(math.isfinite, (a.x, a.y, b.x, b.y))):
-        return False
+    """``Region.motion_valid`` on a fresh region of the problem."""
     return Region(gmap, problem).motion_valid(a, b)
 
 
 def sample_state(gmap: GlobalMap, problem: GeometricProblem,
-                 rng: np.random.Generator, goal_bias: float = 0.0) -> Point2:
+                 rng: Stream | np.random.Generator, goal_bias: float = 0.0) -> Point2:
     """One uniform sample from the allowed region (the goal with ``goal_bias``).
 
     Constrained problems pick a room with probability proportional to its
     area, then sample that room's rectangle, which is uniform over the union
-    because rooms have disjoint interiors.
+    because rooms have disjoint interiors. ``rng`` is a ``make_stream``
+    stream or any object with numpy's ``random()`` and ``uniform(lo, hi)``;
+    both give the same draws for the same seed.
     """
     return Region(gmap, problem).sample(rng, goal_bias)
 

@@ -154,6 +154,7 @@ def solve_all(subs: tuple[Subproblem, ...] | list[Subproblem], gmap: GlobalMap,
     pass is split evenly among the unsolved subproblems, which are retried
     with a re-salted seed. Off by default to keep the baseline split exact.
     """
+    config.validate()
     subs = tuple(subs)
     if not subs:
         raise EmptyInput("no subproblems to solve")
@@ -255,6 +256,7 @@ def replan(scene: SceneGraph, prev_route: SemanticRoute,
     SubproblemInfeasible at the first re-planned subproblem whose endpoints
     cannot be valid states.
     """
+    config.validate()
     new_scene = set_doorway_blocked(scene, blocked_id, True)
     gmap = build_global_map(new_scene)
     topo = build_topology(new_scene, penalty, metric)

@@ -16,8 +16,8 @@ from hypothesis import strategies as st
 
 from semnav import (CarvedWalls, Doorway, EmptyRegion, GeometricPath,
                     GeometricProblem, GlobalMap, InvalidGoal, InvalidStart,
-                    PlannerConfig, Point2, Region, Room, SceneGraph, SdfGrid,
-                    build_global_map, build_topology, decompose, load_map,
+                    OutOfBounds, PlannerConfig, Point2, Region, Room, SceneGraph,
+                    SdfGrid, build_global_map, build_topology, decompose, load_map,
                     motion_valid, path_to_dict, plan, point_in_contour,
                     sample_state, sdf_query, semantic_route, state_valid)
 from semnav.geometric_planner import (_cheapest_first, _informed_axes, _lower_best,
@@ -58,6 +58,18 @@ def test_config_validation():
         PlannerConfig(timeout=1.0, clock="cpu").validate()
     with pytest.raises(ValueError, match="ops_per_second"):
         PlannerConfig(timeout=1.0, ops_per_second=0.0).validate()
+
+
+@pytest.mark.parametrize("bad", [0, -5, 2.5, 1.0, True, "3"])
+def test_config_rejects_an_iteration_cap_that_is_no_count(threeroom_map, bad):
+    # -5 ran no iteration and 2.5 ran three; both looked like a valid run
+    problem = GeometricProblem(start=Point2(2.0, 2.0), goal=Point2(10.0, 2.0))
+    for timeout in (1.0, None):
+        config = PlannerConfig(timeout=timeout, max_iterations=bad)
+        with pytest.raises(ValueError, match="int of at least 1"):
+            config.validate()
+        with pytest.raises(ValueError, match="int of at least 1"):
+            plan(threeroom_map, problem, config)
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -599,6 +611,59 @@ def test_grid8_containment_equals_ring_test(grid8_map, data):
     assert region.contains(p) == _reference_contains(region, p)
 
 
+@st.composite
+def _state_probes(draw, gmap) -> Point2:
+    """A point near a room's edges, about one clearance in from a room's
+    wall, in or beside a doorway opening, around the bbox, or not finite."""
+    kind = draw(st.sampled_from(["room_edge", "clearance", "opening", "bbox",
+                                 "non_finite"]))
+    lo, hi = gmap.scene.bbox
+    if kind == "room_edge":
+        x0, y0, x1, y1 = draw(st.sampled_from(gmap.scene.rooms)).bounds
+        return Point2(draw(_near(x0, x1)), draw(_near(y0, y1)))
+    if kind == "clearance":
+        # where the field value crosses the clearance, or 1e-12 off it
+        x0, y0, x1, y1 = draw(st.sampled_from(gmap.scene.rooms)).bounds
+        s = CLEARANCE + draw(st.sampled_from([0.0, 1e-12, -1e-12]) | st.floats(-0.03, 0.03))
+        x = draw(st.sampled_from([x0 + s, x1 - s]) | st.floats(x0, x1))
+        y = draw(st.sampled_from([y0 + s, y1 - s]) | st.floats(y0, y1))
+        return Point2(x, y)
+    if kind == "opening" and gmap.openings:
+        x0, y0, x1, y1 = gmap.openings[draw(st.sampled_from(sorted(gmap.openings)))]
+        return Point2(draw(_near(x0, x1)), draw(_near(y0, y1)))
+    if kind == "non_finite":
+        bad = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+        ok = draw(st.floats(lo.x, hi.x))
+        return draw(st.sampled_from([Point2(bad, ok), Point2(ok, bad), Point2(bad, bad)]))
+    return Point2(draw(_near(lo.x, hi.x)), draw(_near(lo.y, hi.y)))
+
+
+@pytest.mark.parametrize("name", ["grid8", "ring4", "threeroom"])
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_state_check_equals_containment_and_field_lookup(fixture_maps, name, data):
+    gmap = fixture_maps[name]
+    region = Region(gmap, data.draw(_problems(gmap)))
+    p = data.draw(_state_probes(gmap))
+    assert region.valid(p) is (_reference_contains(region, p)
+                               and sdf_query(gmap.sdf, p) >= region.clearance)
+
+
+def test_state_check_raises_off_the_grid_as_sdf_query_does():
+    # the grid covers only (-1, -1)..(-0.95, -0.95), in no room but in the opening
+    room = Room(id="a", center=Point2(1.0, 0.5), walls=(), bounds=(0.0, 0.0, 2.0, 1.0))
+    region = _contour_region([room], {"d": (-1.0, -1.0, -0.9, -0.9)})
+    for p in (Point2(1.0, 0.5), Point2(-0.92, -0.92)):
+        with pytest.raises(OutOfBounds):
+            sdf_query(region.gmap.sdf, p)
+        with pytest.raises(OutOfBounds):
+            region.valid(p)
+    # on the grid, the field value 0 is below the clearance
+    assert region.valid(Point2(-0.98, -0.98)) is False
+    # outside every room and opening: rejected before the lookup
+    assert region.valid(Point2(-0.5, -0.5)) is False
+
+
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_fused_motion_check_equals_pointwise_check(grid8_map, grid8_scene, data):
@@ -796,6 +861,16 @@ def test_motion_valid_rejects_non_finite_endpoints(threeroom_map, bad):
         assert not state_valid(threeroom_map, problem, p)
         assert motion_valid(threeroom_map, problem, good, p) is False
         assert motion_valid(threeroom_map, problem, p, good) is False
+    # the same on a region, constrained or not
+    for allowed in (None, frozenset({"r1"})):
+        region = Region(threeroom_map, replace(problem, allowed_rooms=allowed))
+        for p in (Point2(bad, 2.0), Point2(2.0, bad), Point2(bad, bad)):
+            assert region.valid(p) is False
+            assert region.motion_valid(good, p) is False
+            assert region.motion_valid(p, good) is False
+            assert region.motion_valid(p, p) is False
+        # finite endpoints whose length overflows
+        assert region.motion_valid(Point2(-1e308, 2.0), Point2(1e308, 2.0)) is False
 
 
 # ------------------------------------------------------ rewire pre-filter

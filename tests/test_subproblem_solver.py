@@ -273,6 +273,36 @@ def test_replan_partial_reuse_on_invalidated_segment(ring4_scene, ring4_map):
     assert outcome.path.segments[1].waypoints != seg2.waypoints
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_replan_re_plans_a_segment_with_a_non_finite_waypoint(ring4_scene, ring4_map, bad):
+    # a previous segment 2 whose middle waypoint is not finite is no longer
+    # valid: it is planned afresh instead of crashing the reuse check
+    route = _route(ring4_scene, Point2(2.0, 2.0), Point2(6.0, 2.0))
+    seg1 = GeometricPath.from_waypoints((Point2(2.0, 2.0), Point2(4.0, 2.0)))
+    seg2 = GeometricPath(waypoints=(Point2(4.0, 2.0), Point2(5.0, bad), Point2(6.0, 2.0)),
+                         length=4.0)
+    prev = join_segments([seg1, seg2])
+    outcome = replan(ring4_scene, route, prev, "d23", Point2(2.0, 2.0),
+                     PlannerConfig(timeout=0.3, seed=11))
+    assert outcome.reused_indices == (1,)
+    assert outcome.solved_indices == (2,)
+    assert outcome.path is not None
+    assert all(math.isfinite(c) for s in outcome.path.segments
+               for p in s.waypoints for c in p)
+
+
+@pytest.mark.parametrize("bad", [-5, 2.5])
+def test_solve_all_and_replan_reject_an_iteration_cap_that_is_no_count(
+        ring4_scene, ring4_map, bad):
+    # the per-subproblem split turned -5 into 1 and 2.5 into 2.0
+    route, gpath = _solved_ring4(ring4_scene, ring4_map, goal=Point2(6.0, 2.0))
+    config = PlannerConfig(timeout=0.3, max_iterations=bad)
+    with pytest.raises(ValueError, match="max_iterations"):
+        solve_all(decompose(route, ring4_scene), ring4_map, config)
+    with pytest.raises(ValueError, match="max_iterations"):
+        replan(ring4_scene, route, gpath, "d34", Point2(2.0, 2.0), config)
+
+
 def test_replan_start_without_clearance_is_infeasible(ring4_scene, ring4_map):
     # the robot stands 0.2 m from d12's wall gap; closing the gap leaves the
     # replan's first subproblem a start closer to the wall than the robot radius
