@@ -17,11 +17,14 @@ Walls are axis-aligned, so the field is built per segment from 1-D residuals:
 the clamped projection onto a horizontal piece depends only on the node
 column and the offset across it only on the row, and ``hypot`` of the two
 broadcast residuals returns, element by element, the floats the full-grid
-formula returns. A node can only get closer to a piece than its current
-minimum if both residuals are below that minimum, because ``hypot(a, b) >=
-max(|a|, |b|)``; so each piece evaluates only the block of rows and columns
-whose largest current minimum exceeds its residual there. Both facts are
-exact, and the grid equals the full per-segment evaluation bit for bit.
+formula returns. The nodes are grouped in square tiles. Because ``hypot(a, b)
+>= max(|a|, |b|)``, the larger of a piece's smallest residual over a tile's
+columns and its smallest over the tile's rows bounds the piece's distance to
+every node of the tile from below. Each tile is first filled with its
+lowest-bound piece; then only the pieces whose bound is below the largest
+value that leaves in the tile can lower a node there, and only those are
+evaluated. Both facts are exact, and the grid equals the full per-segment
+evaluation bit for bit.
 """
 
 from __future__ import annotations
@@ -46,6 +49,10 @@ _CARVE_TOL = 1e-9
 _MIN_PIECE = 1e-12
 # Largest distance field build_sdf allocates: 128 MiB per float64 grid.
 _MAX_NODES = 1 << 24
+# edge of the square node tiles build_sdf bounds and evaluates together
+_TILE = 16
+# float64 elements of residuals, bounds or distances handled at a time
+_CHUNK = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -214,20 +221,28 @@ def build_sdf(walls: CarvedWalls, bbox: tuple[Point2, Point2],
       swap the axes, and pieces shorter than 1e-12 are points.
       ``hypot`` of the broadcast residuals is then the same elementwise call
       on the same operands (up to the sign of a zero, which hypot ignores).
-    * Exact window. ``hypot(a, b) >= max(|a|, |b|)``: the exact value is at
-      least the larger operand, which is itself a float, so a faithfully
-      rounded hypot cannot fall below it. Node ``(j, i)`` can therefore
-      lower its running minimum only if ``|ry[j]|`` is below the largest
-      minimum of row j and ``|rx[i]|`` below the largest of column i. Those
-      maxima are refreshed only for the rows and columns a piece touched;
-      the others are stale, hence too large, which only widens a window.
-      Long pieces go first so the maxima fall early, and every later piece
-      evaluates only the bounding block of its candidate rows and columns.
-      ``minimum`` is exact, so neither the order of the pieces nor skipping
-      a repeated piece changes a value.
+    * Exact tile bound. ``hypot(a, b) >= max(|a|, |b|)``: the exact value
+      is at least the larger operand, which is itself a float, so a
+      faithfully rounded hypot cannot fall below it. The grid is padded to
+      whole ``_TILE`` x ``_TILE`` tiles, and a piece's bound on a tile is
+      ``max(min |rx|, min |ry|)`` over the tile's columns and rows: no node
+      of the tile is closer to the piece. Pass 1 fills each tile with its
+      lowest-bound piece (one batched ``hypot``); let ``M`` be the largest
+      value that leaves on the tile's grid nodes. Pass 2 evaluates there
+      only the other pieces whose bound is strictly below ``M``. A node's
+      nearest piece is then either evaluated, or its distance is at least
+      its bound, hence at least ``M``, hence at least the node's pass-1
+      value, which is therefore already the minimum. ``minimum`` is exact,
+      so neither the order of the pieces nor skipping a repeated piece
+      changes a value.
 
     Pieces that are not exactly axis-aligned (the loader accepts walls
-    tilted by up to ``CLOSURE_TOL``) take the full-grid formula.
+    tilted by up to ``CLOSURE_TOL``) take the full-grid formula, folded in
+    between the two passes. Pieces are handled in chunks of about
+    ``_CHUNK`` residuals and bounds, and pass 2 evaluates at most about
+    ``_CHUNK`` distances at a time, so the memory beyond the grid stays a
+    small multiple of the node count and never grows with pieces times
+    tiles.
 
     Raises EmptyMap without segments, ValueError for a non-finite or
     non-positive resolution and ValidationError when the grid would have
@@ -254,51 +269,121 @@ def build_sdf(walls: CarvedWalls, bbox: tuple[Point2, Point2],
         raise ValidationError(f"{where} needs {nx} x {ny} = {nx * ny} "
                               f"distance-field nodes (limit {_MAX_NODES})")
 
-    xs = origin.x + resolution * np.arange(nx)
-    ys = origin.y + resolution * np.arange(ny)
-    dmin = np.full((ny, nx), np.inf)
-    pieces = []  # (squared length, residual per column, residual per row)
+    # node coordinates, padded to whole tiles: the first nx (ny) are the grid's
+    xs = origin.x + resolution * np.arange(-(-nx // _TILE) * _TILE)
+    ys = origin.y + resolution * np.arange(-(-ny // _TILE) * _TILE)
+    dmin = np.empty((ys.size, xs.size))
+    # tiles[J, a, I, b] is node (J * _TILE + a, I * _TILE + b)
+    tiles = dmin.reshape(ys.size // _TILE, _TILE, xs.size // _TILE, _TILE)
+    pieces = []  # (ax, ay, dx, dy, denom) of the axis-aligned pieces and points
+    tilted = []
     for seg in dict.fromkeys(walls.segments):
         ax, ay = seg.a
         bx, by = seg.b
         dx = bx - ax
         dy = by - ay
         denom = dx * dx + dy * dy
-        if denom < 1e-24:
-            pieces.append((denom, xs - ax, ys - ay))
-        elif dy == 0.0:
-            t = (xs - ax) * dx / denom
-            np.clip(t, 0.0, 1.0, out=t)
-            pieces.append((denom, xs - (ax + t * dx), ys - ay))
-        elif dx == 0.0:
-            t = (ys - ay) * dy / denom
-            np.clip(t, 0.0, 1.0, out=t)
-            pieces.append((denom, xs - ax, ys - (ay + t * dy)))
+        if denom < 1e-24 or dy == 0.0 or dx == 0.0:
+            pieces.append((ax, ay, dx, dy, denom))
         else:
-            gx, gy = np.meshgrid(xs, ys)  # shape (ny, nx)
-            t = ((gx - ax) * dx + (gy - ay) * dy) / denom
-            np.clip(t, 0.0, 1.0, out=t)
-            np.minimum(dmin, np.hypot(gx - (ax + t * dx), gy - (ay + t * dy)), out=dmin)
+            tilted.append((ax, ay, dx, dy, denom))
+    pieces = np.array(pieces).reshape(-1, 5)
 
-    rowmax = dmin.max(axis=1)
-    colmax = dmin.max(axis=0)
-    pieces.sort(key=lambda piece: piece[0], reverse=True)
-    for _, rx, ry in pieces:
-        rows = np.flatnonzero(np.abs(ry) < rowmax)
-        cols = np.flatnonzero(np.abs(rx) < colmax)
-        if rows.size == 0 or cols.size == 0:
-            continue
-        j0, j1 = rows[0], rows[-1] + 1
-        i0, i1 = cols[0], cols[-1] + 1
-        block = dmin[j0:j1, i0:i1]
-        np.minimum(block, np.hypot(rx[i0:i1], ry[j0:j1, None]), out=block)
-        dmin[j0:j1].max(axis=1, out=rowmax[j0:j1])
-        dmin[:, i0:i1].max(axis=0, out=colmax[i0:i1])
-    values = np.where(dmin < DEFAULT_WALL_HALF_WIDTH, -dmin, dmin)
+    seed = _seed_tiles(tiles, pieces, xs, ys)
+    grid = dmin[:ny, :nx]
+    for ax, ay, dx, dy, denom in tilted:
+        gx, gy = np.meshgrid(xs[:nx], ys[:ny])  # shape (ny, nx)
+        t = ((gx - ax) * dx + (gy - ay) * dy) / denom
+        np.clip(t, 0.0, 1.0, out=t)
+        np.minimum(grid, np.hypot(gx - (ax + t * dx), gy - (ay + t * dy)), out=grid)
+    # padding nodes must not raise a tile's largest value
+    dmin[ny:] = 0.0
+    dmin[:, nx:] = 0.0
+    _lower_tiles(tiles, pieces, seed, xs, ys)
+
+    values = np.ascontiguousarray(grid)
+    np.negative(values, out=values, where=values < DEFAULT_WALL_HALF_WIDTH)
     values.setflags(write=False)
     return SdfGrid(origin=origin, resolution=resolution, nx=nx, ny=ny, values=values,
                    wall_half_width=DEFAULT_WALL_HALF_WIDTH)
 
+
+def _tile_bounds(pieces: np.ndarray, xs: np.ndarray, ys: np.ndarray):
+    """Per chunk of ``pieces``: the first piece's index, the residuals along x
+    ``rx[k, I, b]`` (column ``I * _TILE + b``) and along y ``ry[k, J, a]``,
+    and ``bound[J, I, k]``, a lower bound on piece ``k``'s distance to every
+    node of tile (J, I).
+
+    A chunk holds at most about ``_CHUNK`` residuals and bounds, so memory
+    never grows with pieces times tiles."""
+    tiles_y, tiles_x = ys.size // _TILE, xs.size // _TILE
+    chunk = max(1, _CHUNK // (tiles_y * tiles_x + xs.size + ys.size))
+    for k0 in range(0, len(pieces), chunk):
+        ax, ay, dx, dy, denom = pieces[k0:k0 + chunk].T
+        rx = xs - ax[:, None]
+        ry = ys - ay[:, None]
+        segment = denom >= 1e-24
+        for r, coords, a, d, rows in ((rx, xs, ax, dx, segment & (dy == 0.0)),
+                                      (ry, ys, ay, dy, segment & (dx == 0.0))):
+            if rows.any():
+                a, d = a[rows, None], d[rows, None]
+                t = r[rows] * d / denom[rows, None]
+                np.clip(t, 0.0, 1.0, out=t)
+                r[rows] = coords - (a + t * d)
+        rx = rx.reshape(-1, tiles_x, _TILE)
+        ry = ry.reshape(-1, tiles_y, _TILE)
+        bound = np.maximum(np.abs(ry).min(axis=2).T[:, None, :],
+                           np.abs(rx).min(axis=2).T[None, :, :])
+        yield k0, rx, ry, bound
+
+
+def _seed_tiles(tiles: np.ndarray, pieces: np.ndarray, xs: np.ndarray,
+                ys: np.ndarray) -> np.ndarray:
+    """Fill every tile with the distances to its lowest-bound piece and
+    return that piece's index per tile. Without pieces every node holds
+    ``hypot(inf, inf)``, which is inf, and every index is -1."""
+    tiles_y, _, tiles_x, _ = tiles.shape
+    best = np.full((tiles_y, tiles_x), np.inf)
+    seed = np.full((tiles_y, tiles_x), -1)
+    seed_rx = np.full((tiles_y, tiles_x, _TILE), np.inf)
+    seed_ry = np.full((tiles_y, tiles_x, _TILE), np.inf)
+    for k0, rx, ry, bound in _tile_bounds(pieces, xs, ys):
+        k = bound.argmin(axis=2)
+        low = np.take_along_axis(bound, k[:, :, None], axis=2)[:, :, 0]
+        j, i = np.nonzero(low < best)
+        k = k[j, i]
+        best[j, i] = low[j, i]
+        seed[j, i] = k0 + k
+        seed_rx[j, i] = rx[k, i]
+        seed_ry[j, i] = ry[k, j]
+    np.hypot(seed_rx[:, None], seed_ry.transpose(0, 2, 1)[:, :, :, None], out=tiles)
+    return seed
+
+
+def _lower_tiles(tiles: np.ndarray, pieces: np.ndarray, seed: np.ndarray,
+                 xs: np.ndarray, ys: np.ndarray) -> None:
+    """Fold into every tile each piece but its seed whose bound there is
+    below the tile's largest value.
+
+    The (tile, piece) pairs go in ranks: rank r holds each tile's r-th pair,
+    so one rank's tiles are distinct and each rank is one gather, ``hypot``,
+    ``minimum`` and scatter per batch."""
+    top = tiles.max(axis=(1, 3))[:, :, None]
+    batch = max(1, _CHUNK // (_TILE * _TILE))
+    for k0, rx, ry, bound in _tile_bounds(pieces, xs, ys):
+        near = bound < top
+        near &= seed[:, :, None] != np.arange(k0, k0 + near.shape[2])
+        jj, ii, kk = np.nonzero(near)
+        rank = np.cumsum(near, axis=2)[near]
+        for r in range(1, rank.max(initial=0) + 1):
+            pairs = np.flatnonzero(rank == r)
+            for s in range(0, pairs.size, batch):
+                p = pairs[s:s + batch]
+                j, i, k = jj[p], ii[p], kk[p]
+                block = tiles[j, :, i, :]
+                np.minimum(block, np.hypot(rx[k, i][:, None, :], ry[k, j][:, :, None]),
+                           out=block)
+                tiles[j, :, i, :] = block
 
 def sdf_query(grid: SdfGrid, p: Point2) -> float:
     """Bilinearly interpolated field value at ``p``.

@@ -5,10 +5,11 @@ an explicit 64-bit seed. Streams with different keys are statistically
 independent, so per-planner and per-subproblem seeds can be derived with plain
 integer mixing without risk of overlap.
 
-A stream draws its doubles from the generator in blocks of ``_BLOCK`` and
-hands them out one at a time, so it gives, in order, exactly the values that
-the generator's scalar ``random()`` and ``uniform(lo, hi)`` calls give, at a
-fraction of their per-call cost.
+A stream draws its doubles from the generator in blocks, ``_FIRST`` on its
+first draw and ``_BLOCK`` after that, and hands them out one at a time, so it
+gives, in order, exactly the values that the generator's scalar ``random()``
+and ``uniform(lo, hi)`` calls give, at a fraction of their per-call cost. The
+small first block serves the many streams that take only a few draws.
 """
 
 from __future__ import annotations
@@ -18,7 +19,8 @@ import math
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
-# doubles drawn from the generator at a time
+# doubles drawn from the generator at a time: on a stream's first draw, and later
+_FIRST = 8
 _BLOCK = 256
 _INF = math.inf
 
@@ -46,14 +48,16 @@ class Stream:
     negative one (``-0.0`` included) before it takes a draw.
     """
 
-    __slots__ = ("_gen", "_next")
+    __slots__ = ("_gen", "_next", "_size")
 
     def __init__(self, gen: np.random.Generator):
         self._gen = gen
         self._next = iter(()).__next__
+        self._size = _FIRST
 
     def _refill(self) -> float:
-        self._next = iter(self._gen.random(_BLOCK).tolist()).__next__
+        self._next = iter(self._gen.random(self._size).tolist()).__next__
+        self._size = _BLOCK
         return self._next()
 
     def random(self) -> float:

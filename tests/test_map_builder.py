@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -423,6 +424,101 @@ def test_build_sdf_bitwise_equals_reference_on_random_walls(walls, margin,
     got = build_sdf(walls, bbox, resolution=resolution)
     want = _reference_sdf_values(walls, bbox, resolution)
     assert got.values.tobytes() == want.tobytes()
+
+
+
+# ------------------------------------------------------ tiled build paths
+
+
+def _assert_matches_reference(walls, bbox, resolution):
+    got = build_sdf(walls, bbox, resolution=resolution)
+    want = _reference_sdf_values(walls, bbox, resolution)
+    assert got.values.tobytes() == want.tobytes()
+    return got
+
+
+# At 0.25 m a bbox w m wide has 4 * w + 5 nodes across, exactly
+@pytest.mark.parametrize("ny", [15, 32, 49])
+@pytest.mark.parametrize("nx", [15, 16, 17, 31, 32, 33, 47, 48, 49])
+def test_build_sdf_at_whole_tiles_and_one_node_either_side(nx, ny):
+    w, h = (nx - 5) / 4.0, (ny - 5) / 4.0
+    rooms = [rect_room("a", 0.0, 0.0, w / 2.0, h), rect_room("b", w / 2.0, 0.0, w, h),
+             rect_room("c", 0.25, 0.25, 0.75, 0.75)]
+    walls = CarvedWalls(segments=tuple(wall for r in rooms for wall in r.walls))
+    grid = _assert_matches_reference(walls, (Point2(0.0, 0.0), Point2(w, h)), 0.25)
+    assert (grid.nx, grid.ny) == (nx, ny)
+
+
+def test_build_sdf_smaller_than_one_tile():
+    walls = CarvedWalls(segments=tuple(rect_room("a", 0.0, 0.0, 0.5, 0.25).walls))
+    grid = _assert_matches_reference(walls, (Point2(0.0, 0.0), Point2(0.5, 0.25)), 0.25)
+    assert grid.nx < map_builder._TILE and grid.ny < map_builder._TILE
+    assert grid.values.flags.c_contiguous
+
+
+@pytest.mark.parametrize("resolution", [0.05, 0.1])
+def test_build_sdf_mixes_tilted_and_axis_aligned_pieces(grid8_scene, resolution):
+    walls = carve_doorways(grid8_scene).segments
+    a, b = walls[0]
+    tilt = (Point2(b.x + CLOSURE_TOL, b.y) if a.x == b.x
+            else Point2(b.x, b.y + CLOSURE_TOL))
+    mixed = CarvedWalls(segments=walls[1:] + (
+        WallSegment(a, tilt), WallSegment(Point2(1.0, 1.0), Point2(4.0, 3.0)),
+        WallSegment(Point2(9.0, 2.0), Point2(9.0, 2.0))))
+    _assert_matches_reference(mixed, grid8_scene.bbox, resolution)
+    only_tilted = CarvedWalls(segments=(WallSegment(a, tilt),))
+    _assert_matches_reference(only_tilted, grid8_scene.bbox, resolution)
+
+
+@pytest.fixture
+def one_piece_chunks(monkeypatch):
+    """Shrink the chunk budget to one piece per chunk and one (tile, piece)
+    pair per batch, and record the size of every chunk."""
+    sizes = []
+    chunks = map_builder._tile_bounds
+
+    def recorded(pieces, xs, ys):
+        for chunk in chunks(pieces, xs, ys):
+            sizes.append(chunk[3].shape[2])
+            yield chunk
+
+    monkeypatch.setattr(map_builder, "_CHUNK", 1)
+    monkeypatch.setattr(map_builder, "_tile_bounds", recorded)
+    return sizes
+
+
+def test_build_sdf_chunked_on_grid8(grid8_scene, one_piece_chunks):
+    walls = carve_doorways(grid8_scene)
+    _assert_matches_reference(walls, grid8_scene.bbox, 0.05)
+    # both passes ran one piece at a time over every distinct piece
+    assert one_piece_chunks == [1] * (2 * len(dict.fromkeys(walls.segments)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(walls=_rectangle_walls(), resolution=st.sampled_from([0.05, 0.1, 0.23]))
+def test_build_sdf_chunked_on_random_walls(walls, resolution):
+    xs = [c for s in walls.segments for c in (s.a.x, s.b.x)]
+    ys = [c for s in walls.segments for c in (s.a.y, s.b.y)]
+    bbox = (Point2(min(xs), min(ys)), Point2(max(xs), max(ys)))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(map_builder, "_CHUNK", 1)
+        _assert_matches_reference(walls, bbox, resolution)
+
+
+def test_build_sdf_memory_stays_a_small_multiple_of_the_grid():
+    # 400 rooms, 1600 distinct pieces and 38 x 38 tiles: one pieces x tiles
+    # bound array alone would take about 6 times the grid's bytes
+    rooms = [rect_room(f"r{r}_{c}", 1.5 * c, 1.5 * r, 1.5 * (c + 1), 1.5 * (r + 1))
+             for r in range(20) for c in range(20)]
+    walls = CarvedWalls(segments=tuple(w for room in rooms for w in room.walls))
+    bbox = (Point2(0.0, 0.0), Point2(30.0, 30.0))
+    tracemalloc.start()
+    try:
+        grid = build_sdf(walls, bbox)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * grid.nx * grid.ny * 8
 
 
 def test_build_sdf_records_the_band_bound(threeroom_map):

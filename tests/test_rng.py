@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from semnav import GeometricProblem, Point2, Region
-from semnav.rng import _BLOCK, Stream, make_stream
+from semnav.rng import _BLOCK, _FIRST, Stream, make_stream
 
 
 def _generator(seed: int) -> np.random.Generator:
@@ -61,7 +61,8 @@ def test_stream_interleaves_draws_as_the_generator_does(seed, order, bounds):
     (math.nan, 1.0, OverflowError), (0.0, math.nan, OverflowError),
     (-1e308, 1e308, OverflowError), (math.inf, math.inf, OverflowError),
 ])
-@pytest.mark.parametrize("drawn", [0, 1, _BLOCK - 1, _BLOCK])
+@pytest.mark.parametrize("drawn", [0, 1, _FIRST - 1, _FIRST, _BLOCK - 1, _BLOCK,
+                                   _FIRST + _BLOCK - 1, _FIRST + _BLOCK])
 def test_stream_rejects_a_bad_range_before_drawing(lo, hi, error, drawn):
     ours, theirs = make_stream(7), _generator(7)
     for _ in range(drawn):
@@ -74,6 +75,29 @@ def test_stream_rejects_a_bad_range_before_drawing(lo, hi, error, drawn):
     assert _bits(ours.random()) == _bits(theirs.random())
     assert _bits(ours.uniform(-0.0, 0.0)) == _bits(theirs.uniform(-0.0, 0.0))
 
+
+@pytest.mark.parametrize("seed", [0, 11, 2**64 - 1])
+@pytest.mark.parametrize("kind", ["random", "uniform"])
+def test_stream_matches_scalar_draws_across_the_first_and_later_blocks(seed, kind):
+    # the first block holds _FIRST doubles and every later one _BLOCK: compare
+    # every draw up to just past the third block end
+    ours, theirs = make_stream(seed), _generator(seed)
+    n = _FIRST + 2 * _BLOCK + 1
+    if kind == "random":
+        got = [ours.random() for _ in range(n)]
+        want = [theirs.random() for _ in range(n)]
+    else:
+        got = [ours.uniform(-2.5, 7.0) for _ in range(n)]
+        want = [theirs.uniform(-2.5, 7.0) for _ in range(n)]
+    assert [_bits(x) for x in got] == [_bits(x) for x in want]
+
+
+def test_stream_first_draw_takes_a_small_block():
+    ours, theirs = make_stream(3), _generator(3)
+    ours.random()
+    theirs.random(_FIRST)
+    # the generator behind the stream has handed out exactly _FIRST doubles
+    assert ours._gen.random() == theirs.random()
 
 def test_make_stream_keys_by_the_low_64_bits():
     a, b = make_stream(3), make_stream(3 + 2**64)
