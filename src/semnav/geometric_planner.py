@@ -32,6 +32,18 @@ without a recorded band bound, coarse grids and points accepted by the exact
 ring test or a doorway opening do not skip, and every check returns what
 the point-by-point check returns.
 
+Most motion checks need no point at all. A bilinear value is a convex
+combination of its cell's four node values, so if every node of every cell
+that meets a rectangle R holds at least ``c + eps``, every point of R has a
+field value of at least ``c``, whatever walls lie where; R is convex, so a
+segment with both endpoints in R passes every point check (the safety
+certificates of Bialkowski, Otte, Karaman and Frazzoli, IJRR 2016). Each
+room gets such a box once per field: its box within the bbox, cut in from
+the sides until its nodes pass, then shrunk by ``eps`` (``SdfGrid.
+certified_box``, ``Region.certified``). A motion check with both endpoints
+in one certified box of its region returns True at once. It is still charged
+for all its points, so no virtual tick, record or digest changes.
+
 Budgets come from a pluggable clock. The default "virtual" clock charges
 ticks per primitive operation: one per sample draw, one per 32 points of a
 vectorized nearest-neighbour scan, and, per point validity check, one field
@@ -242,6 +254,17 @@ class Region:
     needed ``_edge_or_opening``, every point is evaluated. ``eps`` grows
     with the coordinate magnitude, like ``_RECT_BAND``, and with the grid
     size, to cover rounding in the points, in ``f`` and in the node values.
+
+    Before any point, ``_motion_valid`` tests the endpoints against the
+    ``certified`` boxes: the allowed rooms' for a constrained region, every
+    room's otherwise. When both lie in one box, every interpolated point is
+    valid (module docstring) and the check returns True without evaluating
+    one. The boxes use the same ``eps``: the threshold is ``c + eps``, and
+    each box is the grid's ``certified_box`` shrunk by ``eps``, so the
+    rounding of the interpolated coordinates cannot carry a point out of
+    the node window, the room's half-open box or the bbox, and the bilinear
+    sum's rounding cannot pull a value of at least ``c + eps`` below ``c``.
+    Callers still charge every point, so virtual ticks are unchanged.
     """
 
     def __init__(self, gmap: GlobalMap, problem: GeometricProblem):
@@ -251,6 +274,7 @@ class Region:
         self.bbox = gmap.scene.bbox
         self.clearance = problem.robot_radius + problem.validity_margin
         self.constrained = problem.allowed_rooms is not None
+        self._allowed = frozenset(problem.allowed_rooms) if self.constrained else None
         self.rooms: tuple[Room, ...] = ()
         self.rects: tuple[tuple[float, float, float, float], ...] = ()
         if self.constrained:
@@ -262,7 +286,7 @@ class Region:
                                    if d in gmap.openings)
         grid = gmap.sdf
         lo, hi = self.bbox
-        eps = _stride_eps(grid, self.bbox)
+        eps = _stride_eps(grid, self.bbox, self.clearance)
         self.stride = (self.clearance - eps
                        > grid.wall_half_width + _SQRT2 * grid.resolution)
         self.stride_eps = eps
@@ -310,6 +334,40 @@ class Region:
         else:
             ux, uy = 1.0, 0.0
         return c_min, (start.x + goal.x) / 2.0, (start.y + goal.y) / 2.0, ux, uy
+
+    @cached_property
+    def certified(self) -> tuple[tuple[float, float, float, float], ...]:
+        """Closed boxes in which a motion check with both endpoints in one
+        box passes without evaluating a point: per allowed room (every room
+        of the map when unconstrained), the grid's certified box of the
+        room's box within the bbox at ``clearance + eps``, shrunk by ``eps``.
+        Built once per map, allowed rooms and clearance; none for a
+        threshold that is not positive (a NaN clearance would never find
+        its key again).
+        """
+        if not self.clearance + self.stride_eps > 0.0:
+            return ()
+        key = (self._allowed, self.clearance)
+        boxes = self.gmap._certified.get(key)
+        if boxes is None:
+            boxes = self.gmap._certified[key] = self._build_certified()
+        return boxes
+
+    def _build_certified(self) -> tuple[tuple[float, float, float, float], ...]:
+        grid = self.gmap.sdf
+        eps = self.stride_eps
+        threshold = self.clearance + eps
+        lo, hi = self.bbox
+        boxes = []
+        for r in (self.rooms if self.constrained else self.gmap.scene.rooms):
+            x0, y0, x1, y1 = r.bounds
+            box = grid.certified_box((max(x0, lo.x), max(y0, lo.y),
+                                      min(x1, hi.x), min(y1, hi.y)), threshold)
+            if box is not None:
+                x0, y0, x1, y1 = box[0] + eps, box[1] + eps, box[2] - eps, box[3] - eps
+                if x0 <= x1 and y0 <= y1:
+                    boxes.append((x0, y0, x1, y1))
+        return tuple(boxes)
 
     @cached_property
     def _valid_frame(self) -> tuple:
@@ -467,12 +525,18 @@ class Region:
 
     def _motion_valid(self, a: Point2, b: Point2, n: int, length: float) -> bool:
         """``motion_valid`` given ``length == dist(a, b)`` and ``n + 1`` points."""
+        ax, ay = a
+        bx, by = b
+        for x0, y0, x1, y1 in self.certified:
+            if x0 <= ax <= x1 and y0 <= ay <= y1:
+                if x0 <= bx <= x1 and y0 <= by <= y1:
+                    return True
+                break
         (bx0, by0, bx1, by1, constrained, boxes, clearance, v, ox, oy, res, nx,
          fx_max, fy_max, i_max, j_max, stride, c_eps,
          lx, ly, hx, hy) = self._motion_frame
-        ax, ay = a
-        dx = b.x - ax
-        dy = b.y - ay
+        dx = bx - ax
+        dy = by - ay
         # stride factors: points per unit of field value above the clearance
         # and per unit of box margin along each axis
         if stride:
@@ -573,14 +637,15 @@ def _lower_best(noted: list[int], goal_dist: dict[int, float],
     return best_cost, best_node
 
 
-def _stride_eps(grid: SdfGrid, bbox: tuple[Point2, Point2]) -> float:
-    """Slack a motion check's stride keeps from the clearance and from the
-    box edges. It covers the rounding of the interpolated points and of the
-    field value, a few ulps of the coordinate magnitude, and a node value
+def _stride_eps(grid: SdfGrid, bbox: tuple[Point2, Point2], clearance: float) -> float:
+    """Slack a motion check's stride and its certified boxes keep from the
+    clearance and from the box edges. It covers the rounding of the
+    interpolated points, of their cell coordinates and of the field value,
+    a few ulps of the coordinate and clearance magnitude, and a node value
     error of as much per cell on a stride across the whole grid."""
     lo, hi = bbox
     scale = max(abs(lo.x), abs(lo.y), abs(hi.x), abs(hi.y),
-                abs(grid.origin.x), abs(grid.origin.y))
+                abs(grid.origin.x), abs(grid.origin.y), abs(clearance))
     return _STRIDE_EPS + 16 * math.ulp(scale) * (grid.nx + grid.ny)
 
 

@@ -88,6 +88,31 @@ class SdfGrid:
         and the builders mark ``values`` read-only so it cannot go stale."""
         return self.values.ravel().tolist()
 
+    @cached_property
+    def _certified(self) -> dict:
+        """``certified_box`` answers by (box, threshold), filled on first use."""
+        return {}
+
+    def certified_box(self, box: tuple[float, float, float, float], threshold: float
+                      ) -> tuple[float, float, float, float] | None:
+        """A closed sub-box of the closed ``box`` (x0, y0, x1, y1) in which
+        every point's bilinear lookup reads four finite nodes of at least
+        ``threshold``, or None when there is none.
+
+        "Reads" means the cell that ``sdf_query`` computes, with its own float
+        operations; they are monotone in the coordinate, so the cell of any
+        point of the answer lies in the node window the answer was cut from,
+        and the point is inside the grid (no OutOfBounds, ``tx`` and ``ty`` in
+        [0, 1]). The window starts as the cells meeting ``box`` and is cut in
+        from its sides until all its nodes pass; only that window of
+        ``values`` is compared. A positive ``threshold`` is required. The
+        answer is cached per (box, threshold), like ``flat_values``."""
+        key = (box, threshold)
+        cache = self._certified
+        if key not in cache:
+            cache[key] = _certify(self, box, threshold)
+        return cache[key]
+
 
 @dataclass(frozen=True)
 class GlobalMap:
@@ -97,6 +122,12 @@ class GlobalMap:
     walls: CarvedWalls
     sdf: SdfGrid
     openings: dict[str, tuple[float, float, float, float]]
+
+    @cached_property
+    def _certified(self) -> dict:
+        """The planner's certified boxes per (allowed rooms, clearance),
+        assembled once from ``sdf.certified_box``."""
+        return {}
 
 
 def point_in_contour(room: Room, p: Point2) -> bool:
@@ -242,7 +273,8 @@ def build_sdf(walls: CarvedWalls, bbox: tuple[Point2, Point2],
     ``_CHUNK`` residuals and bounds, and pass 2 evaluates at most about
     ``_CHUNK`` distances at a time, so the memory beyond the grid stays a
     small multiple of the node count and never grows with pieces times
-    tiles.
+    tiles. When every piece fits one chunk, both passes read the same
+    bounds, computed once.
 
     Raises EmptyMap without segments, ValueError for a non-finite or
     non-positive resolution and ValidationError when the grid would have
@@ -289,7 +321,12 @@ def build_sdf(walls: CarvedWalls, bbox: tuple[Point2, Point2],
             tilted.append((ax, ay, dx, dy, denom))
     pieces = np.array(pieces).reshape(-1, 5)
 
-    seed = _seed_tiles(tiles, pieces, xs, ys)
+    chunks = _tile_bounds(pieces, xs, ys)
+    one_chunk = len(pieces) <= _chunk_pieces(xs, ys)
+    if one_chunk:
+        # both passes read the same bounds: compute them once
+        chunks = list(chunks)
+    seed = _seed_tiles(tiles, chunks)
     grid = dmin[:ny, :nx]
     for ax, ay, dx, dy, denom in tilted:
         gx, gy = np.meshgrid(xs[:nx], ys[:ny])  # shape (ny, nx)
@@ -299,13 +336,18 @@ def build_sdf(walls: CarvedWalls, bbox: tuple[Point2, Point2],
     # padding nodes must not raise a tile's largest value
     dmin[ny:] = 0.0
     dmin[:, nx:] = 0.0
-    _lower_tiles(tiles, pieces, seed, xs, ys)
+    _lower_tiles(tiles, seed, chunks if one_chunk else _tile_bounds(pieces, xs, ys))
 
     values = np.ascontiguousarray(grid)
     np.negative(values, out=values, where=values < DEFAULT_WALL_HALF_WIDTH)
     values.setflags(write=False)
     return SdfGrid(origin=origin, resolution=resolution, nx=nx, ny=ny, values=values,
                    wall_half_width=DEFAULT_WALL_HALF_WIDTH)
+
+
+def _chunk_pieces(xs: np.ndarray, ys: np.ndarray) -> int:
+    """Pieces per chunk of ``_tile_bounds``: about ``_CHUNK`` elements."""
+    return max(1, _CHUNK // ((ys.size // _TILE) * (xs.size // _TILE) + xs.size + ys.size))
 
 
 def _tile_bounds(pieces: np.ndarray, xs: np.ndarray, ys: np.ndarray):
@@ -317,7 +359,7 @@ def _tile_bounds(pieces: np.ndarray, xs: np.ndarray, ys: np.ndarray):
     A chunk holds at most about ``_CHUNK`` residuals and bounds, so memory
     never grows with pieces times tiles."""
     tiles_y, tiles_x = ys.size // _TILE, xs.size // _TILE
-    chunk = max(1, _CHUNK // (tiles_y * tiles_x + xs.size + ys.size))
+    chunk = _chunk_pieces(xs, ys)
     for k0 in range(0, len(pieces), chunk):
         ax, ay, dx, dy, denom = pieces[k0:k0 + chunk].T
         rx = xs - ax[:, None]
@@ -337,17 +379,17 @@ def _tile_bounds(pieces: np.ndarray, xs: np.ndarray, ys: np.ndarray):
         yield k0, rx, ry, bound
 
 
-def _seed_tiles(tiles: np.ndarray, pieces: np.ndarray, xs: np.ndarray,
-                ys: np.ndarray) -> np.ndarray:
-    """Fill every tile with the distances to its lowest-bound piece and
-    return that piece's index per tile. Without pieces every node holds
-    ``hypot(inf, inf)``, which is inf, and every index is -1."""
+def _seed_tiles(tiles: np.ndarray, chunks) -> np.ndarray:
+    """Fill every tile with the distances to its lowest-bound piece, given
+    the ``_tile_bounds`` chunks, and return that piece's index per tile.
+    Without pieces every node holds ``hypot(inf, inf)``, which is inf, and
+    every index is -1."""
     tiles_y, _, tiles_x, _ = tiles.shape
     best = np.full((tiles_y, tiles_x), np.inf)
     seed = np.full((tiles_y, tiles_x), -1)
     seed_rx = np.full((tiles_y, tiles_x, _TILE), np.inf)
     seed_ry = np.full((tiles_y, tiles_x, _TILE), np.inf)
-    for k0, rx, ry, bound in _tile_bounds(pieces, xs, ys):
+    for k0, rx, ry, bound in chunks:
         k = bound.argmin(axis=2)
         low = np.take_along_axis(bound, k[:, :, None], axis=2)[:, :, 0]
         j, i = np.nonzero(low < best)
@@ -360,17 +402,16 @@ def _seed_tiles(tiles: np.ndarray, pieces: np.ndarray, xs: np.ndarray,
     return seed
 
 
-def _lower_tiles(tiles: np.ndarray, pieces: np.ndarray, seed: np.ndarray,
-                 xs: np.ndarray, ys: np.ndarray) -> None:
+def _lower_tiles(tiles: np.ndarray, seed: np.ndarray, chunks) -> None:
     """Fold into every tile each piece but its seed whose bound there is
-    below the tile's largest value.
+    below the tile's largest value, given the ``_tile_bounds`` chunks.
 
     The (tile, piece) pairs go in ranks: rank r holds each tile's r-th pair,
     so one rank's tiles are distinct and each rank is one gather, ``hypot``,
     ``minimum`` and scatter per batch."""
     top = tiles.max(axis=(1, 3))[:, :, None]
     batch = max(1, _CHUNK // (_TILE * _TILE))
-    for k0, rx, ry, bound in _tile_bounds(pieces, xs, ys):
+    for k0, rx, ry, bound in chunks:
         near = bound < top
         near &= seed[:, :, None] != np.arange(k0, k0 + near.shape[2])
         jj, ii, kk = np.nonzero(near)
@@ -384,6 +425,94 @@ def _lower_tiles(tiles: np.ndarray, pieces: np.ndarray, seed: np.ndarray,
                 np.minimum(block, np.hypot(rx[k, i][:, None, :], ry[k, j][:, :, None]),
                            out=block)
                 tiles[j, :, i, :] = block
+
+
+def _certify(grid: SdfGrid, box: tuple[float, float, float, float],
+             threshold: float) -> tuple[float, float, float, float] | None:
+    """``SdfGrid.certified_box``, uncached."""
+    x0, y0, x1, y1 = box
+    ox, oy, res = grid.origin.x, grid.origin.y, grid.resolution
+    fx0, fx1 = (x0 - ox) / res, (x1 - ox) / res
+    fy0, fy1 = (y0 - oy) / res, (y1 - oy) / res
+    # a negative fx or one past the last node would weigh nodes outside [0, 1]
+    if not (threshold > 0.0 and 0.0 <= fx0 <= fx1 <= grid.nx - 1
+            and 0.0 <= fy0 <= fy1 <= grid.ny - 1):
+        return None
+    # the cells sdf_query reads for the box's edges, hence for all of it
+    i0, i1 = int(fx0), min(int(fx1), grid.nx - 2)
+    j0, j1 = int(fy0), min(int(fy1), grid.ny - 2)
+    if i0 > i1 or j0 > j1:
+        return None
+    nodes = grid.values[j0:j1 + 2, i0:i1 + 2]
+    window = _clear_window(np.isfinite(nodes) & (nodes >= threshold))
+    if window is None:
+        return None
+    r0, r1, c0, c1 = window
+    cx0 = max(x0, _cell_start(ox, res, i0 + c0))
+    cy0 = max(y0, _cell_start(oy, res, j0 + r0))
+    cx1 = min(x1, _cell_end(ox, res, i0 + c1, i0 + c1 == grid.nx - 1))
+    cy1 = min(y1, _cell_end(oy, res, j0 + r1, j0 + r1 == grid.ny - 1))
+    if not (cx0 <= cx1 and cy0 <= cy1):
+        return None
+    return cx0, cy0, cx1, cy1
+
+
+def _clear_window(good: np.ndarray) -> tuple[int, int, int, int] | None:
+    """Node rows r0..r1 and columns c0..c1 (inclusive, at least one cell)
+    of ``good`` that are all True, cut in from the sides, or None.
+
+    The first cut goes to the outermost True nodes of three probe rows and
+    columns at a quarter, half and three quarters across; a room's wall
+    bands usually bound them on every side, and a doorway gap crosses at
+    most some of them. Then each round drops the outer line of the side(s)
+    with the most False nodes on it; when only inner nodes are False, the
+    side that keeps the most nodes cuts in past all of them."""
+    r0, c0 = 0, 0
+    r1, c1 = good.shape[0] - 1, good.shape[1] - 1
+    rows = good[[r1 // 4, r1 // 2, 3 * r1 // 4]]
+    cols = good[:, [c1 // 4, c1 // 2, 3 * c1 // 4]].T
+    # a probe without a True node bounds nothing: its argmax is 0 both ways
+    first_c, last_c = rows.argmax(axis=1).max(), c1 - rows[:, ::-1].argmax(axis=1).max()
+    first_r, last_r = cols.argmax(axis=1).max(), r1 - cols[:, ::-1].argmax(axis=1).max()
+    if first_c < last_c and first_r < last_r:
+        r0, r1, c0, c1 = int(first_r), int(last_r), int(first_c), int(last_c)
+    while r0 < r1 and c0 < c1:
+        w = good[r0:r1 + 1, c0:c1 + 1]
+        low = (w.shape[1] - np.count_nonzero(w[0]), w.shape[1] - np.count_nonzero(w[-1]),
+               w.shape[0] - np.count_nonzero(w[:, 0]), w.shape[0] - np.count_nonzero(w[:, -1]))
+        worst = max(low)
+        if worst:
+            top, bottom, left, right = (n == worst for n in low)
+            r0, r1, c0, c1 = r0 + top, r1 - bottom, c0 + left, c1 - right
+            continue
+        if w.all():
+            return r0, r1, c0, c1
+        rows, cols = np.nonzero(~w)
+        rows_lo, rows_hi = r0 + int(rows.min()), r0 + int(rows.max())
+        cols_lo, cols_hi = c0 + int(cols.min()), c0 + int(cols.max())
+        cuts = [(r0, rows_lo - 1, c0, c1), (rows_hi + 1, r1, c0, c1),
+                (r0, r1, c0, cols_lo - 1), (r0, r1, cols_hi + 1, c1)]
+        r0, r1, c0, c1 = max(cuts, key=lambda c: (c[1] - c[0] + 1) * (c[3] - c[2] + 1))
+    return None
+
+
+def _cell_start(o: float, res: float, k: int) -> float:
+    """A coordinate from which on ``(x - o) / res``, as ``sdf_query``
+    computes it, is at least ``k``: the float steps are monotone."""
+    x = o + k * res
+    while (x - o) / res < k:
+        x = math.nextafter(x, math.inf)
+    return x
+
+
+def _cell_end(o: float, res: float, k: int, last: bool) -> float:
+    """A coordinate up to which ``(x - o) / res`` stays below node ``k``,
+    or at most ``k`` when ``k`` is the grid's last node."""
+    x = o + k * res
+    while (x - o) / res > k if last else (x - o) / res >= k:
+        x = math.nextafter(x, -math.inf)
+    return x
+
 
 def sdf_query(grid: SdfGrid, p: Point2) -> float:
     """Bilinearly interpolated field value at ``p``.

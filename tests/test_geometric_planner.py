@@ -7,6 +7,7 @@ import json
 import math
 import random
 import statistics
+import timeit
 from dataclasses import replace
 
 import numpy as np
@@ -871,6 +872,163 @@ def test_motion_valid_rejects_non_finite_endpoints(threeroom_map, bad):
             assert region.motion_valid(p, p) is False
         # finite endpoints whose length overflows
         assert region.motion_valid(Point2(-1e308, 2.0), Point2(1e308, 2.0)) is False
+
+
+# ------------------------------------------------- certified motion checks
+
+
+@st.composite
+def _certified_segments(draw, region):
+    """(a, b, kind): a segment with both endpoints in one certified box
+    (its corners and edges included), across the box's edge, with an
+    endpoint just outside it (one ulp up to two cells), or with a
+    non-finite endpoint."""
+    x0, y0, x1, y1 = draw(st.sampled_from(region.certified))
+    res = region.gmap.sdf.resolution
+
+    def inside():
+        return Point2(draw(st.sampled_from([x0, x1]) | st.floats(x0, x1)),
+                      draw(st.sampled_from([y0, y1]) | st.floats(y0, y1)))
+
+    def outside():
+        p = inside()
+        side = draw(st.integers(0, 3))
+        edge = (x0, y0, x1, y1)[side]
+        away = -math.inf if side < 2 else math.inf
+        step = draw(st.sampled_from([0.0, 1e-12, 1e-9, region.stride_eps,
+                                     res / 2.0, res, 2.0 * res]))
+        out = math.nextafter(edge, away) + math.copysign(step, away)
+        return Point2(out, p.y) if side % 2 == 0 else Point2(p.x, out)
+
+    kind = draw(st.sampled_from(["inside", "across", "outside", "non_finite"]))
+    a = inside()
+    if kind == "inside":
+        b = inside()
+    elif kind == "across":
+        b = Point2(draw(st.floats(x0 - 1.0, x1 + 1.0)), draw(st.floats(y0 - 1.0, y1 + 1.0)))
+    elif kind == "outside":
+        a = draw(st.sampled_from([a, outside()]))
+        b = outside()
+    else:
+        bad = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+        b = draw(st.sampled_from([Point2(bad, a.y), Point2(a.x, bad), Point2(bad, bad)]))
+    if draw(st.booleans()):
+        a, b = b, a
+    return a, b, kind
+
+
+@pytest.mark.parametrize("name", ["grid8", "ring4", "threeroom"])
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_certified_motion_check_equals_pointwise_check(fixture_maps, name, data):
+    gmap = fixture_maps[name]
+    region = Region(gmap, data.draw(_problems(gmap)))
+    # every room of the fixtures has a clear core
+    assert len(region.certified) == len(region.rooms or gmap.scene.rooms)
+    a, b, kind = data.draw(_certified_segments(region))
+    got = region.motion_valid(a, b)
+    if kind == "non_finite":
+        assert got is False
+        # the certificate itself never accepts a non-finite endpoint
+        assert region._motion_valid(a, b, 1, 1.0) is False
+        return
+    assert got == _reference_motion_valid(region, a, b)
+    if kind == "inside":
+        assert got is True
+
+
+def _one_room_map(values: np.ndarray, resolution: float, origin: Point2) -> GlobalMap:
+    """A 4 m room in a bbox of its own size over a hand-built field."""
+    room = rect_room("a", 0.0, 0.0, 4.0, 4.0)
+    scene = SceneGraph(frame="map", bbox=(Point2(0.0, 0.0), Point2(4.0, 4.0)),
+                       rooms=(room,), doorways=())
+    ny, nx = values.shape
+    sdf = SdfGrid(origin=origin, resolution=resolution, nx=nx, ny=ny, values=values)
+    return GlobalMap(scene=scene, walls=CarvedWalls(()), sdf=sdf, openings={})
+
+
+def _cells_of(grid: SdfGrid, box) -> tuple[range, range]:
+    """The columns and rows of the cells ``sdf_query`` reads in ``box``."""
+    x0, y0, x1, y1 = box
+    ox, oy, res = grid.origin.x, grid.origin.y, grid.resolution
+    return (range(int((x0 - ox) / res), min(int((x1 - ox) / res), grid.nx - 2) + 1),
+            range(int((y0 - oy) / res), min(int((y1 - oy) / res), grid.ny - 2) + 1))
+
+
+@pytest.mark.parametrize("node", [(11, 13), (10, 10), (3, 17)])
+def test_certified_box_excludes_the_cells_of_a_low_node(node):
+    # A field clear everywhere but at one node inside the room, which
+    # stands in for an interior wall: no point of a certified box may read
+    # a cell with that node as a corner, whatever the room's box says.
+    origin, res = Point2(-0.5, -0.5), 0.25
+    values = np.full((21, 21), 1.0)
+    i, j = node
+    values[j, i] = -0.1
+    gmap = _one_room_map(values, res, origin)
+    for allowed in (None, frozenset({"a"})):
+        region = Region(gmap, GeometricProblem(start=Point2(1.0, 1.0), goal=Point2(1.0, 1.0),
+                                               allowed_rooms=allowed))
+        (box,) = region.certified
+        cols, rows = _cells_of(gmap.sdf, box)
+        assert not ({i - 1, i} & set(cols) and {j - 1, j} & set(rows))
+        # the cut keeps the larger side of the low node
+        x0, y0, x1, y1 = box
+        assert (x1 - x0) * (y1 - y0) > 0.4 * 16.0
+        # every cell the box reads has four nodes above the threshold
+        assert (values[rows.start:rows.stop + 1, cols.start:cols.stop + 1]
+                >= region.clearance + region.stride_eps).all()
+        xn, yn = origin.x + i * res, origin.y + j * res
+        for a, b in [(Point2(x0, y0), Point2(x1, y1)), (Point2(x1, y0), Point2(x0, y1)),
+                     (Point2(0.1, yn), Point2(3.9, yn)), (Point2(xn, 0.1), Point2(xn, 3.9)),
+                     (Point2((x0 + x1) / 2.0, (y0 + y1) / 2.0), Point2(xn, yn))]:
+            assert region.motion_valid(a, b) == _reference_motion_valid(region, a, b)
+        assert not region.motion_valid(Point2(0.1, yn), Point2(3.9, yn))
+
+
+def test_certified_box_needs_clear_finite_nodes_on_the_grid():
+    res = 0.25
+    clear = np.full((21, 21), 1.0)
+    problem = GeometricProblem(start=Point2(1.0, 1.0), goal=Point2(1.0, 1.0))
+    # no node passes the clearance
+    assert Region(_one_room_map(np.full((21, 21), 0.3), res, Point2(-0.5, -0.5)),
+                  problem).certified == ()
+    # a node of inf would weigh 0 * inf = nan into the lookup: cut out too
+    values = clear.copy()
+    values[10, 10] = math.inf
+    gmap = _one_room_map(values, res, Point2(-0.5, -0.5))
+    (box,) = Region(gmap, problem).certified
+    cols, rows = _cells_of(gmap.sdf, box)
+    assert not ({9, 10} & set(cols) and {9, 10} & set(rows))
+    # a grid that does not cover the room certifies nothing
+    assert Region(_one_room_map(clear, res, Point2(0.5, 0.5)), problem).certified == ()
+    # a threshold below zero certifies nothing either: the lookup's
+    # rounding is relative to the node values, not to the threshold
+    for radius in (-0.5, math.nan):
+        gmap = _one_room_map(clear, res, Point2(-0.5, -0.5))
+        assert Region(gmap, replace(problem, robot_radius=radius)).certified == ()
+        assert gmap._certified == {} and gmap.sdf._certified == {}
+
+
+def test_certified_boxes_are_built_once_per_map_and_clearance(grid8_map):
+    free = GeometricProblem(start=Point2(1.0, 1.0), goal=Point2(2.0, 2.0))
+    boxes = Region(grid8_map, free).certified
+    assert len(boxes) == len(grid8_map.scene.rooms)
+    assert Region(grid8_map, replace(free, start=Point2(3.0, 3.0))).certified is boxes
+    # regions of other rooms read the same per-room boxes of the field
+    cached = len(grid8_map.sdf._certified)
+    one = replace(free, allowed_rooms=frozenset({"r1"}))
+    two = replace(free, allowed_rooms=frozenset({"r2", "r1"}))
+    assert Region(grid8_map, one).certified == boxes[:1]
+    assert Region(grid8_map, two).certified == boxes[:2]
+    assert len(grid8_map.sdf._certified) == cached
+    # another clearance is another threshold
+    assert Region(grid8_map, replace(free, robot_radius=0.2)).certified != boxes
+    # on a cache hit, building a region and reading its boxes costs at most
+    # twice what building it does
+    plain = min(timeit.repeat(lambda: Region(grid8_map, free), number=500, repeat=7))
+    hit = min(timeit.repeat(lambda: Region(grid8_map, free).certified,
+                            number=500, repeat=7))
+    assert hit < 2.0 * plain
 
 
 # ------------------------------------------------------ rewire pre-filter

@@ -494,6 +494,23 @@ def test_build_sdf_chunked_on_grid8(grid8_scene, one_piece_chunks):
     assert one_piece_chunks == [1] * (2 * len(dict.fromkeys(walls.segments)))
 
 
+@pytest.mark.parametrize("resolution", [0.05, 0.025])
+def test_build_sdf_computes_one_chunk_of_bounds_once(grid8_scene, monkeypatch,
+                                                     resolution):
+    # every grid8 piece fits one chunk: pass 2 reuses pass 1's bounds
+    calls = []
+    chunks = map_builder._tile_bounds
+
+    def counted(pieces, xs, ys):
+        calls.append(len(pieces))
+        return chunks(pieces, xs, ys)
+
+    monkeypatch.setattr(map_builder, "_tile_bounds", counted)
+    walls = carve_doorways(grid8_scene)
+    _assert_matches_reference(walls, grid8_scene.bbox, resolution)
+    assert calls == [len(dict.fromkeys(walls.segments))]
+
+
 @settings(max_examples=40, deadline=None)
 @given(walls=_rectangle_walls(), resolution=st.sampled_from([0.05, 0.1, 0.23]))
 def test_build_sdf_chunked_on_random_walls(walls, resolution):
@@ -557,7 +574,7 @@ def test_field_value_bounds_the_field_along_a_stride(rects, resolution, seed):
     lo = Point2(min(r[0] for r in rects) - 0.5, min(r[1] for r in rects) - 0.5)
     hi = Point2(max(r[2] for r in rects) + 0.5, max(r[3] for r in rects) + 0.5)
     grid = build_sdf(walls, (lo, hi), resolution=resolution)
-    eps = _stride_eps(grid, (lo, hi))
+    eps = _stride_eps(grid, (lo, hi), 0.0)
     c_min = grid.wall_half_width + _SQRT2 * resolution + eps + 1e-9
     rng = random.Random(seed)
 
