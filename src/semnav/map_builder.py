@@ -25,6 +25,11 @@ lowest-bound piece; then only the pieces whose bound is below the largest
 value that leaves in the tile can lower a node there, and only those are
 evaluated. Both facts are exact, and the grid equals the full per-segment
 evaluation bit for bit.
+
+A map that differs from an earlier one by a few wall pieces (a doorway
+blocked) can be derived from it: only the tiles a changed piece can reach
+are recomputed, by the same two passes, and the rest of the grid, its flat
+copy and its certified boxes carry over (``_derive_global_map``).
 """
 
 from __future__ import annotations
@@ -267,6 +272,10 @@ def build_sdf(walls: CarvedWalls, bbox: tuple[Point2, Point2],
       so neither the order of the pieces nor skipping a repeated piece
       changes a value.
 
+    Both passes run over a selection of tiles (``_fill_tiles``); this full
+    build selects every tile, and ``_derive_sdf`` selects only the tiles a
+    changed piece can reach, so there is one field formula.
+
     Pieces that are not exactly axis-aligned (the loader accepts walls
     tilted by up to ``CLOSURE_TOL``) take the full-grid formula, folded in
     between the two passes. Pieces are handled in chunks of about
@@ -282,6 +291,23 @@ def build_sdf(walls: CarvedWalls, bbox: tuple[Point2, Point2],
     """
     if not walls.segments:
         raise EmptyMap("no wall segments to build a distance field from")
+    origin, nx, ny = _grid_frame(bbox, resolution)
+    xs, ys = _node_coords(origin, resolution, nx, ny)
+    dmin = np.empty((ys.size, xs.size))
+    # view[J, I, a, b] is node (J * _TILE + a, I * _TILE + b)
+    view = dmin.reshape(ys.size // _TILE, _TILE, xs.size // _TILE, _TILE).transpose(0, 2, 1, 3)
+    rows, cols = np.indices(view.shape[:2])
+    _fill_tiles(view, rows, cols, walls, xs, ys, nx, ny)
+    values = np.ascontiguousarray(dmin[:ny, :nx])
+    np.negative(values, out=values, where=values < DEFAULT_WALL_HALF_WIDTH)
+    values.setflags(write=False)
+    return SdfGrid(origin=origin, resolution=resolution, nx=nx, ny=ny, values=values,
+                   wall_half_width=DEFAULT_WALL_HALF_WIDTH)
+
+
+def _grid_frame(bbox: tuple[Point2, Point2], resolution: float) -> tuple[Point2, int, int]:
+    """Origin and node counts of the grid ``build_sdf`` samples over ``bbox``,
+    after its checks of the resolution and the node limit."""
     if not math.isfinite(resolution):
         raise ValueError(f"resolution must be finite, got {resolution!r}")
     if resolution <= 0.0:
@@ -300,21 +326,29 @@ def build_sdf(walls: CarvedWalls, bbox: tuple[Point2, Point2],
     if nx * ny > _MAX_NODES:
         raise ValidationError(f"{where} needs {nx} x {ny} = {nx * ny} "
                               f"distance-field nodes (limit {_MAX_NODES})")
+    return origin, nx, ny
 
-    # node coordinates, padded to whole tiles: the first nx (ny) are the grid's
-    xs = origin.x + resolution * np.arange(-(-nx // _TILE) * _TILE)
-    ys = origin.y + resolution * np.arange(-(-ny // _TILE) * _TILE)
-    dmin = np.empty((ys.size, xs.size))
-    # tiles[J, a, I, b] is node (J * _TILE + a, I * _TILE + b)
-    tiles = dmin.reshape(ys.size // _TILE, _TILE, xs.size // _TILE, _TILE)
+
+def _node_coords(origin: Point2, resolution: float, nx: int, ny: int
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """Node coordinates, padded to whole tiles: the first nx (ny) are the grid's."""
+    return (origin.x + resolution * np.arange(-(-nx // _TILE) * _TILE),
+            origin.y + resolution * np.arange(-(-ny // _TILE) * _TILE))
+
+
+def _fill_tiles(view: np.ndarray, rows: np.ndarray, cols: np.ndarray,
+                walls: CarvedWalls, xs: np.ndarray, ys: np.ndarray,
+                nx: int, ny: int) -> None:
+    """Both passes of ``build_sdf`` over a selection of tiles: ``view[..., a,
+    b]`` receives the unsigned field of ``walls`` at node (``rows[...] *
+    _TILE + a``, ``cols[...] * _TILE + b``), and 0.0 at padding nodes.
+
+    ``rows`` and ``cols`` hold tile indices and have the shape of ``view``'s
+    leading axes: the whole tile grid for a full build, one axis of selected
+    tiles for a derivation."""
     pieces = []  # (ax, ay, dx, dy, denom) of the axis-aligned pieces and points
     tilted = []
-    for seg in dict.fromkeys(walls.segments):
-        ax, ay = seg.a
-        bx, by = seg.b
-        dx = bx - ax
-        dy = by - ay
-        denom = dx * dx + dy * dy
+    for ax, ay, dx, dy, denom in _piece_rows(walls.segments):
         if denom < 1e-24 or dy == 0.0 or dx == 0.0:
             pieces.append((ax, ay, dx, dy, denom))
         else:
@@ -326,23 +360,28 @@ def build_sdf(walls: CarvedWalls, bbox: tuple[Point2, Point2],
     if one_chunk:
         # both passes read the same bounds: compute them once
         chunks = list(chunks)
-    seed = _seed_tiles(tiles, chunks)
-    grid = dmin[:ny, :nx]
+    seed = _seed_tiles(view, rows, cols, chunks)
+    if tilted:
+        gx = xs.reshape(-1, _TILE)[cols][..., None, :]
+        gy = ys.reshape(-1, _TILE)[rows][..., :, None]
     for ax, ay, dx, dy, denom in tilted:
-        gx, gy = np.meshgrid(xs[:nx], ys[:ny])  # shape (ny, nx)
         t = ((gx - ax) * dx + (gy - ay) * dy) / denom
         np.clip(t, 0.0, 1.0, out=t)
-        np.minimum(grid, np.hypot(gx - (ax + t * dx), gy - (ay + t * dy)), out=grid)
+        np.minimum(view, np.hypot(gx - (ax + t * dx), gy - (ay + t * dy)), out=view)
     # padding nodes must not raise a tile's largest value
-    dmin[ny:] = 0.0
-    dmin[:, nx:] = 0.0
-    _lower_tiles(tiles, seed, chunks if one_chunk else _tile_bounds(pieces, xs, ys))
+    last_y, last_x = ys.size // _TILE - 1, xs.size // _TILE - 1
+    view[rows == last_y, ny - last_y * _TILE:, :] = 0.0
+    view[cols == last_x, :, nx - last_x * _TILE:] = 0.0
+    _lower_tiles(view, rows, cols, seed,
+                 chunks if one_chunk else _tile_bounds(pieces, xs, ys))
 
-    values = np.ascontiguousarray(grid)
-    np.negative(values, out=values, where=values < DEFAULT_WALL_HALF_WIDTH)
-    values.setflags(write=False)
-    return SdfGrid(origin=origin, resolution=resolution, nx=nx, ny=ny, values=values,
-                   wall_half_width=DEFAULT_WALL_HALF_WIDTH)
+
+def _piece_rows(segments):
+    """(ax, ay, dx, dy, denom) of each distinct segment, in first-seen order."""
+    for (ax, ay), (bx, by) in dict.fromkeys(segments):
+        dx = bx - ax
+        dy = by - ay
+        yield ax, ay, dx, dy, dx * dx + dy * dy
 
 
 def _chunk_pieces(xs: np.ndarray, ys: np.ndarray) -> int:
@@ -379,75 +418,193 @@ def _tile_bounds(pieces: np.ndarray, xs: np.ndarray, ys: np.ndarray):
         yield k0, rx, ry, bound
 
 
-def _seed_tiles(tiles: np.ndarray, chunks) -> np.ndarray:
-    """Fill every tile with the distances to its lowest-bound piece, given
-    the ``_tile_bounds`` chunks, and return that piece's index per tile.
-    Without pieces every node holds ``hypot(inf, inf)``, which is inf, and
-    every index is -1."""
-    tiles_y, _, tiles_x, _ = tiles.shape
-    best = np.full((tiles_y, tiles_x), np.inf)
-    seed = np.full((tiles_y, tiles_x), -1)
-    seed_rx = np.full((tiles_y, tiles_x, _TILE), np.inf)
-    seed_ry = np.full((tiles_y, tiles_x, _TILE), np.inf)
+def _seed_tiles(view: np.ndarray, rows: np.ndarray, cols: np.ndarray,
+                chunks) -> np.ndarray:
+    """Fill every selected tile with the distances to its lowest-bound piece,
+    given the ``_tile_bounds`` chunks, and return that piece's index per
+    tile. Without pieces every node holds ``hypot(inf, inf)``, which is inf,
+    and every index is -1."""
+    best = np.full(rows.shape, np.inf)
+    seed = np.full(rows.shape, -1)
+    seed_rx = np.full(rows.shape + (_TILE,), np.inf)
+    seed_ry = np.full(rows.shape + (_TILE,), np.inf)
     for k0, rx, ry, bound in chunks:
-        k = bound.argmin(axis=2)
-        low = np.take_along_axis(bound, k[:, :, None], axis=2)[:, :, 0]
-        j, i = np.nonzero(low < best)
-        k = k[j, i]
-        best[j, i] = low[j, i]
-        seed[j, i] = k0 + k
-        seed_rx[j, i] = rx[k, i]
-        seed_ry[j, i] = ry[k, j]
-    np.hypot(seed_rx[:, None], seed_ry.transpose(0, 2, 1)[:, :, :, None], out=tiles)
+        bound = bound[rows, cols]
+        k = bound.argmin(axis=-1)
+        low = np.take_along_axis(bound, k[..., None], axis=-1)[..., 0]
+        lower = low < best
+        k = k[lower]
+        best[lower] = low[lower]
+        seed[lower] = k0 + k
+        seed_rx[lower] = rx[k, cols[lower]]
+        seed_ry[lower] = ry[k, rows[lower]]
+    np.hypot(seed_rx[..., None, :], seed_ry[..., :, None], out=view)
     return seed
 
 
-def _lower_tiles(tiles: np.ndarray, seed: np.ndarray, chunks) -> None:
-    """Fold into every tile each piece but its seed whose bound there is
-    below the tile's largest value, given the ``_tile_bounds`` chunks.
+def _lower_tiles(view: np.ndarray, rows: np.ndarray, cols: np.ndarray,
+                 seed: np.ndarray, chunks) -> None:
+    """Fold into every selected tile each piece but its seed whose bound
+    there is below the tile's largest value, given the ``_tile_bounds``
+    chunks.
 
     The (tile, piece) pairs go in ranks: rank r holds each tile's r-th pair,
     so one rank's tiles are distinct and each rank is one gather, ``hypot``,
     ``minimum`` and scatter per batch."""
-    top = tiles.max(axis=(1, 3))[:, :, None]
+    # a, then b: on the full grid's strided view, four times faster than both at once
+    top = view.max(axis=-2).max(axis=-1)[..., None]
     batch = max(1, _CHUNK // (_TILE * _TILE))
     for k0, rx, ry, bound in chunks:
-        near = bound < top
-        near &= seed[:, :, None] != np.arange(k0, k0 + near.shape[2])
-        jj, ii, kk = np.nonzero(near)
-        rank = np.cumsum(near, axis=2)[near]
+        near = bound[rows, cols] < top
+        near &= seed[..., None] != np.arange(k0, k0 + near.shape[-1])
+        *tile, kk = np.nonzero(near)
+        rank = np.cumsum(near, axis=-1)[near]
         for r in range(1, rank.max(initial=0) + 1):
             pairs = np.flatnonzero(rank == r)
             for s in range(0, pairs.size, batch):
                 p = pairs[s:s + batch]
-                j, i, k = jj[p], ii[p], kk[p]
-                block = tiles[j, :, i, :]
-                np.minimum(block, np.hypot(rx[k, i][:, None, :], ry[k, j][:, :, None]),
-                           out=block)
-                tiles[j, :, i, :] = block
+                at = tuple(t[p] for t in tile)
+                k = kk[p]
+                block = view[at]
+                np.minimum(block, np.hypot(rx[k, cols[at]][:, None, :],
+                                           ry[k, rows[at]][:, :, None]), out=block)
+                view[at] = block
 
 
-def _certify(grid: SdfGrid, box: tuple[float, float, float, float],
-             threshold: float) -> tuple[float, float, float, float] | None:
-    """``SdfGrid.certified_box``, uncached."""
+def _derive_sdf(grid: SdfGrid, old: CarvedWalls, walls: CarvedWalls,
+                bbox: tuple[Point2, Point2]) -> SdfGrid | None:
+    """``build_sdf(walls, bbox, grid.resolution)`` derived from ``grid``,
+    which must be ``build_sdf(old, bbox, grid.resolution)``; None when the
+    grid does not span that bbox, records no band bound, ``walls`` is empty
+    or a changed piece is not axis-aligned. The caller then builds in full.
+
+    The pieces in only one of ``old`` and ``walls`` are the changed ones. A
+    tile is recomputed, by both passes of ``build_sdf`` with every piece of
+    ``walls``, when a changed piece's ``_tile_bounds`` bound there is at most
+    the tile's largest old unsigned value ``M``; every other tile is copied.
+    That is exact: in a copied tile a removed piece lay farther than ``M``
+    from every node, so it was no node's minimum, and an added piece lies
+    farther than ``M`` too, so it lowers no node. Each node's old minimum
+    is therefore the new one, and the copy keeps its bits.
+
+    When ``grid.flat_values`` is built, the new grid gets a copy of it with
+    each row's span of changed nodes patched. Each ``certified_box`` answer
+    of ``grid`` carries over when no node of its node window changed; the
+    answer depends on nothing else."""
+    res, nx, ny = grid.resolution, grid.nx, grid.ny
+    if (grid.wall_half_width != DEFAULT_WALL_HALF_WIDTH or not walls.segments
+            or _grid_frame(bbox, res) != (grid.origin, nx, ny)):
+        return None
+    was, now = dict.fromkeys(old.segments), dict.fromkeys(walls.segments)
+    changed = np.array(list(_piece_rows(
+        [s for s in was if s not in now] + [s for s in now if s not in was]))).reshape(-1, 5)
+    _, _, dx, dy, denom = changed.T
+    if not ((denom < 1e-24) | (dx == 0.0) | (dy == 0.0)).all():
+        return None
+
+    xs, ys = _node_coords(grid.origin, res, nx, ny)
+    old_values = grid.values
+    top = _tile_top(old_values, ys.size // _TILE, xs.size // _TILE)
+    selected = np.zeros(top.shape, dtype=bool)
+    for _, _, _, bound in _tile_bounds(changed, xs, ys):
+        selected |= (bound <= top[:, :, None]).any(axis=2)
+    rows, cols = np.nonzero(selected)
+
+    values = old_values.copy()
+    nodes = values.ravel()
+    moved = [np.zeros(0, dtype=np.intp)]
+    step = max(1, _CHUNK // (_TILE * _TILE))
+    for s in range(0, rows.size, step):
+        tr, tc = rows[s:s + step], cols[s:s + step]
+        work = np.empty((tr.size, _TILE, _TILE))
+        _fill_tiles(work, tr, tc, walls, xs, ys, nx, ny)
+        np.negative(work, out=work, where=work < DEFAULT_WALL_HALF_WIDTH)
+        # flat index of each grid node of these tiles, and its new value
+        r = tr[:, None] * _TILE + np.arange(_TILE)
+        c = tc[:, None] * _TILE + np.arange(_TILE)
+        inside = (r < ny)[:, :, None] & (c < nx)[:, None, :]
+        at = (r[:, :, None] * nx + c[:, None, :])[inside]
+        fresh = work[inside]
+        moved.append(at[fresh.view(np.int64) != nodes[at].view(np.int64)])
+        nodes[at] = fresh
+    values.setflags(write=False)
+    moved_rows, moved_cols = np.divmod(np.concatenate(moved), nx)
+    derived = SdfGrid(origin=grid.origin, resolution=res, nx=nx, ny=ny, values=values,
+                      wall_half_width=DEFAULT_WALL_HALF_WIDTH)
+
+    cached = grid.__dict__
+    if "flat_values" in cached:
+        first = np.full(ny, nx)
+        last = np.full(ny, -1)
+        np.minimum.at(first, moved_rows, moved_cols)
+        np.maximum.at(last, moved_rows, moved_cols)
+        flat = cached["flat_values"].copy()
+        for j in np.flatnonzero(last >= 0).tolist():
+            c0, c1 = int(first[j]), int(last[j]) + 1
+            flat[j * nx + c0:j * nx + c1] = values[j, c0:c1].tolist()
+        derived.__dict__["flat_values"] = flat
+    if "_certified" in cached:
+        kept = {}
+        for key, answer in cached["_certified"].items():
+            window = _node_window(grid, key[0])
+            if window is not None:
+                i0, i1, j0, j1 = window
+                if ((moved_rows >= j0) & (moved_rows <= j1 + 1)
+                        & (moved_cols >= i0) & (moved_cols <= i1 + 1)).any():
+                    continue
+            kept[key] = answer
+        derived.__dict__["_certified"] = kept
+    return derived
+
+
+def _tile_top(values: np.ndarray, tiles_y: int, tiles_x: int) -> np.ndarray:
+    """Largest unsigned value of each tile of a signed grid, whose negated
+    nodes keep their exact magnitude; padding nodes count as 0.0."""
+    ny, nx = values.shape
+    top = np.zeros((tiles_y, tiles_x * _TILE))
+    whole = ny - ny % _TILE
+    strips = values[:whole].reshape(-1, _TILE, nx)
+    top[:whole // _TILE, :nx] = np.maximum(strips.max(axis=1), -strips.min(axis=1))
+    if whole < ny:
+        rest = values[whole:]
+        top[-1, :nx] = np.maximum(rest.max(axis=0), -rest.min(axis=0))
+    return top.reshape(tiles_y, tiles_x, _TILE).max(axis=2)
+
+
+def _node_window(grid: SdfGrid, box: tuple[float, float, float, float]
+                 ) -> tuple[int, int, int, int] | None:
+    """Cells i0..i1 and j0..j1 that ``sdf_query`` reads for the closed
+    ``box``; its node window is ``values[j0:j1 + 2, i0:i1 + 2]``. None when
+    a point of the box would read no cell or weigh a node outside [0, 1]."""
     x0, y0, x1, y1 = box
     ox, oy, res = grid.origin.x, grid.origin.y, grid.resolution
     fx0, fx1 = (x0 - ox) / res, (x1 - ox) / res
     fy0, fy1 = (y0 - oy) / res, (y1 - oy) / res
     # a negative fx or one past the last node would weigh nodes outside [0, 1]
-    if not (threshold > 0.0 and 0.0 <= fx0 <= fx1 <= grid.nx - 1
-            and 0.0 <= fy0 <= fy1 <= grid.ny - 1):
+    if not (0.0 <= fx0 <= fx1 <= grid.nx - 1 and 0.0 <= fy0 <= fy1 <= grid.ny - 1):
         return None
     # the cells sdf_query reads for the box's edges, hence for all of it
     i0, i1 = int(fx0), min(int(fx1), grid.nx - 2)
     j0, j1 = int(fy0), min(int(fy1), grid.ny - 2)
     if i0 > i1 or j0 > j1:
         return None
+    return i0, i1, j0, j1
+
+
+def _certify(grid: SdfGrid, box: tuple[float, float, float, float],
+             threshold: float) -> tuple[float, float, float, float] | None:
+    """``SdfGrid.certified_box``, uncached."""
+    window = _node_window(grid, box)
+    if not threshold > 0.0 or window is None:
+        return None
+    i0, i1, j0, j1 = window
     nodes = grid.values[j0:j1 + 2, i0:i1 + 2]
     window = _clear_window(np.isfinite(nodes) & (nodes >= threshold))
     if window is None:
         return None
     r0, r1, c0, c1 = window
+    x0, y0, x1, y1 = box
+    ox, oy, res = grid.origin.x, grid.origin.y, grid.resolution
     cx0 = max(x0, _cell_start(ox, res, i0 + c0))
     cy0 = max(y0, _cell_start(oy, res, j0 + r0))
     cx1 = min(x1, _cell_end(ox, res, i0 + c1, i0 + c1 == grid.nx - 1))
@@ -546,6 +703,27 @@ def build_global_map(scene: SceneGraph,
     The planner reads each room's ``bounds``, so a room whose walls do not
     close exactly that box (a ``Room`` built by hand) raises DegenerateRoom.
     """
+    _check_rooms(scene)
+    walls = carve_doorways(scene)
+    sdf = build_sdf(walls, scene.bbox, resolution=resolution)
+    return GlobalMap(scene=scene, walls=walls, sdf=sdf,
+                     openings=doorway_openings(scene))
+
+
+def _derive_global_map(old: GlobalMap, scene: SceneGraph) -> GlobalMap:
+    """``build_global_map(scene, old.sdf.resolution)``, bit for bit, with the
+    field derived from ``old``'s by ``_derive_sdf`` where it can be, and
+    built in full where it cannot."""
+    _check_rooms(scene)
+    walls = carve_doorways(scene)
+    sdf = _derive_sdf(old.sdf, old.walls, walls, scene.bbox)
+    if sdf is None:
+        sdf = build_sdf(walls, scene.bbox, resolution=old.sdf.resolution)
+    return GlobalMap(scene=scene, walls=walls, sdf=sdf,
+                     openings=doorway_openings(scene))
+
+
+def _check_rooms(scene: SceneGraph) -> None:
     if not scene.rooms:
         raise EmptyMap("scene has no rooms")
     for room in scene.rooms:
@@ -556,7 +734,3 @@ def build_global_map(scene: SceneGraph,
         if box != room.bounds:
             raise DegenerateRoom(f"room {room.id}: bounds {room.bounds} are not "
                                  f"the box {box} its walls close")
-    walls = carve_doorways(scene)
-    sdf = build_sdf(walls, scene.bbox, resolution=resolution)
-    return GlobalMap(scene=scene, walls=walls, sdf=sdf,
-                     openings=doorway_openings(scene))

@@ -14,19 +14,25 @@ goal point and subproblem k+1's start point are the same doorway center, the
 planner roots its tree at the exact start and appends the exact goal, so the
 joints line up bit for bit.
 
-``replan`` handles a doorway turning out to be blocked: it rebuilds the map,
+``replan`` handles a doorway turning out to be blocked: it updates the map,
 recomputes the route from the robot's current position, and re-solves only
 the subproblems whose (start, goal, room) key has no previously solved
-segment that still checks out against the new map.
+segment that still checks out against the new map. The paths ``solve_all``
+and ``replan`` return keep the map they were planned on, and the new map is
+derived from that one: only the distance-field tiles the closed gap can
+reach are recomputed, and the rest of the field, its flat copy and its
+certified boxes are carried over. The result is the map a full build would
+give, bit for bit.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, field, replace
 
 from .errors import EmptyInput, InvalidGoal, InvalidStart, SubproblemInfeasible
 from .geometry import Point2
-from .map_builder import GlobalMap, build_global_map
+from .map_builder import (DEFAULT_RESOLUTION, GlobalMap, _derive_global_map,
+                          build_global_map)
 from .geometric_planner import (DEFAULT_GOAL_TOLERANCE, DEFAULT_ROBOT_RADIUS,
                                 DEFAULT_VALIDITY_MARGIN, GeometricPath,
                                 GeometricProblem, PlannerConfig, PlannerStats,
@@ -69,11 +75,17 @@ class Subproblem:
 
 @dataclass(frozen=True)
 class GlobalPath:
-    """Joined subproblem solutions: one geometric segment per room."""
+    """Joined subproblem solutions: one geometric segment per room.
+
+    ``gmap`` is the map the path was planned on, set by ``solve_all`` and
+    ``replan``; ``replan`` derives its blocked map from it. It takes no part
+    in equality, ``repr`` or ``global_path_to_dict``.
+    """
 
     segments: tuple[GeometricPath, ...]
     total_length: float
     stats: tuple[PlannerStats, ...]
+    gmap: GlobalMap | None = field(default=None, compare=False, repr=False)
 
 
 def decompose(route: SemanticRoute, scene: SceneGraph) -> tuple[Subproblem, ...]:
@@ -146,7 +158,8 @@ def solve_all(subs: tuple[Subproblem, ...] | list[Subproblem], gmap: GlobalMap,
     and existing callers still pass it.
 
     Returns (path, stats). ``path`` is None when any subproblem stays
-    unsolved; ``stats`` always has one entry per subproblem. A subproblem
+    unsolved, and otherwise keeps ``gmap`` as the map it was planned on;
+    ``stats`` always has one entry per subproblem. A subproblem
     whose endpoints cannot be valid states (for example a doorway too narrow
     for the robot) raises SubproblemInfeasible carrying its 1-based index.
 
@@ -191,7 +204,7 @@ def solve_all(subs: tuple[Subproblem, ...] | list[Subproblem], gmap: GlobalMap,
     if any(p is None for p in paths):
         return None, stats
     joined = join_segments([p for p in paths if p is not None], stats)
-    return joined, stats
+    return replace(joined, gmap=gmap), stats
 
 
 def join_segments(segments: list[GeometricPath],
@@ -214,7 +227,7 @@ class ReplanOutcome:
 
     ``solved_indices`` are the 1-based subproblem indices planned fresh and
     solved; ``reused_indices`` kept a previous segment that re-validated
-    against the rebuilt map. Indices refer to the NEW route's decomposition.
+    against the new map. Indices refer to the NEW route's decomposition.
     """
 
     scene: SceneGraph
@@ -245,11 +258,17 @@ def replan(scene: SceneGraph, prev_route: SemanticRoute,
            validity_margin: float = DEFAULT_VALIDITY_MARGIN) -> ReplanOutcome:
     """React to a doorway reported blocked while following a route.
 
-    Marks the doorway blocked, rebuilds the map (the doorway's wall gap
+    Marks the doorway blocked, updates the map (the doorway's wall gap
     closes), routes again from ``current_position`` to the original goal, and
-    solves the new decomposition. Segments of ``prev_path`` whose
+    solves the new decomposition. When ``prev_path`` was planned on a map of
+    ``scene`` at the default resolution (``prev_path.gmap``), the new map is
+    derived from it: field tiles the changed wall pieces cannot reach are
+    copied with their flat values and certified boxes, and the rest are
+    recomputed. Otherwise the map is built in full. Both give the same map
+    bit for bit. The returned path keeps the new map, so a chain of replans
+    derives each map from the last. Segments of ``prev_path`` whose
     (start, goal, room) key matches a new subproblem are reused when they
-    still pass motion checks on the rebuilt map; everything else is planned
+    still pass motion checks on the new map; everything else is planned
     fresh with the usual equal budget split, in index order, as in
     ``solve_all``; ``workers`` is accepted and ignored for the same reason.
     Raises NoRoute when blocking the doorway disconnects the goal, and
@@ -258,7 +277,12 @@ def replan(scene: SceneGraph, prev_route: SemanticRoute,
     """
     config.validate()
     new_scene = set_doorway_blocked(scene, blocked_id, True)
-    gmap = build_global_map(new_scene)
+    old = prev_path.gmap if prev_path is not None else None
+    if (old is not None and old.scene == scene
+            and old.sdf.resolution == DEFAULT_RESOLUTION):
+        gmap = _derive_global_map(old, new_scene)
+    else:
+        gmap = build_global_map(new_scene)
     topo = build_topology(new_scene, penalty, metric)
     route = semantic_route(topo, new_scene, current_position, prev_route.goal)
     subs = decompose(route, new_scene)
@@ -299,7 +323,8 @@ def replan(scene: SceneGraph, prev_route: SemanticRoute,
     if any(s is None for s in segments):
         path = None
     else:
-        path = join_segments([s for s in segments if s is not None], filled)
+        path = replace(join_segments([s for s in segments if s is not None], filled),
+                       gmap=gmap)
     return ReplanOutcome(scene=new_scene, gmap=gmap, route=route, path=path,
                          stats=tuple(filled), solved_indices=tuple(solved),
                          reused_indices=tuple(reused))

@@ -19,7 +19,7 @@ from semnav import (CarvedWalls, DegenerateRoom, Doorway, DoorwayPlacement,
                     sdf_query, set_doorway_blocked)
 from semnav import map_builder
 from semnav.geometry import dist
-from semnav.geometric_planner import _SQRT2, _stride_eps
+from semnav.geometric_planner import _SQRT2, GeometricProblem, Region, _stride_eps
 from semnav.scene_graph import CLOSURE_TOL, _rect_from_walls
 
 from conftest import fixture_path, rect_room
@@ -705,3 +705,195 @@ def test_flat_values_mirror_the_grid(threeroom_map):
 def test_sdf_values_are_read_only(threeroom_map):
     with pytest.raises(ValueError):
         threeroom_map.sdf.values[0, 0] = 1.0
+
+
+# ------------------------------------------- derivation from a previous map
+
+
+def _certified_everywhere(gmap):
+    """Region.certified of every room at the default clearance, plus the
+    unconstrained region's; fills the grid's certified_box cache."""
+    problems = [GeometricProblem(start=r.center, goal=r.center,
+                                 allowed_rooms=frozenset((r.id,)))
+                for r in gmap.scene.rooms]
+    problems.append(GeometricProblem(start=gmap.scene.rooms[0].center,
+                                     goal=gmap.scene.rooms[0].center))
+    return [Region(gmap, p).certified for p in problems]
+
+
+def _doorway_boxes(gmap):
+    """A box around each doorway's opening, two cells past it on every side:
+    its node window holds nodes that blocking the doorway changes."""
+    pad = 2.0 * gmap.sdf.resolution
+    return [(x0 - pad, y0 - pad, x1 + pad, y1 + pad)
+            for x0, y0, x1, y1 in gmap.openings.values()]
+
+
+def _assert_same_map(derived, full):
+    assert derived.sdf.values.tobytes() == full.sdf.values.tobytes()
+    assert not derived.sdf.values.flags.writeable
+    assert (derived.sdf.origin, derived.sdf.resolution, derived.sdf.nx, derived.sdf.ny,
+            derived.sdf.wall_half_width) == (full.sdf.origin, full.sdf.resolution,
+                                             full.sdf.nx, full.sdf.ny,
+                                             full.sdf.wall_half_width)
+    assert derived.sdf.flat_values == full.sdf.flat_values
+    assert derived.walls == full.walls
+    assert derived.openings == full.openings
+    assert derived.scene == full.scene
+    # every carried certified_box answer is the one the new field gives
+    for (box, threshold), answer in derived.sdf._certified.items():
+        assert answer == map_builder._certify(full.sdf, box, threshold), box
+    assert _certified_everywhere(derived) == _certified_everywhere(full)
+
+
+def _derive(old, scene, monkeypatch):
+    """_derive_global_map with a full field build forbidden."""
+    def no_full_build(*args, **kwargs):
+        raise AssertionError("the field was built in full")
+
+    with monkeypatch.context() as mp:
+        mp.setattr(map_builder, "build_sdf", no_full_build)
+        return map_builder._derive_global_map(old, scene)
+
+
+def _warm(gmap):
+    """Fill every cache a planner fills: the flat list and certified boxes,
+    also one across each doorway."""
+    gmap.sdf.flat_values
+    _certified_everywhere(gmap)
+    for box in _doorway_boxes(gmap):
+        gmap.sdf.certified_box(box, 0.25)
+    return gmap
+
+
+@pytest.mark.parametrize("resolution", [0.025, 0.05, 0.1])
+@pytest.mark.parametrize("name", ["grid8", "ring4", "threeroom"])
+def test_derived_map_equals_full_build_for_every_doorway(name, resolution, monkeypatch):
+    scene = load_map(fixture_path(f"{name}.map"))
+    old = _warm(build_global_map(scene, resolution))
+    for d in scene.doorways:
+        blocked = set_doorway_blocked(scene, d.id, True)
+        derived = _derive(old, blocked, monkeypatch)
+        _assert_same_map(derived, build_global_map(blocked, resolution))
+        # and back: unblocking removes the whole wall and adds its two sides
+        _warm(derived)
+        _assert_same_map(_derive(derived, scene, monkeypatch), old)
+
+
+def test_derived_map_of_a_chain_of_two_blocks(grid8_scene, monkeypatch):
+    first = set_doorway_blocked(grid8_scene, "d12", True)
+    second = set_doorway_blocked(first, "d26", True)
+    old = _warm(build_global_map(grid8_scene))
+    middle = _derive(old, first, monkeypatch)
+    _assert_same_map(middle, build_global_map(first))
+    _warm(middle)
+    _assert_same_map(_derive(middle, second, monkeypatch), build_global_map(second))
+
+
+def test_derived_map_of_an_already_blocked_doorway_copies_everything(
+        grid8_scene, monkeypatch):
+    blocked = set_doorway_blocked(grid8_scene, "d37", True)
+    old = _warm(build_global_map(blocked))
+    filled = []
+    monkeypatch.setattr(map_builder, "_fill_tiles",
+                        lambda *args: filled.append(args))
+    derived = _derive(old, set_doorway_blocked(blocked, "d37", True), monkeypatch)
+    assert filled == []
+    _assert_same_map(derived, old)
+    assert derived.sdf.values is not old.sdf.values
+    assert derived.sdf.flat_values is not old.sdf.flat_values
+    assert derived.sdf._certified == old.sdf._certified
+
+
+def test_derivation_selects_only_the_tiles_a_changed_piece_reaches(grid8_scene):
+    old = build_global_map(grid8_scene)
+    tiles = -(-old.sdf.nx // map_builder._TILE) * -(-old.sdf.ny // map_builder._TILE)
+    for d in grid8_scene.doorways:
+        selected = []
+        fill = map_builder._fill_tiles
+
+        def spy(view, rows, cols, *rest):
+            selected.append(rows.size)
+            return fill(view, rows, cols, *rest)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(map_builder, "_fill_tiles", spy)
+            map_builder._derive_global_map(old, set_doorway_blocked(grid8_scene, d.id, True))
+        assert 0 < sum(selected) < tiles // 4, d.id
+
+
+def test_derivation_recomputes_a_tile_whose_bound_equals_its_largest_value():
+    # At 1 m every residual below is exact. In the tile of rows y = 14..29
+    # and columns x = -2..13 the removed piece r is the nearest piece of row
+    # y = 14 only, at 14.75 = its bound on the tile = the tile's largest
+    # value; q is nearer to every other row. Without r that row reads 15.5.
+    r = WallSegment(Point2(-2.0, -0.75), Point2(14.0, -0.75))
+    q = WallSegment(Point2(-2.0, 29.5), Point2(14.0, 29.5))
+    bbox = (Point2(0.0, 0.0), Point2(12.0, 28.0))
+    old_walls, new_walls = CarvedWalls((r, q)), CarvedWalls((q,))
+    old = build_sdf(old_walls, bbox, resolution=1.0)
+    tile = old.values[16:32, :16]
+    assert tile.max() == 14.75 and (tile[0] == 14.75).all()
+    derived = map_builder._derive_sdf(old, old_walls, new_walls, bbox)
+    want = build_sdf(new_walls, bbox, resolution=1.0)
+    assert want.values[16, 0] == 15.5
+    assert derived.values.tobytes() == want.values.tobytes()
+
+
+def test_derivation_declines_what_it_cannot_derive(grid8_scene):
+    old = build_global_map(grid8_scene)
+    walls = carve_doorways(set_doorway_blocked(grid8_scene, "d12", True))
+    bbox = grid8_scene.bbox
+    assert map_builder._derive_sdf(old.sdf, old.walls, walls, bbox) is not None
+    # a grid built by hand records no band bound
+    hand = SdfGrid(origin=old.sdf.origin, resolution=old.sdf.resolution,
+                   nx=old.sdf.nx, ny=old.sdf.ny, values=old.sdf.values)
+    assert map_builder._derive_sdf(hand, old.walls, walls, bbox) is None
+    # another bbox spans another grid
+    wider = (bbox[0], Point2(bbox[1].x + 1.0, bbox[1].y))
+    assert map_builder._derive_sdf(old.sdf, old.walls, walls, wider) is None
+    # a changed piece that is not axis-aligned
+    a, b = walls.segments[0]
+    tilted = CarvedWalls(segments=walls.segments[1:] + (
+        WallSegment(a, Point2(b.x + CLOSURE_TOL, b.y) if a.x == b.x
+                    else Point2(b.x, b.y + CLOSURE_TOL)),))
+    assert map_builder._derive_sdf(old.sdf, old.walls, tilted, bbox) is None
+    # no walls at all: the full build raises EmptyMap
+    assert map_builder._derive_sdf(old.sdf, old.walls, CarvedWalls(()), bbox) is None
+
+
+def test_derivation_keeps_unchanged_tilted_pieces(grid8_scene):
+    # a tilted piece that stays is folded into every recomputed tile
+    base = carve_doorways(grid8_scene).segments
+    tilted = (WallSegment(Point2(1.0, 1.0), Point2(4.0, 3.0)),)
+    old_walls = CarvedWalls(segments=base + tilted)
+    new_walls = carve_doorways(set_doorway_blocked(grid8_scene, "d15", True))
+    new_walls = CarvedWalls(segments=new_walls.segments + tilted)
+    bbox = grid8_scene.bbox
+    old = build_sdf(old_walls, bbox)
+    derived = map_builder._derive_sdf(old, old_walls, new_walls, bbox)
+    assert derived.values.tobytes() == build_sdf(new_walls, bbox).values.tobytes()
+
+
+def test_derivation_memory_stays_a_small_multiple_of_the_grid():
+    # the 400-room walls of the build guard; every room's bottom wall is split
+    # in two, so 400 pieces go, 800 come and every tile is recomputed
+    rooms = [rect_room(f"r{r}_{c}", 1.5 * c, 1.5 * r, 1.5 * (c + 1), 1.5 * (r + 1))
+             for r in range(20) for c in range(20)]
+    walls = CarvedWalls(segments=tuple(w for room in rooms for w in room.walls))
+    split = []
+    for room in rooms:
+        (a, b), *rest = room.walls
+        mid = Point2((a.x + b.x) / 2.0, a.y)
+        split += [WallSegment(a, mid), WallSegment(mid, b), *rest]
+    bbox = (Point2(0.0, 0.0), Point2(30.0, 30.0))
+    old = build_sdf(walls, bbox)
+    old.flat_values
+    tracemalloc.start()
+    try:
+        grid = map_builder._derive_sdf(old, walls, CarvedWalls(tuple(split)), bbox)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert grid is not None
+    assert peak < 4 * grid.nx * grid.ny * 8

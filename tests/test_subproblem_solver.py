@@ -4,16 +4,18 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import replace
 
 import pytest
 
 from semnav import (INFORMED_RRT_STAR, BenchConfig, EmptyInput, GeometricPath,
-                    NoRoute, PlannerConfig, PlannerStats, Point2, SceneGraph,
+                    NoRoute, PlannerConfig, PlannerStats, Point2, Room, SceneGraph,
                     Doorway, SemNavError, SubproblemInfeasible,
                     build_global_map, build_topology, decompose,
                     generate_pairs, global_path_to_dict,
                     join_segments, load_map, motion_valid, replan,
                     semantic_route, solve_all)
+from semnav import SdfGrid, WallSegment, cli, map_builder, set_doorway_blocked
 from semnav.bench_harness import _PLAN_SALT
 from semnav.geometric_planner import GeometricProblem
 from semnav.rng import mix
@@ -338,6 +340,147 @@ def test_replan_deterministic(ring4_scene, ring4_map):
         assert [s.waypoints for s in o1.path.segments] == \
             [s.waypoints for s in o2.path.segments]
     assert o1.stats == o2.stats
+
+
+# ------------------------------------------- the map a path was planned on
+
+
+@pytest.fixture
+def full_builds(monkeypatch):
+    """Every full distance-field build, recorded."""
+    calls = []
+    build = map_builder.build_sdf
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(map_builder, "build_sdf", counted)
+    return calls
+
+
+def _assert_full_build_map(gmap):
+    full = build_global_map(gmap.scene)
+    assert gmap.sdf.values.tobytes() == full.sdf.values.tobytes()
+    assert gmap.sdf.flat_values == full.sdf.flat_values
+    assert (gmap.walls, gmap.openings) == (full.walls, full.openings)
+
+
+def test_solve_all_and_replan_keep_the_map_they_planned_on(ring4_scene, ring4_map):
+    route, gpath = _solved_ring4(ring4_scene, ring4_map)
+    assert gpath.gmap is ring4_map
+    outcome = replan(ring4_scene, route, gpath, "d12", Point2(2.0, 2.0),
+                     PlannerConfig(timeout=0.3, seed=9))
+    assert outcome.path.gmap is outcome.gmap
+    assert outcome.gmap.scene is outcome.scene
+
+
+def test_replan_derives_its_map_from_the_path_map(ring4_scene, ring4_map, full_builds):
+    route, gpath = _solved_ring4(ring4_scene, ring4_map)
+    full_builds.clear()
+    config = PlannerConfig(timeout=0.3, seed=9)
+    first = replan(ring4_scene, route, gpath, "d12", Point2(2.0, 2.0), config)
+    # a chain: the second replan derives from the first one's map
+    second = replan(first.scene, first.route, first.path, "d23", Point2(2.0, 2.0),
+                    config)
+    assert full_builds == []
+    _assert_full_build_map(first.gmap)
+    _assert_full_build_map(second.gmap)
+
+
+def _tilted_wall_scene():
+    """Rooms a | b | c in a row; the wall a and b share is tilted by 2**-23
+    about x = 4, within CLOSURE_TOL, so blocking doorway ab changes a
+    piece that is not axis-aligned."""
+    t = 2.0 ** -24
+    lo, hi = Point2(4.0 - t, 0.0), Point2(4.0 + t, 4.0)
+    a = Room.build("a", Point2(2.0, 2.0), (
+        WallSegment(Point2(0.0, 0.0), lo), WallSegment(lo, hi),
+        WallSegment(hi, Point2(0.0, 4.0)), WallSegment(Point2(0.0, 4.0), Point2(0.0, 0.0))))
+    b = Room.build("b", Point2(6.0, 2.0), (
+        WallSegment(lo, Point2(8.0, 0.0)), WallSegment(Point2(8.0, 0.0), Point2(8.0, 4.0)),
+        WallSegment(Point2(8.0, 4.0), hi), WallSegment(hi, lo)))
+    c = rect_room("c", 8.0, 0.0, 12.0, 4.0)
+    return SceneGraph(frame="map", bbox=(Point2(0.0, 0.0), Point2(12.0, 4.0)),
+                      rooms=(a, b, c), doorways=(
+                          Doorway(id="ab", center=Point2(4.0, 2.0), width=0.9,
+                                  rooms=("a", "b")),
+                          Doorway(id="bc", center=Point2(8.0, 2.0), width=0.9,
+                                  rooms=("b", "c"))))
+
+
+def _other_scene_path(scene, gmap, gpath):
+    return replace(gpath, gmap=build_global_map(set_doorway_blocked(scene, "d34", True)))
+
+
+def _coarse_path(scene, gmap, gpath):
+    return replace(gpath, gmap=build_global_map(scene, 0.1))
+
+
+def _hand_grid_path(scene, gmap, gpath):
+    g = gmap.sdf
+    hand = SdfGrid(origin=g.origin, resolution=g.resolution, nx=g.nx, ny=g.ny,
+                   values=g.values)
+    return replace(gpath, gmap=replace(gmap, sdf=hand))
+
+
+@pytest.mark.parametrize("prev", [lambda scene, gmap, gpath: None, _other_scene_path,
+                                  _coarse_path, _hand_grid_path],
+                         ids=["no-path", "other-scene", "resolution", "no-band-bound"])
+def test_replan_builds_in_full_when_it_cannot_derive(ring4_scene, ring4_map,
+                                                     full_builds, prev):
+    route, gpath = _solved_ring4(ring4_scene, ring4_map)
+    prev_path = prev(ring4_scene, ring4_map, gpath)
+    full_builds.clear()
+    outcome = replan(ring4_scene, route, prev_path, "d12", Point2(2.0, 2.0),
+                     PlannerConfig(timeout=0.3, seed=9))
+    assert len(full_builds) == 1
+    # the same outcome as a replan that derives its map
+    derived = replan(ring4_scene, route, gpath, "d12", Point2(2.0, 2.0),
+                     PlannerConfig(timeout=0.3, seed=9))
+    assert len(full_builds) == 1
+    _assert_full_build_map(outcome.gmap)
+    assert outcome.path == derived.path
+    assert outcome.gmap.sdf.values.tobytes() == derived.gmap.sdf.values.tobytes()
+
+
+def test_replan_builds_in_full_for_a_tilted_changed_piece(full_builds):
+    scene = _tilted_wall_scene()
+    gmap = build_global_map(scene)
+    route = _route(scene, Point2(6.0, 2.0), Point2(10.0, 2.0))
+    gpath, _ = solve_all(decompose(route, scene), gmap, PlannerConfig(timeout=0.3, seed=4))
+    assert gpath is not None and gpath.gmap is gmap
+    full_builds.clear()
+    outcome = replan(scene, route, gpath, "ab", Point2(6.0, 2.0),
+                     PlannerConfig(timeout=0.3, seed=9))
+    assert len(full_builds) == 1
+    _assert_full_build_map(outcome.gmap)
+    assert outcome.reused_indices == (1, 2)
+
+
+def test_global_path_map_is_not_part_of_its_value(ring4_scene, ring4_map):
+    _, gpath = _solved_ring4(ring4_scene, ring4_map)
+    bare = replace(gpath, gmap=None)
+    assert gpath == bare
+    assert repr(gpath) == repr(bare) and "gmap" not in repr(gpath)
+    assert json.dumps(global_path_to_dict(gpath)) == json.dumps(global_path_to_dict(bare))
+
+
+def test_plan_report_is_unchanged_by_the_path_map(tmp_path, monkeypatch):
+    argv = ["plan", "--map", fixture_path("ring4.map"), "--start", "2,2",
+            "--goal", "6,6", "--mode", "irrt_sg_sps", "--timeout", "0.1"]
+    with_map, without_map = tmp_path / "with.json", tmp_path / "without.json"
+    assert cli.main(argv + ["--out", str(with_map)]) == 0
+    answer = cli.plan_query
+
+    def bare(*args, **kwargs):
+        result = answer(*args, **kwargs)
+        assert result.path.gmap is not None
+        return replace(result, path=replace(result.path, gmap=None))
+
+    monkeypatch.setattr(cli, "plan_query", bare)
+    assert cli.main(argv + ["--out", str(without_map)]) == 0
+    assert with_map.read_bytes() == without_map.read_bytes()
 
 
 # ------------------------------------------------------ golden replan pin
