@@ -41,8 +41,9 @@ certificates of Bialkowski, Otte, Karaman and Frazzoli, IJRR 2016). Each
 room gets such a box once per field: its box within the bbox, cut in from
 the sides until its nodes pass, then shrunk by ``eps`` (``SdfGrid.
 certified_box``, ``Region.certified``). A motion check with both endpoints
-in one certified box of its region returns True at once. It is still charged
-for all its points, so no virtual tick, record or digest changes.
+in one certified box of its region returns True at once, and so does a state
+check in one. Both are still charged in full, so no virtual tick, record or
+digest changes.
 
 Budgets come from a pluggable clock. The default "virtual" clock charges
 ticks per primitive operation: one per sample draw, one per 32 points of a
@@ -264,7 +265,9 @@ class Region:
     rounding of the interpolated coordinates cannot carry a point out of
     the node window, the room's half-open box or the bbox, and the bilinear
     sum's rounding cannot pull a value of at least ``c + eps`` below ``c``.
-    Callers still charge every point, so virtual ticks are unchanged.
+    Callers still charge every point, so virtual ticks are unchanged. Once
+    the boxes are built (``plan`` builds them first), ``valid`` answers True
+    in them too; a region that only checks states never builds them.
     """
 
     def __init__(self, gmap: GlobalMap, problem: GeometricProblem):
@@ -322,6 +325,7 @@ class Region:
         self.step = motion_step(gmap.sdf.resolution)
         # (c_best, a, b) of the last informed ellipse drawn from
         self._axes = (None, 0.0, 0.0)
+        self._held = ()  # the certified boxes once read: valid uses, never builds them
 
     @cached_property
     def _ellipse_frame(self) -> tuple[float, float, float, float, float]:
@@ -351,6 +355,7 @@ class Region:
         boxes = self.gmap._certified.get(key)
         if boxes is None:
             boxes = self.gmap._certified[key] = self._build_certified()
+        self._held = boxes
         return boxes
 
     def _build_certified(self) -> tuple[tuple[float, float, float, float], ...]:
@@ -480,13 +485,17 @@ class Region:
     def valid(self, p: Point2) -> bool:
         """``contains(p)`` and a field value of at least the clearance.
 
-        The bbox test, the room boxes and the bilinear lookup of
+        True at once in a ``certified`` box the region has already built;
+        otherwise the bbox test, the room boxes and the bilinear lookup of
         ``sdf_query`` run inline, as in ``_motion_valid``; a point in the
         bbox but off the grid raises OutOfBounds, as ``sdf_query`` does.
         """
+        x, y = p
+        for x0, y0, x1, y1 in self._held:
+            if x0 <= x <= x1 and y0 <= y <= y1:
+                return True
         (bx0, by0, bx1, by1, constrained, boxes, clearance, v, ox, oy, res, nx,
          fx_max, fy_max, i_max, j_max) = self._valid_frame
-        x, y = p
         if not (bx0 <= x <= bx1 and by0 <= y <= by1):
             return False
         if constrained:
@@ -713,6 +722,7 @@ def plan(gmap: GlobalMap, problem: GeometricProblem, config: PlannerConfig,
     region = Region(gmap, problem)
     if region.constrained and not region.rooms:
         raise EmptyRegion("allowed region contains no known rooms")
+    region.certified  # built for the motion checks, and so used by every state check
     if not region.valid(problem.start):
         raise InvalidStart(f"start {tuple(problem.start)} is not a valid state")
     if not region.valid(problem.goal):

@@ -21,15 +21,15 @@ formula returns. The nodes are grouped in square tiles. Because ``hypot(a, b)
 >= max(|a|, |b|)``, the larger of a piece's smallest residual over a tile's
 columns and its smallest over the tile's rows bounds the piece's distance to
 every node of the tile from below. Each tile is first filled with its
-lowest-bound piece; then only the pieces whose bound is below the largest
-value that leaves in the tile can lower a node there, and only those are
-evaluated. Both facts are exact, and the grid equals the full per-segment
-evaluation bit for bit.
+lowest-bound piece; then a piece can lower a node only where its bound is
+below the tile's largest value and its larger residual below the node's
+value, and only there is it evaluated. Both facts are exact, and the grid
+equals the full per-segment evaluation bit for bit.
 
 A map that differs from an earlier one by a few wall pieces (a doorway
 blocked) can be derived from it: only the tiles a changed piece can reach
-are recomputed, by the same two passes, and the rest of the grid, its flat
-copy and its certified boxes carry over (``_derive_global_map``).
+are recomputed, by the same two passes, and the rest of the grid and its
+certified boxes carry over (``_derive_global_map``).
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ import numpy as np
 from .errors import (DegenerateRoom, DoorwayPlacement, EmptyMap, OutOfBounds,
                      ValidationError)
 from .geometry import Point2, WallSegment, point_in_ring
-from .scene_graph import Room, SceneGraph, _rect_from_walls, shared_boundary
+from .scene_graph import Room, SceneGraph, SharedBoundary, _rect_from_walls, shared_boundary
 
 DEFAULT_RESOLUTION = 0.05
 DEFAULT_WALL_HALF_WIDTH = 0.05
@@ -85,13 +85,15 @@ class SdfGrid:
     values: np.ndarray  # shape (ny, nx); values[j, i] sampled at origin + (i, j) * resolution
     wall_half_width: float = math.inf
 
-    @cached_property
-    def flat_values(self) -> list[float]:
-        """Row-major copy of ``values`` as Python floats: ``values[j, i]`` is
-        ``flat_values[j * nx + i]``. Scalar reads from a list are several
-        times cheaper than ndarray indexing; the copy is built on first use,
-        and the builders mark ``values`` read-only so it cannot go stale."""
-        return self.values.ravel().tolist()
+    @property
+    def flat_values(self) -> memoryview:
+        """Read-only row-major float64 view of ``values``: ``values[j, i]``
+        is ``flat_values[j * nx + i]``, read as a Python float as cheaply as
+        from a list, several times faster than ndarray indexing. The
+        builders' ``values`` are viewed in O(1), sharing their memory, so
+        the view cannot go stale; other arrays (built by hand) are copied."""
+        values = np.ascontiguousarray(self.values, dtype=np.float64)
+        return memoryview(values.reshape(-1)).toreadonly()
 
     @cached_property
     def _certified(self) -> dict:
@@ -111,7 +113,7 @@ class SdfGrid:
         [0, 1]). The window starts as the cells meeting ``box`` and is cut in
         from its sides until all its nodes pass; only that window of
         ``values`` is compared. A positive ``threshold`` is required. The
-        answer is cached per (box, threshold), like ``flat_values``."""
+        answer is cached per (box, threshold)."""
         key = (box, threshold)
         cache = self._certified
         if key not in cache:
@@ -159,12 +161,21 @@ def carve_doorways(graph: SceneGraph) -> CarvedWalls:
     attachment threshold or the opening does not fit inside the shared wall
     overlap.
     """
+    return _carve(graph, _boundaries(graph))
+
+
+def _boundaries(graph: SceneGraph) -> list[SharedBoundary | None]:
+    """``shared_boundary`` of each doorway's rooms, None if it is blocked."""
     rooms = {r.id: r for r in graph.rooms}
+    return [None if d.blocked else shared_boundary(rooms[d.rooms[0]], rooms[d.rooms[1]])
+            for d in graph.doorways]
+
+
+def _carve(graph: SceneGraph, boundaries: list[SharedBoundary | None]) -> CarvedWalls:
     openings: dict[tuple[str, int], list[tuple[float, float, str]]] = {}
-    for d in graph.doorways:
+    for d, sb in zip(graph.doorways, boundaries):
         if d.blocked:
             continue
-        sb = shared_boundary(rooms[d.rooms[0]], rooms[d.rooms[1]])
         if sb is None:
             raise DoorwayPlacement(f"doorway {d.id}: rooms share no parallel walls")
         if sb.gap >= DEFAULT_ATTACH_THRESHOLD:
@@ -216,13 +227,14 @@ def _make_wall(axis: str, fixed: float, lo: float, hi: float) -> WallSegment:
 def doorway_openings(graph: SceneGraph) -> dict[str, tuple[float, float, float, float]]:
     """Axis-aligned rectangle per unblocked doorway: doorway width along the
     wall, ``DEFAULT_OPENING_DEPTH`` across it, centered on the doorway center."""
+    return _openings(graph, _boundaries(graph))
+
+
+def _openings(graph: SceneGraph, boundaries: list[SharedBoundary | None]
+              ) -> dict[str, tuple[float, float, float, float]]:
     depth = DEFAULT_OPENING_DEPTH
-    rooms = {r.id: r for r in graph.rooms}
     rects: dict[str, tuple[float, float, float, float]] = {}
-    for d in graph.doorways:
-        if d.blocked:
-            continue
-        sb = shared_boundary(rooms[d.rooms[0]], rooms[d.rooms[1]])
+    for d, sb in zip(graph.doorways, boundaries):
         if sb is None:
             continue
         cx, cy = d.center
@@ -263,14 +275,16 @@ def build_sdf(walls: CarvedWalls, bbox: tuple[Point2, Point2],
       whole ``_TILE`` x ``_TILE`` tiles, and a piece's bound on a tile is
       ``max(min |rx|, min |ry|)`` over the tile's columns and rows: no node
       of the tile is closer to the piece. Pass 1 fills each tile with its
-      lowest-bound piece (one batched ``hypot``); let ``M`` be the largest
-      value that leaves on the tile's grid nodes. Pass 2 evaluates there
-      only the other pieces whose bound is strictly below ``M``. A node's
-      nearest piece is then either evaluated, or its distance is at least
-      its bound, hence at least ``M``, hence at least the node's pass-1
-      value, which is therefore already the minimum. ``minimum`` is exact,
-      so neither the order of the pieces nor skipping a repeated piece
-      changes a value.
+      lowest-bound piece (one batched ``hypot``; padding is set to 0.0
+      before any maximum); let ``M`` be the largest value that leaves on
+      the tile's grid nodes. Pass 2 evaluates there the other pieces whose
+      bound is strictly below ``M``, each at the nodes where ``max(|rx|,
+      |ry|)`` is below the node's current value. A node's nearest piece is
+      then evaluated, or its distance is at least the node's value (its
+      bound is at least ``M``, or its larger residual at least that
+      value), which is therefore already the minimum. ``minimum`` is
+      exact, so neither the order of the pieces nor skipping a repeated
+      piece changes a value.
 
     Both passes run over a selection of tiles (``_fill_tiles``); this full
     build selects every tile, and ``_derive_sdf`` selects only the tiles a
@@ -360,7 +374,7 @@ def _fill_tiles(view: np.ndarray, rows: np.ndarray, cols: np.ndarray,
     if one_chunk:
         # both passes read the same bounds: compute them once
         chunks = list(chunks)
-    seed = _seed_tiles(view, rows, cols, chunks)
+    seed = _seed_tiles(view, rows, cols, chunks, ny)
     if tilted:
         gx = xs.reshape(-1, _TILE)[cols][..., None, :]
         gy = ys.reshape(-1, _TILE)[rows][..., :, None]
@@ -368,7 +382,7 @@ def _fill_tiles(view: np.ndarray, rows: np.ndarray, cols: np.ndarray,
         t = ((gx - ax) * dx + (gy - ay) * dy) / denom
         np.clip(t, 0.0, 1.0, out=t)
         np.minimum(view, np.hypot(gx - (ax + t * dx), gy - (ay + t * dy)), out=view)
-    # padding nodes must not raise a tile's largest value
+    # padding nodes, whose rows pass 1 left unset, must not raise a tile's maximum
     last_y, last_x = ys.size // _TILE - 1, xs.size // _TILE - 1
     view[rows == last_y, ny - last_y * _TILE:, :] = 0.0
     view[cols == last_x, :, nx - last_x * _TILE:] = 0.0
@@ -419,11 +433,11 @@ def _tile_bounds(pieces: np.ndarray, xs: np.ndarray, ys: np.ndarray):
 
 
 def _seed_tiles(view: np.ndarray, rows: np.ndarray, cols: np.ndarray,
-                chunks) -> np.ndarray:
+                chunks, ny: int) -> np.ndarray:
     """Fill every selected tile with the distances to its lowest-bound piece,
     given the ``_tile_bounds`` chunks, and return that piece's index per
     tile. Without pieces every node holds ``hypot(inf, inf)``, which is inf,
-    and every index is -1."""
+    and every index is -1. Padding rows (``ny`` on) are left unset."""
     best = np.full(rows.shape, np.inf)
     seed = np.full(rows.shape, -1)
     seed_rx = np.full(rows.shape + (_TILE,), np.inf)
@@ -438,15 +452,19 @@ def _seed_tiles(view: np.ndarray, rows: np.ndarray, cols: np.ndarray,
         seed[lower] = k0 + k
         seed_rx[lower] = rx[k, cols[lower]]
         seed_ry[lower] = ry[k, rows[lower]]
-    np.hypot(seed_rx[..., None, :], seed_ry[..., :, None], out=view)
+    # rows never decreases along its first axis: the last tile row comes last
+    k = np.count_nonzero(rows.reshape(len(rows), -1)[:, 0] < (ny - 1) // _TILE)
+    np.hypot(seed_rx[:k, ..., None, :], seed_ry[:k, ..., :, None], out=view[:k])
+    ly = (ny - 1) % _TILE + 1
+    np.hypot(seed_rx[k:, ..., None, :], seed_ry[k:, ..., :ly, None], out=view[k:, ..., :ly, :])
     return seed
 
 
 def _lower_tiles(view: np.ndarray, rows: np.ndarray, cols: np.ndarray,
                  seed: np.ndarray, chunks) -> None:
     """Fold into every selected tile each piece but its seed whose bound
-    there is below the tile's largest value, given the ``_tile_bounds``
-    chunks.
+    there is below the tile's largest value, at the nodes it can lower,
+    given the ``_tile_bounds`` chunks.
 
     The (tile, piece) pairs go in ranks: rank r holds each tile's r-th pair,
     so one rank's tiles are distinct and each rank is one gather, ``hypot``,
@@ -466,8 +484,11 @@ def _lower_tiles(view: np.ndarray, rows: np.ndarray, cols: np.ndarray,
                 at = tuple(t[p] for t in tile)
                 k = kk[p]
                 block = view[at]
-                np.minimum(block, np.hypot(rx[k, cols[at]][:, None, :],
-                                           ry[k, rows[at]][:, :, None]), out=block)
+                a = rx[k, cols[at]][:, None, :]
+                b = ry[k, rows[at]][:, :, None]
+                # hypot(a, b) >= max(|a|, |b|): no other node can be lowered
+                near = np.maximum(np.abs(a), np.abs(b)) < block
+                np.minimum(block, np.hypot(a, b, out=None, where=near), out=block, where=near)
                 view[at] = block
 
 
@@ -487,10 +508,8 @@ def _derive_sdf(grid: SdfGrid, old: CarvedWalls, walls: CarvedWalls,
     farther than ``M`` too, so it lowers no node. Each node's old minimum
     is therefore the new one, and the copy keeps its bits.
 
-    When ``grid.flat_values`` is built, the new grid gets a copy of it with
-    each row's span of changed nodes patched. Each ``certified_box`` answer
-    of ``grid`` carries over when no node of its node window changed; the
-    answer depends on nothing else."""
+    Each ``certified_box`` answer of ``grid`` carries over when no node of
+    its node window changed; the answer depends on nothing else."""
     res, nx, ny = grid.resolution, grid.nx, grid.ny
     if (grid.wall_half_width != DEFAULT_WALL_HALF_WIDTH or not walls.segments
             or _grid_frame(bbox, res) != (grid.origin, nx, ny)):
@@ -503,72 +522,42 @@ def _derive_sdf(grid: SdfGrid, old: CarvedWalls, walls: CarvedWalls,
         return None
 
     xs, ys = _node_coords(grid.origin, res, nx, ny)
-    old_values = grid.values
-    top = _tile_top(old_values, ys.size // _TILE, xs.size // _TILE)
+    tiles_y, tiles_x = ys.size // _TILE, xs.size // _TILE
+    # the old grid padded with 0.0, and each tile's largest unsigned value
+    dmin = np.zeros((ys.size, xs.size))
+    dmin[:ny, :nx] = grid.values
+    strips = dmin.reshape(tiles_y, _TILE, -1)
+    top = np.maximum(strips.max(axis=1), -strips.min(axis=1))
+    top = top.reshape(tiles_y, tiles_x, _TILE).max(axis=2)
     selected = np.zeros(top.shape, dtype=bool)
     for _, _, _, bound in _tile_bounds(changed, xs, ys):
         selected |= (bound <= top[:, :, None]).any(axis=2)
     rows, cols = np.nonzero(selected)
 
-    values = old_values.copy()
-    nodes = values.ravel()
-    moved = [np.zeros(0, dtype=np.intp)]
+    view = dmin.reshape(tiles_y, _TILE, tiles_x, _TILE).transpose(0, 2, 1, 3)
     step = max(1, _CHUNK // (_TILE * _TILE))
     for s in range(0, rows.size, step):
         tr, tc = rows[s:s + step], cols[s:s + step]
         work = np.empty((tr.size, _TILE, _TILE))
         _fill_tiles(work, tr, tc, walls, xs, ys, nx, ny)
         np.negative(work, out=work, where=work < DEFAULT_WALL_HALF_WIDTH)
-        # flat index of each grid node of these tiles, and its new value
-        r = tr[:, None] * _TILE + np.arange(_TILE)
-        c = tc[:, None] * _TILE + np.arange(_TILE)
-        inside = (r < ny)[:, :, None] & (c < nx)[:, None, :]
-        at = (r[:, :, None] * nx + c[:, None, :])[inside]
-        fresh = work[inside]
-        moved.append(at[fresh.view(np.int64) != nodes[at].view(np.int64)])
-        nodes[at] = fresh
+        view[tr, tc] = work
+    values = np.ascontiguousarray(dmin[:ny, :nx])
     values.setflags(write=False)
-    moved_rows, moved_cols = np.divmod(np.concatenate(moved), nx)
     derived = SdfGrid(origin=grid.origin, resolution=res, nx=nx, ny=ny, values=values,
                       wall_half_width=DEFAULT_WALL_HALF_WIDTH)
 
     cached = grid.__dict__
-    if "flat_values" in cached:
-        first = np.full(ny, nx)
-        last = np.full(ny, -1)
-        np.minimum.at(first, moved_rows, moved_cols)
-        np.maximum.at(last, moved_rows, moved_cols)
-        flat = cached["flat_values"].copy()
-        for j in np.flatnonzero(last >= 0).tolist():
-            c0, c1 = int(first[j]), int(last[j]) + 1
-            flat[j * nx + c0:j * nx + c1] = values[j, c0:c1].tolist()
-        derived.__dict__["flat_values"] = flat
     if "_certified" in cached:
+        moved = values.view(np.int64) != grid.values.view(np.int64)
         kept = {}
         for key, answer in cached["_certified"].items():
             window = _node_window(grid, key[0])
-            if window is not None:
-                i0, i1, j0, j1 = window
-                if ((moved_rows >= j0) & (moved_rows <= j1 + 1)
-                        & (moved_cols >= i0) & (moved_cols <= i1 + 1)).any():
-                    continue
-            kept[key] = answer
+            if window is None or not moved[window[2]:window[3] + 2,
+                                           window[0]:window[1] + 2].any():
+                kept[key] = answer
         derived.__dict__["_certified"] = kept
     return derived
-
-
-def _tile_top(values: np.ndarray, tiles_y: int, tiles_x: int) -> np.ndarray:
-    """Largest unsigned value of each tile of a signed grid, whose negated
-    nodes keep their exact magnitude; padding nodes count as 0.0."""
-    ny, nx = values.shape
-    top = np.zeros((tiles_y, tiles_x * _TILE))
-    whole = ny - ny % _TILE
-    strips = values[:whole].reshape(-1, _TILE, nx)
-    top[:whole // _TILE, :nx] = np.maximum(strips.max(axis=1), -strips.min(axis=1))
-    if whole < ny:
-        rest = values[whole:]
-        top[-1, :nx] = np.maximum(rest.max(axis=0), -rest.min(axis=0))
-    return top.reshape(tiles_y, tiles_x, _TILE).max(axis=2)
 
 
 def _node_window(grid: SdfGrid, box: tuple[float, float, float, float]
@@ -686,12 +675,11 @@ def sdf_query(grid: SdfGrid, p: Point2) -> float:
     j0 = min(int(fy), grid.ny - 2)
     tx = fx - i0
     ty = fy - j0
-    v = grid.flat_values
-    k = j0 * grid.nx + i0
-    v00 = v[k]
-    v10 = v[k + 1]
-    v01 = v[k + grid.nx]
-    v11 = v[k + grid.nx + 1]
+    node = grid.values.item  # Python scalars, as the planner's inline lookups read
+    v00 = node(j0, i0)
+    v10 = node(j0, i0 + 1)
+    v01 = node(j0 + 1, i0)
+    v11 = node(j0 + 1, i0 + 1)
     return ((v00 * (1.0 - tx) + v10 * tx) * (1.0 - ty)
             + (v01 * (1.0 - tx) + v11 * tx) * ty)
 
@@ -704,10 +692,11 @@ def build_global_map(scene: SceneGraph,
     close exactly that box (a ``Room`` built by hand) raises DegenerateRoom.
     """
     _check_rooms(scene)
-    walls = carve_doorways(scene)
+    boundaries = _boundaries(scene)
+    walls = _carve(scene, boundaries)
     sdf = build_sdf(walls, scene.bbox, resolution=resolution)
     return GlobalMap(scene=scene, walls=walls, sdf=sdf,
-                     openings=doorway_openings(scene))
+                     openings=_openings(scene, boundaries))
 
 
 def _derive_global_map(old: GlobalMap, scene: SceneGraph) -> GlobalMap:
@@ -715,12 +704,12 @@ def _derive_global_map(old: GlobalMap, scene: SceneGraph) -> GlobalMap:
     field derived from ``old``'s by ``_derive_sdf`` where it can be, and
     built in full where it cannot."""
     _check_rooms(scene)
-    walls = carve_doorways(scene)
-    sdf = _derive_sdf(old.sdf, old.walls, walls, scene.bbox)
-    if sdf is None:
-        sdf = build_sdf(walls, scene.bbox, resolution=old.sdf.resolution)
+    boundaries = _boundaries(scene)
+    walls = _carve(scene, boundaries)
+    sdf = (_derive_sdf(old.sdf, old.walls, walls, scene.bbox)
+           or build_sdf(walls, scene.bbox, resolution=old.sdf.resolution))
     return GlobalMap(scene=scene, walls=walls, sdf=sdf,
-                     openings=doorway_openings(scene))
+                     openings=_openings(scene, boundaries))
 
 
 def _check_rooms(scene: SceneGraph) -> None:

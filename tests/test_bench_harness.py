@@ -140,6 +140,14 @@ class TestGeneratePairs:
         b = generate_pairs(_config(n_queries=10, seed=2))
         assert a != b
 
+    def test_drawing_pairs_builds_no_certified_boxes(self, monkeypatch):
+        # the draws only check states: set-up must not pay for the boxes
+        monkeypatch.setattr(bench_harness, "_WORLD_CACHE", {})
+        cfg = _config(map_path=fixture_path("grid8.map"), n_queries=10, seed=5)
+        generate_pairs(cfg)
+        _, gmap, _ = bench_harness._world(cfg)
+        assert gmap._certified == {} and gmap.sdf._certified == {}
+
 
 # ---------------------------------------------------------------------------
 # running the benchmark

@@ -937,6 +937,36 @@ def test_certified_motion_check_equals_pointwise_check(fixture_maps, name, data)
         assert got is True
 
 
+@pytest.mark.parametrize("name", ["grid8", "ring4", "threeroom"])
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_certified_state_check_equals_full_lookup(fixture_maps, name, data):
+    gmap = fixture_maps[name]
+    problem = data.draw(_problems(gmap))
+    region = Region(gmap, problem)
+    assert region.certified
+    # a region that never read its boxes looks every point up in the field
+    full = Region(gmap, problem)
+    a, b, kind = data.draw(_certified_segments(region))
+    for p in (a, b):
+        assert region.valid(p) is full.valid(p)
+    if kind == "inside":
+        assert region.valid(a) is region.valid(b) is True
+    assert full._held == ()
+
+
+def test_state_checks_alone_build_no_certified_boxes(grid8_scene):
+    gmap = build_global_map(grid8_scene)
+    problem = GeometricProblem(start=Point2(-5.0, 1.0), goal=Point2(1.0, 1.0))
+    region = Region(gmap, problem)
+    assert region.valid(Point2(1.0, 1.0)) and not region.valid(Point2(-5.0, 1.0))
+    assert gmap._certified == {} and gmap.sdf._certified == {}
+    # plan builds them before its first state check, even one that fails
+    with pytest.raises(InvalidStart):
+        plan(gmap, problem, PlannerConfig(max_iterations=1))
+    assert list(gmap._certified) == [(None, CLEARANCE)]
+
+
 def _one_room_map(values: np.ndarray, resolution: float, origin: Point2) -> GlobalMap:
     """A 4 m room in a bbox of its own size over a hand-built field."""
     room = rect_room("a", 0.0, 0.0, 4.0, 4.0)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import math
 import random
 import tracemalloc
@@ -19,7 +20,8 @@ from semnav import (CarvedWalls, DegenerateRoom, Doorway, DoorwayPlacement,
                     sdf_query, set_doorway_blocked)
 from semnav import map_builder
 from semnav.geometry import dist
-from semnav.geometric_planner import _SQRT2, GeometricProblem, Region, _stride_eps
+from semnav.geometric_planner import (_SQRT2, GeometricProblem, PlannerConfig, Region,
+                                      _stride_eps, plan)
 from semnav.scene_graph import CLOSURE_TOL, _rect_from_walls
 
 from conftest import fixture_path, rect_room
@@ -522,6 +524,44 @@ def test_build_sdf_chunked_on_random_walls(walls, resolution):
         _assert_matches_reference(walls, bbox, resolution)
 
 
+@pytest.mark.parametrize("resolution", [0.05, 0.1, 0.25])
+def test_fill_tiles_sets_the_padding_before_the_tile_maxima(grid8_scene, resolution):
+    # pass 1 leaves the padding rows unset: in a buffer that starts as NaN,
+    # a padding node left so would make its tile's maximum NaN and skip
+    # pass 2 there
+    walls = carve_doorways(grid8_scene)
+    full = build_sdf(walls, grid8_scene.bbox, resolution)
+    xs, ys = map_builder._node_coords(full.origin, resolution, full.nx, full.ny)
+    tile = map_builder._TILE
+    rows, cols = np.indices((ys.size // tile, xs.size // tile))
+    work = np.full((rows.size, tile, tile), np.nan)
+    map_builder._fill_tiles(work, rows.ravel(), cols.ravel(), walls, xs, ys,
+                            full.nx, full.ny)
+    grid = work.reshape(rows.shape + (tile, tile)).transpose(0, 2, 1, 3)
+    grid = grid.reshape(ys.size, xs.size)
+    assert (grid[full.ny:] == 0.0).all() and (grid[:, full.nx:] == 0.0).all()
+    assert grid[:full.ny, :full.nx].tobytes() == np.abs(full.values).tobytes()
+
+
+def test_a_build_finds_each_doorway_boundary_once(grid8_scene, monkeypatch):
+    calls = []
+    boundary = map_builder.shared_boundary
+
+    def counted(a, b):
+        calls.append((a.id, b.id))
+        return boundary(a, b)
+
+    monkeypatch.setattr(map_builder, "shared_boundary", counted)
+    old = build_global_map(grid8_scene)
+    assert calls == [d.rooms for d in grid8_scene.doorways]
+    blocked = set_doorway_blocked(grid8_scene, "d12", True)
+    calls.clear()
+    derived = map_builder._derive_global_map(old, blocked)
+    assert calls == [d.rooms for d in blocked.doorways if not d.blocked]
+    assert derived.walls == carve_doorways(blocked)
+    assert derived.openings == doorway_openings(blocked)
+
+
 def test_build_sdf_memory_stays_a_small_multiple_of_the_grid():
     # 400 rooms, 1600 distinct pieces and 38 x 38 tiles: one pieces x tiles
     # bound array alone would take about 6 times the grid's bytes
@@ -696,10 +736,55 @@ def test_sdf_query_equals_ndarray_formula(threeroom_map, data):
 
 def test_flat_values_mirror_the_grid(threeroom_map):
     grid = threeroom_map.sdf
-    assert len(grid.flat_values) == grid.nx * grid.ny
-    assert grid.flat_values is grid.flat_values  # built once, then cached
-    for j, i in [(0, 0), (0, grid.nx - 1), (grid.ny - 1, 0), (grid.ny - 1, grid.nx - 1)]:
-        assert grid.flat_values[j * grid.nx + i] == grid.values[j, i]
+    flat = grid.flat_values
+    assert len(flat) == grid.nx * grid.ny == grid.values.size
+    for j, i in [(0, 0), (0, grid.nx - 1), (grid.ny - 1, 0), (grid.ny - 1, grid.nx - 1),
+                 (grid.ny // 2, grid.nx // 3)]:
+        got = flat[j * grid.nx + i]
+        assert type(got) is float and got == grid.values[j, i]
+    assert flat.tolist() == grid.values.ravel().tolist()
+    # a read-only view of the grid's own memory, not a copy
+    assert flat.readonly and flat.format == "d"
+    assert np.shares_memory(np.asarray(flat), grid.values)
+    with pytest.raises(TypeError):
+        flat[0] = 1.0
+
+
+@pytest.mark.parametrize("kind", ["integer", "non_contiguous", "writable"])
+def test_flat_values_of_a_hand_built_grid(kind):
+    base = np.arange(35).reshape(5, 7)
+    values = {"integer": base.copy(),
+              "non_contiguous": np.asfortranarray(base * 0.25),
+              "writable": base * 0.25}[kind]
+    grid = SdfGrid(origin=Point2(0.0, 0.0), resolution=0.5, nx=7, ny=5, values=values)
+    # the floats the row-major list of the values held
+    want = [float(v) for v in values.ravel().tolist()]
+    got = grid.flat_values.tolist()
+    assert got == want and all(type(v) is float for v in got)
+    with pytest.raises(TypeError):
+        grid.flat_values[0] = 1.0
+    # it cannot go stale: a later change of the values shows in every read
+    values[2, 3] = 99
+    assert grid.flat_values[2 * 7 + 3] == 99.0
+    assert sdf_query(grid, Point2(1.5, 1.0)) == 99.0
+
+
+def test_a_used_map_keeps_little_more_than_its_grid_alive(grid8_scene):
+    problem = GeometricProblem(start=grid8_scene.rooms[0].center,
+                               goal=grid8_scene.rooms[1].center)
+    config = PlannerConfig(max_iterations=100, seed=1)
+    plan(build_global_map(grid8_scene), problem, config)  # a first plan imports lazily
+    gc.collect()
+    tracemalloc.start()
+    try:
+        gmap = build_global_map(grid8_scene)
+        plan(gmap, problem, config)
+        gc.collect()
+        kept, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the field's own bytes, its certified boxes and the walls: no copy
+    assert kept < 1.25 * gmap.sdf.values.nbytes
 
 
 def test_sdf_values_are_read_only(threeroom_map):
@@ -757,9 +842,8 @@ def _derive(old, scene, monkeypatch):
 
 
 def _warm(gmap):
-    """Fill every cache a planner fills: the flat list and certified boxes,
-    also one across each doorway."""
-    gmap.sdf.flat_values
+    """Fill every cache a planner fills, the certified boxes, and one box
+    across each doorway."""
     _certified_everywhere(gmap)
     for box in _doorway_boxes(gmap):
         gmap.sdf.certified_box(box, 0.25)
@@ -801,7 +885,7 @@ def test_derived_map_of_an_already_blocked_doorway_copies_everything(
     assert filled == []
     _assert_same_map(derived, old)
     assert derived.sdf.values is not old.sdf.values
-    assert derived.sdf.flat_values is not old.sdf.flat_values
+    assert not np.shares_memory(np.asarray(derived.sdf.flat_values), old.sdf.values)
     assert derived.sdf._certified == old.sdf._certified
 
 
@@ -888,7 +972,6 @@ def test_derivation_memory_stays_a_small_multiple_of_the_grid():
         split += [WallSegment(a, mid), WallSegment(mid, b), *rest]
     bbox = (Point2(0.0, 0.0), Point2(30.0, 30.0))
     old = build_sdf(walls, bbox)
-    old.flat_values
     tracemalloc.start()
     try:
         grid = map_builder._derive_sdf(old, walls, CarvedWalls(tuple(split)), bbox)

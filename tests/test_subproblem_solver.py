@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import copy
 import json
 import math
+import pickle
 from dataclasses import replace
 
 import pytest
@@ -222,6 +224,24 @@ def _solved_ring4(ring4_scene, ring4_map, goal=Point2(6.0, 6.0), seed=4):
     gpath, _ = solve_all(subs, ring4_map, PlannerConfig(timeout=0.3, seed=seed))
     assert gpath is not None
     return route, gpath
+
+
+@pytest.mark.parametrize("clone", [lambda x: pickle.loads(pickle.dumps(x)), copy.deepcopy],
+                         ids=["pickle", "deepcopy"])
+def test_a_planned_map_and_its_path_survive_a_copy(ring4_scene, clone):
+    gmap = build_global_map(ring4_scene)
+    _, gpath = _solved_ring4(ring4_scene, gmap)
+    # planning filled the map's caches and read its field
+    assert gpath.gmap is gmap and gmap._certified and gmap.sdf._certified
+    for got in (clone(gmap), clone(gpath).gmap):
+        assert got is not gmap
+        assert got.sdf.values.tobytes() == gmap.sdf.values.tobytes()
+        assert got.sdf.flat_values == gmap.sdf.flat_values
+        assert got._certified == gmap._certified
+        assert got.sdf._certified == gmap.sdf._certified
+        # and it plans as the original does
+        _, again = _solved_ring4(ring4_scene, got)
+        assert again == gpath
 
 
 def test_replan_block_ahead_reroutes(ring4_scene, ring4_map):
