@@ -29,7 +29,9 @@ equals the full per-segment evaluation bit for bit.
 A map that differs from an earlier one by a few wall pieces (a doorway
 blocked) can be derived from it: only the tiles a changed piece can reach
 are recomputed, by the same two passes, and the rest of the grid and its
-certified boxes carry over (``_derive_global_map``).
+certified boxes carry over (``_derive_global_map``). ``build_blocked_map``
+keeps each such map on the map it came from, so a doorway blocked again
+costs a dictionary lookup.
 """
 
 from __future__ import annotations
@@ -43,7 +45,8 @@ import numpy as np
 from .errors import (DegenerateRoom, DoorwayPlacement, EmptyMap, OutOfBounds,
                      ValidationError)
 from .geometry import Point2, WallSegment, point_in_ring
-from .scene_graph import Room, SceneGraph, SharedBoundary, _rect_from_walls, shared_boundary
+from .scene_graph import (Room, SceneGraph, SharedBoundary, _rect_from_walls,
+                          set_doorway_blocked, shared_boundary)
 
 DEFAULT_RESOLUTION = 0.05
 DEFAULT_WALL_HALF_WIDTH = 0.05
@@ -123,7 +126,15 @@ class SdfGrid:
 
 @dataclass(frozen=True)
 class GlobalMap:
-    """Everything the geometric planner needs about one scene."""
+    """Everything the geometric planner needs about one scene.
+
+    A map keeps two caches, filled on first use: the planner's certified
+    boxes (``_certified``) and, per doorway id, the map of its scene with
+    that doorway blocked (``_blocked``, filled by ``build_blocked_map``).
+    The second holds at most one map per doorway, each the size of this
+    one (0.84 MB of field on grid8 at 0.05 m); copies and pickles leave it
+    out.
+    """
 
     scene: SceneGraph
     walls: CarvedWalls
@@ -135,6 +146,16 @@ class GlobalMap:
         """The planner's certified boxes per (allowed rooms, clearance),
         assembled once from ``sdf.certified_box``."""
         return {}
+
+    @cached_property
+    def _blocked(self) -> dict:
+        """``build_blocked_map`` answers by doorway id."""
+        return {}
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state.pop("_blocked", None)
+        return state
 
 
 def point_in_contour(room: Room, p: Point2) -> bool:
@@ -369,8 +390,8 @@ def _fill_tiles(view: np.ndarray, rows: np.ndarray, cols: np.ndarray,
             tilted.append((ax, ay, dx, dy, denom))
     pieces = np.array(pieces).reshape(-1, 5)
 
-    chunks = _tile_bounds(pieces, xs, ys)
-    one_chunk = len(pieces) <= _chunk_pieces(xs, ys)
+    chunks = _tile_bounds(pieces, xs, ys, rows, cols)
+    one_chunk = len(pieces) <= _chunk_pieces(xs, ys, rows.size)
     if one_chunk:
         # both passes read the same bounds: compute them once
         chunks = list(chunks)
@@ -387,7 +408,7 @@ def _fill_tiles(view: np.ndarray, rows: np.ndarray, cols: np.ndarray,
     view[rows == last_y, ny - last_y * _TILE:, :] = 0.0
     view[cols == last_x, :, nx - last_x * _TILE:] = 0.0
     _lower_tiles(view, rows, cols, seed,
-                 chunks if one_chunk else _tile_bounds(pieces, xs, ys))
+                 chunks if one_chunk else _tile_bounds(pieces, xs, ys, rows, cols))
 
 
 def _piece_rows(segments):
@@ -398,37 +419,39 @@ def _piece_rows(segments):
         yield ax, ay, dx, dy, dx * dx + dy * dy
 
 
-def _chunk_pieces(xs: np.ndarray, ys: np.ndarray) -> int:
-    """Pieces per chunk of ``_tile_bounds``: about ``_CHUNK`` elements."""
-    return max(1, _CHUNK // ((ys.size // _TILE) * (xs.size // _TILE) + xs.size + ys.size))
+def _chunk_pieces(xs: np.ndarray, ys: np.ndarray, tiles: int) -> int:
+    """Pieces per chunk of ``_tile_bounds`` over ``tiles`` tiles: about
+    ``_CHUNK`` elements."""
+    return max(1, _CHUNK // (tiles + xs.size + ys.size))
 
 
-def _tile_bounds(pieces: np.ndarray, xs: np.ndarray, ys: np.ndarray):
+def _tile_bounds(pieces: np.ndarray, xs: np.ndarray, ys: np.ndarray,
+                 rows: np.ndarray, cols: np.ndarray):
     """Per chunk of ``pieces``: the first piece's index, the residuals along x
     ``rx[k, I, b]`` (column ``I * _TILE + b``) and along y ``ry[k, J, a]``,
-    and ``bound[J, I, k]``, a lower bound on piece ``k``'s distance to every
-    node of tile (J, I).
+    and ``bound[..., k]``, a lower bound on piece ``k``'s distance to every
+    node of tile (``rows[...]``, ``cols[...]``).
 
-    A chunk holds at most about ``_CHUNK`` residuals and bounds, so memory
+    The bound is taken only at the tiles ``rows`` and ``cols`` select; a
+    chunk holds at most about ``_CHUNK`` residuals and bounds, so memory
     never grows with pieces times tiles."""
     tiles_y, tiles_x = ys.size // _TILE, xs.size // _TILE
-    chunk = _chunk_pieces(xs, ys)
+    chunk = _chunk_pieces(xs, ys, np.broadcast(rows, cols).size)
     for k0 in range(0, len(pieces), chunk):
         ax, ay, dx, dy, denom = pieces[k0:k0 + chunk].T
         rx = xs - ax[:, None]
         ry = ys - ay[:, None]
         segment = denom >= 1e-24
-        for r, coords, a, d, rows in ((rx, xs, ax, dx, segment & (dy == 0.0)),
-                                      (ry, ys, ay, dy, segment & (dx == 0.0))):
-            if rows.any():
-                a, d = a[rows, None], d[rows, None]
-                t = r[rows] * d / denom[rows, None]
+        for r, coords, a, d, sel in ((rx, xs, ax, dx, segment & (dy == 0.0)),
+                                     (ry, ys, ay, dy, segment & (dx == 0.0))):
+            if sel.any():
+                a, d = a[sel, None], d[sel, None]
+                t = r[sel] * d / denom[sel, None]
                 np.clip(t, 0.0, 1.0, out=t)
-                r[rows] = coords - (a + t * d)
+                r[sel] = coords - (a + t * d)
         rx = rx.reshape(-1, tiles_x, _TILE)
         ry = ry.reshape(-1, tiles_y, _TILE)
-        bound = np.maximum(np.abs(ry).min(axis=2).T[:, None, :],
-                           np.abs(rx).min(axis=2).T[None, :, :])
+        bound = np.maximum(np.abs(ry).min(axis=2).T[rows], np.abs(rx).min(axis=2).T[cols])
         yield k0, rx, ry, bound
 
 
@@ -443,7 +466,6 @@ def _seed_tiles(view: np.ndarray, rows: np.ndarray, cols: np.ndarray,
     seed_rx = np.full(rows.shape + (_TILE,), np.inf)
     seed_ry = np.full(rows.shape + (_TILE,), np.inf)
     for k0, rx, ry, bound in chunks:
-        bound = bound[rows, cols]
         k = bound.argmin(axis=-1)
         low = np.take_along_axis(bound, k[..., None], axis=-1)[..., 0]
         lower = low < best
@@ -473,7 +495,7 @@ def _lower_tiles(view: np.ndarray, rows: np.ndarray, cols: np.ndarray,
     top = view.max(axis=-2).max(axis=-1)[..., None]
     batch = max(1, _CHUNK // (_TILE * _TILE))
     for k0, rx, ry, bound in chunks:
-        near = bound[rows, cols] < top
+        near = bound < top
         near &= seed[..., None] != np.arange(k0, k0 + near.shape[-1])
         *tile, kk = np.nonzero(near)
         rank = np.cumsum(near, axis=-1)[near]
@@ -530,7 +552,8 @@ def _derive_sdf(grid: SdfGrid, old: CarvedWalls, walls: CarvedWalls,
     top = np.maximum(strips.max(axis=1), -strips.min(axis=1))
     top = top.reshape(tiles_y, tiles_x, _TILE).max(axis=2)
     selected = np.zeros(top.shape, dtype=bool)
-    for _, _, _, bound in _tile_bounds(changed, xs, ys):
+    every = np.arange(tiles_y)[:, None], np.arange(tiles_x)[None, :]
+    for _, _, _, bound in _tile_bounds(changed, xs, ys, *every):
         selected |= (bound <= top[:, :, None]).any(axis=2)
     rows, cols = np.nonzero(selected)
 
@@ -710,6 +733,31 @@ def _derive_global_map(old: GlobalMap, scene: SceneGraph) -> GlobalMap:
            or build_sdf(walls, scene.bbox, resolution=old.sdf.resolution))
     return GlobalMap(scene=scene, walls=walls, sdf=sdf,
                      openings=_openings(scene, boundaries))
+
+
+def build_blocked_map(gmap: GlobalMap, doorway_id: str) -> GlobalMap:
+    """``build_global_map(set_doorway_blocked(gmap.scene, doorway_id,
+    True))``, bit for bit.
+
+    ``gmap`` is itself such a map, built or derived. When it is at
+    ``DEFAULT_RESOLUTION`` the answer is derived from it
+    (``_derive_global_map``) and kept in ``gmap._blocked``, so later calls
+    return the same map object, with the certified boxes planning on it has
+    built; a doorway ``gmap`` already blocks answers ``gmap`` itself, so a
+    chain of maps grows only by doorways not yet blocked. At another
+    resolution the answer is built in full and not kept. Raises UnknownId
+    for a doorway the scene does not have; a call that raises keeps
+    nothing."""
+    cache = gmap._blocked
+    if doorway_id in cache:
+        return cache[doorway_id]
+    scene = set_doorway_blocked(gmap.scene, doorway_id, True)
+    if gmap.sdf.resolution != DEFAULT_RESOLUTION:
+        return build_global_map(scene)
+    if scene == gmap.scene:
+        return gmap
+    cache[doorway_id] = _derive_global_map(gmap, scene)
+    return cache[doorway_id]
 
 
 def _check_rooms(scene: SceneGraph) -> None:

@@ -20,9 +20,10 @@ the subproblems whose (start, goal, room) key has no previously solved
 segment that still checks out against the new map. The paths ``solve_all``
 and ``replan`` return keep the map they were planned on, and the new map is
 derived from that one: only the distance-field tiles the closed gap can
-reach are recomputed, and the rest of the field, its flat copy and its
-certified boxes are carried over. The result is the map a full build would
-give, bit for bit.
+reach are recomputed, and the rest of the field and its certified boxes are
+carried over. The result is the map a full build would give, bit for bit,
+and it is kept on the map it came from, so blocking the same doorway again
+reuses it.
 """
 
 from __future__ import annotations
@@ -31,8 +32,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 from .errors import EmptyInput, InvalidGoal, InvalidStart, SubproblemInfeasible
 from .geometry import Point2
-from .map_builder import (DEFAULT_RESOLUTION, GlobalMap, _derive_global_map,
-                          build_global_map)
+from .map_builder import GlobalMap, build_blocked_map, build_global_map
 from .geometric_planner import (DEFAULT_GOAL_TOLERANCE, DEFAULT_ROBOT_RADIUS,
                                 DEFAULT_VALIDITY_MARGIN, GeometricPath,
                                 GeometricProblem, PlannerConfig, PlannerStats,
@@ -78,8 +78,10 @@ class GlobalPath:
     """Joined subproblem solutions: one geometric segment per room.
 
     ``gmap`` is the map the path was planned on, set by ``solve_all`` and
-    ``replan``; ``replan`` derives its blocked map from it. It takes no part
-    in equality, ``repr`` or ``global_path_to_dict``.
+    ``replan``; ``replan`` takes its blocked map from it
+    (``build_blocked_map``), which keeps that map for the next replan that
+    blocks the same doorway. It takes no part in equality, ``repr`` or
+    ``global_path_to_dict``.
     """
 
     segments: tuple[GeometricPath, ...]
@@ -261,12 +263,15 @@ def replan(scene: SceneGraph, prev_route: SemanticRoute,
     Marks the doorway blocked, updates the map (the doorway's wall gap
     closes), routes again from ``current_position`` to the original goal, and
     solves the new decomposition. When ``prev_path`` was planned on a map of
-    ``scene`` at the default resolution (``prev_path.gmap``), the new map is
-    derived from it: field tiles the changed wall pieces cannot reach are
-    copied with their flat values and certified boxes, and the rest are
-    recomputed. Otherwise the map is built in full. Both give the same map
-    bit for bit. The returned path keeps the new map, so a chain of replans
-    derives each map from the last. Segments of ``prev_path`` whose
+    ``scene`` (``prev_path.gmap``), the new map is that map's
+    ``build_blocked_map`` for the doorway: derived from it once, with field
+    tiles the changed wall pieces cannot reach copied with their certified
+    boxes, and kept on it, so every later replan that blocks the same
+    doorway from the same map reuses the same map object, and the outcome's
+    scene is that map's scene. Otherwise the map is built in full. Either
+    way it is ``build_global_map`` of the blocked scene, bit for bit. The
+    returned path keeps the new map, so a chain of replans derives each map
+    from the last. Segments of ``prev_path`` whose
     (start, goal, room) key matches a new subproblem are reused when they
     still pass motion checks on the new map; everything else is planned
     fresh with the usual equal budget split, in index order, as in
@@ -276,12 +281,12 @@ def replan(scene: SceneGraph, prev_route: SemanticRoute,
     cannot be valid states.
     """
     config.validate()
-    new_scene = set_doorway_blocked(scene, blocked_id, True)
     old = prev_path.gmap if prev_path is not None else None
-    if (old is not None and old.scene == scene
-            and old.sdf.resolution == DEFAULT_RESOLUTION):
-        gmap = _derive_global_map(old, new_scene)
+    if old is not None and old.scene == scene:
+        gmap = build_blocked_map(old, blocked_id)
+        new_scene = gmap.scene
     else:
+        new_scene = set_doorway_blocked(scene, blocked_id, True)
         gmap = build_global_map(new_scene)
     topo = build_topology(new_scene, penalty, metric)
     route = semantic_route(topo, new_scene, current_position, prev_route.goal)

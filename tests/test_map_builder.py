@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import copy
 import gc
 import math
+import pickle
 import random
 import tracemalloc
 
@@ -14,7 +16,7 @@ from hypothesis import strategies as st
 
 from semnav import (CarvedWalls, DegenerateRoom, Doorway, DoorwayPlacement,
                     EmptyMap, OutOfBounds, Point2, Room, SceneGraph,
-                    SdfGrid, ValidationError, WallSegment,
+                    SdfGrid, UnknownId, ValidationError, WallSegment,
                     build_global_map, build_sdf, carve_doorways,
                     doorway_openings, load_map, point_in_contour, save_map,
                     sdf_query, set_doorway_blocked)
@@ -479,9 +481,9 @@ def one_piece_chunks(monkeypatch):
     sizes = []
     chunks = map_builder._tile_bounds
 
-    def recorded(pieces, xs, ys):
-        for chunk in chunks(pieces, xs, ys):
-            sizes.append(chunk[3].shape[2])
+    def recorded(pieces, *grid):
+        for chunk in chunks(pieces, *grid):
+            sizes.append(chunk[3].shape[-1])
             yield chunk
 
     monkeypatch.setattr(map_builder, "_CHUNK", 1)
@@ -503,9 +505,9 @@ def test_build_sdf_computes_one_chunk_of_bounds_once(grid8_scene, monkeypatch,
     calls = []
     chunks = map_builder._tile_bounds
 
-    def counted(pieces, xs, ys):
+    def counted(pieces, *grid):
         calls.append(len(pieces))
-        return chunks(pieces, xs, ys)
+        return chunks(pieces, *grid)
 
     monkeypatch.setattr(map_builder, "_tile_bounds", counted)
     walls = carve_doorways(grid8_scene)
@@ -831,13 +833,14 @@ def _assert_same_map(derived, full):
     assert _certified_everywhere(derived) == _certified_everywhere(full)
 
 
+def _forbidden(*args, **kwargs):
+    raise AssertionError("a map was built where none may be")
+
+
 def _derive(old, scene, monkeypatch):
     """_derive_global_map with a full field build forbidden."""
-    def no_full_build(*args, **kwargs):
-        raise AssertionError("the field was built in full")
-
     with monkeypatch.context() as mp:
-        mp.setattr(map_builder, "build_sdf", no_full_build)
+        mp.setattr(map_builder, "build_sdf", _forbidden)
         return map_builder._derive_global_map(old, scene)
 
 
@@ -887,6 +890,73 @@ def test_derived_map_of_an_already_blocked_doorway_copies_everything(
     assert derived.sdf.values is not old.sdf.values
     assert not np.shares_memory(np.asarray(derived.sdf.flat_values), old.sdf.values)
     assert derived.sdf._certified == old.sdf._certified
+
+
+@pytest.mark.parametrize("name", ["grid8", "ring4", "threeroom"])
+def test_blocked_map_is_the_full_build_and_is_kept(name, monkeypatch):
+    scene = load_map(fixture_path(f"{name}.map"))
+    old = _warm(build_global_map(scene))
+    kept = {}
+    for d in scene.doorways:
+        blocked = set_doorway_blocked(scene, d.id, True)
+        with monkeypatch.context() as mp:
+            mp.setattr(map_builder, "build_sdf", _forbidden)
+            got = map_builder.build_blocked_map(old, d.id)
+        _assert_same_map(got, build_global_map(blocked))
+        kept[d.id] = got
+        # asked again, the map answers with the same object, built no more
+        with monkeypatch.context() as mp:
+            mp.setattr(map_builder, "_derive_global_map", _forbidden)
+            assert map_builder.build_blocked_map(old, d.id) is got
+    assert old._blocked == kept
+
+
+def test_blocked_map_of_a_blocked_doorway_is_the_map_itself(grid8_scene):
+    blocked = set_doorway_blocked(grid8_scene, "d37", True)
+    old = build_global_map(blocked)
+    assert map_builder.build_blocked_map(old, "d37") is old
+    assert old._blocked == {}
+    # at another resolution the answer is the default-resolution build
+    coarse = build_global_map(blocked, 0.1)
+    _assert_same_map(map_builder.build_blocked_map(coarse, "d37"), old)
+
+
+def test_blocked_map_at_another_resolution_is_built_at_the_default(grid8_scene):
+    old = build_global_map(grid8_scene, 0.1)
+    got = map_builder.build_blocked_map(old, "d12")
+    _assert_same_map(got, build_global_map(set_doorway_blocked(grid8_scene, "d12", True)))
+    assert old._blocked == {}
+
+
+def test_blocked_map_keeps_nothing_when_it_raises(grid8_scene, monkeypatch):
+    old = build_global_map(grid8_scene)
+    with pytest.raises(UnknownId):
+        map_builder.build_blocked_map(old, "d99")
+    assert old._blocked == {}
+
+    def failed(*args):
+        raise RuntimeError("derivation failed")
+
+    with monkeypatch.context() as mp:
+        mp.setattr(map_builder, "_derive_global_map", failed)
+        with pytest.raises(RuntimeError, match="derivation failed"):
+            map_builder.build_blocked_map(old, "d12")
+    assert old._blocked == {}
+    got = map_builder.build_blocked_map(old, "d12")
+    assert old._blocked == {"d12": got}
+
+
+@pytest.mark.parametrize("clone", [lambda x: pickle.loads(pickle.dumps(x)), copy.deepcopy],
+                         ids=["pickle", "deepcopy"])
+def test_copies_of_a_map_leave_its_blocked_maps_out(grid8_scene, clone):
+    old = _warm(build_global_map(grid8_scene))
+    kept = map_builder.build_blocked_map(old, "d12")
+    got = clone(old)
+    assert "_blocked" not in got.__dict__ and got._blocked == {}
+    assert got._certified == old._certified
+    assert got.sdf.values.tobytes() == old.sdf.values.tobytes()
+    assert old._blocked == {"d12": kept}
+    _assert_same_map(map_builder.build_blocked_map(got, "d12"), kept)
 
 
 def test_derivation_selects_only_the_tiles_a_changed_piece_reaches(grid8_scene):

@@ -3,16 +3,18 @@
 from __future__ import annotations
 
 import copy
+import gc
 import json
 import math
 import pickle
+import tracemalloc
 from dataclasses import replace
 
 import pytest
 
 from semnav import (INFORMED_RRT_STAR, BenchConfig, EmptyInput, GeometricPath,
                     NoRoute, PlannerConfig, PlannerStats, Point2, Room, SceneGraph,
-                    Doorway, SemNavError, SubproblemInfeasible,
+                    Doorway, SemNavError, SubproblemInfeasible, UnknownId,
                     build_global_map, build_topology, decompose,
                     generate_pairs, global_path_to_dict,
                     join_segments, load_map, motion_valid, replan,
@@ -379,6 +381,27 @@ def full_builds(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def derivations(monkeypatch):
+    """The map each derivation of a blocked map starts from, recorded."""
+    calls = []
+    derive = map_builder._derive_global_map
+
+    def counted(old, scene):
+        calls.append(old)
+        return derive(old, scene)
+
+    monkeypatch.setattr(map_builder, "_derive_global_map", counted)
+    return calls
+
+
+@pytest.fixture
+def fresh_ring4_map(ring4_scene):
+    """A ring4 map no other test has replanned on: the session map's
+    blocked maps may already be kept, so counts on it would read 0."""
+    return build_global_map(ring4_scene)
+
+
 def _assert_full_build_map(gmap):
     full = build_global_map(gmap.scene)
     assert gmap.sdf.values.tobytes() == full.sdf.values.tobytes()
@@ -395,8 +418,9 @@ def test_solve_all_and_replan_keep_the_map_they_planned_on(ring4_scene, ring4_ma
     assert outcome.gmap.scene is outcome.scene
 
 
-def test_replan_derives_its_map_from_the_path_map(ring4_scene, ring4_map, full_builds):
-    route, gpath = _solved_ring4(ring4_scene, ring4_map)
+def test_replan_derives_its_map_from_the_path_map(ring4_scene, fresh_ring4_map,
+                                                  full_builds, derivations):
+    route, gpath = _solved_ring4(ring4_scene, fresh_ring4_map)
     full_builds.clear()
     config = PlannerConfig(timeout=0.3, seed=9)
     first = replan(ring4_scene, route, gpath, "d12", Point2(2.0, 2.0), config)
@@ -404,8 +428,107 @@ def test_replan_derives_its_map_from_the_path_map(ring4_scene, ring4_map, full_b
     second = replan(first.scene, first.route, first.path, "d23", Point2(2.0, 2.0),
                     config)
     assert full_builds == []
+    assert derivations == [fresh_ring4_map, first.gmap]
     _assert_full_build_map(first.gmap)
     _assert_full_build_map(second.gmap)
+    # each map keeps the blocked map derived from it
+    assert fresh_ring4_map._blocked == {"d12": first.gmap}
+    assert first.gmap._blocked == {"d23": second.gmap}
+
+
+def test_replanning_the_same_block_again_reuses_its_map(ring4_scene, fresh_ring4_map,
+                                                        full_builds, derivations):
+    route, gpath = _solved_ring4(ring4_scene, fresh_ring4_map)
+    full_builds.clear()
+    config = PlannerConfig(timeout=0.3, seed=9)
+    first = replan(ring4_scene, route, gpath, "d12", Point2(2.0, 2.0), config)
+    second = replan(ring4_scene, route, gpath, "d12", Point2(2.0, 2.0), config)
+    assert second.gmap is first.gmap
+    assert second.gmap.scene is second.scene
+    assert second.path.gmap is second.gmap
+    assert len(derivations) == 1 and full_builds == []
+    # the kept map's caches come along: planning on it filled them
+    assert second.gmap._certified
+    # a hit answers as a derivation does
+    assert second.path == first.path and second.route == first.route
+    assert (second.solved_indices, second.reused_indices, second.stats) == \
+        (first.solved_indices, first.reused_indices, first.stats)
+
+
+def test_replan_of_an_already_blocked_doorway(ring4_scene, fresh_ring4_map, full_builds):
+    route, gpath = _solved_ring4(ring4_scene, fresh_ring4_map)
+    config = PlannerConfig(timeout=0.3, seed=9)
+    first = replan(ring4_scene, route, gpath, "d12", Point2(2.0, 2.0), config)
+    full_builds.clear()
+    again = replan(first.scene, first.route, first.path, "d12", Point2(2.0, 2.0), config)
+    assert full_builds == []
+    # the first replan's map already blocks d12: it is the map, and no
+    # copy of it is kept on it
+    assert again.gmap is first.gmap and again.scene is first.gmap.scene
+    assert first.gmap._blocked == {}
+    _assert_full_build_map(again.gmap)
+    # the route stays as it was, and so does every segment
+    assert again.route == first.route
+    assert again.reused_indices == tuple(range(1, len(first.path.segments) + 1))
+    assert again.path == first.path
+
+
+def test_replan_on_another_scene_never_takes_the_kept_map(ring4_scene, fresh_ring4_map,
+                                                          full_builds):
+    route, gpath = _solved_ring4(ring4_scene, fresh_ring4_map)
+    kept = map_builder.build_blocked_map(fresh_ring4_map, "d12")
+    # the caller's world has d23 closed as well: the path's map is not of it
+    other = set_doorway_blocked(ring4_scene, "d23", True)
+    full_builds.clear()
+    outcome = replan(other, route, gpath, "d12", Point2(2.0, 2.0),
+                     PlannerConfig(timeout=0.3, seed=9))
+    assert len(full_builds) == 1
+    assert outcome.gmap is not kept
+    assert outcome.scene == set_doorway_blocked(other, "d12", True)
+    assert outcome.gmap.scene is outcome.scene
+    _assert_full_build_map(outcome.gmap)
+    assert outcome.gmap.walls != kept.walls
+    assert fresh_ring4_map._blocked == {"d12": kept}
+
+
+def test_replan_of_an_unknown_doorway_keeps_nothing(ring4_scene, fresh_ring4_map):
+    route, gpath = _solved_ring4(ring4_scene, fresh_ring4_map)
+    with pytest.raises(UnknownId):
+        replan(ring4_scene, route, gpath, "d99", Point2(2.0, 2.0),
+               PlannerConfig(timeout=0.3, seed=9))
+    assert fresh_ring4_map._blocked == {}
+
+
+def test_replans_keep_no_new_grid_alive_in_a_second_round():
+    # one round of replans over every grid8 doorway keeps one blocked map
+    # per doorway on the world map; a second round reuses them
+    scene = load_map(fixture_path("grid8.map"))
+    gmap = build_global_map(scene)
+    route = _route(scene, Point2(2.0, 3.0), Point2(15.0, 11.0))
+    config = PlannerConfig(timeout=0.1, seed=3)
+    gpath, _ = solve_all(decompose(route, scene), gmap, config)
+    assert gpath is not None
+
+    def one_round():
+        for d in scene.doorways:
+            try:
+                replan(scene, route, gpath, d.id, route.start, config)
+            except SemNavError:
+                pass
+        gc.collect()
+        return tracemalloc.get_traced_memory()[0]
+
+    grid = gmap.sdf.values.nbytes
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        first = one_round()
+        second = one_round()
+    finally:
+        tracemalloc.stop()
+    assert len(gmap._blocked) == len(scene.doorways)
+    assert first - before >= len(scene.doorways) * grid
+    assert second - first < grid / 2
 
 
 def _tilted_wall_scene():
