@@ -711,6 +711,11 @@ def plan(gmap: GlobalMap, problem: GeometricProblem, config: PlannerConfig,
     once a first solution exists. ``sample_hook(point, c_best)`` and
     ``iteration_hook(iteration, best_cost)`` are optional observers used by
     diagnostics and tests; c_best is None before the first solution.
+    ``iteration_hook`` is called only for iterations that reach the end of
+    the loop: one whose informed draws all miss, whose sample lands on an
+    existing node or fails its state check, or whose connecting motion
+    check fails moves on to the next without a call, so the calls can skip
+    iteration numbers and need not add up to ``stats.iterations``.
 
     The neighbour scans compute into buffers that grow with the tree, and
     the best solution is updated from the solutions that joined or got

@@ -17,26 +17,40 @@ joints line up bit for bit.
 ``replan`` handles a doorway turning out to be blocked: it updates the map,
 recomputes the route from the robot's current position, and re-solves only
 the subproblems whose (start, goal, room) key has no previously solved
-segment that still checks out against the new map. The paths ``solve_all``
-and ``replan`` return keep the map they were planned on, and the new map is
-derived from that one: only the distance-field tiles the closed gap can
-reach are recomputed, and the rest of the field and its certified boxes are
-carried over. The result is the map a full build would give, bit for bit,
-and it is kept on the map it came from, so blocking the same doorway again
-reuses it.
+segment that runs between those points and still checks out against the new
+map. The paths ``solve_all`` and ``replan`` return keep the map they were
+planned on, and the new map is derived from that one: only the
+distance-field tiles the closed gap can reach are recomputed, and the rest
+of the field and its certified boxes are carried over. The result is the
+map a full build would give, bit for bit, and it is kept on the map it came
+from, so blocking the same doorway again reuses it.
+
+Replans from one path share the subproblems they plan, the reuse principle
+of incremental replanners such as D* Lite (Koenig and Likhachev, AAAI 2002)
+at the level of subproblems. Sibling replans, which block different
+doorways of the same previous path, often re-plan the same (problem,
+sub-config) on maps whose field is identical over everything that problem
+can read. Each path keeps what was planned from it (``GlobalPath._replans``)
+and answers such a repeat from there. On the virtual clock ``plan`` is a
+pure function of the field it reads, the problem and the config, so the
+answer is the one ``plan`` would return; wall-clock runs are never stored.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field, replace
+from functools import cached_property
+
+import numpy as np
 
 from .errors import EmptyInput, InvalidGoal, InvalidStart, SubproblemInfeasible
 from .geometry import Point2
-from .map_builder import GlobalMap, build_blocked_map, build_global_map
-from .geometric_planner import (DEFAULT_GOAL_TOLERANCE, DEFAULT_ROBOT_RADIUS,
-                                DEFAULT_VALIDITY_MARGIN, GeometricPath,
-                                GeometricProblem, PlannerConfig, PlannerStats,
-                                Region, path_to_dict, plan)
+from .map_builder import GlobalMap, SdfGrid, build_blocked_map, build_global_map
+from .geometric_planner import (_RECT_BAND, CLOCK_VIRTUAL, DEFAULT_GOAL_TOLERANCE,
+                                DEFAULT_ROBOT_RADIUS, DEFAULT_VALIDITY_MARGIN,
+                                GeometricPath, GeometricProblem, PlannerConfig,
+                                PlannerStats, Region, path_to_dict, plan)
 from .scene_graph import SceneGraph, set_doorway_blocked
 from .semantic_planner import (DEFAULT_DOORWAY_PENALTY, SQUARED, SemanticRoute,
                                build_topology, semantic_route)
@@ -82,12 +96,30 @@ class GlobalPath:
     (``build_blocked_map``), which keeps that map for the next replan that
     blocks the same doorway. It takes no part in equality, ``repr`` or
     ``global_path_to_dict``.
+
+    ``_replans`` holds what the replans from this path planned, per
+    (problem, sub-config): the map, the path (or None) and the stats. A
+    later replan from the same path answers such a subproblem from it when
+    its own map has the same field for the problem (module docstring).
+    It keeps one entry per key, and so the maps of those entries alive;
+    the blocked maps of ``gmap`` stay alive on it anyway. Copies, pickles
+    and ``dataclasses.replace`` leave it out.
     """
 
     segments: tuple[GeometricPath, ...]
     total_length: float
     stats: tuple[PlannerStats, ...]
     gmap: GlobalMap | None = field(default=None, compare=False, repr=False)
+
+    @cached_property
+    def _replans(self) -> dict:
+        """``_solve_in_order`` results by (problem, start and goal bits, config)."""
+        return {}
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state.pop("_replans", None)
+        return state
 
 
 def decompose(route: SemanticRoute, scene: SceneGraph) -> tuple[Subproblem, ...]:
@@ -127,20 +159,95 @@ def _sub_config(config: PlannerConfig, n: int, index: int,
 
 def _solve_in_order(gmap: GlobalMap,
                     tasks: list[tuple[Subproblem, PlannerConfig]],
-                    problem_kwargs: dict,
+                    problem_kwargs: dict, cache: dict | None = None,
                     ) -> list[tuple[GeometricPath | None, PlannerStats]]:
     """Plan each (subproblem, sub-config) in the given order.
 
+    With a ``cache`` (``GlobalPath._replans``), a virtual-clock task planned
+    before on a map with the same field for its problem (``_same_field``)
+    returns the stored path and a copy of the stored stats; any other
+    virtual-clock result, None paths included, is stored with ``gmap``.
     Raises SubproblemInfeasible at the first subproblem whose endpoints cannot
     be valid states; tasks come in index order, so that is the lowest index.
+    Such a failure is never stored.
     """
     results = []
     for sub, config in tasks:
+        problem = sub.to_problem(**problem_kwargs)
+        key = None
+        if cache is not None and config.clock == CLOCK_VIRTUAL:
+            # == takes -0.0 for 0.0, and the path holds the exact endpoints
+            key = (problem, _bits(problem.start), _bits(problem.goal), config)
+            hit = cache.get(key)
+            if hit is not None and _same_field(hit[0], gmap, problem):
+                results.append((hit[1], replace(hit[2])))
+                continue
         try:
-            results.append(plan(gmap, sub.to_problem(**problem_kwargs), config))
+            path, stats = plan(gmap, problem, config)
         except (InvalidStart, InvalidGoal) as exc:
             raise SubproblemInfeasible(sub.index, str(exc)) from exc
+        if key is not None:
+            cache[key] = (gmap, path, replace(stats))
+        results.append((path, stats))
     return results
+
+
+def _bits(p: Point2) -> tuple[str, ...]:
+    """The point's coordinates bit for bit."""
+    return tuple(float(c).hex() for c in p)
+
+
+def _same_field(a: GlobalMap, b: GlobalMap, problem: GeometricProblem) -> bool:
+    """Whether ``plan`` reads the same from ``a`` and ``b`` for a
+    subproblem's ``problem``, which allows rooms.
+
+    True when they are the same map, or when everything ``plan`` reads is
+    equal: the bbox, the allowed rooms' ids and bounds in scene order, the
+    allowed doorways' openings, the grid's frame and band bound, and the
+    field values in each allowed room's and opening's ``_window``. A
+    constrained region looks the field up only at points that passed
+    containment: in an allowed room's half-open box, within its fallback
+    band of the closed box, or in an allowed opening. So a run reads no
+    node outside those windows, and the certified boxes are cut from nodes
+    inside them; they only short-circuit answers that are True anyway.
+    """
+    if a is b:
+        return True
+    rooms = problem.allowed_rooms
+    doors = sorted(problem.allowed_doorways or ())
+    boxes = [(r.id, r.bounds) for r in a.scene.rooms if r.id in rooms]
+    openings = [a.openings.get(d) for d in doors]
+    ga, gb = a.sdf, b.sdf
+    if (a.scene.bbox != b.scene.bbox
+            or boxes != [(r.id, r.bounds) for r in b.scene.rooms if r.id in rooms]
+            or openings != [b.openings.get(d) for d in doors]
+            or (ga.origin, ga.resolution, ga.nx, ga.ny, ga.wall_half_width)
+            != (gb.origin, gb.resolution, gb.nx, gb.ny, gb.wall_half_width)):
+        return False
+    for box in [bounds for _, bounds in boxes] + [o for o in openings if o is not None]:
+        window = _window(ga, box)
+        if window is None or not np.array_equal(ga.values[window], gb.values[window]):
+            return False
+    return True
+
+
+def _window(grid: SdfGrid, box: tuple[float, float, float, float]
+            ) -> tuple[slice, slice] | None:
+    """Rows and columns of ``grid.values`` that a lookup at a point of the
+    closed ``box`` reads, grown by one node on every side: the lookup's
+    cell coordinate is monotone in the point, so a point within the
+    containment band of the box (``_RECT_BAND`` and a few ulps) reads at
+    most one node further out. None when the band could span half a cell
+    or a corner is not finite on the grid."""
+    x0, y0, x1, y1 = box
+    ox, oy, res = grid.origin.x, grid.origin.y, grid.resolution
+    f = ((x0 - ox) / res, (y0 - oy) / res, (x1 - ox) / res, (y1 - oy) / res)
+    band = _RECT_BAND + 16 * math.ulp(max(map(abs, box)))
+    if not (all(map(math.isfinite, f)) and 2.0 * band < res):
+        return None
+    i0, j0, i1, j1 = map(math.floor, f)
+    return (slice(max(j0 - 1, 0), max(j1 + 3, 0)),
+            slice(max(i0 - 1, 0), max(i1 + 3, 0)))
 
 
 def solve_all(subs: tuple[Subproblem, ...] | list[Subproblem], gmap: GlobalMap,
@@ -241,6 +348,13 @@ class ReplanOutcome:
     reused_indices: tuple[int, ...]
 
 
+def _runs_between(segment: GeometricPath, start: Point2, goal: Point2) -> bool:
+    """Whether the segment's first and last waypoints are ``start`` and
+    ``goal`` bit for bit, as every segment ``plan`` returns for them is."""
+    pts = segment.waypoints
+    return bool(pts) and _bits(pts[0]) == _bits(start) and _bits(pts[-1]) == _bits(goal)
+
+
 def _segment_ok(gmap: GlobalMap, problem: GeometricProblem,
                 segment: GeometricPath) -> bool:
     region = Region(gmap, problem)
@@ -272,10 +386,15 @@ def replan(scene: SceneGraph, prev_route: SemanticRoute,
     way it is ``build_global_map`` of the blocked scene, bit for bit. The
     returned path keeps the new map, so a chain of replans derives each map
     from the last. Segments of ``prev_path`` whose
-    (start, goal, room) key matches a new subproblem are reused when they
-    still pass motion checks on the new map; everything else is planned
-    fresh with the usual equal budget split, in index order, as in
+    (start, goal, room) key matches a new subproblem are reused when their
+    first and last waypoints are that subproblem's start and goal bit for
+    bit and they still pass motion checks on the new map; everything else is
+    planned with the usual equal budget split, in index order, as in
     ``solve_all``; ``workers`` is accepted and ignored for the same reason.
+    A subproblem an earlier replan from ``prev_path`` planned with the same
+    virtual-clock sub-config, on a map with the same field for it, takes
+    that result (``prev_path._replans``) instead of planning again: the
+    outcome is the same as without it, ``solved_indices`` included.
     Raises NoRoute when blocking the doorway disconnects the goal, and
     SubproblemInfeasible at the first re-planned subproblem whose endpoints
     cannot be valid states.
@@ -309,14 +428,16 @@ def replan(scene: SceneGraph, prev_route: SemanticRoute,
     to_plan: list[Subproblem] = []
     for i, sub in enumerate(subs):
         hit = previous.get((sub.start, sub.goal, sub.room))
-        if hit is not None and _segment_ok(gmap, sub.to_problem(**pk), hit[0]):
+        if (hit is not None and _runs_between(hit[0], sub.start, sub.goal)
+                and _segment_ok(gmap, sub.to_problem(**pk), hit[0])):
             segments[i], stats[i] = hit
             reused.append(sub.index)
         else:
             to_plan.append(sub)
 
     results = _solve_in_order(
-        gmap, [(s, _sub_config(config, n, s.index)) for s in to_plan], pk)
+        gmap, [(s, _sub_config(config, n, s.index)) for s in to_plan], pk,
+        prev_path._replans if prev_path is not None else None)
     solved: list[int] = []
     for sub, (path, st) in zip(to_plan, results):
         stats[sub.index - 1] = st

@@ -19,9 +19,10 @@ from semnav import (INFORMED_RRT_STAR, BenchConfig, EmptyInput, GeometricPath,
                     generate_pairs, global_path_to_dict,
                     join_segments, load_map, motion_valid, replan,
                     semantic_route, solve_all)
-from semnav import SdfGrid, WallSegment, cli, map_builder, set_doorway_blocked
+from semnav import (SdfGrid, WallSegment, cli, map_builder, set_doorway_blocked,
+                    subproblem_solver)
 from semnav.bench_harness import _PLAN_SALT
-from semnav.geometric_planner import GeometricProblem
+from semnav.geometric_planner import GeometricProblem, plan
 from semnav.rng import mix
 
 from conftest import fixture_path, rect_room
@@ -315,6 +316,22 @@ def test_replan_re_plans_a_segment_with_a_non_finite_waypoint(ring4_scene, ring4
                for p in s.waypoints for c in p)
 
 
+def test_replan_reuses_no_segment_that_runs_between_other_points(ring4_scene, ring4_map):
+    # the path of another query over the same doorways: its segments 2 and 3
+    # run between the points of route A's, its segment 1 starts elsewhere
+    start = Point2(1.2, 1.2)
+    route_a = _route(ring4_scene, start, Point2(6.0, 6.0))
+    route_b, path_b = _solved_ring4(ring4_scene, ring4_map)
+    assert route_a.doorways == route_b.doorways == ("d12", "d23")
+    assert path_b.segments[0].waypoints[0] == Point2(2.0, 2.0)
+    outcome = replan(ring4_scene, route_a, path_b, "d34", start,
+                     PlannerConfig(timeout=0.3, seed=9))
+    assert outcome.reused_indices == (2, 3)
+    assert outcome.solved_indices == (1,)
+    assert outcome.path.segments[0].waypoints[0] == start
+    assert outcome.path.segments[1:] == path_b.segments[1:]
+
+
 @pytest.mark.parametrize("bad", [-5, 2.5])
 def test_solve_all_and_replan_reject_an_iteration_cap_that_is_no_count(
         ring4_scene, ring4_map, bad):
@@ -499,9 +516,10 @@ def test_replan_of_an_unknown_doorway_keeps_nothing(ring4_scene, fresh_ring4_map
     assert fresh_ring4_map._blocked == {}
 
 
-def test_replans_keep_no_new_grid_alive_in_a_second_round():
+def test_replans_keep_no_new_grid_alive_in_a_second_round(planned):
     # one round of replans over every grid8 doorway keeps one blocked map
-    # per doorway on the world map; a second round reuses them
+    # per doorway on the world map, and what it planned on the path; a
+    # second round reuses the maps and keeps no more than the first
     scene = load_map(fixture_path("grid8.map"))
     gmap = build_global_map(scene)
     route = _route(scene, Point2(2.0, 3.0), Point2(15.0, 11.0))
@@ -523,12 +541,259 @@ def test_replans_keep_no_new_grid_alive_in_a_second_round():
     try:
         before = tracemalloc.get_traced_memory()[0]
         first = one_round()
+        planned_first = len(planned)
         second = one_round()
     finally:
         tracemalloc.stop()
     assert len(gmap._blocked) == len(scene.doorways)
     assert first - before >= len(scene.doorways) * grid
     assert second - first < grid / 2
+    assert planned_first and gpath._replans
+    assert len(planned) < 2 * planned_first
+
+
+# ---------------------------- subproblems shared by replans from one path
+
+
+@pytest.fixture
+def planned(monkeypatch):
+    """The map of every ``plan`` call the solver makes, recorded."""
+    calls = []
+    plan = subproblem_solver.plan
+
+    def counted(gmap, problem, config):
+        calls.append(gmap)
+        return plan(gmap, problem, config)
+
+    monkeypatch.setattr(subproblem_solver, "plan", counted)
+    return calls
+
+
+def _bits(gpath):
+    """A joined path's segments bit for bit, or None."""
+    if gpath is None:
+        return None
+    return [tuple(c.hex() for p in s.waypoints for c in p) + (s.length.hex(),)
+            for s in gpath.segments]
+
+
+def _replanned(outcome):
+    """What a replan planned: each subproblem that reused no segment."""
+    return [i for i in range(1, len(outcome.stats) + 1) if i not in outcome.reused_indices]
+
+
+def _result(scene, route, gpath, doorway, config):
+    """A replan's outcome as comparable values, or the type of its error."""
+    try:
+        out = replan(scene, route, gpath, doorway, route.start, config)
+    except SemNavError as exc:
+        return type(exc), 0
+    return ((_bits(out.path), out.stats, out.solved_indices, out.reused_indices),
+            len(_replanned(out)))
+
+
+SIBLING_QUERIES = {
+    "grid8": [(Point2(2.0, 3.0), Point2(15.0, 11.0)), (Point2(15.0, 3.0), Point2(2.0, 11.0))],
+    "ring4": [(Point2(2.0, 2.0), Point2(6.0, 6.0)), (Point2(6.0, 2.0), Point2(2.0, 6.0))],
+    "threeroom": [(Point2(2.0, 2.0), Point2(10.0, 2.0)), (Point2(5.0, 1.0), Point2(7.0, 3.0))],
+}
+
+
+@pytest.mark.parametrize("name", sorted(SIBLING_QUERIES))
+def test_sibling_replans_equal_replans_without_the_cache(name, planned):
+    # for every ordered pair (a, b) of doorways: the replan blocking b from
+    # a path that has already replanned around a equals the replan blocking
+    # b from a copy of the path that has planned nothing
+    scene = load_map(fixture_path(f"{name}.map"))
+    gmap = build_global_map(scene)
+    config = PlannerConfig(timeout=0.1, seed=3)
+    doors = [d.id for d in scene.doorways]
+    hits = 0
+    for query in SIBLING_QUERIES[name]:
+        route = _route(scene, *query)
+        gpath, _ = solve_all(decompose(route, scene), gmap, config)
+        assert gpath is not None
+        fresh, after = {}, {}
+        for d in doors:
+            path = replace(gpath)
+            assert path._replans == {}
+            fresh[d] = _result(scene, route, path, d, config)
+            after[d] = dict(path._replans)
+        for a in doors:
+            for b in doors:
+                if a == b:
+                    continue
+                path = replace(gpath)
+                path._replans.update(after[a])
+                planned.clear()
+                assert _result(scene, route, path, b, config)[0] == fresh[b][0], (a, b)
+                hits += fresh[b][1] - len(planned)
+    if name == "grid8":
+        assert hits > 0
+
+
+def test_blocking_a_doorway_of_the_room_re_plans_and_a_far_one_hits(
+        grid8_scene, grid8_map, planned):
+    # room r2's problem allows d12 only: blocking its other doorway d23
+    # closes a gap in r2's wall, blocking d78 changes nothing r2 can read
+    route = _route(grid8_scene, Point2(2.0, 3.0), Point2(6.0, 3.0))
+    sub = decompose(route, grid8_scene)[1]
+    problem = sub.to_problem()
+    assert (sub.room, problem.allowed_doorways) == ("r2", frozenset({"d12"}))
+    near = map_builder.build_blocked_map(grid8_map, "d23")
+    far = map_builder.build_blocked_map(grid8_map, "d78")
+    config = PlannerConfig(timeout=0.05, seed=7)
+    cache = {}
+    first = subproblem_solver._solve_in_order(grid8_map, [(sub, config)], {}, cache)
+    assert planned == [grid8_map]
+    assert subproblem_solver._solve_in_order(far, [(sub, config)], {}, cache) == first
+    assert planned == [grid8_map]
+    assert not subproblem_solver._same_field(grid8_map, near, problem)
+    again = subproblem_solver._solve_in_order(near, [(sub, config)], {}, cache)
+    assert planned == [grid8_map, near]
+    assert again == [plan(near, problem, config)]
+
+
+def test_blocking_the_same_doorway_twice_hits_through_the_same_map(
+        ring4_scene, ring4_map, planned, monkeypatch):
+    route, gpath = _solved_ring4(ring4_scene, ring4_map)
+    config = PlannerConfig(timeout=0.3, seed=9)
+    planned.clear()
+    first = replan(ring4_scene, route, gpath, "d12", Point2(2.0, 2.0), config)
+    assert len(planned) == len(_replanned(first)) > 0
+    windows = []
+    window = subproblem_solver._window
+    monkeypatch.setattr(subproblem_solver, "_window",
+                        lambda *args: windows.append(args) or window(*args))
+    planned.clear()
+    second = replan(ring4_scene, route, gpath, "d12", Point2(2.0, 2.0), config)
+    assert second.gmap is first.gmap
+    assert planned == [] and windows == []
+    assert _bits(second.path) == _bits(first.path)
+    assert (second.stats, second.solved_indices, second.reused_indices) == \
+        (first.stats, first.solved_indices, first.reused_indices)
+
+
+def test_wall_clock_replans_are_never_stored(ring4_scene, ring4_map, planned):
+    route, gpath = _solved_ring4(ring4_scene, ring4_map)
+    config = PlannerConfig(timeout=0.02, seed=9, clock="wall")
+    for _ in range(2):
+        planned.clear()
+        out = replan(ring4_scene, route, gpath, "d12", Point2(2.0, 2.0), config)
+        assert len(planned) == len(_replanned(out)) > 0
+    assert gpath._replans == {}
+
+
+def test_a_hit_returns_stats_no_caller_can_change(ring4_scene, ring4_map, planned):
+    route, gpath = _solved_ring4(ring4_scene, ring4_map)
+    config = PlannerConfig(timeout=0.3, seed=9)
+    expected = _result(ring4_scene, route, replace(gpath), "d12", config)[0]
+    for _ in range(3):
+        planned.clear()
+        out = replan(ring4_scene, route, gpath, "d12", Point2(2.0, 2.0), config)
+        assert (_bits(out.path), out.stats, out.solved_indices,
+                out.reused_indices) == expected
+        for i in _replanned(out):
+            st = out.stats[i - 1]
+            st.iterations, st.samples_created, st.solved = -1, -1, not st.solved
+    assert planned == []
+
+
+@pytest.mark.parametrize("clone", [lambda x: pickle.loads(pickle.dumps(x)), copy.deepcopy,
+                                   replace], ids=["pickle", "deepcopy", "replace"])
+def test_copies_of_a_path_leave_its_replans_out(ring4_scene, ring4_map, clone):
+    route, gpath = _solved_ring4(ring4_scene, ring4_map)
+    replan(ring4_scene, route, gpath, "d12", Point2(2.0, 2.0),
+           PlannerConfig(timeout=0.3, seed=9))
+    assert gpath._replans
+    got = clone(gpath)
+    assert "_replans" not in got.__dict__
+    assert got == gpath and got._replans == {}
+
+
+def _band_nodes(gmap, box):
+    """The nodes a lookup just outside each edge of ``box`` reads first,
+    as (row, column) beyond the edge: the fallback band of a room's edges
+    sends such points to the field."""
+    g = gmap.sdf
+    ox, oy, res = g.origin.x, g.origin.y, g.resolution
+    x0, y0, x1, y1 = box
+    xm, ym = (x0 + x1) / 2, (y0 + y1) / 2
+    col = lambda x: min(int((x - ox) / res), g.nx - 2)
+    row = lambda y: min(int((y - oy) / res), g.ny - 2)
+    return [(row(ym), col(x0 - 2e-9)), (row(ym), col(x1 + 2e-9) + 1),
+            (row(y0 - 2e-9), col(xm)), (row(y1 + 2e-9) + 1, col(xm))]
+
+
+def test_same_field_compares_every_node_a_band_lookup_reads(grid8_scene, grid8_map):
+    g = grid8_map.sdf
+    for sub in decompose(_route(grid8_scene, Point2(2.0, 3.0), Point2(15.0, 11.0)),
+                         grid8_scene):
+        problem = sub.to_problem()
+        room = next(r for r in grid8_scene.rooms if r.id == sub.room)
+        boxes = [room.bounds] + [grid8_map.openings[d] for d in problem.allowed_doorways]
+        for box in boxes:
+            for j, i in _band_nodes(grid8_map, box):
+                if not (0 <= i < g.nx and 0 <= j < g.ny):
+                    continue
+                values = g.values.copy()
+                values[j, i] += 1.0
+                other = replace(grid8_map, sdf=replace(g, values=values))
+                assert not subproblem_solver._same_field(grid8_map, other, problem), \
+                    (sub.room, box, j, i)
+        # a node no lookup of the problem can read
+        values = g.values.copy()
+        far = next(r for r in grid8_scene.rooms
+                   if r.id != sub.room and all(abs(a - b) > 1.0 for a, b in
+                                               zip(r.bounds, room.bounds)))
+        j, i = _band_nodes(grid8_map, far.bounds)[0]
+        values[j + 2, i + 2] += 1.0
+        other = replace(grid8_map, sdf=replace(g, values=values))
+        assert subproblem_solver._same_field(grid8_map, other, problem)
+
+
+def test_same_field_compares_the_frame_rooms_and_openings(grid8_scene, grid8_map):
+    problem = decompose(_route(grid8_scene, Point2(2.0, 3.0), Point2(6.0, 3.0)),
+                        grid8_scene)[1].to_problem()
+    same = subproblem_solver._same_field
+    g = grid8_map.sdf
+    assert same(grid8_map, replace(grid8_map), problem)
+    for other in (
+            replace(g, origin=Point2(g.origin.x, -0.05)),
+            replace(g, resolution=0.05 + 1e-12),
+            replace(g, nx=g.nx - 1),
+            replace(g, wall_half_width=math.inf)):
+        assert not same(grid8_map, replace(grid8_map, sdf=other), problem)
+    openings = dict(grid8_map.openings)
+    openings["d12"] = tuple(c + 1e-9 for c in openings["d12"])
+    assert not same(grid8_map, replace(grid8_map, openings=openings), problem)
+    del openings["d12"]
+    assert not same(grid8_map, replace(grid8_map, openings=openings), problem)
+    rooms = tuple(replace(r, id="rX") if r.id == "r2" else r for r in grid8_scene.rooms)
+    assert not same(grid8_map, replace(grid8_map, scene=replace(grid8_scene, rooms=rooms)),
+                    problem)
+    bbox = (grid8_scene.bbox[0], Point2(17.0, 15.5))
+    assert not same(grid8_map, replace(grid8_map, scene=replace(grid8_scene, bbox=bbox)),
+                    problem)
+
+
+def test_a_start_that_differs_only_in_the_sign_of_zero_plans_again(planned):
+    # x = 0 runs through room a; -0.0 == 0.0, but the path starts at the
+    # exact start, so a stored path from (-0.0, y) is no answer for (0.0, y)
+    scene = SceneGraph(frame="map", bbox=(Point2(-2.0, -2.0), Point2(6.0, 2.0)),
+                       rooms=(rect_room("a", -2.0, -2.0, 2.0, 2.0),
+                              rect_room("b", 2.0, -2.0, 6.0, 2.0)),
+                       doorways=(Doorway(id="ab", center=Point2(2.0, 0.0), width=0.9,
+                                         rooms=("a", "b")),))
+    gmap = build_global_map(scene)
+    route = _route(scene, Point2(-1.0, -1.0), Point2(1.0, 1.0))
+    config = PlannerConfig(timeout=0.05, seed=5)
+    gpath, _ = solve_all(decompose(route, scene), gmap, config)
+    planned.clear()
+    for x in (-0.0, 0.0, -0.0):
+        out = replan(scene, route, gpath, "ab", Point2(x, 1.0), config)
+        assert out.path.segments[0].waypoints[0].x.hex() == x.hex()
+    assert len(planned) == 2
 
 
 def _tilted_wall_scene():
