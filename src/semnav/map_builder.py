@@ -46,7 +46,8 @@ from .errors import (DegenerateRoom, DoorwayPlacement, EmptyMap, OutOfBounds,
                      ValidationError)
 from .geometry import Point2, WallSegment, point_in_ring
 from .scene_graph import (Room, SceneGraph, SharedBoundary, _rect_from_walls,
-                          set_doorway_blocked, shared_boundary)
+                          _snap_walls, _wall_interval, set_doorway_blocked,
+                          shared_boundary)
 
 DEFAULT_RESOLUTION = 0.05
 DEFAULT_WALL_HALF_WIDTH = 0.05
@@ -163,15 +164,6 @@ def point_in_contour(room: Room, p: Point2) -> bool:
     return point_in_ring(p, room.ring, boundary_tol=1e-9)
 
 
-def _wall_interval(wall: WallSegment) -> tuple[str, float, float, float]:
-    """(axis, fixed coordinate, lo, hi) of an axis-aligned wall."""
-    if abs(wall.a.x - wall.b.x) <= 1e-6:
-        lo, hi = sorted((wall.a.y, wall.b.y))
-        return "v", wall.a.x, lo, hi
-    lo, hi = sorted((wall.a.x, wall.b.x))
-    return "h", wall.a.y, lo, hi
-
-
 def carve_doorways(graph: SceneGraph) -> CarvedWalls:
     """Remove doorway-width openings from both rooms' closest walls.
 
@@ -240,7 +232,7 @@ def _carve(graph: SceneGraph, boundaries: list[SharedBoundary | None]) -> Carved
 
 
 def _make_wall(axis: str, fixed: float, lo: float, hi: float) -> WallSegment:
-    if axis == "v":
+    if axis == "x":
         return WallSegment(Point2(fixed, lo), Point2(fixed, hi))
     return WallSegment(Point2(lo, fixed), Point2(hi, fixed))
 
@@ -279,8 +271,8 @@ def build_sdf(walls: CarvedWalls, bbox: tuple[Point2, Point2],
 
     Every value is bit-identical to folding in, segment by segment with
     ``minimum``, the full-grid formula ``hypot(gx - (ax + t*dx), gy - (ay +
-    t*dy))`` with ``t = clip(((gx-ax)*dx + (gy-ay)*dy) / denom, 0, 1)``. Two
-    exact facts cut the work for axis-aligned pieces:
+    t*dy))`` with ``t = clip(((gx-ax)*dx + (gy-ay)*dy) / denom, 0, 1)``. Every
+    piece is axis-aligned or a point, and two exact facts cut the work:
 
     * Separable form. For a piece with ``dy == 0.0`` the ``(gy-ay)*dy`` term
       is a signed zero, which leaves every sum it enters unchanged in value.
@@ -311,28 +303,28 @@ def build_sdf(walls: CarvedWalls, bbox: tuple[Point2, Point2],
     build selects every tile, and ``_derive_sdf`` selects only the tiles a
     changed piece can reach, so there is one field formula.
 
-    Pieces that are not exactly axis-aligned (the loader accepts walls
-    tilted by up to ``CLOSURE_TOL``) take the full-grid formula, folded in
-    between the two passes. Pieces are handled in chunks of about
-    ``_CHUNK`` residuals and bounds, and pass 2 evaluates at most about
-    ``_CHUNK`` distances at a time, so the memory beyond the grid stays a
-    small multiple of the node count and never grows with pieces times
-    tiles. When every piece fits one chunk, both passes read the same
-    bounds, computed once.
+    Pieces are handled in chunks of about ``_CHUNK`` residuals and bounds,
+    and pass 2 evaluates at most about ``_CHUNK`` distances at a time, so
+    the memory beyond the grid stays a small multiple of the node count and
+    never grows with pieces times tiles. When every piece fits one chunk,
+    both passes read the same bounds, computed once.
 
-    Raises EmptyMap without segments, ValueError for a non-finite or
+    Raises EmptyMap without segments, ValidationError for a piece neither
+    exactly horizontal, vertical nor a point (rooms snap their walls to
+    their boxes, so carved walls pass), ValueError for a non-finite or
     non-positive resolution and ValidationError when the grid would have
     more than ``_MAX_NODES`` nodes; nothing is allocated before these checks.
     """
     if not walls.segments:
         raise EmptyMap("no wall segments to build a distance field from")
+    pieces = _pieces(walls.segments)
     origin, nx, ny = _grid_frame(bbox, resolution)
     xs, ys = _node_coords(origin, resolution, nx, ny)
     dmin = np.empty((ys.size, xs.size))
     # view[J, I, a, b] is node (J * _TILE + a, I * _TILE + b)
     view = dmin.reshape(ys.size // _TILE, _TILE, xs.size // _TILE, _TILE).transpose(0, 2, 1, 3)
     rows, cols = np.indices(view.shape[:2])
-    _fill_tiles(view, rows, cols, walls, xs, ys, nx, ny)
+    _fill_tiles(view, rows, cols, pieces, xs, ys, nx, ny)
     values = np.ascontiguousarray(dmin[:ny, :nx])
     np.negative(values, out=values, where=values < DEFAULT_WALL_HALF_WIDTH)
     values.setflags(write=False)
@@ -372,37 +364,21 @@ def _node_coords(origin: Point2, resolution: float, nx: int, ny: int
 
 
 def _fill_tiles(view: np.ndarray, rows: np.ndarray, cols: np.ndarray,
-                walls: CarvedWalls, xs: np.ndarray, ys: np.ndarray,
+                pieces: np.ndarray, xs: np.ndarray, ys: np.ndarray,
                 nx: int, ny: int) -> None:
     """Both passes of ``build_sdf`` over a selection of tiles: ``view[..., a,
-    b]`` receives the unsigned field of ``walls`` at node (``rows[...] *
-    _TILE + a``, ``cols[...] * _TILE + b``), and 0.0 at padding nodes.
+    b]`` receives the unsigned field of ``_pieces`` rows at node (``rows[...]
+    * _TILE + a``, ``cols[...] * _TILE + b``), and 0.0 at padding nodes.
 
     ``rows`` and ``cols`` hold tile indices and have the shape of ``view``'s
     leading axes: the whole tile grid for a full build, one axis of selected
     tiles for a derivation."""
-    pieces = []  # (ax, ay, dx, dy, denom) of the axis-aligned pieces and points
-    tilted = []
-    for ax, ay, dx, dy, denom in _piece_rows(walls.segments):
-        if denom < 1e-24 or dy == 0.0 or dx == 0.0:
-            pieces.append((ax, ay, dx, dy, denom))
-        else:
-            tilted.append((ax, ay, dx, dy, denom))
-    pieces = np.array(pieces).reshape(-1, 5)
-
     chunks = _tile_bounds(pieces, xs, ys, rows, cols)
     one_chunk = len(pieces) <= _chunk_pieces(xs, ys, rows.size)
     if one_chunk:
         # both passes read the same bounds: compute them once
         chunks = list(chunks)
     seed = _seed_tiles(view, rows, cols, chunks, ny)
-    if tilted:
-        gx = xs.reshape(-1, _TILE)[cols][..., None, :]
-        gy = ys.reshape(-1, _TILE)[rows][..., :, None]
-    for ax, ay, dx, dy, denom in tilted:
-        t = ((gx - ax) * dx + (gy - ay) * dy) / denom
-        np.clip(t, 0.0, 1.0, out=t)
-        np.minimum(view, np.hypot(gx - (ax + t * dx), gy - (ay + t * dy)), out=view)
     # padding nodes, whose rows pass 1 left unset, must not raise a tile's maximum
     last_y, last_x = ys.size // _TILE - 1, xs.size // _TILE - 1
     view[rows == last_y, ny - last_y * _TILE:, :] = 0.0
@@ -411,12 +387,19 @@ def _fill_tiles(view: np.ndarray, rows: np.ndarray, cols: np.ndarray,
                  chunks if one_chunk else _tile_bounds(pieces, xs, ys, rows, cols))
 
 
-def _piece_rows(segments):
-    """(ax, ay, dx, dy, denom) of each distinct segment, in first-seen order."""
+def _pieces(segments) -> np.ndarray:
+    """Rows (ax, ay, dx, dy, denom) of the distinct segments, in first-seen
+    order. Raises ValidationError for a piece that is neither exactly
+    horizontal, exactly vertical nor a point (shorter than 1e-12)."""
+    rows = []
     for (ax, ay), (bx, by) in dict.fromkeys(segments):
         dx = bx - ax
         dy = by - ay
-        yield ax, ay, dx, dy, dx * dx + dy * dy
+        denom = dx * dx + dy * dy
+        if not (denom < 1e-24 or dx == 0.0 or dy == 0.0):
+            raise ValidationError(f"wall piece {(ax, ay)}-{(bx, by)} is not axis-aligned")
+        rows.append((ax, ay, dx, dy, denom))
+    return np.array(rows).reshape(-1, 5)
 
 
 def _chunk_pieces(xs: np.ndarray, ys: np.ndarray, tiles: int) -> int:
@@ -518,8 +501,8 @@ def _derive_sdf(grid: SdfGrid, old: CarvedWalls, walls: CarvedWalls,
                 bbox: tuple[Point2, Point2]) -> SdfGrid | None:
     """``build_sdf(walls, bbox, grid.resolution)`` derived from ``grid``,
     which must be ``build_sdf(old, bbox, grid.resolution)``; None when the
-    grid does not span that bbox, records no band bound, ``walls`` is empty
-    or a changed piece is not axis-aligned. The caller then builds in full.
+    grid does not span that bbox, records no band bound or ``walls`` is
+    empty. The caller then builds in full.
 
     The pieces in only one of ``old`` and ``walls`` are the changed ones. A
     tile is recomputed, by both passes of ``build_sdf`` with every piece of
@@ -536,12 +519,8 @@ def _derive_sdf(grid: SdfGrid, old: CarvedWalls, walls: CarvedWalls,
     if (grid.wall_half_width != DEFAULT_WALL_HALF_WIDTH or not walls.segments
             or _grid_frame(bbox, res) != (grid.origin, nx, ny)):
         return None
-    was, now = dict.fromkeys(old.segments), dict.fromkeys(walls.segments)
-    changed = np.array(list(_piece_rows(
-        [s for s in was if s not in now] + [s for s in now if s not in was]))).reshape(-1, 5)
-    _, _, dx, dy, denom = changed.T
-    if not ((denom < 1e-24) | (dx == 0.0) | (dy == 0.0)).all():
-        return None
+    pieces = _pieces(walls.segments)
+    changed = _pieces(set(old.segments) ^ set(walls.segments))
 
     xs, ys = _node_coords(grid.origin, res, nx, ny)
     tiles_y, tiles_x = ys.size // _TILE, xs.size // _TILE
@@ -562,7 +541,7 @@ def _derive_sdf(grid: SdfGrid, old: CarvedWalls, walls: CarvedWalls,
     for s in range(0, rows.size, step):
         tr, tc = rows[s:s + step], cols[s:s + step]
         work = np.empty((tr.size, _TILE, _TILE))
-        _fill_tiles(work, tr, tc, walls, xs, ys, nx, ny)
+        _fill_tiles(work, tr, tc, pieces, xs, ys, nx, ny)
         np.negative(work, out=work, where=work < DEFAULT_WALL_HALF_WIDTH)
         view[tr, tc] = work
     values = np.ascontiguousarray(dmin[:ny, :nx])
@@ -712,26 +691,25 @@ def build_global_map(scene: SceneGraph,
     """Build carved walls, SDF and doorway openings for one scene.
 
     The planner reads each room's ``bounds``, so a room whose walls do not
-    close exactly that box (a ``Room`` built by hand) raises DegenerateRoom.
+    lie exactly on that box (a ``Room`` built by hand) raises DegenerateRoom.
     """
-    _check_rooms(scene)
-    boundaries = _boundaries(scene)
-    walls = _carve(scene, boundaries)
-    sdf = build_sdf(walls, scene.bbox, resolution=resolution)
-    return GlobalMap(scene=scene, walls=walls, sdf=sdf,
-                     openings=_openings(scene, boundaries))
+    return _global_map(scene, lambda walls: build_sdf(walls, scene.bbox, resolution=resolution))
 
 
 def _derive_global_map(old: GlobalMap, scene: SceneGraph) -> GlobalMap:
     """``build_global_map(scene, old.sdf.resolution)``, bit for bit, with the
     field derived from ``old``'s by ``_derive_sdf`` where it can be, and
     built in full where it cannot."""
+    return _global_map(scene, lambda walls: _derive_sdf(old.sdf, old.walls, walls, scene.bbox)
+                       or build_sdf(walls, scene.bbox, resolution=old.sdf.resolution))
+
+
+def _global_map(scene: SceneGraph, field) -> GlobalMap:
+    """The map of ``scene``, with ``field(carved walls)`` as its distance field."""
     _check_rooms(scene)
     boundaries = _boundaries(scene)
     walls = _carve(scene, boundaries)
-    sdf = (_derive_sdf(old.sdf, old.walls, walls, scene.bbox)
-           or build_sdf(walls, scene.bbox, resolution=old.sdf.resolution))
-    return GlobalMap(scene=scene, walls=walls, sdf=sdf,
+    return GlobalMap(scene=scene, walls=walls, sdf=field(walls),
                      openings=_openings(scene, boundaries))
 
 
@@ -768,6 +746,6 @@ def _check_rooms(scene: SceneGraph) -> None:
             box = _rect_from_walls(room.walls)
         except ValueError as e:
             raise DegenerateRoom(f"room {room.id}: {e}") from e
-        if box != room.bounds:
-            raise DegenerateRoom(f"room {room.id}: bounds {room.bounds} are not "
-                                 f"the box {box} its walls close")
+        if (box, _snap_walls(room.walls, box)) != (room.bounds, room.walls):
+            raise DegenerateRoom(f"room {room.id}: bounds {room.bounds} and walls "
+                                 f"are not exactly the box {box} the walls close")

@@ -1,9 +1,11 @@
 """Semantic scene graph: rooms, doorways and the map file they are loaded from.
 
 A scene graph is the semantic layer of the planner. Rooms are axis-aligned
-rectangles described by four wall segments, doorways connect exactly two rooms
-across a shared boundary, and everything is immutable after loading; mutation
-style APIs (such as blocking a doorway) return a new graph.
+rectangles described by four wall segments, stored snapped onto the box they
+close within ``CLOSURE_TOL`` (``Room.build``), so each runs exactly between
+two corners. Doorways connect exactly two rooms across a shared boundary, and
+everything is immutable after loading; mutation style APIs (such as blocking
+a doorway) return a new graph.
 
 Map files are JSON with the following shape::
 
@@ -54,11 +56,18 @@ class SharedBoundary(NamedTuple):
     walls: tuple[tuple[str, int], tuple[str, int]]
 
 
+def _mid(a: float, b: float) -> float:
+    """Midpoint of two finite floats: finite, and exactly ``a`` when ``a == b``."""
+    m = (a + b) / 2.0
+    return m if math.isfinite(m) else a / 2.0 + b / 2.0
+
+
 def _rect_from_walls(walls: tuple[WallSegment, ...]) -> tuple[float, float, float, float]:
     """Classify four wall segments into a closed axis-aligned rectangle.
 
-    Returns (x0, y0, x1, y1); raises ValueError with a human reason when the
-    walls do not close within CLOSURE_TOL.
+    Returns (x0, y0, x1, y1), each side the midpoint of a wall's fixed
+    coordinate; raises ValueError with a human reason when the walls do not
+    close within CLOSURE_TOL.
     """
     if len(walls) != 4:
         raise ValueError(f"expected 4 walls, got {len(walls)}")
@@ -77,10 +86,8 @@ def _rect_from_walls(walls: tuple[WallSegment, ...]) -> tuple[float, float, floa
             raise ValueError("wall is not axis-aligned")
     if len(vertical) != 2 or len(horizontal) != 2:
         raise ValueError("walls do not form two parallel pairs")
-    x_coords = sorted(((w.a.x + w.b.x) / 2.0 for w in vertical))
-    y_coords = sorted(((w.a.y + w.b.y) / 2.0 for w in horizontal))
-    x0, x1 = x_coords
-    y0, y1 = y_coords
+    x0, x1 = sorted(_mid(w.a.x, w.b.x) for w in vertical)
+    y0, y1 = sorted(_mid(w.a.y, w.b.y) for w in horizontal)
     if x1 - x0 <= CLOSURE_TOL or y1 - y0 <= CLOSURE_TOL:
         raise ValueError("rectangle has zero extent")
     for w in vertical:
@@ -94,10 +101,34 @@ def _rect_from_walls(walls: tuple[WallSegment, ...]) -> tuple[float, float, floa
     return x0, y0, x1, y1
 
 
+def _snap_walls(walls: tuple[WallSegment, ...], box: tuple[float, float, float, float]
+                ) -> tuple[WallSegment, ...]:
+    """``walls``, closed into ``box`` by ``_rect_from_walls``, with every
+    endpoint moved onto the box, in the same order and a-to-b direction. A
+    coordinate equal to the box's keeps its bits (-0.0 included), so walls
+    already on the box come back equal."""
+    x0, y0, x1, y1 = box
+    snapped = []
+    for w in walls:
+        a, b = w
+        if abs(a.x - b.x) <= CLOSURE_TOL:  # vertical, on the side its midpoint gave
+            xa = xb = x0 if _mid(a.x, b.x) == x0 else x1
+            ya, yb = (y0, y1) if a.y < b.y else (y1, y0)
+        else:
+            ya = yb = y0 if _mid(a.y, b.y) == y0 else y1
+            xa, xb = (x0, x1) if a.x < b.x else (x1, x0)
+        snapped.append(w if a == (xa, ya) and b == (xb, yb) else WallSegment(
+            Point2(a.x if a.x == xa else xa, a.y if a.y == ya else ya),
+            Point2(b.x if b.x == xb else xb, b.y if b.y == yb else yb)))
+    return tuple(snapped)
+
+
 @dataclass(frozen=True)
 class Room:
     """Axis-aligned rectangular room; ``bounds`` is the rectangle its walls
-    close, as (xmin, ymin, xmax, ymax)."""
+    close, as (xmin, ymin, xmax, ymax). ``build`` snaps the walls onto it,
+    keeping their order and direction; ``build_global_map`` rejects a room
+    built by hand whose walls are not exactly on ``bounds``."""
 
     id: str
     center: Point2
@@ -107,15 +138,10 @@ class Room:
     @classmethod
     def build(cls, room_id: str, center: Point2, walls: Iterable[WallSegment]) -> "Room":
         walls = tuple(walls)
-        x0, y0, x1, y1 = _rect_from_walls(walls)
+        box = x0, y0, x1, y1 = _rect_from_walls(walls)
         if not (x0 < center.x < x1 and y0 < center.y < y1):
             raise ValueError("center does not lie strictly inside the walls")
-        return cls(
-            id=room_id,
-            center=center,
-            walls=walls,
-            bounds=(x0, y0, x1, y1),
-        )
+        return cls(id=room_id, center=center, walls=_snap_walls(walls, box), bounds=box)
 
     @property
     def ring(self) -> tuple[Point2, ...]:
@@ -158,36 +184,30 @@ class SceneGraph:
         raise UnknownId(f"unknown doorway id '{doorway_id}'")
 
 
+def _wall_interval(wall: WallSegment) -> tuple[str, float, float, float]:
+    """(axis crossing the wall, its fixed coordinate, lo, hi) of a wall that
+    is exactly vertical (axis "x") or horizontal (axis "y")."""
+    if wall.a.x == wall.b.x:
+        lo, hi = sorted((wall.a.y, wall.b.y))
+        return "x", wall.a.x, lo, hi
+    lo, hi = sorted((wall.a.x, wall.b.x))
+    return "y", wall.a.y, lo, hi
+
+
 def shared_boundary(room_a: Room, room_b: Room) -> SharedBoundary | None:
     """Closest parallel wall pair (one wall per room) with along-axis overlap."""
     best: SharedBoundary | None = None
+    walls_b = [_wall_interval(w) for w in room_b.walls]
     for ia, wa in enumerate(room_a.walls):
-        a_vert = abs(wa.a.x - wa.b.x) <= CLOSURE_TOL
-        for ib, wb in enumerate(room_b.walls):
-            b_vert = abs(wb.a.x - wb.b.x) <= CLOSURE_TOL
-            if a_vert != b_vert:
-                continue
-            if a_vert:
-                ca, cb = wa.a.x, wb.a.x
-                lo = max(min(wa.a.y, wa.b.y), min(wb.a.y, wb.b.y))
-                hi = min(max(wa.a.y, wa.b.y), max(wb.a.y, wb.b.y))
-                axis = "x"
-            else:
-                ca, cb = wa.a.y, wb.a.y
-                lo = max(min(wa.a.x, wa.b.x), min(wb.a.x, wb.b.x))
-                hi = min(max(wa.a.x, wa.b.x), max(wb.a.x, wb.b.x))
-                axis = "y"
-            if hi - lo <= CLOSURE_TOL:
+        axis, ca, lo_a, hi_a = _wall_interval(wa)
+        for ib, (axis_b, cb, lo_b, hi_b) in enumerate(walls_b):
+            lo, hi = max(lo_a, lo_b), min(hi_a, hi_b)
+            if axis_b != axis or hi - lo <= CLOSURE_TOL:
                 continue
             gap = abs(ca - cb)
             if best is None or gap < best.gap:
-                best = SharedBoundary(
-                    axis=axis,
-                    coords=(ca, cb),
-                    overlap=(lo, hi),
-                    gap=gap,
-                    walls=((room_a.id, ia), (room_b.id, ib)),
-                )
+                best = SharedBoundary(axis=axis, coords=(ca, cb), overlap=(lo, hi), gap=gap,
+                                      walls=((room_a.id, ia), (room_b.id, ib)))
     return best
 
 

@@ -85,6 +85,28 @@ def test_build_global_map_rejects_bounds_its_walls_do_not_close():
         build_global_map(_scene([shifted]))
 
 
+@pytest.mark.parametrize("walls, on_bounds", [
+    # x = 2 tilted at end b by just under CLOSURE_TOL: the box moves off bounds
+    (lambda w: (w[0], WallSegment(w[1].a, Point2(2.0 + 0.999 * CLOSURE_TOL, 2.0)), *w[2:]),
+     False),
+    # x = 2 tilted by 2**-20 about its midpoint: the box is still bounds
+    (lambda w: (w[0], WallSegment(Point2(2.0 - 2.0 ** -21, 0.0),
+                                  Point2(2.0 + 2.0 ** -21, 2.0)), *w[2:]), True),
+    # the bottom wall ends CLOSURE_TOL short of the corner
+    (lambda w: (WallSegment(Point2(0.0, 0.0), Point2(2.0 - CLOSURE_TOL, 0.0)), *w[1:]), True),
+], ids=["tilted", "tilted-about-midpoint", "short"])
+def test_build_global_map_rejects_hand_built_walls_off_their_box(walls, on_bounds,
+                                                                 monkeypatch):
+    # Room.build would snap these walls; the constructor keeps them, and the
+    # map build rejects them before a field build could meet a tilted piece
+    good = rect_room("a", 0.0, 0.0, 2.0, 2.0)
+    off = Room(id="off", center=good.center, walls=walls(good.walls), bounds=good.bounds)
+    assert (_rect_from_walls(off.walls) == off.bounds) == on_bounds
+    monkeypatch.setattr(map_builder, "build_sdf", _forbidden)
+    with pytest.raises(DegenerateRoom, match="off"):
+        build_global_map(_scene([off]))
+
+
 def test_point_in_contour(threeroom_scene):
     c = threeroom_scene.room("r2")
     assert point_in_contour(c, Point2(6.0, 2.0))
@@ -384,8 +406,7 @@ def test_build_sdf_bitwise_equals_full_grid_reference(name, resolution):
 @st.composite
 def _rectangle_walls(draw):
     """Walls of one to three random rectangles. A wall may be reversed,
-    tilted by at most CLOSURE_TOL (so it takes the full-grid path), repeated,
-    or split around a zero-length or near-zero piece."""
+    repeated, or split around a zero-length or near-zero piece."""
     segments: list[WallSegment] = []
     for _ in range(draw(st.integers(1, 3))):
         x0 = draw(st.floats(-3.0, 3.0))
@@ -393,14 +414,9 @@ def _rectangle_walls(draw):
         x1 = x0 + draw(st.floats(0.1, 3.0))
         y1 = y0 + draw(st.floats(0.1, 3.0))
         for a, b in rect_room("r", x0, y0, x1, y1).walls:
-            kind = draw(st.sampled_from(["plain", "reversed", "tilted", "split",
-                                         "repeated"]))
+            kind = draw(st.sampled_from(["plain", "reversed", "split", "repeated"]))
             if kind == "reversed":
                 a, b = b, a
-            elif kind == "tilted":
-                tilt = draw(st.floats(-CLOSURE_TOL, CLOSURE_TOL))
-                b = (Point2(b.x + tilt, b.y) if a.x == b.x
-                     else Point2(b.x, b.y + tilt))
             elif kind == "split":
                 f = draw(st.floats(0.0, 1.0))
                 eps = draw(st.sampled_from([0.0, 1e-13, 9e-13, 1e-12, 3e-12]))
@@ -460,18 +476,43 @@ def test_build_sdf_smaller_than_one_tile():
     assert grid.values.flags.c_contiguous
 
 
-@pytest.mark.parametrize("resolution", [0.05, 0.1])
-def test_build_sdf_mixes_tilted_and_axis_aligned_pieces(grid8_scene, resolution):
+def _tilted(wall: WallSegment, move) -> WallSegment:
+    """``wall`` with ``move`` applied to the coordinate across it of its end b."""
+    a, b = wall
+    return WallSegment(a, Point2(move(b.x), b.y) if a.x == b.x else Point2(b.x, move(b.y)))
+
+
+@pytest.mark.parametrize("piece", [
+    lambda wall: _tilted(wall, lambda c: c + CLOSURE_TOL),
+    lambda wall: _tilted(wall, lambda c: math.nextafter(c, -math.inf)),
+    lambda wall: WallSegment(Point2(1.0, 1.0), Point2(4.0, 3.0)),
+], ids=["closure-tol", "one-ulp", "diagonal"])
+def test_build_sdf_rejects_a_tilted_piece_before_allocating(grid8_scene, piece):
     walls = carve_doorways(grid8_scene).segments
-    a, b = walls[0]
-    tilt = (Point2(b.x + CLOSURE_TOL, b.y) if a.x == b.x
-            else Point2(b.x, b.y + CLOSURE_TOL))
-    mixed = CarvedWalls(segments=walls[1:] + (
-        WallSegment(a, tilt), WallSegment(Point2(1.0, 1.0), Point2(4.0, 3.0)),
-        WallSegment(Point2(9.0, 2.0), Point2(9.0, 2.0))))
-    _assert_matches_reference(mixed, grid8_scene.bbox, resolution)
-    only_tilted = CarvedWalls(segments=(WallSegment(a, tilt),))
-    _assert_matches_reference(only_tilted, grid8_scene.bbox, resolution)
+    tilted = CarvedWalls(segments=walls[1:] + (piece(walls[0]),))
+    # 4005 x 4005 nodes, just under _MAX_NODES: a 128 MB grid were it allocated
+    bbox = (Point2(0.0, 0.0), Point2(200.0, 200.0))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValidationError, match="not axis-aligned"):
+            build_sdf(tilted, bbox)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    # the derivation raises as the full build does
+    old = build_global_map(grid8_scene)
+    with pytest.raises(ValidationError, match="not axis-aligned"):
+        map_builder._derive_sdf(old.sdf, old.walls, tilted, grid8_scene.bbox)
+
+
+@pytest.mark.parametrize("resolution", [0.05, 0.1])
+def test_build_sdf_takes_pieces_shorter_than_1e_12_as_points(grid8_scene, resolution):
+    walls = carve_doorways(grid8_scene).segments
+    points = CarvedWalls(segments=walls + (
+        WallSegment(Point2(9.0, 2.0), Point2(9.0, 2.0)),
+        WallSegment(Point2(1.0, 1.0), Point2(1.0 + 5e-13, 1.0 + 5e-13))))
+    _assert_matches_reference(points, grid8_scene.bbox, resolution)
 
 
 @pytest.fixture
@@ -537,8 +578,8 @@ def test_fill_tiles_sets_the_padding_before_the_tile_maxima(grid8_scene, resolut
     tile = map_builder._TILE
     rows, cols = np.indices((ys.size // tile, xs.size // tile))
     work = np.full((rows.size, tile, tile), np.nan)
-    map_builder._fill_tiles(work, rows.ravel(), cols.ravel(), walls, xs, ys,
-                            full.nx, full.ny)
+    map_builder._fill_tiles(work, rows.ravel(), cols.ravel(),
+                            map_builder._pieces(walls.segments), xs, ys, full.nx, full.ny)
     grid = work.reshape(rows.shape + (tile, tile)).transpose(0, 2, 1, 3)
     grid = grid.reshape(ys.size, xs.size)
     assert (grid[full.ny:] == 0.0).all() and (grid[:, full.nx:] == 0.0).all()
@@ -1006,27 +1047,8 @@ def test_derivation_declines_what_it_cannot_derive(grid8_scene):
     # another bbox spans another grid
     wider = (bbox[0], Point2(bbox[1].x + 1.0, bbox[1].y))
     assert map_builder._derive_sdf(old.sdf, old.walls, walls, wider) is None
-    # a changed piece that is not axis-aligned
-    a, b = walls.segments[0]
-    tilted = CarvedWalls(segments=walls.segments[1:] + (
-        WallSegment(a, Point2(b.x + CLOSURE_TOL, b.y) if a.x == b.x
-                    else Point2(b.x, b.y + CLOSURE_TOL)),))
-    assert map_builder._derive_sdf(old.sdf, old.walls, tilted, bbox) is None
     # no walls at all: the full build raises EmptyMap
     assert map_builder._derive_sdf(old.sdf, old.walls, CarvedWalls(()), bbox) is None
-
-
-def test_derivation_keeps_unchanged_tilted_pieces(grid8_scene):
-    # a tilted piece that stays is folded into every recomputed tile
-    base = carve_doorways(grid8_scene).segments
-    tilted = (WallSegment(Point2(1.0, 1.0), Point2(4.0, 3.0)),)
-    old_walls = CarvedWalls(segments=base + tilted)
-    new_walls = carve_doorways(set_doorway_blocked(grid8_scene, "d15", True))
-    new_walls = CarvedWalls(segments=new_walls.segments + tilted)
-    bbox = grid8_scene.bbox
-    old = build_sdf(old_walls, bbox)
-    derived = map_builder._derive_sdf(old, old_walls, new_walls, bbox)
-    assert derived.values.tobytes() == build_sdf(new_walls, bbox).values.tobytes()
 
 
 def test_derivation_memory_stays_a_small_multiple_of_the_grid():

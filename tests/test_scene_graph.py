@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import importlib.util
 import json
 import math
@@ -10,8 +11,10 @@ import random
 import pytest
 
 from semnav import (Doorway, ParseError, Point2, Room, SceneGraph, UnknownId,
-                    ValidationError, WallSegment, load_map, locate_room,
-                    save_map, set_doorway_blocked, shared_boundary)
+                    ValidationError, WallSegment, build_global_map, load_map,
+                    locate_room, save_map, set_doorway_blocked, shared_boundary)
+from semnav.cli import main
+from semnav.scene_graph import CLOSURE_TOL, _mid
 
 from conftest import fixture_path, rect_room
 
@@ -66,6 +69,26 @@ def test_fixture_generator_writes_the_committed_maps(tmp_path, name):
     save_map(getattr(make_fixtures, name)(), str(out))
     with open(fixture_path(f"{name}.map"), "rb") as f:
         assert out.read_bytes() == f.read()
+
+
+@pytest.mark.parametrize("name", ["threeroom", "ring4", "grid8"])
+def test_fixture_wall_vertices_are_exactly_box_corners(name):
+    # The loader snaps walls onto their box. Every record (golden CSVs,
+    # anytime curves, perfbench digests) was made on these files as written,
+    # so a vertex off its box would move them.
+    with open(fixture_path(f"{name}.map")) as f:
+        data = json.load(f)
+    scene = load_map(fixture_path(f"{name}.map"))
+    for entry in data["rooms"]:
+        room = scene.room(entry["id"])
+        x0, y0, x1, y1 = room.bounds
+        corners = {(float(x).hex(), float(y).hex())
+                   for x, y in ((x0, y0), (x1, y0), (x1, y1), (x0, y1))}
+        ends = [(float(x).hex(), float(y).hex())
+                for wall in entry["walls"] for x, y in (wall["a"], wall["b"])]
+        assert set(ends) <= corners, entry["id"]
+        # so the loader keeps every wall as written
+        assert ends == [(x.hex(), y.hex()) for wall in room.walls for x, y in wall]
 
 
 def test_locate_room_basics(threeroom_scene):
@@ -270,3 +293,116 @@ def test_direct_construction_helpers():
     assert not room.contains(Point2(3.1, 1.0))
     with pytest.raises(ValueError):
         Room.build("bad", Point2(5.0, 5.0), list(room.walls))
+
+
+# ------------------------------------------------ walls snapped to the box
+
+
+# sliding an end along its wall, in units of CLOSURE_TOL, wall after wall
+_SLIDES = (0.99, -1 / 3, 0.0, -0.99, 1 / 7)
+# half the tilt of every wall: each end moves this far across it, the two
+# ends opposite ways, so the midpoint stays exact and the wall turns by
+# 2**-20, under CLOSURE_TOL
+_HALF_TILT = 2.0 ** -21
+
+
+def _perturbed(data: dict, swap: bool) -> tuple[dict, dict]:
+    """Two copies of the parsed map ``data``: the exact one, in which every
+    third wall's ends are swapped when ``swap`` is set, and the same walls
+    each tilted about its midpoint and with both ends slid along it, within
+    CLOSURE_TOL, the signs alternating from wall to wall."""
+    exact, moved = copy.deepcopy(data), copy.deepcopy(data)
+    walls = [w for r in exact["rooms"] for w in r["walls"]]
+    for k, (we, wm) in enumerate(zip(walls, [w for r in moved["rooms"] for w in r["walls"]])):
+        if swap and k % 3 == 0:
+            we["a"], we["b"] = we["b"], we["a"]
+        (ax, ay), (bx, by) = we["a"], we["b"]
+        tilt = _HALF_TILT if k % 2 else -_HALF_TILT
+        slide_a = _SLIDES[k % 5] * CLOSURE_TOL
+        slide_b = _SLIDES[(k + 2) % 5] * CLOSURE_TOL
+        if ax == bx:
+            wm["a"], wm["b"] = [ax - tilt, ay + slide_a], [bx + tilt, by + slide_b]
+        else:
+            wm["a"], wm["b"] = [ax + slide_a, ay - tilt], [bx + slide_b, by + tilt]
+    return exact, moved
+
+
+def test_room_build_keeps_walls_on_the_box_bit_for_bit():
+    # x0 is -0.0 (the midpoint of the left wall); the bottom and top walls
+    # end at 0.0, which equals it and so keeps its sign
+    walls = (WallSegment(Point2(0.0, 0.0), Point2(2.0, 0.0)),
+             WallSegment(Point2(2.0, 0.0), Point2(2.0, 2.0)),
+             WallSegment(Point2(2.0, 2.0), Point2(0.0, 2.0)),
+             WallSegment(Point2(-0.0, 2.0), Point2(-0.0, 0.0)))
+    room = Room.build("a", Point2(1.0, 1.0), walls)
+    assert repr(room.bounds) == repr((-0.0, 0.0, 2.0, 2.0))
+    assert repr(room.walls) == repr(walls)
+    # so does an end of a wall that is snapped at its other end
+    slid = (WallSegment(Point2(0.0, 0.0), Point2(2.0 + 2.0 ** -24, 0.0)),) + walls[1:]
+    assert repr(Room.build("a", Point2(1.0, 1.0), slid).walls) == repr(walls)
+
+
+def _write_as(tmp_path, name: str, data: dict) -> str:
+    path = tmp_path / name
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+def _plan_output(path: str, capsys) -> list[str]:
+    outputs = []
+    for mode in ("irrt", "irrt_sg", "irrt_sg_sps"):
+        assert main(["plan", "--map", path, "--start", "1,1", "--goal", "10.5,2",
+                     "--mode", mode, "--timeout", "0.05", "--seed", "3"]) == 0
+        outputs.append(capsys.readouterr().out)
+    return outputs
+
+
+@pytest.mark.parametrize("swap", [False, True], ids=["as-written", "swapped"])
+def test_walls_within_closure_tol_load_snapped_onto_the_box(tmp_path, capsys, swap):
+    with open(fixture_path("threeroom.map")) as f:
+        exact, moved = _perturbed(json.load(f), swap)
+    want = load_map(_write_as(tmp_path, "exact.map", exact))
+    path = _write_as(tmp_path, "moved.map", moved)
+    got = load_map(path)
+    # equal bit for bit: repr tells -0.0 from 0.0, == does not
+    assert got == want and repr(got) == repr(want)
+    if not swap:
+        assert got == load_map(fixture_path("threeroom.map"))
+    assert (build_global_map(got).sdf.values.tobytes()
+            == build_global_map(want).sdf.values.tobytes())
+    # saving the snapped walls and loading them again changes nothing
+    save_map(got, str(tmp_path / "saved.map"))
+    again = load_map(str(tmp_path / "saved.map"))
+    assert again == got and repr(again) == repr(got)
+    save_map(again, str(tmp_path / "saved_again.map"))
+    assert (tmp_path / "saved_again.map").read_bytes() == (tmp_path / "saved.map").read_bytes()
+    assert _plan_output(path, capsys) == _plan_output(
+        fixture_path("threeroom.map") if not swap else str(tmp_path / "exact.map"), capsys)
+
+
+def test_a_box_as_wide_as_floats_allow_loads(tmp_path):
+    # the midpoint (x + x) / 2 of the wall at x = 1.7e308 overflows to inf;
+    # the box is valid, and its grid is what the map build rejects
+    w = 1.7e308
+    data = {"frame": "map", "bbox": {"min": [0.0, 0.0], "max": [w, 4.0]},
+            "rooms": [{"id": "wide", "center": [w / 2.0, 2.0], "walls": [
+                {"a": [0.0, 0.0], "b": [w, 0.0]}, {"a": [w, 0.0], "b": [w, 4.0]},
+                {"a": [w, 4.0], "b": [0.0, 4.0]}, {"a": [0.0, 4.0], "b": [0.0, 0.0]}]}],
+            "doorways": []}
+    scene = load_map(_write(tmp_path, data))
+    assert scene.room("wide").bounds == (0.0, 0.0, w, 4.0)
+    with pytest.raises(ValidationError, match="grid"):
+        build_global_map(scene)
+
+
+@pytest.mark.parametrize("a, b, want", [
+    (1.7e308, 1.7e308, 1.7e308),
+    (-1.7e308, -1.7e308, -1.7e308),
+    (1.7e308, 1.5e308, 1.6e308),
+    (-1.7e308, 1.7e308, 0.0),
+    (5e-324, 5e-324, 5e-324),
+    (-0.0, -0.0, -0.0),
+    (4.0 - 2.0 ** -21, 4.0 + 2.0 ** -21, 4.0),
+])
+def test_wall_midpoint_is_finite_and_exact_for_equal_ends(a, b, want):
+    assert _mid(a, b).hex() == want.hex()

@@ -797,9 +797,8 @@ def test_a_start_that_differs_only_in_the_sign_of_zero_plans_again(planned):
 
 
 def _tilted_wall_scene():
-    """Rooms a | b | c in a row; the wall a and b share is tilted by 2**-23
-    about x = 4, within CLOSURE_TOL, so blocking doorway ab changes a
-    piece that is not axis-aligned."""
+    """Rooms a | b | c in a row, built from walls in which the wall a and b
+    share is tilted by 2**-23 about x = 4, within CLOSURE_TOL."""
     t = 2.0 ** -24
     lo, hi = Point2(4.0 - t, 0.0), Point2(4.0 + t, 4.0)
     a = Room.build("a", Point2(2.0, 2.0), (
@@ -852,8 +851,12 @@ def test_replan_builds_in_full_when_it_cannot_derive(ring4_scene, ring4_map,
     assert outcome.gmap.sdf.values.tobytes() == derived.gmap.sdf.values.tobytes()
 
 
-def test_replan_builds_in_full_for_a_tilted_changed_piece(full_builds):
+def test_replan_derives_the_map_of_rooms_built_from_tilted_walls(full_builds, derivations):
     scene = _tilted_wall_scene()
+    # Room.build snapped the shared wall onto x = 4, keeping each direction,
+    # so blocking doorway ab changes only exactly vertical pieces
+    assert scene.room("a").walls[1] == WallSegment(Point2(4.0, 0.0), Point2(4.0, 4.0))
+    assert scene.room("b").walls[3] == WallSegment(Point2(4.0, 4.0), Point2(4.0, 0.0))
     gmap = build_global_map(scene)
     route = _route(scene, Point2(6.0, 2.0), Point2(10.0, 2.0))
     gpath, _ = solve_all(decompose(route, scene), gmap, PlannerConfig(timeout=0.3, seed=4))
@@ -861,7 +864,8 @@ def test_replan_builds_in_full_for_a_tilted_changed_piece(full_builds):
     full_builds.clear()
     outcome = replan(scene, route, gpath, "ab", Point2(6.0, 2.0),
                      PlannerConfig(timeout=0.3, seed=9))
-    assert len(full_builds) == 1
+    assert full_builds == []
+    assert len(derivations) == 1 and derivations[0] is gmap
     _assert_full_build_map(outcome.gmap)
     assert outcome.reused_indices == (1, 2)
 
