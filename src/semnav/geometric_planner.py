@@ -9,7 +9,7 @@ robot radius; the margin (default 0.02 m) covers both the spacing of motion
 interpolation points and the worst-case interpolation error near carved gap
 ends, so returned paths hold up under arbitrarily dense re-checking.
 
-Validity checks are the hot path. Rooms are axis-aligned rectangles, so room
+Validity checks run in every iteration. Rooms are axis-aligned rectangles, so room
 containment is two box comparisons; only points within a few 1e-9 of a
 room's edges fall back to the exact ring test, whose 1e-9 boundary tolerance
 the box test cannot reproduce. A state check, and a motion check for every
@@ -38,12 +38,14 @@ that meets a rectangle R holds at least ``c + eps``, every point of R has a
 field value of at least ``c``, whatever walls lie where; R is convex, so a
 segment with both endpoints in R passes every point check (the safety
 certificates of Bialkowski, Otte, Karaman and Frazzoli, IJRR 2016). Each
-room gets such a box once per field: its box within the bbox, cut in from
-the sides until its nodes pass, then shrunk by ``eps`` (``SdfGrid.
-certified_box``, ``Region.certified``). A motion check with both endpoints
-in one certified box of its region returns True at once, and so does a state
-check in one. Both are still charged in full, so no virtual tick, record or
-digest changes.
+room, and in a constrained region each allowed doorway opening, gets such a
+box once per field: its box within the bbox, cut in from the sides until its
+nodes pass, then shrunk by ``eps`` (``SdfGrid.certified_box``,
+``Region.certified``). An opening's box holds the doorway centre at which a
+subproblem starts or ends, so goal connections there need no point either.
+A motion check with both endpoints in one certified box of its region
+returns True at once, and so does a state check in one. Both are still
+charged in full, so no virtual tick, record or digest changes.
 
 Budgets come from a pluggable clock. The default "virtual" clock charges
 ticks per primitive operation: one per sample draw, one per 32 points of a
@@ -95,6 +97,8 @@ _SQRT2 = math.sqrt(2.0)
 # neighbourhood size above which the rewire scan filters in numpy first; at
 # a dozen neighbours the numpy calls cost as much as the scan they save
 _SCAN_FILTER_MIN = 12
+# the neighbour scans cover the tree's columns rounded up to a multiple of this
+_SCAN_COLUMNS = 64
 
 CLOCK_VIRTUAL = "virtual"
 CLOCK_WALL = "wall"
@@ -181,37 +185,6 @@ class PlannerConfig:
             raise ValueError("ops_per_second must be positive")
 
 
-class _Budget:
-    """Deterministic (virtual) or wall-clock planning budget."""
-
-    def __init__(self, config: PlannerConfig):
-        self.mode = config.clock
-        self.ops = 0
-        self.ops_per_second = config.ops_per_second
-        self.t0 = time.perf_counter()
-        if config.timeout is None:
-            self.limit_ops = math.inf
-            self.deadline = math.inf
-        elif self.mode == CLOCK_VIRTUAL:
-            self.limit_ops = config.timeout * config.ops_per_second
-            self.deadline = math.inf
-        else:
-            self.limit_ops = math.inf
-            self.deadline = self.t0 + config.timeout
-
-    def exhausted(self, iterations: int) -> bool:
-        if self.mode == CLOCK_VIRTUAL:
-            return self.ops >= self.limit_ops
-        if iterations % WALL_CHECK_PERIOD == 0:
-            return time.perf_counter() >= self.deadline
-        return False
-
-    def elapsed(self) -> float:
-        if self.mode == CLOCK_VIRTUAL:
-            return self.ops / self.ops_per_second
-        return time.perf_counter() - self.t0
-
-
 class Region:
     """The search region of one problem: validity and sampling, prepared once.
 
@@ -257,10 +230,11 @@ class Region:
     size, to cover rounding in the points, in ``f`` and in the node values.
 
     Before any point, ``_motion_valid`` tests the endpoints against the
-    ``certified`` boxes: the allowed rooms' for a constrained region, every
-    room's otherwise. When both lie in one box, every interpolated point is
-    valid (module docstring) and the check returns True without evaluating
-    one. The boxes use the same ``eps``: the threshold is ``c + eps``, and
+    ``certified`` boxes: the allowed rooms' and openings' for a constrained
+    region, every room's otherwise. When both lie in one box, every
+    interpolated point is valid (module docstring) and the check returns
+    True without ``_walk`` evaluating one. The boxes use the same ``eps``:
+    the threshold is ``c + eps``, and
     each box is the grid's ``certified_box`` shrunk by ``eps``, so the
     rounding of the interpolated coordinates cannot carry a point out of
     the node window, the room's half-open box or the bbox, and the bilinear
@@ -343,15 +317,16 @@ class Region:
     def certified(self) -> tuple[tuple[float, float, float, float], ...]:
         """Closed boxes in which a motion check with both endpoints in one
         box passes without evaluating a point: per allowed room (every room
-        of the map when unconstrained), the grid's certified box of the
-        room's box within the bbox at ``clearance + eps``, shrunk by ``eps``.
-        Built once per map, allowed rooms and clearance; none for a
+        of the map when unconstrained), then per allowed doorway opening
+        (``rects``, part of the region), the grid's certified box of its box
+        within the bbox at ``clearance + eps``, shrunk by ``eps``. Built
+        once per map, allowed rooms, openings and clearance; none for a
         threshold that is not positive (a NaN clearance would never find
         its key again).
         """
         if not self.clearance + self.stride_eps > 0.0:
             return ()
-        key = (self._allowed, self.clearance)
+        key = (self._allowed, self.clearance, self.rects)
         boxes = self.gmap._certified.get(key)
         if boxes is None:
             boxes = self.gmap._certified[key] = self._build_certified()
@@ -364,8 +339,8 @@ class Region:
         threshold = self.clearance + eps
         lo, hi = self.bbox
         boxes = []
-        for r in (self.rooms if self.constrained else self.gmap.scene.rooms):
-            x0, y0, x1, y1 = r.bounds
+        rooms = self.rooms if self.constrained else self.gmap.scene.rooms
+        for x0, y0, x1, y1 in [r.bounds for r in rooms] + list(self.rects):
             box = grid.certified_box((max(x0, lo.x), max(y0, lo.y),
                                       min(x1, hi.x), min(y1, hi.y)), threshold)
             if box is not None:
@@ -533,7 +508,9 @@ class Region:
         return self._motion_valid(a, b, max(1, math.ceil(length / self.step)), length)
 
     def _motion_valid(self, a: Point2, b: Point2, n: int, length: float) -> bool:
-        """``motion_valid`` given ``length == dist(a, b)`` and ``n + 1`` points."""
+        """``motion_valid`` given ``length == dist(a, b)`` and ``n + 1`` points:
+        True at once when both endpoints lie in the first ``certified`` box
+        that holds ``a``, else ``_walk``. ``plan`` runs the same test inline."""
         ax, ay = a
         bx, by = b
         for x0, y0, x1, y1 in self.certified:
@@ -541,6 +518,12 @@ class Region:
                 if x0 <= bx <= x1 and y0 <= by <= y1:
                     return True
                 break
+        return self._walk(a, b, n, length)
+
+    def _walk(self, a: Point2, b: Point2, n: int, length: float) -> bool:
+        """The point-by-point part of ``_motion_valid``."""
+        ax, ay = a
+        bx, by = b
         (bx0, by0, bx1, by1, constrained, boxes, clearance, v, ox, oy, res, nx,
          fx_max, fy_max, i_max, j_max, stride, c_eps,
          lx, ly, hx, hy) = self._motion_frame
@@ -604,32 +587,46 @@ class Region:
         return True
 
 
-def _may_rewire(parent_cost: float, d: np.ndarray, cost: np.ndarray) -> np.ndarray:
-    """Mask of the neighbours that can pass the rewire test.
+def _may_rewire(parent_cost: float, d: np.ndarray, cost: np.ndarray,
+                cmax: float) -> np.ndarray:
+    """Mask of the neighbours that can pass the rewire test, in two ufuncs.
 
-    The test is ``parent_cost + math.hypot(...) < cost - 1e-12``, where the
-    cost only falls during a rewire pass (``propagate`` applies negative
-    deltas), so a snapshot of the costs is an upper bound. Passing it
-    implies ``d < cost``, and ``np.sqrt`` of the summed squares is within a
-    few ulps of ``d`` of ``math.hypot``, so ``parent_cost + d`` is within a
-    few ulps of ``cost`` of the exact sum. The slack ``1e-14 * (1 + cost)``
-    is more than 5 times that, so every neighbour the test admits passes.
-    The bound is ``(cost - 1e-12) + 1e-14 * (1 + cost)`` regrouped.
+    The test is ``p + h < c - 1e-12`` in floats, with ``p = parent_cost``,
+    ``h`` the ``math.dist`` of the pair and ``c`` the neighbour's cost at
+    the time. ``cost`` is a snapshot, at least ``c`` because costs only
+    fall during a rewire pass, and ``cmax`` is at least every cost of the
+    tree. With ``u = 2**-53`` and each operation rounded within ``u``:
+
+    * passing gives ``(p + h)(1 - u) < (c - 1e-12) + u(c + 1e-12)``, so
+      ``p + h <= c(1 + 3u)`` and ``h - cost < -p - 1e-12 + 2.1u * cmax``;
+    * ``d``, ``np.sqrt`` of the summed squares of the same coordinate
+      differences, is within ``4.2u * h`` of ``h``: the sum rounds within
+      ``2u``, the root halves that and rounds within ``u``, and
+      ``math.dist`` is within one ulp;
+    * ``d - cost`` rounds within ``u * max(d, cost) <= 1.1u * cmax``.
+
+    So ``d - cost`` in floats is below ``-p - 1e-12 + 8.4u * cmax``, and
+    the bound rounds to at least ``-p - 1e-12 + slack - 2.1u(p + 1) - u *
+    slack``. ``slack = 2**-49 * (p + 2 * cmax + 2) = 16u(p + 2 * cmax + 2)``
+    exceeds both errors several times over (its 2 also covers the 1e-12
+    terms and subnormal squares): every neighbour the test admits passes.
     """
-    return parent_cost + d < cost * (1.0 + 1e-14) - 9.9e-13
+    slack = 2.0 ** -49 * (parent_cost + 2.0 * cmax + 2.0)
+    return np.subtract(d, cost) < -parent_cost - 1e-12 + slack
 
 
-def _cheapest_first(via: np.ndarray, bound: float):
-    """Yield ``(k, via[k])`` below ``bound`` in stable-argsort order, one
-    first-minimum ``argmin`` at a time (the caller nearly always stops at
-    the first); tried entries are set to inf."""
-    while via.size:
+def _cheapest(via: np.ndarray, bound: float) -> tuple[int, float] | None:
+    """``(k, via[k])`` for the first minimum of ``via`` when it is below
+    ``bound``, setting that entry to inf, else None. Called until the
+    caller accepts a candidate (nearly always the first), it visits the
+    entries below ``bound`` in stable-argsort order."""
+    if via.size:
         k = int(via.argmin())
-        c = float(via[k])
-        if c >= bound:
-            return
-        via[k] = math.inf
-        yield k, c
+        c = via.item(k)
+        if c < bound:
+            via[k] = math.inf
+            return k, c
+    return None
 
 
 def _lower_best(noted: list[int], goal_dist: dict[int, float],
@@ -717,63 +714,92 @@ def plan(gmap: GlobalMap, problem: GeometricProblem, config: PlannerConfig,
     check fails moves on to the next without a call, so the calls can skip
     iteration numbers and need not add up to ``stats.iterations``.
 
-    The neighbour scans compute into buffers that grow with the tree, and
+    The tree's coordinates live in one ``(2, cap)`` block whose unused
+    columns hold inf (never the first-minimum ``argmin``, never within the
+    radius), so a neighbour scan is four ufuncs into fixed views over whole
+    ``_SCAN_COLUMNS``. Ticks and counters are local ints until the end;
     the best solution is updated from the solutions that joined or got
-    cheaper (costs only fall) instead of a rescan of all of them; neither
-    changes a float, random draw or virtual tick.
+    cheaper (costs only fall). None of this moves a float, draw or tick.
     """
     config.validate()
-    stats = PlannerStats()
     region = Region(gmap, problem)
     if region.constrained and not region.rooms:
         raise EmptyRegion("allowed region contains no known rooms")
-    region.certified  # built for the motion checks, and so used by every state check
+    # built for the motion checks, and so used by every state check
+    certified = region.certified
     if not region.valid(problem.start):
         raise InvalidStart(f"start {tuple(problem.start)} is not a valid state")
     if not region.valid(problem.goal):
         raise InvalidGoal(f"goal {tuple(problem.goal)} is not a valid state")
 
-    budget = _Budget(config)
+    # the budget: ticks against a virtual limit, or the wall clock against
+    # a deadline checked every WALL_CHECK_PERIOD iterations
+    t0 = time.perf_counter()
+    wall = config.clock == CLOCK_WALL
+    timeout = math.inf if config.timeout is None else config.timeout
+    limit = math.inf if wall else timeout * config.ops_per_second
+    deadline = t0 + timeout if wall else math.inf
+    max_iterations = math.inf if config.max_iterations is None else config.max_iterations
     check_cost = region.check_cost
-    budget.ops += 2 * check_cost
+    ticks = 2 * check_cost
+    iterations = created = accepted = rejected = 0
     rng = make_stream(config.seed)
     start, goal = problem.start, problem.goal
     step = region.step
-    check_motion = region._motion_valid
+    walk = region._walk
+    valid, sample_free, sample_informed = region.valid, region.sample, region.sample_informed
 
     def motion_ok(a: Point2, b: Point2, length: float) -> bool:
-        """Charge a motion check by its points and run it; length is dist(a, b)."""
-        m = max(1, math.ceil(length / step))
-        budget.ops += (m + 1) * check_cost
-        return check_motion(a, b, m, length)
+        """Charge a motion check by its points and run it; length is dist(a, b).
+        The certificate test of ``Region._motion_valid``, inline."""
+        nonlocal ticks
+        m = math.ceil(length / step) or 1
+        ticks += (m + 1) * check_cost
+        ax, ay = a
+        bx, by = b
+        for x0, y0, x1, y1 in certified:
+            if x0 <= ax <= x1 and y0 <= ay <= y1:
+                if x0 <= bx <= x1 and y0 <= by <= y1:
+                    return True
+                break
+        return walk(a, b, m, length)
+
+    def finish(path: GeometricPath | None) -> tuple[GeometricPath | None, PlannerStats]:
+        elapsed = time.perf_counter() - t0 if wall else ticks / config.ops_per_second
+        return path, PlannerStats(
+            samples_created=created, samples_valid=accepted, samples_rejected=rejected,
+            iterations=iterations, solved=path is not None, planning_time=elapsed,
+            best_cost=math.inf if path is None else path.length)
 
     d0 = dist(start, goal)
     if d0 <= problem.goal_tolerance:
         if d0 == 0.0:
-            path = GeometricPath.from_waypoints((start,))
-        elif motion_ok(start, goal, d0):
-            path = GeometricPath.from_waypoints((start, goal))
-        else:
-            path = None
-        if path is not None:
-            stats.solved = True
-            stats.best_cost = path.length
-            stats.planning_time = budget.elapsed()
-            return path, stats
+            return finish(GeometricPath.from_waypoints((start,)))
+        if motion_ok(start, goal, d0):
+            return finish(GeometricPath.from_waypoints((start, goal)))
 
-    # flat tree storage; coordinates and costs mirrored in numpy for
-    # neighbour scans, which compute into the bx, by and mask buffers
+    # flat tree storage; the coordinates also in the padded block, the
+    # costs in cs, for the neighbour scans into diff, d2buf and maskbuf
     cap = 256
-    xs = np.empty(cap)
-    ys = np.empty(cap)
+    block = np.full((2, cap), math.inf)
+    block[:, 0] = start
+    xs, ys = block
     cs = np.empty(cap)
-    bx, by, mask = np.empty(cap), np.empty(cap), np.empty(cap, dtype=bool)
-    xs[0] = start.x
-    ys[0] = start.y
     cs[0] = 0.0
+    diff, d2buf, maskbuf = np.empty(2 * cap), np.empty(cap), np.empty(cap, dtype=bool)
+
+    def views(span: int) -> tuple:
+        """Views of the first ``span`` columns: the block's rows, the
+        squared terms (one contiguous block) and its rows, d2, the mask."""
+        dxy = diff[:2 * span].reshape(2, span)
+        return block[0, :span], block[1, :span], dxy, dxy[0], dxy[1], d2buf[:span], maskbuf[:span]
+
+    span = _SCAN_COLUMNS
+    xv, yv, dxy, dx, dy, d2, mask = views(span)
     pts: list[Point2] = [start]
     parent: list[int] = [-1]
     cost: list[float] = [0.0]
+    cmax = 0.0  # bounds every cost: costs only fall after insertion
     children: list[list[int]] = [[]]
     # solution node -> its distance to the goal, which never changes
     goal_dist: dict[int, float] = {}
@@ -801,42 +827,42 @@ def plan(gmap: GlobalMap, problem: GeometricProblem, config: PlannerConfig,
         return touched
 
     while True:
-        if config.max_iterations is not None and stats.iterations >= config.max_iterations:
+        if iterations >= max_iterations or ticks >= limit:
             break
-        if budget.exhausted(stats.iterations):
+        if wall and iterations % WALL_CHECK_PERIOD == 0 and time.perf_counter() >= deadline:
             break
-        stats.iterations += 1
+        iterations += 1
 
         # ----- sample
         if informed and best_cost < math.inf:
-            sample, draws = region.sample_informed(best_cost, rng)
-            stats.samples_created += draws
-            budget.ops += draws * check_cost
+            sample, draws = sample_informed(best_cost, rng)
+            created += draws
+            ticks += draws * check_cost
             if sample is None:
-                stats.samples_rejected += draws
+                rejected += draws
                 continue
-            stats.samples_rejected += draws - 1
+            rejected += draws - 1
             if sample_hook is not None:
                 sample_hook(sample, best_cost)
         else:
-            sample = region.sample(rng, DEFAULT_GOAL_BIAS)
-            stats.samples_created += 1
-            budget.ops += 1 + check_cost
+            sample = sample_free(rng, DEFAULT_GOAL_BIAS)
+            created += 1
+            ticks += 1 + check_cost
             if sample_hook is not None:
                 sample_hook(sample, None)
 
-        # ----- nearest neighbour: d2 = (xs - x) ** 2 + (ys - y) ** 2 in the
-        # buffers (argmin keeps the first minimum)
+        # ----- nearest neighbour: d2 = (xs - x) ** 2 + (ys - y) ** 2
         n = len(pts)
-        budget.ops += 1 + (n >> 5)
-        d2, sq = bx[:n], by[:n]
-        np.add(np.square(np.subtract(xs[:n], sample.x, out=d2), out=d2),
-               np.square(np.subtract(ys[:n], sample.y, out=sq), out=sq), out=d2)
+        ticks += 1 + (n >> 5)
+        np.subtract(xv, sample.x, out=dx)
+        np.subtract(yv, sample.y, out=dy)
+        np.multiply(dxy, dxy, out=dxy)
+        np.add(dx, dy, out=d2)
         nearest = int(d2.argmin())
         near_pt = pts[nearest]
-        d_near = math.sqrt(float(d2[nearest]))
+        d_near = math.sqrt(d2.item(nearest))
         if d_near <= 1e-12:
-            stats.samples_rejected += 1
+            rejected += 1
             continue
 
         # ----- steer
@@ -847,11 +873,11 @@ def plan(gmap: GlobalMap, problem: GeometricProblem, config: PlannerConfig,
             new_pt = Point2(near_pt.x + (sample.x - near_pt.x) * t,
                             near_pt.y + (sample.y - near_pt.y) * t)
 
-        budget.ops += check_cost
-        if not region.valid(new_pt):
-            stats.samples_rejected += 1
+        ticks += check_cost
+        if not valid(new_pt):
+            rejected += 1
             continue
-        stats.samples_valid += 1
+        accepted += 1
 
         # ----- connect to the tree
         edge_len = dist(near_pt, new_pt)
@@ -863,33 +889,41 @@ def plan(gmap: GlobalMap, problem: GeometricProblem, config: PlannerConfig,
         if rewiring:
             radius = min(DEFAULT_STEER_RANGE,
                          gamma * math.sqrt(math.log(n + 1.0) / (n + 1.0)))
-            budget.ops += 1 + (n >> 5)
+            ticks += 1 + (n >> 5)
             if new_pt is not sample:
-                # d2 is dead: the neighbourhood scan reuses its buffer
-                np.add(np.square(np.subtract(xs[:n], new_pt.x, out=d2), out=d2),
-                       np.square(np.subtract(ys[:n], new_pt.y, out=sq), out=sq), out=d2)
-            near = np.less_equal(d2, radius * radius, out=mask[:n]).nonzero()[0]
+                # d2 is dead: the neighbourhood scan reuses it
+                np.subtract(xv, new_pt.x, out=dx)
+                np.subtract(yv, new_pt.y, out=dy)
+                np.multiply(dxy, dxy, out=dxy)
+                np.add(dx, dy, out=d2)
+            near = np.less_equal(d2, radius * radius, out=mask).nonzero()[0]
             d_nbr = np.sqrt(d2[near])
             c_nbr = cs[near]
             # candidate parents by cost through them, below the cost through
             # the nearest node; ties go by neighbour order, which is node order
-            for k, c in _cheapest_first(c_nbr + d_nbr, parent_cost):
-                i = int(near[k])
+            through = c_nbr + d_nbr
+            while (cand := _cheapest(through, parent_cost)) is not None:
+                i = near.item(cand[0])
                 if motion_ok(pts[i], new_pt, dist(pts[i], new_pt)):
                     parent_idx = i
-                    parent_cost = c
+                    parent_cost = cand[1]
                     break
 
-        new_idx = len(pts)
-        if new_idx >= cap:
-            cap *= 2
-            xs = np.resize(xs, cap)
-            ys = np.resize(ys, cap)
-            cs = np.resize(cs, cap)
-            bx, by, mask = np.empty(cap), np.empty(cap), np.empty(cap, dtype=bool)
+        new_idx = n
+        if new_idx >= span:
+            span += _SCAN_COLUMNS
+            if span > cap:
+                block = np.hstack((block, np.full((2, cap), math.inf)))
+                cap *= 2
+                xs, ys = block
+                cs = np.resize(cs, cap)
+                diff, d2buf, maskbuf = np.empty(2 * cap), np.empty(cap), np.empty(cap, dtype=bool)
+            xv, yv, dxy, dx, dy, d2, mask = views(span)
         xs[new_idx] = new_pt.x
         ys[new_idx] = new_pt.y
         cs[new_idx] = parent_cost
+        if parent_cost > cmax:
+            cmax = parent_cost
         pts.append(new_pt)
         parent.append(parent_idx)
         cost.append(parent_cost)
@@ -900,7 +934,7 @@ def plan(gmap: GlobalMap, problem: GeometricProblem, config: PlannerConfig,
             # in a large neighbourhood, visit only the neighbours that can
             # pass the exact test, in neighbour order
             if near.size > _SCAN_FILTER_MIN:
-                near = near[_may_rewire(parent_cost, d_nbr, c_nbr)]
+                near = near[_may_rewire(parent_cost, d_nbr, c_nbr, cmax)]
             for i in near.tolist():
                 if i == parent_idx:
                     continue
@@ -910,7 +944,7 @@ def plan(gmap: GlobalMap, problem: GeometricProblem, config: PlannerConfig,
                     children[parent[i]].remove(i)
                     parent[i] = new_idx
                     children[new_idx].append(i)
-                    budget.ops += propagate(i, via - cost[i])
+                    ticks += propagate(i, via - cost[i])
 
         # ----- goal connection
         d_goal = dist(new_pt, goal)
@@ -921,19 +955,17 @@ def plan(gmap: GlobalMap, problem: GeometricProblem, config: PlannerConfig,
 
         if goal_dist:
             # charged as a scan of every solution
-            budget.ops += len(goal_dist)
+            ticks += len(goal_dist)
             if noted:
                 best_cost, best_node = _lower_best(noted, goal_dist, cost,
                                                    best_cost, best_node)
                 noted.clear()
 
         if iteration_hook is not None:
-            iteration_hook(stats.iterations, best_cost)
+            iteration_hook(iterations, best_cost)
 
-    stats.planning_time = budget.elapsed()
     if best_node < 0:
-        return None, stats
-
+        return finish(None)
     waypoints_rev = []
     idx = best_node
     while idx >= 0:
@@ -942,10 +974,7 @@ def plan(gmap: GlobalMap, problem: GeometricProblem, config: PlannerConfig,
     waypoints = tuple(reversed(waypoints_rev))
     if waypoints[-1] != goal:
         waypoints = waypoints + (goal,)
-    path = GeometricPath.from_waypoints(waypoints)
-    stats.solved = True
-    stats.best_cost = path.length
-    return path, stats
+    return finish(GeometricPath.from_waypoints(waypoints))
 
 
 def path_to_dict(path: GeometricPath) -> dict:

@@ -21,8 +21,7 @@ from semnav import (CarvedWalls, Doorway, EmptyRegion, GeometricPath,
                     SdfGrid, build_global_map, build_topology, decompose, load_map,
                     motion_valid, path_to_dict, plan, point_in_contour,
                     sample_state, sdf_query, semantic_route, state_valid)
-from semnav.geometric_planner import (_cheapest_first, _informed_axes, _lower_best,
-                                      _may_rewire)
+from semnav.geometric_planner import _cheapest, _informed_axes, _lower_best, _may_rewire
 from semnav.geometry import dist
 from semnav.rng import make_stream
 
@@ -499,6 +498,46 @@ def test_anytime_curves_are_pinned():
     assert _anytime_curves() == want
 
 
+# (nodes added, sha256 of the waypoints' hex coordinates, samples_created,
+# samples_valid, samples_rejected, iterations, solved, planning_time,
+# best_cost == path length)
+_GROWN_TREES = {
+    "irrt": (2375, "a2d933a192733bea31fc132637063d5e75ec0bcfc6477c37338e07b02eceb80c",
+             3028, 2429, 599, 3000, True, "0x1.1928b6d86ec18p+0", "0x1.1bc989d525689p+4"),
+    "sps": (2997, "b27b293d7087ce98f2e9c02cb3d462de4861d5fed47966f79457b10d5194046a",
+            3000, 2997, 3, 3000, True, "0x1.1105e1c15097dp-2", "0x1.3b91bf663f043p+2"),
+    "origin": (3000, "1512dc832e1ddfe06ed24ac14a3bf89d39977838ac4e0f01b6a6005479a52150",
+               3006, 3000, 6, 3000, True, "0x1.b9fe86833c600p-2", "0x1.3cc9845a22d92p+4"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_GROWN_TREES))
+def test_trees_past_the_first_buffer_sizes_are_pinned(grid8_scene, grid8_map, name):
+    # The golden CSVs stop at 0.1 s budgets; these runs grow their trees
+    # past 2048 nodes, so the neighbour buffers are regrown several times:
+    # the flat Informed RRT* query on grid8 from (2, 3.5) to (15, 12), its
+    # route's second subproblem (doorway centre to doorway centre), and a
+    # room centred on the origin, where a buffer column left at zero would
+    # be some sample's nearest node.
+    route = semantic_route(build_topology(grid8_scene), grid8_scene,
+                           Point2(2.0, 3.5), Point2(15.0, 12.0))
+    gmap, problem = grid8_map, GeometricProblem(start=route.start, goal=route.goal)
+    if name == "sps":
+        problem = decompose(route, grid8_scene)[1].to_problem()
+    elif name == "origin":
+        gmap = build_global_map(_scene([rect_room("a", -10.0, -10.0, 10.0, 10.0)]))
+        problem = GeometricProblem(start=Point2(7.0, 7.0), goal=Point2(-7.0, -7.0))
+    added = []
+    path, stats = plan(gmap, problem, PlannerConfig(max_iterations=3000, seed=5),
+                       iteration_hook=lambda i, c: added.append(i))
+    coords = " ".join(c.hex() for p in path.waypoints for c in p)
+    got = (len(added), hashlib.sha256(coords.encode()).hexdigest(),
+           stats.samples_created, stats.samples_valid, stats.samples_rejected,
+           stats.iterations, stats.solved, stats.planning_time.hex(), stats.best_cost.hex())
+    assert got == _GROWN_TREES[name]
+    assert path.length == stats.best_cost
+
+
 # ------------------------------------- rectangle fast path, fused motion check
 
 
@@ -917,14 +956,30 @@ def _certified_segments(draw, region):
     return a, b, kind
 
 
+# The doorway openings whose box certified_box cuts a clear core from at
+# the default clearance. ring4's d12 and d41 and threeroom's d1 have the
+# same field around them as the others, but their node windows fall so
+# that the cut-in takes their long sides first and keeps no cell.
+_CERTIFIED_OPENINGS = {
+    "grid8": frozenset({"d12", "d15", "d23", "d26", "d34", "d37", "d48", "d56",
+                        "d67", "d78"}),
+    "ring4": frozenset({"d23", "d34"}),
+    "threeroom": frozenset({"d2"}),
+}
+
+
 @pytest.mark.parametrize("name", ["grid8", "ring4", "threeroom"])
 @settings(max_examples=80, deadline=None)
 @given(data=st.data())
 def test_certified_motion_check_equals_pointwise_check(fixture_maps, name, data):
     gmap = fixture_maps[name]
-    region = Region(gmap, data.draw(_problems(gmap)))
-    # every room of the fixtures has a clear core
-    assert len(region.certified) == len(region.rooms or gmap.scene.rooms)
+    problem = data.draw(_problems(gmap))
+    region = Region(gmap, problem)
+    # every room of the fixtures has a clear core, and so do the openings
+    # of _CERTIFIED_OPENINGS, which then get a box each
+    doors = problem.allowed_doorways or frozenset()
+    assert len(region.certified) == (len(region.rooms or gmap.scene.rooms)
+                                     + len(_CERTIFIED_OPENINGS[name] & doors))
     a, b, kind = data.draw(_certified_segments(region))
     got = region.motion_valid(a, b)
     if kind == "non_finite":
@@ -955,6 +1010,34 @@ def test_certified_state_check_equals_full_lookup(fixture_maps, name, data):
     assert full._held == ()
 
 
+def test_every_grid8_subproblem_certifies_its_doorway_centres(grid8_scene, grid8_map):
+    # Every subproblem of every route between two grid8 rooms starts or
+    # ends at a doorway centre; its opening's certified box holds the
+    # centre and every point within goal_tolerance of it, so the goal
+    # connections and the short edges at a centre need no point checks.
+    topo = build_topology(grid8_scene)
+    rooms = grid8_scene.rooms
+    seen = 0
+    for a in rooms:
+        for b in rooms:
+            if a is b:
+                continue
+            route = semantic_route(topo, grid8_scene, a.center, b.center)
+            for sub in decompose(route, grid8_scene):
+                problem = sub.to_problem()
+                region = Region(grid8_map, problem)
+                tol = problem.goal_tolerance
+                assert len(region.certified) == 1 + len(region.rects)
+                for d in problem.allowed_doorways:
+                    cx, cy = grid8_scene.doorway(d).center
+                    assert any(x0 <= cx - tol and cx + tol <= x1
+                               and y0 <= cy - tol and cy + tol <= y1
+                               for x0, y0, x1, y1 in region.certified[1:])
+                    assert region.valid(Point2(cx, cy))
+                    seen += 1
+    assert seen > 100
+
+
 def test_state_checks_alone_build_no_certified_boxes(grid8_scene):
     gmap = build_global_map(grid8_scene)
     problem = GeometricProblem(start=Point2(-5.0, 1.0), goal=Point2(1.0, 1.0))
@@ -964,7 +1047,7 @@ def test_state_checks_alone_build_no_certified_boxes(grid8_scene):
     # plan builds them before its first state check, even one that fails
     with pytest.raises(InvalidStart):
         plan(gmap, problem, PlannerConfig(max_iterations=1))
-    assert list(gmap._certified) == [(None, CLEARANCE)]
+    assert list(gmap._certified) == [(None, CLEARANCE, ())]
 
 
 def _one_room_map(values: np.ndarray, resolution: float, origin: Point2) -> GlobalMap:
@@ -1066,11 +1149,19 @@ def test_certified_boxes_are_built_once_per_map_and_clearance(grid8_map):
 
 @settings(max_examples=400, deadline=None)
 @given(parent_cost=st.sampled_from([0.0, 1e-3]) | st.floats(0.0, 200.0),
-       dx=st.floats(-1.0, 1.0), dy=st.floats(-1.0, 1.0), ulps=st.integers(0, 4))
-def test_rewire_filter_admits_every_near_tie(parent_cost, dx, dy, ulps):
+       dx=st.floats(-1.0, 1.0), dy=st.floats(-1.0, 1.0), ulps=st.integers(0, 4),
+       above=st.sampled_from([0.0]) | st.floats(0.0, 200.0))
+# near ties that the filter drops without its slack
+@example(parent_cost=1e-3, dx=-0.6000516061432382, dy=-0.22152293442073967, ulps=0, above=0.0)
+@example(parent_cost=1.7931314920328574, dx=-0.7911515543169694, dy=0.3319150565573652,
+         ulps=0, above=0.0)
+@example(parent_cost=15.95621715412302, dx=-0.09830994571453666, dy=0.047790879733956126,
+         ulps=0, above=0.0)
+def test_rewire_filter_admits_every_near_tie(parent_cost, dx, dy, ulps, above):
     # the smallest costs the exact rewire test admits, and a few ulps above:
     # the filter, which sums np.sqrt of the squares instead of math.hypot,
-    # must admit them too
+    # must admit them too, for every bound on the tree's costs (the
+    # neighbour's own cost, above=0, gives the smallest slack)
     new_pt, other = Point2(5.0, 5.0), Point2(5.0 - dx, 5.0 - dy)
     via = parent_cost + dist(new_pt, other)
     cost = via + 1e-12
@@ -1079,21 +1170,21 @@ def test_rewire_filter_admits_every_near_tie(parent_cost, dx, dy, ulps):
     for _ in range(ulps):
         cost = math.nextafter(cost, math.inf)
     d = np.sqrt(np.array([(other.x - new_pt.x) ** 2 + (other.y - new_pt.y) ** 2]))
-    assert _may_rewire(parent_cost, d, np.array([cost]))[0]
+    assert _may_rewire(parent_cost, d, np.array([cost]), cost + above)[0]
 
 
 def test_rewire_filter_drops_plain_non_improvements():
     cost = np.array([1.0, 2.0, 3.0, 2.5])
     d = np.array([0.5, 0.5, 0.5, 0.5])
     # 1.5 + 0.5 against 1.0, 2.0 (a tie), 3.0 and 2.5
-    assert _may_rewire(1.5, d, cost).tolist() == [False, False, True, True]
+    assert _may_rewire(1.5, d, cost, 3.0).tolist() == [False, False, True, True]
 
 
 # ------------------------------------------------ candidate parents, solutions
 
 
 def _reference_candidates(via, parent_cost, filtered):
-    """The candidate-parent order that ``_cheapest_first`` replaced: a stable
+    """The candidate-parent order that ``_cheapest`` keeps: a stable
     argsort of the costs through each neighbour (over all of them, or over
     those below ``parent_cost`` in a filtered neighbourhood), cut at the
     first cost at or above ``parent_cost``."""
@@ -1124,7 +1215,12 @@ def test_cheapest_first_visits_in_stable_argsort_order(via, parent_cost):
     via = np.array(via, dtype=float)
     want = _reference_candidates(via, parent_cost, filtered=False)
     assert want == _reference_candidates(via, parent_cost, filtered=True)
-    assert list(_cheapest_first(via.copy(), parent_cost)) == want
+    # plan calls _cheapest until it accepts a candidate; accept none
+    left = via.copy()
+    got = []
+    while (cand := _cheapest(left, parent_cost)) is not None:
+        got.append(cand)
+    assert got == want
 
 
 def _best_solution(solutions: list[tuple[int, float]], cost: list[float]):
