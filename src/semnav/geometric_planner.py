@@ -10,13 +10,12 @@ interpolation points and the worst-case interpolation error near carved gap
 ends, so returned paths hold up under arbitrarily dense re-checking.
 
 Validity checks run in every iteration. Rooms are axis-aligned rectangles, so room
-containment is two box comparisons; only points within a few 1e-9 of a
-room's edges fall back to the exact ring test, whose 1e-9 boundary tolerance
-the box test cannot reproduce. A state check, and a motion check for every
-interpolated point, run the bbox test, the room boxes and the bilinear field
-lookup inline. Both give exactly the answers of the general ring test and
-``sdf_query``, point for point (see ``Region``), and neither changes what the
-virtual clock charges.
+containment is two box comparisons; only points outside every room's
+half-open box go on to ``Room.contains``. A state check, and a motion check
+for every interpolated point, run the bbox test, the room boxes and the
+bilinear field lookup inline. Both give exactly the answers of
+``Room.contains`` and ``sdf_query``, point for point (see ``Region``), and
+neither changes what the virtual clock charges.
 
 A motion check also skips points that the field value of the last checked
 point proves valid (the free-space "bubble" of elastic bands). Every node
@@ -28,8 +27,8 @@ every value below ``w + sqrt(2) * res``. So when the clearance ``c`` exceeds
 that bound, a point with value ``f >= c`` sees ``f >= c`` at every point of
 the segment within ``(f - c - eps) / sqrt(2)`` of it. Skipped points must
 also stay inside the point's room box and the bbox by ``eps``. Grids
-without a recorded band bound, coarse grids and points accepted by the exact
-ring test or a doorway opening do not skip, and every check returns what
+without a recorded band bound, coarse grids and points outside every
+room's half-open box do not skip, and every check returns what
 the point-by-point check returns.
 
 Most motion checks need no point at all. A bilinear value is a convex
@@ -68,7 +67,7 @@ import numpy as np
 
 from .errors import EmptyRegion, InvalidGoal, InvalidStart, OutOfBounds
 from .geometry import Point2, dist
-from .map_builder import GlobalMap, SdfGrid, point_in_contour
+from .map_builder import GlobalMap, SdfGrid
 from .rng import Stream, make_stream
 from .scene_graph import Room
 
@@ -87,9 +86,6 @@ MOTION_STEP_CAP = 0.025
 WALL_CHECK_PERIOD = 64
 DEFAULT_OPS_PER_SECOND = 2_000_000
 INFORMED_MAX_ATTEMPTS = 64
-# half-width of the band around a rectangle room's edges where containment
-# falls back to the exact ring test (its boundary tolerance is 1e-9)
-_RECT_BAND = 4e-9
 # floor of the slack a motion check's stride keeps from the clearance and
 # from the box edges; it grows with the coordinate magnitude (_stride_eps)
 _STRIDE_EPS = 1e-9
@@ -202,13 +198,10 @@ class Region:
     from the informed ellipse of Informed RRT* and rejects draws outside
     the region; it keeps the ellipse's semi-axes until ``c_best`` changes.
 
-    Room containment has a rectangle fast path. On an axis-aligned rectangle
-    ring, the even-odd test of ``point_in_contour`` accepts exactly the
-    half-open box ``x0 <= x < x1, y0 <= y < y1`` by crossing count, plus every
-    point within 1e-9 of an edge (so its corners are rounded). A point in a
-    room's half-open box is therefore inside with two comparisons. Only a
-    point within ``_RECT_BAND`` (a few 1e-9) of a room's closed box falls back
-    to the unchanged ``point_in_contour``; farther out it is not in that room.
+    A point is in an allowed room when ``Room.contains`` says so. A point in
+    a room's half-open box ``x0 <= x < x1, y0 <= y < y1`` is, so two
+    comparisons answer most points; any other point asks ``Room.contains``
+    of each allowed room, then tests the openings.
 
     ``valid`` fuses the bbox test, the room boxes and the bilinear field
     lookup of ``sdf_query`` (the same float arithmetic in the same order),
@@ -226,7 +219,7 @@ class Region:
     condition ``c - eps > w + sqrt(2) * res``, evaluated once from the
     grid's recorded band bound ``w``; without it, and after a point that
     needed ``_edge_or_opening``, every point is evaluated. ``eps`` grows
-    with the coordinate magnitude, like ``_RECT_BAND``, and with the grid
+    with the coordinate magnitude and with the grid
     size, to cover rounding in the points, in ``f`` and in the node values.
 
     Before any point, ``_motion_valid`` tests the endpoints against the
@@ -270,19 +263,13 @@ class Region:
         # the bbox shrunk by eps: (x0, y0, x1, y1)
         self.inner = (lo.x + eps, lo.y + eps, hi.x - eps, hi.y - eps)
         # half-open boxes of the rooms; the same boxes followed by their
-        # intersection with the bbox shrunk by eps, for motion checks;
-        # (closed box grown by the fallback band, room) for every room
+        # intersection with the bbox shrunk by eps, for motion checks
         self.boxes = [r.bounds for r in self.rooms]
-        self.stride_boxes: list[tuple[float, ...]] = []
-        self.bands: list[tuple[float, float, float, float, Room]] = []
-        for r in self.rooms:
-            box = x0, y0, x1, y1 = r.bounds
-            band = _RECT_BAND + 16 * math.ulp(max(map(abs, box)))
-            self.stride_boxes.append(box + (max(x0 + eps, self.inner[0]),
-                                            max(y0 + eps, self.inner[1]),
-                                            min(x1 - eps, self.inner[2]),
-                                            min(y1 - eps, self.inner[3])))
-            self.bands.append((x0 - band, y0 - band, x1 + band, y1 + band, r))
+        self.stride_boxes = [box + (max(box[0] + eps, self.inner[0]),
+                                    max(box[1] + eps, self.inner[1]),
+                                    min(box[2] - eps, self.inner[2]),
+                                    min(box[3] - eps, self.inner[3]))
+                             for box in self.boxes]
         # area of each room in scene order, their sum, and the boxes:
         # everything ``sample`` reads, in one attribute
         areas = [(x1 - x0) * (y1 - y0) for x0, y0, x1, y1 in self.boxes]
@@ -446,11 +433,10 @@ class Region:
         return self._edge_or_opening(x, y)
 
     def _edge_or_opening(self, x: float, y: float) -> bool:
-        """Membership of a point in no room's half-open box: the exact ring
-        test near room edges, then the doorway openings."""
-        for ox0, oy0, ox1, oy1, r in self.bands:
-            if (ox0 <= x <= ox1 and oy0 <= y <= oy1
-                    and point_in_contour(r, Point2(x, y))):
+        """Membership of a point in no room's half-open box: ``Room.contains``
+        for each allowed room, then the doorway openings."""
+        for r in self.rooms:
+            if r.contains((x, y)):
                 return True
         for x0, y0, x1, y1 in self.rects:
             if x0 <= x <= x1 and y0 <= y <= y1:

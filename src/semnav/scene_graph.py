@@ -38,6 +38,8 @@ from .geometry import Point2, WallSegment
 CLOSURE_TOL = 1e-6
 DOORWAY_TOL = 1e-6
 BBOX_TOL = 1e-9
+# farthest a point may lie from a room's closed box and still be in the room
+CONTAINMENT_TOL = 1e-9
 
 
 class SharedBoundary(NamedTuple):
@@ -143,16 +145,19 @@ class Room:
             raise ValueError("center does not lie strictly inside the walls")
         return cls(id=room_id, center=center, walls=_snap_walls(walls, box), bounds=box)
 
-    @property
-    def ring(self) -> tuple[Point2, ...]:
-        """Closed CCW ring of the box, starting at its smallest corner ``(x0, y0)``."""
-        x0, y0, x1, y1 = self.bounds
-        return (Point2(x0, y0), Point2(x1, y0), Point2(x1, y1), Point2(x0, y1))
-
     def contains(self, p: Point2) -> bool:
-        """Boundary-inclusive rectangle membership."""
+        """True when ``p`` lies within ``CONTAINMENT_TOL`` (Euclidean) of the
+        closed box ``bounds``, so the corners are rounded; False for a
+        coordinate that is not finite."""
+        x, y = p
         x0, y0, x1, y1 = self.bounds
-        return x0 <= p.x <= x1 and y0 <= p.y <= y1
+        dx = x0 - x if x < x0 else x - x1
+        dy = y0 - y if y < y0 else y - y1
+        if dx <= 0.0 and dy <= 0.0:
+            return True
+        if not (dx <= CONTAINMENT_TOL and dy <= CONTAINMENT_TOL):
+            return False
+        return math.hypot(max(dx, 0.0), max(dy, 0.0)) <= CONTAINMENT_TOL
 
 
 @dataclass(frozen=True)
@@ -407,7 +412,7 @@ def save_map(graph: SceneGraph, path: str) -> None:
 
 
 def locate_room(graph: SceneGraph, p: Point2) -> str | None:
-    """Id of the room containing ``p`` (boundary inclusive), or None.
+    """Id of the room that ``Room.contains`` ``p``, or None.
 
     A point on a shared boundary belongs to several rooms; the tie breaks to
     the lexicographically smallest id so the answer is deterministic.

@@ -47,11 +47,11 @@ import numpy as np
 from .errors import EmptyInput, InvalidGoal, InvalidStart, SubproblemInfeasible
 from .geometry import Point2
 from .map_builder import GlobalMap, SdfGrid, build_blocked_map, build_global_map
-from .geometric_planner import (_RECT_BAND, CLOCK_VIRTUAL, DEFAULT_GOAL_TOLERANCE,
+from .geometric_planner import (CLOCK_VIRTUAL, DEFAULT_GOAL_TOLERANCE,
                                 DEFAULT_ROBOT_RADIUS, DEFAULT_VALIDITY_MARGIN,
                                 GeometricPath, GeometricProblem, PlannerConfig,
                                 PlannerStats, Region, path_to_dict, plan)
-from .scene_graph import SceneGraph, set_doorway_blocked
+from .scene_graph import CONTAINMENT_TOL, SceneGraph, set_doorway_blocked
 from .semantic_planner import (DEFAULT_DOORWAY_PENALTY, SQUARED, SemanticRoute,
                                build_topology, semantic_route)
 
@@ -235,14 +235,15 @@ def _window(grid: SdfGrid, box: tuple[float, float, float, float]
             ) -> tuple[slice, slice] | None:
     """Rows and columns of ``grid.values`` that a lookup at a point of the
     closed ``box`` reads, grown by one node on every side: the lookup's
-    cell coordinate is monotone in the point, so a point within the
-    containment band of the box (``_RECT_BAND`` and a few ulps) reads at
-    most one node further out. None when the band could span half a cell
-    or a corner is not finite on the grid."""
+    cell coordinate is monotone in the point, so a point within
+    ``CONTAINMENT_TOL`` of the box, which ``Room.contains`` accepts, reads
+    at most one node further out. The band adds a few ulps to that
+    tolerance; None when it could span half a cell or a corner is not
+    finite on the grid."""
     x0, y0, x1, y1 = box
     ox, oy, res = grid.origin.x, grid.origin.y, grid.resolution
     f = ((x0 - ox) / res, (y0 - oy) / res, (x1 - ox) / res, (y1 - oy) / res)
-    band = _RECT_BAND + 16 * math.ulp(max(map(abs, box)))
+    band = CONTAINMENT_TOL + 16 * math.ulp(max(map(abs, box)))
     if not (all(map(math.isfinite, f)) and 2.0 * band < res):
         return None
     i0, j0, i1, j1 = map(math.floor, f)

@@ -1,4 +1,5 @@
-"""Shared fixtures: the map fixtures on disk and generated random scenes."""
+"""Shared fixtures: the map fixtures on disk, generated random scenes and
+the hypothesis strategies for points near room edges."""
 
 from __future__ import annotations
 
@@ -6,6 +7,7 @@ import os
 import random
 
 import pytest
+from hypothesis import strategies as st
 
 from semnav import (Doorway, Point2, Room, SceneGraph, WallSegment,
                     build_global_map, load_map)
@@ -56,6 +58,29 @@ def rect_room(room_id: str, x0: float, y0: float, x1: float, y1: float) -> Room:
         WallSegment(Point2(x0, y1), Point2(x0, y0)),
     ]
     return Room.build(room_id, center, walls)
+
+
+_OFFSETS = (st.sampled_from([0.0, 1e-9, -1e-9, 2e-9, -2e-9, 4e-9, -4e-9, 6e-9, -6e-9])
+            | st.floats(-1e-8, 1e-8) | st.floats(-2.0, 2.0))
+
+
+@st.composite
+def near(draw, lo: float, hi: float) -> float:
+    """A coordinate on, just beside or away from the interval's ends."""
+    anchor = draw(st.sampled_from([lo, hi, (lo + hi) / 2.0]) | st.floats(lo - 1.0, hi + 1.0))
+    return anchor + draw(_OFFSETS)
+
+
+@st.composite
+def rectangle_rooms(draw) -> Room:
+    """A room over an axis-aligned rectangle at a random scale."""
+    scale = draw(st.sampled_from([1.0, 1e3, 1e6]))
+    x0 = scale * draw(st.floats(-1.0, 1.0))
+    y0 = scale * draw(st.floats(-1.0, 1.0))
+    x1 = x0 + draw(st.floats(0.05, 20.0))
+    y1 = y0 + draw(st.floats(0.05, 20.0))
+    return Room(id="a", center=Point2((x0 + x1) / 2.0, (y0 + y1) / 2.0), walls=(),
+                bounds=(x0, y0, x1, y1))
 
 
 def random_scene(rng: random.Random, max_rooms: int = 6,

@@ -19,13 +19,13 @@ from semnav import (CarvedWalls, Doorway, EmptyRegion, GeometricPath,
                     GeometricProblem, GlobalMap, InvalidGoal, InvalidStart,
                     OutOfBounds, PlannerConfig, Point2, Region, Room, SceneGraph,
                     SdfGrid, build_global_map, build_topology, decompose, load_map,
-                    motion_valid, path_to_dict, plan, point_in_contour,
-                    sample_state, sdf_query, semantic_route, state_valid)
+                    motion_valid, path_to_dict, plan, sample_state, sdf_query,
+                    semantic_route, state_valid)
 from semnav.geometric_planner import _cheapest, _informed_axes, _lower_best, _may_rewire
 from semnav.geometry import dist
 from semnav.rng import make_stream
 
-from conftest import fixture_path, rect_room
+from conftest import fixture_path, near, rect_room, rectangle_rooms
 from oracles import dense_path_clear, ellipse_contains, min_wall_distance, path_in_region
 
 CLEARANCE = 0.3 + 0.02  # default robot radius plus validity margin
@@ -399,7 +399,8 @@ def test_plan_constrained_stays_in_region(threeroom_map):
                                allowed_doorways=frozenset({"d1", "d2"}))
     path, stats = plan(threeroom_map, problem, PlannerConfig(timeout=0.1, seed=7))
     assert stats.solved
-    rings = [threeroom_map.scene.room("r2").ring]
+    x0, y0, x1, y1 = threeroom_map.scene.room("r2").bounds
+    rings = [[(x0, y0), (x1, y0), (x1, y1), (x0, y1)]]
     rects = [threeroom_map.openings["d1"], threeroom_map.openings["d2"]]
     assert path_in_region(path.waypoints, rings, rects)
 
@@ -542,13 +543,13 @@ def test_trees_past_the_first_buffer_sizes_are_pinned(grid8_scene, grid8_map, na
 
 
 def _reference_contains(region: Region, p: Point2) -> bool:
-    """Region membership by the exact ring test on every allowed room."""
+    """Region membership by ``Room.contains`` on every allowed room."""
     lo, hi = region.bbox
     if not (lo.x <= p.x <= hi.x and lo.y <= p.y <= hi.y):
         return False
     if not region.constrained:
         return True
-    return (any(point_in_contour(r, p) for r in region.rooms)
+    return (any(r.contains(p) for r in region.rooms)
             or any(x0 <= p.x <= x1 and y0 <= p.y <= y1
                    for x0, y0, x1, y1 in region.rects))
 
@@ -567,8 +568,8 @@ def _reference_motion_valid(region: Region, a: Point2, b: Point2) -> bool:
 def _contour_region(rooms, openings=None) -> Region:
     """A region over bare rooms: a map holding only what containment
     reads, with the bbox one metre around the rooms."""
-    xs = [p.x for r in rooms for p in r.ring]
-    ys = [p.y for r in rooms for p in r.ring]
+    xs = [b for r in rooms for b in (r.bounds[0], r.bounds[2])]
+    ys = [b for r in rooms for b in (r.bounds[1], r.bounds[3])]
     bbox = (Point2(min(xs) - 1.0, min(ys) - 1.0), Point2(max(xs) + 1.0, max(ys) + 1.0))
     scene = SceneGraph(frame="map", bbox=bbox, rooms=tuple(rooms), doorways=())
     sdf = SdfGrid(origin=bbox[0], resolution=0.05, nx=2, ny=2, values=np.zeros((2, 2)))
@@ -580,37 +581,14 @@ def _contour_region(rooms, openings=None) -> Region:
     return Region(gmap, problem)
 
 
-_OFFSETS = (st.sampled_from([0.0, 1e-9, -1e-9, 2e-9, -2e-9, 4e-9, -4e-9, 6e-9, -6e-9])
-            | st.floats(-1e-8, 1e-8) | st.floats(-2.0, 2.0))
-
-
-@st.composite
-def _near(draw, lo: float, hi: float) -> float:
-    """A coordinate on, just beside or away from the interval's ends."""
-    anchor = draw(st.sampled_from([lo, hi, (lo + hi) / 2.0]) | st.floats(lo - 1.0, hi + 1.0))
-    return anchor + draw(_OFFSETS)
-
-
-@st.composite
-def _rectangle_contours(draw) -> Room:
-    """A room over an axis-aligned rectangle at a random scale."""
-    scale = draw(st.sampled_from([1.0, 1e3, 1e6]))
-    x0 = scale * draw(st.floats(-1.0, 1.0))
-    y0 = scale * draw(st.floats(-1.0, 1.0))
-    x1 = x0 + draw(st.floats(0.05, 20.0))
-    y1 = y0 + draw(st.floats(0.05, 20.0))
-    return Room(id="a", center=Point2((x0 + x1) / 2.0, (y0 + y1) / 2.0), walls=(),
-                bounds=(x0, y0, x1, y1))
-
-
 @settings(max_examples=600, deadline=None)
-@given(room=_rectangle_contours(), data=st.data())
-def test_rectangle_containment_equals_ring_test(room, data):
+@given(room=rectangle_rooms(), data=st.data())
+def test_rectangle_containment_equals_room_contains(room, data):
     region = _contour_region([room])
     assert len(region.boxes) == 1
     x0, y0, x1, y1 = region.boxes[0]
-    p = Point2(data.draw(_near(x0, x1)), data.draw(_near(y0, y1)))
-    assert region.contains(p) == point_in_contour(room, p)
+    p = Point2(data.draw(near(x0, x1)), data.draw(near(y0, y1)))
+    assert region.contains(p) == room.contains(p)
 
 
 def test_rectangle_containment_boundary_band():
@@ -623,7 +601,7 @@ def test_rectangle_containment_boundary_band():
                       # the 1e-9 tolerance rounds the corners
                       (Point2(2.0 + 8e-10, 1.0 + 8e-10), False)]:
         assert region.contains(p) is inside
-        assert point_in_contour(room, p) is inside
+        assert room.contains(p) is inside
 
 
 @st.composite
@@ -643,11 +621,11 @@ def _problems(draw, gmap) -> GeometricProblem:
 
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
-def test_grid8_containment_equals_ring_test(grid8_map, data):
+def test_grid8_containment_equals_room_contains(grid8_map, data):
     region = Region(grid8_map, data.draw(_problems(grid8_map)))
     c = data.draw(st.sampled_from(grid8_map.scene.rooms))
-    (x0, y0), _, (x1, y1), _ = c.ring
-    p = Point2(data.draw(_near(x0, x1)), data.draw(_near(y0, y1)))
+    x0, y0, x1, y1 = c.bounds
+    p = Point2(data.draw(near(x0, x1)), data.draw(near(y0, y1)))
     assert region.contains(p) == _reference_contains(region, p)
 
 
@@ -660,7 +638,7 @@ def _state_probes(draw, gmap) -> Point2:
     lo, hi = gmap.scene.bbox
     if kind == "room_edge":
         x0, y0, x1, y1 = draw(st.sampled_from(gmap.scene.rooms)).bounds
-        return Point2(draw(_near(x0, x1)), draw(_near(y0, y1)))
+        return Point2(draw(near(x0, x1)), draw(near(y0, y1)))
     if kind == "clearance":
         # where the field value crosses the clearance, or 1e-12 off it
         x0, y0, x1, y1 = draw(st.sampled_from(gmap.scene.rooms)).bounds
@@ -670,12 +648,12 @@ def _state_probes(draw, gmap) -> Point2:
         return Point2(x, y)
     if kind == "opening" and gmap.openings:
         x0, y0, x1, y1 = gmap.openings[draw(st.sampled_from(sorted(gmap.openings)))]
-        return Point2(draw(_near(x0, x1)), draw(_near(y0, y1)))
+        return Point2(draw(near(x0, x1)), draw(near(y0, y1)))
     if kind == "non_finite":
         bad = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
         ok = draw(st.floats(lo.x, hi.x))
         return draw(st.sampled_from([Point2(bad, ok), Point2(ok, bad), Point2(bad, bad)]))
-    return Point2(draw(_near(lo.x, hi.x)), draw(_near(lo.y, hi.y)))
+    return Point2(draw(near(lo.x, hi.x)), draw(near(lo.y, hi.y)))
 
 
 @pytest.mark.parametrize("name", ["grid8", "ring4", "threeroom"])
@@ -720,7 +698,7 @@ def test_fused_motion_check_equals_pointwise_check(grid8_map, grid8_scene, data)
         # from a room's center to an end point about one clearance from its
         # left wall, where the last interpolated point decides
         c = data.draw(st.sampled_from(grid8_map.scene.rooms))
-        (x0, y0), _, (x1, y1), _ = c.ring
+        x0, y0, x1, y1 = c.bounds
         a = Point2((x0 + x1) / 2.0, (y0 + y1) / 2.0)
         b = Point2(x0 + data.draw(st.floats(CLEARANCE - 0.03, CLEARANCE + 0.03)),
                    data.draw(st.floats(y0 + 0.5, y1 - 0.5)))
@@ -729,7 +707,7 @@ def test_fused_motion_check_equals_pointwise_check(grid8_map, grid8_scene, data)
         # falls at up to sqrt(2) per metre, to about one clearance from
         # both walls
         c = data.draw(st.sampled_from(grid8_map.scene.rooms))
-        (x0, y0), _, (x1, y1), _ = c.ring
+        x0, y0, x1, y1 = c.bounds
         sx, sy = data.draw(st.sampled_from([1.0, -1.0])), data.draw(st.sampled_from([1.0, -1.0]))
         cx, cy = (x0, x1)[sx < 0], (y0, y1)[sy < 0]
         s = data.draw(st.floats(CLEARANCE - 0.03, CLEARANCE + 0.03))
@@ -741,14 +719,14 @@ def test_fused_motion_check_equals_pointwise_check(grid8_map, grid8_scene, data)
         # a long stride from the far side of a room, then a last point whose
         # field value is the clearance, or 1e-12 off it
         c = data.draw(st.sampled_from(grid8_map.scene.rooms))
-        (x0, y0), _, (x1, y1), _ = c.ring
+        x0, y0, x1, y1 = c.bounds
         y = data.draw(st.floats(y0 + 1.0, y1 - 1.0))
         a = Point2(x1 - data.draw(st.floats(0.5, 1.5)), data.draw(st.floats(y0 + 1.0, y1 - 1.0)))
         b = Point2(x0 + CLEARANCE + data.draw(st.sampled_from([-1e-12, 0.0, 1e-12])), y)
     elif kind == "long":
         # between two points of one room, often far apart
         c = data.draw(st.sampled_from(grid8_map.scene.rooms))
-        (x0, y0), _, (x1, y1), _ = c.ring
+        x0, y0, x1, y1 = c.bounds
         a, b = (Point2(data.draw(st.floats(x0, x1)), data.draw(st.floats(y0, y1)))
                 for _ in range(2))
     else:
@@ -768,7 +746,7 @@ def test_stride_toward_every_room_corner(grid8_map):
                                                  goal=Point2(0.0, 0.0)))
     outcomes = set()
     for c in grid8_map.scene.rooms:
-        (x0, y0), _, (x1, y1), _ = c.ring
+        x0, y0, x1, y1 = c.bounds
         for cx, cy, sx, sy in ((x0, y0, 1, 1), (x1, y0, -1, 1),
                                (x1, y1, -1, -1), (x0, y1, 1, -1)):
             for k in range(41):
@@ -837,7 +815,7 @@ def test_coarse_grid_motion_check_equals_pointwise_check(grid8_coarse_map,
     region = Region(grid8_coarse_map, data.draw(_problems(grid8_coarse_map)))
     assert not region.stride
     c = data.draw(st.sampled_from(grid8_coarse_map.scene.rooms))
-    (x0, y0), _, (x1, y1), _ = c.ring
+    x0, y0, x1, y1 = c.bounds
     a, b = (Point2(data.draw(st.floats(x0 - 0.5, x1 + 0.5)),
                    data.draw(st.floats(y0 - 0.5, y1 + 0.5))) for _ in range(2))
     assert region.motion_valid(a, b) == _reference_motion_valid(region, a, b)
@@ -1315,7 +1293,7 @@ def _reference_sample_state(gmap, problem, rng, goal_bias=0.0):
     x0, y0, x1, y1 = chosen.bounds
     for _ in range(64):
         p = Point2(rng.uniform(x0, x1), rng.uniform(y0, y1))
-        if point_in_contour(chosen, p):
+        if chosen.contains(p):
             return p
     return Point2((x0 + x1) / 2.0, (y0 + y1) / 2.0)
 

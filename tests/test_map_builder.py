@@ -1,4 +1,4 @@
-"""Metric map construction: room rings, wall carving, distance field."""
+"""Metric map construction: room boxes, wall carving, distance field."""
 
 from __future__ import annotations
 
@@ -39,32 +39,13 @@ def _scene(rooms, doorways=(), bbox=None) -> SceneGraph:
                       doorways=tuple(doorways))
 
 
-def _shoelace(ring) -> float:
-    area = 0.0
-    for i, p in enumerate(ring):
-        q = ring[(i + 1) % len(ring)]
-        area += p.x * q.y - q.x * p.y
-    return area / 2.0
-
-
 # ---------------------------------------------------------------- contours
-
-
-def test_contour_ring_ccw_from_min_corner():
-    room = rect_room("a", 1.0, 2.0, 5.0, 4.0)
-    assert room.ring == (Point2(1.0, 2.0), Point2(5.0, 2.0),
-                         Point2(5.0, 4.0), Point2(1.0, 4.0))
-    assert _shoelace(room.ring) == pytest.approx(8.0, abs=1e-12)
-    assert _shoelace(room.ring) > 0.0  # counter-clockwise
 
 
 @pytest.mark.parametrize("name", ["threeroom", "ring4", "grid8"])
 def test_contour_is_the_room_box(name):
     for room in load_map(fixture_path(f"{name}.map")).rooms:
-        x0, y0, x1, y1 = room.bounds
         assert _rect_from_walls(room.walls) == room.bounds
-        assert room.ring == (Point2(x0, y0), Point2(x1, y0),
-                             Point2(x1, y1), Point2(x0, y1))
 
 
 def test_contour_degenerate_room():
@@ -112,11 +93,13 @@ def test_point_in_contour(threeroom_scene):
     assert point_in_contour(c, Point2(6.0, 2.0))
     assert point_in_contour(c, Point2(4.0, 0.0))  # corner counts as inside
     assert not point_in_contour(c, Point2(3.9, 2.0))
+    x0, y0, x1, y1 = c.bounds
+    ring = [(x0, y0), (x1, y0), (x1, y1), (x0, y1)]
     rng = random.Random(3)
     lo, hi = threeroom_scene.bbox
     for _ in range(2000):
         p = Point2(rng.uniform(lo.x - 1, hi.x + 1), rng.uniform(lo.y - 1, hi.y + 1))
-        assert point_in_contour(c, p) == winding_contains(c.ring, p)
+        assert point_in_contour(c, p) == winding_contains(ring, p)
 
 
 # ----------------------------------------------------------------- carving

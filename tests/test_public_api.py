@@ -39,13 +39,15 @@ def test_region_is_public():
 @pytest.mark.parametrize("name", ["sample_informed", "informed_axes", "path_from_dict",
                                   "global_path_from_dict", "route_from_dict",
                                   "read_csv", "_Region", "_rectangle", "Contour",
-                                  "contour_from_room"])
+                                  "contour_from_room", "point_in_ring",
+                                  "point_on_segment", "point_segment_distance",
+                                  "EPS", "_RECT_BAND"])
 def test_removed_names_are_gone(name):
     assert name not in semnav.__all__
     assert not hasattr(semnav, name)
     for module in (semnav.geometric_planner, semnav.subproblem_solver,
                    semnav.semantic_planner, semnav.bench_harness,
-                   semnav.map_builder):
+                   semnav.map_builder, semnav.geometry):
         assert not hasattr(module, name), (module.__name__, name)
 
 
@@ -54,6 +56,7 @@ def test_removed_names_are_gone(name):
     (semnav.TopologyGraph, "node_count"), (semnav.TopologyGraph, "edge_count"),
     (semnav.WallSegment, "length"), (semnav.GlobalMap, "contour"),
     (semnav.Region, "room_table"), (semnav.GlobalMap, "contours"),
+    (semnav.Room, "ring"), (semnav.Region, "bands"),
 ])
 def test_removed_attributes_are_gone(owner, name):
     assert not hasattr(owner, name)
@@ -61,9 +64,13 @@ def test_removed_attributes_are_gone(owner, name):
         assert name not in {f.name for f in dataclasses.fields(owner)}
 
 
-def test_room_ring_is_a_property():
-    assert isinstance(semnav.Room.ring, property)
-    assert "ring" not in {f.name for f in dataclasses.fields(semnav.Room)}
+def test_removed_region_attributes_are_gone_from_instances(threeroom_map):
+    # Region sets its attributes in __init__, so the class alone proves nothing
+    region = semnav.Region(threeroom_map, semnav.GeometricProblem(
+        start=semnav.Point2(2.0, 2.0), goal=semnav.Point2(2.0, 2.0),
+        allowed_rooms=frozenset({"r1"})))
+    for name in ("bands", "room_table"):
+        assert not hasattr(region, name)
 
 
 def test_option_lists_are_pinned():

@@ -7,16 +7,20 @@ import importlib.util
 import json
 import math
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semnav import (Doorway, ParseError, Point2, Room, SceneGraph, UnknownId,
                     ValidationError, WallSegment, build_global_map, load_map,
                     locate_room, save_map, set_doorway_blocked, shared_boundary)
 from semnav.cli import main
-from semnav.scene_graph import CLOSURE_TOL, _mid
+from semnav.scene_graph import CLOSURE_TOL, CONTAINMENT_TOL, _mid
 
-from conftest import fixture_path, rect_room
+from conftest import fixture_path, near, rect_room, rectangle_rooms
+from oracles import room_of_point
 
 
 def test_threeroom_fixture_loads(threeroom_scene):
@@ -102,6 +106,72 @@ def test_locate_room_shared_wall_tie_break(threeroom_scene):
     # x = 4 belongs to both r1 and r2; the smaller id wins
     assert locate_room(threeroom_scene, Point2(4.0, 2.0)) == "r1"
     assert locate_room(threeroom_scene, Point2(8.0, 1.0)) == "r2"
+
+
+@pytest.mark.parametrize("p, want", [
+    (Point2(-5e-10, 2.0), "r1"),        # 5e-10 outside r1's outer wall
+    (Point2(6.0, 4.0 + 5e-10), "r2"),   # 5e-10 outside r2's outer wall
+    (Point2(-2e-9, 2.0), None),         # 2e-9 outside: in no room
+    (Point2(4.0 + 5e-10, 2.0), "r1"),   # inside r2, 5e-10 from r1: smaller id
+])
+def test_locate_room_within_the_containment_tolerance(threeroom_scene, p, want):
+    assert locate_room(threeroom_scene, p) == want
+    assert room_of_point(threeroom_scene, p) == want
+
+
+_TOL = Fraction(CONTAINMENT_TOL)
+# how far the float test's rounding can move the distance it compares
+_ROUNDING = 2 * Fraction(math.ulp(CONTAINMENT_TOL))
+
+
+def _box_distance_sq(bounds, p) -> Fraction:
+    """Squared Euclidean distance from ``p`` to the closed box, exactly."""
+    x0, y0, x1, y1 = map(Fraction, bounds)
+    x, y = map(Fraction, p)
+    dx = max(x0 - x, Fraction(0), x - x1)
+    dy = max(y0 - y, Fraction(0), y - y1)
+    return dx * dx + dy * dy
+
+
+@settings(max_examples=1000, deadline=None)
+@given(room=rectangle_rooms(), data=st.data())
+def test_room_contains_is_the_exact_distance_to_the_box(room, data):
+    """``Room.contains(p)`` is True exactly when p lies within
+    ``CONTAINMENT_TOL`` of the closed box, by exact rational distance.
+
+    The float test rounds each per-axis excess and ``math.hypot``, so a
+    point whose exact distance is within two ulps of the tolerance may go
+    either way: for the box (1e-300, 0, 1, 1), x = -1e-9 is at 1e-9 + 1e-300
+    exactly, but ``1e-300 - x`` rounds to 1e-9. Only that window is skipped.
+    """
+    x0, y0, x1, y1 = room.bounds
+    p = Point2(data.draw(near(x0, x1)), data.draw(near(y0, y1)))
+    d2 = _box_distance_sq(room.bounds, p)
+    if (_TOL - _ROUNDING) ** 2 < d2 < (_TOL + _ROUNDING) ** 2:
+        return
+    assert room.contains(p) is (d2 <= _TOL * _TOL)
+
+
+@pytest.mark.parametrize("bounds, p", [
+    # an even-odd ring test with a 1e-9 edge tolerance accepted both: its
+    # segment foot point rounds off the corner. Exact distances are
+    # 1.0000000272e-9 and 1.0000000827e-9.
+    ((0.5633715958020968, -0.42543344878374234, 14.334262611146167, 16.390199186695455),
+     (0.5633715958020968, -0.42543344978374237)),
+    ((-0.5210248314112385, -0.45703099941550995, 12.837713134389205, 10.605088991200565),
+     (-0.5210248324112385, 10.605088991200565)),
+])
+def test_room_contains_rejects_points_just_past_a_corner(bounds, p):
+    room = Room(id="a", center=Point2(1.0, 1.0), walls=(), bounds=bounds)
+    assert _box_distance_sq(bounds, p) > _TOL * _TOL
+    assert room.contains(Point2(*p)) is False
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_room_contains_rejects_non_finite_points(bad):
+    room = Room(id="a", center=Point2(1.0, 0.5), walls=(), bounds=(0.0, 0.0, 2.0, 1.0))
+    for p in (Point2(bad, 0.5), Point2(1.0, bad), Point2(bad, bad)):
+        assert room.contains(p) is False
 
 
 def test_rooms_interior_disjoint(grid8_scene):
