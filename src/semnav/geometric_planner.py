@@ -41,10 +41,12 @@ room, and in a constrained region each allowed doorway opening, gets such a
 box once per field: its box within the bbox, cut in from the sides until its
 nodes pass, then shrunk by ``eps`` (``SdfGrid.certified_box``,
 ``Region.certified``). An opening's box holds the doorway centre at which a
-subproblem starts or ends, so goal connections there need no point either.
-A motion check with both endpoints in one certified box of its region
-returns True at once, and so does a state check in one. Both are still
-charged in full, so no virtual tick, record or digest changes.
+subproblem starts or ends; the wall band keeps it apart from its room's box,
+so a corridor box joins the two. A motion check with both endpoints in one
+certified box returns True at once, and so does a state check in one; in a
+constrained region any other motion check skips the points that the boxes
+holding its endpoints prove. Every check is still charged in full, so no
+virtual tick, record or digest changes.
 
 Budgets come from a pluggable clock. The default "virtual" clock charges
 ticks per primitive operation: one per sample draw, one per 32 points of a
@@ -98,6 +100,8 @@ _SCAN_COLUMNS = 64
 
 CLOCK_VIRTUAL = "virtual"
 CLOCK_WALL = "wall"
+
+_Box = tuple[float, float, float, float]  # x0, y0, x1, y1
 
 
 @dataclass(frozen=True)
@@ -187,11 +191,10 @@ class Region:
     Bundles the allowed rooms (those of ``gmap.scene.rooms`` that
     ``allowed_rooms`` names, in scene order), the allowed doorway opening
     rectangles and the clearance threshold so the hot loop does no per-call
-    filtering.
-    The module-level ``state_valid``, ``motion_valid`` and ``sample_state``
-    build a fresh region on every call; a caller that checks or samples
-    many states of one problem should build one ``Region`` and call its
-    methods.
+    filtering. The module-level ``state_valid``, ``motion_valid`` and
+    ``sample_state`` build a fresh region on every call; a caller that
+    checks or samples many states of one problem should build one
+    ``Region`` and call its methods.
 
     ``sample`` draws uniformly from the allowed rooms' boxes, each picked
     with probability proportional to its area. ``sample_informed`` draws
@@ -219,22 +222,20 @@ class Region:
     condition ``c - eps > w + sqrt(2) * res``, evaluated once from the
     grid's recorded band bound ``w``; without it, and after a point that
     needed ``_edge_or_opening``, every point is evaluated. ``eps`` grows
-    with the coordinate magnitude and with the grid
-    size, to cover rounding in the points, in ``f`` and in the node values.
+    with the coordinate magnitude and with the grid size, to cover rounding
+    in the points, in ``f`` and in the node values.
 
     Before any point, ``_motion_valid`` tests the endpoints against the
-    ``certified`` boxes: the allowed rooms' and openings' for a constrained
-    region, every room's otherwise. When both lie in one box, every
-    interpolated point is valid (module docstring) and the check returns
-    True without ``_walk`` evaluating one. The boxes use the same ``eps``:
-    the threshold is ``c + eps``, and
-    each box is the grid's ``certified_box`` shrunk by ``eps``, so the
-    rounding of the interpolated coordinates cannot carry a point out of
-    the node window, the room's half-open box or the bbox, and the bilinear
-    sum's rounding cannot pull a value of at least ``c + eps`` below ``c``.
-    Callers still charge every point, so virtual ticks are unchanged. Once
-    the boxes are built (``plan`` builds them first), ``valid`` answers True
-    in them too; a region that only checks states never builds them.
+    ``certified`` boxes (the allowed rooms', openings' and corridors', or
+    every room's when unconstrained): both in the first box holding ``a``
+    prove every point (module docstring); otherwise ``_walk`` skips, when
+    constrained, the points the boxes holding an endpoint prove. Each is the
+    grid's ``certified_box`` at ``c + eps`` shrunk by ``eps``, so rounding
+    can neither carry an interpolated point out of the node window, the
+    room's half-open box or the bbox, nor pull a value of at least
+    ``c + eps`` below ``c``. Callers still charge every point. Once built
+    (``plan`` builds them first), the boxes answer ``valid`` too; a region
+    that only checks states never builds them.
     """
 
     def __init__(self, gmap: GlobalMap, problem: GeometricProblem):
@@ -246,7 +247,7 @@ class Region:
         self.constrained = problem.allowed_rooms is not None
         self._allowed = frozenset(problem.allowed_rooms) if self.constrained else None
         self.rooms: tuple[Room, ...] = ()
-        self.rects: tuple[tuple[float, float, float, float], ...] = ()
+        self.rects: tuple[_Box, ...] = ()
         if self.constrained:
             self.rooms = tuple(r for r in gmap.scene.rooms
                                if r.id in problem.allowed_rooms)
@@ -301,16 +302,16 @@ class Region:
         return c_min, (start.x + goal.x) / 2.0, (start.y + goal.y) / 2.0, ux, uy
 
     @cached_property
-    def certified(self) -> tuple[tuple[float, float, float, float], ...]:
+    def certified(self) -> tuple[_Box, ...]:
         """Closed boxes in which a motion check with both endpoints in one
         box passes without evaluating a point: per allowed room (every room
         of the map when unconstrained), then per allowed doorway opening
         (``rects``, part of the region), the grid's certified box of its box
-        within the bbox at ``clearance + eps``, shrunk by ``eps``. Built
-        once per map, allowed rooms, openings and clearance; none for a
-        threshold that is not positive (a NaN clearance would never find
-        its key again).
-        """
+        within the bbox at ``clearance + eps``, shrunk by ``eps``; then the
+        same for the ``_corridor`` of each certified opening and room, so
+        ``certified[0]`` stays a room's box. Built once per map, allowed
+        rooms, openings and clearance; none for a threshold that is not
+        positive (a NaN clearance would never find its key again)."""
         if not self.clearance + self.stride_eps > 0.0:
             return ()
         key = (self._allowed, self.clearance, self.rects)
@@ -320,21 +321,28 @@ class Region:
         self._held = boxes
         return boxes
 
-    def _build_certified(self) -> tuple[tuple[float, float, float, float], ...]:
+    def _build_certified(self) -> tuple[_Box, ...]:
         grid = self.gmap.sdf
         eps = self.stride_eps
         threshold = self.clearance + eps
         lo, hi = self.bbox
-        boxes = []
-        rooms = self.rooms if self.constrained else self.gmap.scene.rooms
-        for x0, y0, x1, y1 in [r.bounds for r in rooms] + list(self.rects):
+
+        def certify(x0, y0, x1, y1):
             box = grid.certified_box((max(x0, lo.x), max(y0, lo.y),
                                       min(x1, hi.x), min(y1, hi.y)), threshold)
             if box is not None:
                 x0, y0, x1, y1 = box[0] + eps, box[1] + eps, box[2] - eps, box[3] - eps
                 if x0 <= x1 and y0 <= y1:
-                    boxes.append((x0, y0, x1, y1))
-        return tuple(boxes)
+                    return x0, y0, x1, y1
+            return None
+
+        rooms = self.rooms if self.constrained else self.gmap.scene.rooms
+        room_boxes = [(r.bounds, certify(*r.bounds)) for r in rooms]
+        opening_boxes = [(o, certify(*o)) for o in self.rects]
+        corridors = [certify(*c) for o, obox in opening_boxes if obox is not None
+                     for r, rbox in room_boxes if rbox is not None
+                     if (c := _corridor(r, rbox, o, obox, grid.resolution)) is not None]
+        return tuple(filter(None, [box for _, box in room_boxes + opening_boxes] + corridors))
 
     @cached_property
     def _valid_frame(self) -> tuple:
@@ -348,11 +356,14 @@ class Region:
 
     @cached_property
     def _motion_frame(self) -> tuple:
-        """The locals of ``_motion_valid``: those of ``valid`` with the
-        stride boxes for the room boxes, then the stride's."""
+        """The locals of ``_walk``: those of ``valid`` with the stride boxes
+        for the room boxes, then the stride's and the boxes the walk skips
+        by: none unconstrained, where each is a room's whose points the
+        stride mostly skips, so scanning them cost more than it saved."""
         f = self._valid_frame
         return (f[:5] + (self.stride_boxes,) + f[6:]
-                + (self.stride, self.clearance + self.stride_eps) + self.inner)
+                + (self.stride, self.clearance + self.stride_eps) + self.inner
+                + (self.certified if self.constrained else (),))
 
     @property
     def free_area(self) -> float:
@@ -507,23 +518,34 @@ class Region:
         return self._walk(a, b, n, length)
 
     def _walk(self, a: Point2, b: Point2, n: int, length: float) -> bool:
-        """The point-by-point part of ``_motion_valid``."""
+        """The point-by-point part of ``_motion_valid``, less, when constrained,
+        the points up to the ``_reach`` of ``a`` and from ``n`` less that of
+        ``b`` back, which the endpoints' ``certified`` boxes prove (a doorway
+        centre lies first in its opening's box, but its corridor's reaches
+        into the room). The rounding argument is the stride's: every box is
+        shrunk by ``eps``. It needs no ``stride`` condition."""
         ax, ay = a
         bx, by = b
         (bx0, by0, bx1, by1, constrained, boxes, clearance, v, ox, oy, res, nx,
          fx_max, fy_max, i_max, j_max, stride, c_eps,
-         lx, ly, hx, hy) = self._motion_frame
+         lx, ly, hx, hy, certified) = self._motion_frame
         dx = bx - ax
         dy = by - ay
-        # stride factors: points per unit of field value above the clearance
-        # and per unit of box margin along each axis
+        # points per unit of box margin along each axis
+        kx = n / abs(dx) if dx != 0.0 else math.inf
+        ky = n / abs(dy) if dy != 0.0 else math.inf
+        k, last = 0, n
+        # a NaN endpoint leaves a NaN factor, which would bound nothing
+        if certified and not (math.isnan(dx) or math.isnan(dy)):
+            k = math.floor(_reach(certified, ax, ay, dx, dy, kx, ky, n)) + 1
+            last = n - math.floor(_reach(certified, bx, by, -dx, -dy, kx, ky, n)) - 1
+            if k > last:
+                return True
+        # stride factor: points per unit of field value above the clearance
         if stride:
             kf = n / (_SQRT2 * length) if length > 0.0 else math.inf
             stride = kf < math.inf
-            kx = n / abs(dx) if dx != 0.0 else math.inf
-            ky = n / abs(dy) if dy != 0.0 else math.inf
-        k = 0
-        while k <= n:
+        while k <= last:
             t = k / n
             x = ax + dx * t
             y = ay + dy * t
@@ -629,6 +651,45 @@ def _lower_best(noted: list[int], goal_dist: dict[int, float],
     return best_cost, best_node
 
 
+def _corridor(room: _Box, room_box: _Box, opening: _Box, opening_box: _Box,
+              res: float) -> _Box | None:
+    """The rectangle of ``opening_box``'s lateral extent from its far side to
+    one cell inside ``room_box`` when the ``opening`` straddles a wall of
+    the ``room`` within its extent, else None. Its points lie in the room's
+    box or in the opening, so it is part of a region allowing both."""
+    (rx0, ry0, rx1, ry1), (ox0, oy0, ox1, oy1) = room, opening
+    (x0, y0, x1, y1), (bx0, by0, bx1, by1) = opening_box, room_box
+    if ry0 <= oy0 and oy1 <= ry1:
+        if ox0 < rx1 < ox1:
+            return max(bx1 - res, bx0), y0, x1, y1
+        if ox0 < rx0 < ox1:
+            return x0, y0, min(bx0 + res, bx1), y1
+    if rx0 <= ox0 and ox1 <= rx1:
+        if oy0 < ry1 < oy1:
+            return x0, max(by1 - res, by0), x1, y1
+        if oy0 < ry0 < oy1:
+            return x0, y0, x1, min(by0 + res, by1)
+    return None
+
+
+def _reach(boxes: tuple[_Box, ...], x: float, y: float, dx: float, dy: float,
+           kx: float, ky: float, n: int) -> float:
+    """The index, at most ``n``, up to which a walk from (x, y) along (dx,
+    dy), ``kx`` and ``ky`` points per unit of each axis, stays in the box
+    holding (x, y) that reaches farthest; -1.0 when none holds it. The
+    margins are the stride's: a NaN one (0 * inf) bounds nothing, and a
+    box with two (a point of no length on its corner) proves nothing."""
+    best = -1.0
+    for x0, y0, x1, y1 in boxes:
+        if x0 <= x <= x1 and y0 <= y <= y1:
+            s = ((x1 - x) if dx > 0.0 else (x - x0)) * kx
+            g = ((y1 - y) if dy > 0.0 else (y - y0)) * ky
+            if g < s or math.isnan(s):
+                s = g
+            best = max(best, s)
+    return min(best, n)
+
+
 def _stride_eps(grid: SdfGrid, bbox: tuple[Point2, Point2], clearance: float) -> float:
     """Slack a motion check's stride and its certified boxes keep from the
     clearance and from the box edges. It covers the rounding of the
@@ -700,12 +761,15 @@ def plan(gmap: GlobalMap, problem: GeometricProblem, config: PlannerConfig,
     check fails moves on to the next without a call, so the calls can skip
     iteration numbers and need not add up to ``stats.iterations``.
 
-    The tree's coordinates live in one ``(2, cap)`` block whose unused
-    columns hold inf (never the first-minimum ``argmin``, never within the
-    radius), so a neighbour scan is four ufuncs into fixed views over whole
-    ``_SCAN_COLUMNS``. Ticks and counters are local ints until the end;
-    the best solution is updated from the solutions that joined or got
-    cheaper (costs only fall). None of this moves a float, draw or tick.
+    The tree's coordinates live in one complex array ``zs`` whose unused
+    entries hold ``complex(inf, inf)`` (never the first-minimum ``argmin``,
+    never within the radius), so a neighbour scan is three ufuncs into fixed
+    views over whole ``_SCAN_COLUMNS``: subtract the query point (complex
+    subtraction is componentwise), square the difference's float64 view,
+    add its strided real and imaginary halves. That is ``(x - px) ** 2 +
+    (y - py) ** 2`` bit for bit. Ticks and counters are local ints until
+    the end; the best solution is updated from the solutions that joined or
+    got cheaper (costs only fall). None of this moves a float, draw or tick.
     """
     config.validate()
     region = Region(gmap, problem)
@@ -764,24 +828,24 @@ def plan(gmap: GlobalMap, problem: GeometricProblem, config: PlannerConfig,
         if motion_ok(start, goal, d0):
             return finish(GeometricPath.from_waypoints((start, goal)))
 
-    # flat tree storage; the coordinates also in the padded block, the
-    # costs in cs, for the neighbour scans into diff, d2buf and maskbuf
+    # flat tree storage; the coordinates also in the padded complex zs,
+    # the costs in cs, for the neighbour scans into diff, d2buf and maskbuf
     cap = 256
-    block = np.full((2, cap), math.inf)
-    block[:, 0] = start
-    xs, ys = block
+    pad = complex(math.inf, math.inf)
+    zs = np.full(cap, pad)
+    zs[0] = complex(start.x, start.y)
     cs = np.empty(cap)
     cs[0] = 0.0
-    diff, d2buf, maskbuf = np.empty(2 * cap), np.empty(cap), np.empty(cap, dtype=bool)
+    diff, d2buf, maskbuf = np.empty(cap, complex), np.empty(cap), np.empty(cap, bool)
 
     def views(span: int) -> tuple:
-        """Views of the first ``span`` columns: the block's rows, the
-        squared terms (one contiguous block) and its rows, d2, the mask."""
-        dxy = diff[:2 * span].reshape(2, span)
-        return block[0, :span], block[1, :span], dxy, dxy[0], dxy[1], d2buf[:span], maskbuf[:span]
+        """Views of the first ``span`` entries: zs, the differences, their
+        float64 view and its real and imaginary halves, d2, the mask."""
+        dxy = diff[:span].view(np.float64)
+        return zs[:span], diff[:span], dxy, dxy[0::2], dxy[1::2], d2buf[:span], maskbuf[:span]
 
     span = _SCAN_COLUMNS
-    xv, yv, dxy, dx, dy, d2, mask = views(span)
+    zv, dz, dxy, dx, dy, d2, mask = views(span)
     pts: list[Point2] = [start]
     parent: list[int] = [-1]
     cost: list[float] = [0.0]
@@ -837,11 +901,10 @@ def plan(gmap: GlobalMap, problem: GeometricProblem, config: PlannerConfig,
             if sample_hook is not None:
                 sample_hook(sample, None)
 
-        # ----- nearest neighbour: d2 = (xs - x) ** 2 + (ys - y) ** 2
+        # ----- nearest neighbour: d2 = (x - px) ** 2 + (y - py) ** 2 over zs
         n = len(pts)
         ticks += 1 + (n >> 5)
-        np.subtract(xv, sample.x, out=dx)
-        np.subtract(yv, sample.y, out=dy)
+        np.subtract(zv, complex(sample.x, sample.y), out=dz)
         np.multiply(dxy, dxy, out=dxy)
         np.add(dx, dy, out=d2)
         nearest = int(d2.argmin())
@@ -878,8 +941,7 @@ def plan(gmap: GlobalMap, problem: GeometricProblem, config: PlannerConfig,
             ticks += 1 + (n >> 5)
             if new_pt is not sample:
                 # d2 is dead: the neighbourhood scan reuses it
-                np.subtract(xv, new_pt.x, out=dx)
-                np.subtract(yv, new_pt.y, out=dy)
+                np.subtract(zv, complex(new_pt.x, new_pt.y), out=dz)
                 np.multiply(dxy, dxy, out=dxy)
                 np.add(dx, dy, out=d2)
             near = np.less_equal(d2, radius * radius, out=mask).nonzero()[0]
@@ -899,14 +961,12 @@ def plan(gmap: GlobalMap, problem: GeometricProblem, config: PlannerConfig,
         if new_idx >= span:
             span += _SCAN_COLUMNS
             if span > cap:
-                block = np.hstack((block, np.full((2, cap), math.inf)))
+                zs = np.concatenate((zs, np.full(cap, pad)))
                 cap *= 2
-                xs, ys = block
                 cs = np.resize(cs, cap)
-                diff, d2buf, maskbuf = np.empty(2 * cap), np.empty(cap), np.empty(cap, dtype=bool)
-            xv, yv, dxy, dx, dy, d2, mask = views(span)
-        xs[new_idx] = new_pt.x
-        ys[new_idx] = new_pt.y
+                diff, d2buf, maskbuf = np.empty(cap, complex), np.empty(cap), np.empty(cap, bool)
+            zv, dz, dxy, dx, dy, d2, mask = views(span)
+        zs[new_idx] = complex(new_pt.x, new_pt.y)
         cs[new_idx] = parent_cost
         if parent_cost > cmax:
             cmax = parent_cost

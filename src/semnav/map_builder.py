@@ -615,33 +615,41 @@ def _clear_window(good: np.ndarray) -> tuple[int, int, int, int] | None:
     bands usually bound them on every side, and a doorway gap crosses at
     most some of them. Then each round drops the outer line of the side(s)
     with the most False nodes on it; when only inner nodes are False, the
-    side that keeps the most nodes cuts in past all of them."""
-    r0, c0 = 0, 0
+    side that keeps the most nodes cuts in past all of them. If that keeps
+    no cell (a narrow opening's long sides can hold more False nodes than
+    its short sides have nodes), the rounds rerun on the whole window by
+    each side's share of False nodes."""
     r1, c1 = good.shape[0] - 1, good.shape[1] - 1
     rows = good[[r1 // 4, r1 // 2, 3 * r1 // 4]]
     cols = good[:, [c1 // 4, c1 // 2, 3 * c1 // 4]].T
     # a probe without a True node bounds nothing: its argmax is 0 both ways
     first_c, last_c = rows.argmax(axis=1).max(), c1 - rows[:, ::-1].argmax(axis=1).max()
     first_r, last_r = cols.argmax(axis=1).max(), r1 - cols[:, ::-1].argmax(axis=1).max()
-    if first_c < last_c and first_r < last_r:
-        r0, r1, c0, c1 = int(first_r), int(last_r), int(first_c), int(last_c)
-    while r0 < r1 and c0 < c1:
-        w = good[r0:r1 + 1, c0:c1 + 1]
-        low = (w.shape[1] - np.count_nonzero(w[0]), w.shape[1] - np.count_nonzero(w[-1]),
-               w.shape[0] - np.count_nonzero(w[:, 0]), w.shape[0] - np.count_nonzero(w[:, -1]))
-        worst = max(low)
-        if worst:
-            top, bottom, left, right = (n == worst for n in low)
-            r0, r1, c0, c1 = r0 + top, r1 - bottom, c0 + left, c1 - right
-            continue
-        if w.all():
-            return r0, r1, c0, c1
-        rows, cols = np.nonzero(~w)
-        rows_lo, rows_hi = r0 + int(rows.min()), r0 + int(rows.max())
-        cols_lo, cols_hi = c0 + int(cols.min()), c0 + int(cols.max())
-        cuts = [(r0, rows_lo - 1, c0, c1), (rows_hi + 1, r1, c0, c1),
-                (r0, r1, c0, cols_lo - 1), (r0, r1, cols_hi + 1, c1)]
-        r0, r1, c0, c1 = max(cuts, key=lambda c: (c[1] - c[0] + 1) * (c[3] - c[2] + 1))
+    whole = (0, r1, 0, c1)
+    probed = ((int(first_r), int(last_r), int(first_c), int(last_c))
+              if first_c < last_c and first_r < last_r else whole)
+    for (r0, r1, c0, c1), share in ((probed, False), (whole, True)):
+        while r0 < r1 and c0 < c1:
+            w = good[r0:r1 + 1, c0:c1 + 1]
+            h, n = w.shape
+            low = (n - np.count_nonzero(w[0]), n - np.count_nonzero(w[-1]),
+                   h - np.count_nonzero(w[:, 0]), h - np.count_nonzero(w[:, -1]))
+            if share:
+                low = (low[0] / n, low[1] / n, low[2] / h, low[3] / h)
+            worst = max(low)
+            if worst:
+                top, bottom, left, right = (k == worst for k in low)
+                r0, r1, c0, c1 = r0 + top, r1 - bottom, c0 + left, c1 - right
+                continue
+            if w.all():
+                # Python ints: numpy scalars would leak into the box's floats
+                return int(r0), int(r1), int(c0), int(c1)
+            rows, cols = np.nonzero(~w)
+            rows_lo, rows_hi = r0 + int(rows.min()), r0 + int(rows.max())
+            cols_lo, cols_hi = c0 + int(cols.min()), c0 + int(cols.max())
+            cuts = [(r0, rows_lo - 1, c0, c1), (rows_hi + 1, r1, c0, c1),
+                    (r0, r1, c0, cols_lo - 1), (r0, r1, cols_hi + 1, c1)]
+            r0, r1, c0, c1 = max(cuts, key=lambda c: (c[1] - c[0] + 1) * (c[3] - c[2] + 1))
     return None
 
 

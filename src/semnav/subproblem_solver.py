@@ -209,7 +209,9 @@ def _same_field(a: GlobalMap, b: GlobalMap, problem: GeometricProblem) -> bool:
     containment: in an allowed room's half-open box, within its fallback
     band of the closed box, or in an allowed opening. So a run reads no
     node outside those windows, and the certified boxes are cut from nodes
-    inside them; they only short-circuit answers that are True anyway.
+    inside them; they only short-circuit answers that are True anyway. A
+    corridor box lies inside its room's box together with its opening, so
+    its node window lies inside the union of their windows.
     """
     if a is b:
         return True

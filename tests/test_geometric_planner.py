@@ -21,9 +21,12 @@ from semnav import (CarvedWalls, Doorway, EmptyRegion, GeometricPath,
                     SdfGrid, build_global_map, build_topology, decompose, load_map,
                     motion_valid, path_to_dict, plan, sample_state, sdf_query,
                     semantic_route, state_valid)
+from semnav import map_builder
+from semnav.bench_harness import MODE_IRRT_SG_SPS, BenchConfig, run_bench
 from semnav.geometric_planner import _cheapest, _informed_axes, _lower_best, _may_rewire
 from semnav.geometry import dist
 from semnav.rng import make_stream
+from semnav.subproblem_solver import _window
 
 from conftest import fixture_path, near, rect_room, rectangle_rooms
 from oracles import dense_path_clear, ellipse_contains, min_wall_distance, path_in_region
@@ -894,38 +897,41 @@ def test_motion_valid_rejects_non_finite_endpoints(threeroom_map, bad):
 # ------------------------------------------------- certified motion checks
 
 
+def _box_point(draw, box, region, out: bool) -> Point2:
+    """A point of the closed ``box`` (its corners and edges included), or
+    with ``out`` one just outside it: one ulp up to two cells past an edge."""
+    x0, y0, x1, y1 = box
+    p = Point2(draw(st.sampled_from([x0, x1]) | st.floats(x0, x1)),
+               draw(st.sampled_from([y0, y1]) | st.floats(y0, y1)))
+    if not out:
+        return p
+    res = region.gmap.sdf.resolution
+    side = draw(st.integers(0, 3))
+    edge = box[side]
+    away = -math.inf if side < 2 else math.inf
+    step = draw(st.sampled_from([0.0, 1e-12, 1e-9, region.stride_eps,
+                                 res / 2.0, res, 2.0 * res]))
+    moved = math.nextafter(edge, away) + math.copysign(step, away)
+    return Point2(moved, p.y) if side % 2 == 0 else Point2(p.x, moved)
+
+
 @st.composite
 def _certified_segments(draw, region):
     """(a, b, kind): a segment with both endpoints in one certified box
     (its corners and edges included), across the box's edge, with an
     endpoint just outside it (one ulp up to two cells), or with a
     non-finite endpoint."""
-    x0, y0, x1, y1 = draw(st.sampled_from(region.certified))
-    res = region.gmap.sdf.resolution
-
-    def inside():
-        return Point2(draw(st.sampled_from([x0, x1]) | st.floats(x0, x1)),
-                      draw(st.sampled_from([y0, y1]) | st.floats(y0, y1)))
-
-    def outside():
-        p = inside()
-        side = draw(st.integers(0, 3))
-        edge = (x0, y0, x1, y1)[side]
-        away = -math.inf if side < 2 else math.inf
-        step = draw(st.sampled_from([0.0, 1e-12, 1e-9, region.stride_eps,
-                                     res / 2.0, res, 2.0 * res]))
-        out = math.nextafter(edge, away) + math.copysign(step, away)
-        return Point2(out, p.y) if side % 2 == 0 else Point2(p.x, out)
-
+    box = draw(st.sampled_from(region.certified))
+    x0, y0, x1, y1 = box
     kind = draw(st.sampled_from(["inside", "across", "outside", "non_finite"]))
-    a = inside()
+    a = _box_point(draw, box, region, False)
     if kind == "inside":
-        b = inside()
+        b = _box_point(draw, box, region, False)
     elif kind == "across":
         b = Point2(draw(st.floats(x0 - 1.0, x1 + 1.0)), draw(st.floats(y0 - 1.0, y1 + 1.0)))
     elif kind == "outside":
-        a = draw(st.sampled_from([a, outside()]))
-        b = outside()
+        a = draw(st.sampled_from([a, _box_point(draw, box, region, True)]))
+        b = _box_point(draw, box, region, True)
     else:
         bad = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
         b = draw(st.sampled_from([Point2(bad, a.y), Point2(a.x, bad), Point2(bad, bad)]))
@@ -935,15 +941,26 @@ def _certified_segments(draw, region):
 
 
 # The doorway openings whose box certified_box cuts a clear core from at
-# the default clearance. ring4's d12 and d41 and threeroom's d1 have the
-# same field around them as the others, but their node windows fall so
-# that the cut-in takes their long sides first and keeps no cell.
+# the default clearance: all of them. ring4's d12 and d41 and threeroom's d1
+# have node windows whose long sides hold more False nodes than the short
+# sides have nodes; the cut by share that follows a failed cut keeps them.
 _CERTIFIED_OPENINGS = {
     "grid8": frozenset({"d12", "d15", "d23", "d26", "d34", "d37", "d48", "d56",
                         "d67", "d78"}),
-    "ring4": frozenset({"d23", "d34"}),
-    "threeroom": frozenset({"d2"}),
+    "ring4": frozenset({"d12", "d23", "d34", "d41"}),
+    "threeroom": frozenset({"d1", "d2"}),
 }
+
+
+def _expected_box_count(gmap, name, problem) -> int:
+    """Rooms, certified openings, and a corridor per certified opening and
+    allowed room of its doorway (each opening straddles its rooms' wall)."""
+    if problem.allowed_rooms is None:
+        return len(gmap.scene.rooms)
+    rooms = {r.id for r in gmap.scene.rooms} & problem.allowed_rooms
+    doors = _CERTIFIED_OPENINGS[name] & (problem.allowed_doorways or frozenset())
+    return len(rooms) + len(doors) + sum(len(rooms & set(gmap.scene.doorway(d).rooms))
+                                         for d in doors)
 
 
 @pytest.mark.parametrize("name", ["grid8", "ring4", "threeroom"])
@@ -954,10 +971,9 @@ def test_certified_motion_check_equals_pointwise_check(fixture_maps, name, data)
     problem = data.draw(_problems(gmap))
     region = Region(gmap, problem)
     # every room of the fixtures has a clear core, and so do the openings
-    # of _CERTIFIED_OPENINGS, which then get a box each
-    doors = problem.allowed_doorways or frozenset()
-    assert len(region.certified) == (len(region.rooms or gmap.scene.rooms)
-                                     + len(_CERTIFIED_OPENINGS[name] & doors))
+    # of _CERTIFIED_OPENINGS, which then get a box each, and a corridor box
+    # per allowed room of their doorway
+    assert len(region.certified) == _expected_box_count(gmap, name, problem)
     a, b, kind = data.draw(_certified_segments(region))
     got = region.motion_valid(a, b)
     if kind == "non_finite":
@@ -1005,7 +1021,8 @@ def test_every_grid8_subproblem_certifies_its_doorway_centres(grid8_scene, grid8
                 problem = sub.to_problem()
                 region = Region(grid8_map, problem)
                 tol = problem.goal_tolerance
-                assert len(region.certified) == 1 + len(region.rects)
+                # the room, each opening, and a corridor per opening
+                assert len(region.certified) == 1 + 2 * len(region.rects)
                 for d in problem.allowed_doorways:
                     cx, cy = grid8_scene.doorway(d).center
                     assert any(x0 <= cx - tol and cx + tol <= x1
@@ -1014,6 +1031,117 @@ def test_every_grid8_subproblem_certifies_its_doorway_centres(grid8_scene, grid8
                     assert region.valid(Point2(cx, cy))
                     seen += 1
     assert seen > 100
+
+
+@st.composite
+def _doorway_problems(draw, gmap) -> GeometricProblem:
+    """A doorway's opening with one or both of its rooms, and perhaps more
+    rooms and doorways: its region has room, opening and corridor boxes."""
+    d = draw(st.sampled_from(gmap.scene.doorways))
+    rooms = draw(st.sampled_from([d.rooms, d.rooms[:1], d.rooms[1:]]))
+    more_rooms = draw(st.lists(st.sampled_from([r.id for r in gmap.scene.rooms])))
+    more_doors = draw(st.lists(st.sampled_from(sorted(gmap.openings))))
+    origin = Point2(0.0, 0.0)
+    return GeometricProblem(start=origin, goal=origin,
+                            allowed_rooms=frozenset(rooms) | frozenset(more_rooms),
+                            allowed_doorways=frozenset({d.id}) | frozenset(more_doors))
+
+
+@pytest.mark.parametrize("name", ["grid8", "ring4", "threeroom"])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_walk_between_two_certified_boxes_equals_pointwise_check(fixture_maps, name, data):
+    # The walk skips the points that the boxes holding its endpoints prove:
+    # endpoints in two different boxes (room, opening, corridor), on their
+    # edges, or one ulp up to two cells outside them.
+    gmap = fixture_maps[name]
+    region = Region(gmap, data.draw(_doorway_problems(gmap)))
+    boxes = region.certified
+    i = data.draw(st.integers(0, len(boxes) - 1))
+    j = data.draw(st.integers(0, len(boxes) - 2))
+    j += j >= i
+    a = _box_point(data.draw, boxes[i], region, data.draw(st.booleans()))
+    b = _box_point(data.draw, boxes[j], region, data.draw(st.booleans()))
+    assert region.motion_valid(a, b) == _reference_motion_valid(region, a, b)
+
+
+def _node_mask(grid, boxes) -> np.ndarray:
+    """The nodes of the grid inside the ``_window`` of any of ``boxes``."""
+    mask = np.zeros(grid.values.shape, dtype=bool)
+    for box in boxes:
+        mask[_window(grid, box)] = True
+    return mask
+
+
+def test_grid8_corridor_boxes_join_their_opening_and_room(grid8_scene, grid8_map):
+    # Each corridor box overlaps its opening's box and its room's box, so a
+    # walk from a doorway centre into the room is proven by two boxes; and
+    # every certified box reads only nodes of the room's and openings'
+    # windows, which is all that _same_field compares.
+    topo = build_topology(grid8_scene)
+    grid = grid8_map.sdf
+    seen = 0
+    for a in grid8_scene.rooms:
+        for b in grid8_scene.rooms:
+            if a is b:
+                continue
+            route = semantic_route(topo, grid8_scene, a.center, b.center)
+            for sub in decompose(route, grid8_scene):
+                region = Region(grid8_map, sub.to_problem())
+                k = len(region.rects)
+                room, openings, corridors = (region.certified[0], region.certified[1:1 + k],
+                                             region.certified[1 + k:])
+                assert len(corridors) == k
+                for corridor, opening in zip(corridors, openings):
+                    for other in (room, opening):
+                        assert (max(corridor[0], other[0]) < min(corridor[2], other[2])
+                                and max(corridor[1], other[1]) < min(corridor[3], other[3]))
+                    seen += 1
+                mask = _node_mask(grid, [r.bounds for r in region.rooms] + list(region.rects))
+                for box in region.certified:
+                    i0, i1, j0, j1 = map_builder._node_window(grid, box)
+                    assert mask[j0:j1 + 2, i0:i1 + 2].all()
+    assert seen > 100
+
+
+def test_certified_walks_evaluate_fewer_points(monkeypatch):
+    # A counting guard, not a timing test: over 10 grid8 irrt_sg_sps
+    # queries (seed 1) the walks and their field lookups are counted. Before
+    # the corridor boxes and the skip, 4574 walks ran and all evaluated
+    # points, 21907 of them; with both, 3851 walks run, 2673 evaluate a
+    # point and 9429 points are evaluated. A skip by the first box holding
+    # an endpoint, not the one reaching farthest, evaluates points in 3270
+    # walks, 11015 in all. Every count is deterministic.
+    reads = [0]
+
+    class Counting:
+        def __init__(self, values):
+            self.values = values
+
+        def __getitem__(self, m):
+            reads[0] += 1
+            return self.values[m]
+
+    flat_values = SdfGrid.flat_values
+    monkeypatch.setattr(SdfGrid, "flat_values",
+                        property(lambda grid: Counting(flat_values.fget(grid))))
+    walks = []
+    walk = Region._walk
+
+    def counted(self, a, b, n, length):
+        before = reads[0]
+        out = walk(self, a, b, n, length)
+        walks.append((reads[0] - before) // 4)
+        return out
+
+    monkeypatch.setattr(Region, "_walk", counted)
+    config = BenchConfig(map_path=fixture_path("grid8.map"), modes=(MODE_IRRT_SG_SPS,),
+                         n_queries=10, seed=1)
+    records = run_bench(config, workers=1)
+    assert all(r.solved for r in records)
+    assert len(walks) < 4200
+    assert sum(1 for points in walks if points) < 3000
+    assert sum(walks) < 10000
 
 
 def test_state_checks_alone_build_no_certified_boxes(grid8_scene):
