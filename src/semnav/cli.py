@@ -34,17 +34,6 @@ log = logging.getLogger("semnav")
 _LOG_LEVELS = {"error": logging.ERROR, "warn": logging.WARNING,
                "info": logging.INFO, "debug": logging.DEBUG}
 
-# scene content problems and planning failures: exit 1
-_DOMAIN_ERRORS = (errors.ValidationError, errors.UnknownId,
-                  errors.DegenerateRoom, errors.DoorwayPlacement,
-                  errors.EmptyMap, errors.OutOfBounds, errors.NotIncident,
-                  errors.StartOutsideMap, errors.GoalOutsideMap,
-                  errors.NoRoute, errors.EmptyRegion, errors.InvalidStart,
-                  errors.InvalidGoal, errors.SubproblemInfeasible,
-                  errors.EmptyInput)
-# malformed input files and filesystem trouble: exit 2
-_USAGE_ERRORS = (errors.ParseError, OSError, ValueError)
-
 
 def _setup_logging() -> None:
     level = _LOG_LEVELS.get(os.environ.get("SNAV_LOG", "warn").lower(),
@@ -274,12 +263,14 @@ def main(argv: list[str] | None = None) -> int:
                 "bench": cmd_bench, "render": cmd_render}
     try:
         return handlers[args.command](args)
-    except _DOMAIN_ERRORS as exc:
-        print(f"error: {exc.__class__.__name__}: {exc}", file=sys.stderr)
-        return 1
-    except _USAGE_ERRORS as exc:
+    except (errors.ParseError, OSError, ValueError) as exc:
+        # malformed input files and filesystem trouble
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except errors.SemNavError as exc:
+        # scene content problems and planning failures
+        print(f"error: {exc.__class__.__name__}: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

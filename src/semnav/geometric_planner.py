@@ -17,19 +17,18 @@ bilinear field lookup inline. Both give exactly the answers of
 ``Room.contains`` and ``sdf_query``, point for point (see ``Region``), and
 neither changes what the virtual clock charges.
 
-A motion check also skips points that the field value of the last checked
-point proves valid (the free-space "bubble" of elastic bands). Every node
-stores its exact wall distance except band nodes, closer than the wall half
-width ``w``, which store it negated. Adjacent exact nodes differ by at most
-the resolution ``res``, so the bilinear field is sqrt(2)-Lipschitz along any
-segment through cells without band corners; a cell with a band corner has
-every value below ``w + sqrt(2) * res``. So when the clearance ``c`` exceeds
-that bound, a point with value ``f >= c`` sees ``f >= c`` at every point of
-the segment within ``(f - c - eps) / sqrt(2)`` of it. Skipped points must
-also stay inside the point's room box and the bbox by ``eps``. Grids
-without a recorded band bound, coarse grids and points outside every
-room's half-open box do not skip, and every check returns what
-the point-by-point check returns.
+An unconstrained motion check also skips points that the field value of
+the last checked point proves valid (the free-space "bubble" of elastic
+bands). Every node stores its exact wall distance except band nodes, closer
+than the wall half width ``w``, which store it negated. Adjacent exact nodes
+differ by at most the resolution ``res``, so the bilinear field is
+sqrt(2)-Lipschitz along any segment through cells without band corners; a
+cell with a band corner has every value below ``w + sqrt(2) * res``. So when
+the clearance ``c`` exceeds that bound, a point with value ``f >= c`` sees
+``f >= c`` at every point of the segment within ``(f - c - eps) / sqrt(2)``
+of it. Skipped points must also stay inside the bbox by ``eps``. Grids
+without a recorded band bound and coarse grids do not skip, and every check
+returns what the point-by-point check returns.
 
 Most motion checks need no point at all. A bilinear value is a convex
 combination of its cell's four node values, so if every node of every cell
@@ -45,8 +44,8 @@ subproblem starts or ends; the wall band keeps it apart from its room's box,
 so a corridor box joins the two. A motion check with both endpoints in one
 certified box returns True at once, and so does a state check in one; in a
 constrained region any other motion check skips the points that the boxes
-holding its endpoints prove. Every check is still charged in full, so no
-virtual tick, record or digest changes.
+holding its endpoints prove, and only those. Every check is still charged
+in full, so no virtual tick, record or digest changes.
 
 Budgets come from a pluggable clock. The default "virtual" clock charges
 ticks per primitive operation: one per sample draw, one per 32 points of a
@@ -213,17 +212,16 @@ class Region:
     every point, and ``check_cost`` is untouched, so virtual-clock charges
     are unchanged.
 
-    It also strides. After a point in a room's half-open box (or, without
-    rooms, in the bbox) passes with field value ``f``, the following points
-    within ``(f - c - eps) / sqrt(2)`` of it, and inside that box and the
-    bbox shrunk by ``eps``, are valid (module docstring) and are not
-    evaluated. The interpolated coordinates are monotone in the point
-    index, so a per-axis margin bounds all of them. ``stride`` holds the
-    condition ``c - eps > w + sqrt(2) * res``, evaluated once from the
-    grid's recorded band bound ``w``; without it, and after a point that
-    needed ``_edge_or_opening``, every point is evaluated. ``eps`` grows
-    with the coordinate magnitude and with the grid size, to cover rounding
-    in the points, in ``f`` and in the node values.
+    An unconstrained region also strides. After a point passes with field
+    value ``f``, the following points within ``(f - c - eps) / sqrt(2)`` of
+    it and inside the bbox shrunk by ``eps`` are valid (module docstring)
+    and are not evaluated. The interpolated coordinates are monotone in the
+    point index, so a per-axis margin bounds all of them. ``stride`` holds
+    the condition, evaluated once from the grid's recorded band bound ``w``:
+    unconstrained and ``c - eps > w + sqrt(2) * res``; without it every
+    point the certified boxes leave is evaluated. ``eps`` grows with the
+    coordinate magnitude and with the grid size, to cover rounding in the
+    points, in ``f`` and in the node values.
 
     Before any point, ``_motion_valid`` tests the endpoints against the
     ``certified`` boxes (the allowed rooms', openings' and corridors', or
@@ -232,10 +230,10 @@ class Region:
     constrained, the points the boxes holding an endpoint prove. Each is the
     grid's ``certified_box`` at ``c + eps`` shrunk by ``eps``, so rounding
     can neither carry an interpolated point out of the node window, the
-    room's half-open box or the bbox, nor pull a value of at least
-    ``c + eps`` below ``c``. Callers still charge every point. Once built
-    (``plan`` builds them first), the boxes answer ``valid`` too; a region
-    that only checks states never builds them.
+    region or the bbox, nor pull a value of at least ``c + eps`` below
+    ``c``. Callers still charge every point. Once built (``plan`` builds
+    them first), the boxes answer ``valid`` too; a region that only checks
+    states never builds them.
     """
 
     def __init__(self, gmap: GlobalMap, problem: GeometricProblem):
@@ -258,19 +256,13 @@ class Region:
         grid = gmap.sdf
         lo, hi = self.bbox
         eps = _stride_eps(grid, self.bbox, self.clearance)
-        self.stride = (self.clearance - eps
+        self.stride = (not self.constrained and self.clearance - eps
                        > grid.wall_half_width + _SQRT2 * grid.resolution)
         self.stride_eps = eps
         # the bbox shrunk by eps: (x0, y0, x1, y1)
         self.inner = (lo.x + eps, lo.y + eps, hi.x - eps, hi.y - eps)
-        # half-open boxes of the rooms; the same boxes followed by their
-        # intersection with the bbox shrunk by eps, for motion checks
+        # half-open boxes of the rooms
         self.boxes = [r.bounds for r in self.rooms]
-        self.stride_boxes = [box + (max(box[0] + eps, self.inner[0]),
-                                    max(box[1] + eps, self.inner[1]),
-                                    min(box[2] - eps, self.inner[2]),
-                                    min(box[3] - eps, self.inner[3]))
-                             for box in self.boxes]
         # area of each room in scene order, their sum, and the boxes:
         # everything ``sample`` reads, in one attribute
         areas = [(x1 - x0) * (y1 - y0) for x0, y0, x1, y1 in self.boxes]
@@ -356,14 +348,12 @@ class Region:
 
     @cached_property
     def _motion_frame(self) -> tuple:
-        """The locals of ``_walk``: those of ``valid`` with the stride boxes
-        for the room boxes, then the stride's and the boxes the walk skips
-        by: none unconstrained, where each is a room's whose points the
-        stride mostly skips, so scanning them cost more than it saved."""
-        f = self._valid_frame
-        return (f[:5] + (self.stride_boxes,) + f[6:]
-                + (self.stride, self.clearance + self.stride_eps) + self.inner
-                + (self.certified if self.constrained else (),))
+        """The locals of ``_walk``: those of ``valid``, then the stride's and
+        the boxes the walk skips by: none unconstrained, where each is a
+        room's whose points the stride mostly skips, so scanning them cost
+        more than it saved."""
+        return (self._valid_frame + (self.stride, self.clearance + self.stride_eps)
+                + self.inner + (self.certified if self.constrained else (),))
 
     @property
     def free_area(self) -> float:
@@ -522,8 +512,9 @@ class Region:
         the points up to the ``_reach`` of ``a`` and from ``n`` less that of
         ``b`` back, which the endpoints' ``certified`` boxes prove (a doorway
         centre lies first in its opening's box, but its corridor's reaches
-        into the room). The rounding argument is the stride's: every box is
-        shrunk by ``eps``. It needs no ``stride`` condition."""
+        into the room); every point between is evaluated. Every box is
+        shrunk by ``eps``, so rounding carries no skipped point out of it.
+        Unconstrained, the ``stride`` alone skips points."""
         ax, ay = a
         bx, by = b
         (bx0, by0, bx1, by1, constrained, boxes, clearance, v, ox, oy, res, nx,
@@ -552,15 +543,12 @@ class Region:
             if not (bx0 <= x <= bx1 and by0 <= y <= by1):
                 return False
             if constrained:
-                for x0, y0, x1, y1, lx, ly, hx, hy in boxes:
+                for x0, y0, x1, y1 in boxes:
                     if x0 <= x < x1 and y0 <= y < y1:
                         break
                 else:
                     if not self._edge_or_opening(x, y):
                         return False
-                    # no margin: this point does not stride
-                    lx = ly = math.inf
-                    hx = hy = -math.inf
             # sdf_query, inlined
             fx = (x - ox) / res
             fy = (y - oy) / res
@@ -582,7 +570,7 @@ class Region:
             k += 1
             if stride:
                 # the following points proven valid: a NaN margin (a
-                # constant coordinate on the box edge) bounds nothing
+                # constant coordinate on the bbox edge) bounds nothing
                 s = (f - c_eps) * kf
                 g = ((hx - x) if dx > 0.0 else (x - lx)) * kx
                 if g < s:
@@ -676,9 +664,9 @@ def _reach(boxes: tuple[_Box, ...], x: float, y: float, dx: float, dy: float,
            kx: float, ky: float, n: int) -> float:
     """The index, at most ``n``, up to which a walk from (x, y) along (dx,
     dy), ``kx`` and ``ky`` points per unit of each axis, stays in the box
-    holding (x, y) that reaches farthest; -1.0 when none holds it. The
-    margins are the stride's: a NaN one (0 * inf) bounds nothing, and a
-    box with two (a point of no length on its corner) proves nothing."""
+    holding (x, y) that reaches farthest; -1.0 when none holds it. As in
+    the stride, a NaN margin (0 * inf) bounds nothing, and a box with two
+    (a point of no length on its corner) proves nothing."""
     best = -1.0
     for x0, y0, x1, y1 in boxes:
         if x0 <= x <= x1 and y0 <= y <= y1:
@@ -718,6 +706,9 @@ def motion_valid(gmap: GlobalMap, problem: GeometricProblem,
     return Region(gmap, problem).motion_valid(a, b)
 
 
+# ``plan`` samples through ``Region.sample`` and never calls ``sample_state``.
+# The name stays only because perfbench's HOT_TARGETS traces it; once ROADMAP
+# item 3 retargets that list, it can go.
 def sample_state(gmap: GlobalMap, problem: GeometricProblem,
                  rng: Stream | np.random.Generator, goal_bias: float = 0.0) -> Point2:
     """One uniform sample from the allowed region (the goal with ``goal_bias``).

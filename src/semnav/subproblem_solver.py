@@ -44,9 +44,10 @@ from functools import cached_property
 
 import numpy as np
 
+from . import map_builder
 from .errors import EmptyInput, InvalidGoal, InvalidStart, SubproblemInfeasible
 from .geometry import Point2
-from .map_builder import GlobalMap, SdfGrid, build_blocked_map, build_global_map
+from .map_builder import GlobalMap, build_blocked_map, build_global_map
 from .geometric_planner import (CLOCK_VIRTUAL, DEFAULT_GOAL_TOLERANCE,
                                 DEFAULT_ROBOT_RADIUS, DEFAULT_VALIDITY_MARGIN,
                                 GeometricPath, GeometricProblem, PlannerConfig,
@@ -98,12 +99,13 @@ class GlobalPath:
     ``global_path_to_dict``.
 
     ``_replans`` holds what the replans from this path planned, per
-    (problem, sub-config): the map, the path (or None) and the stats. A
-    later replan from the same path answers such a subproblem from it when
-    its own map has the same field for the problem (module docstring).
-    It keeps one entry per key, and so the maps of those entries alive;
-    the blocked maps of ``gmap`` stay alive on it anyway. Copies, pickles
-    and ``dataclasses.replace`` leave it out.
+    (problem, sub-config): a tuple of entries, each the map, the path (or
+    None) and the stats. A later replan from the same path answers such a
+    subproblem from the first entry whose map has the same field for the
+    problem as its own (module docstring), and adds an entry when none
+    has, so sibling replans on different fields keep each other's. The
+    entries keep their maps alive; the blocked maps of ``gmap`` stay alive
+    on it anyway. Copies, pickles and ``dataclasses.replace`` leave it out.
     """
 
     segments: tuple[GeometricPath, ...]
@@ -165,8 +167,9 @@ def _solve_in_order(gmap: GlobalMap,
 
     With a ``cache`` (``GlobalPath._replans``), a virtual-clock task planned
     before on a map with the same field for its problem (``_same_field``)
-    returns the stored path and a copy of the stored stats; any other
-    virtual-clock result, None paths included, is stored with ``gmap``.
+    returns the path and a copy of the stats of the first such entry; any
+    other virtual-clock result, None paths included, is added to its key's
+    entries with ``gmap``.
     Raises SubproblemInfeasible at the first subproblem whose endpoints cannot
     be valid states; tasks come in index order, so that is the lowest index.
     Such a failure is never stored.
@@ -178,8 +181,9 @@ def _solve_in_order(gmap: GlobalMap,
         if cache is not None and config.clock == CLOCK_VIRTUAL:
             # == takes -0.0 for 0.0, and the path holds the exact endpoints
             key = (problem, _bits(problem.start), _bits(problem.goal), config)
-            hit = cache.get(key)
-            if hit is not None and _same_field(hit[0], gmap, problem):
+            hit = next((e for e in cache.get(key, ()) if _same_field(e[0], gmap, problem)),
+                       None)
+            if hit is not None:
                 results.append((hit[1], replace(hit[2])))
                 continue
         try:
@@ -187,7 +191,7 @@ def _solve_in_order(gmap: GlobalMap,
         except (InvalidStart, InvalidGoal) as exc:
             raise SubproblemInfeasible(sub.index, str(exc)) from exc
         if key is not None:
-            cache[key] = (gmap, path, replace(stats))
+            cache[key] = cache.get(key, ()) + ((gmap, path, replace(stats)),)
         results.append((path, stats))
     return results
 
@@ -204,14 +208,16 @@ def _same_field(a: GlobalMap, b: GlobalMap, problem: GeometricProblem) -> bool:
     True when they are the same map, or when everything ``plan`` reads is
     equal: the bbox, the allowed rooms' ids and bounds in scene order, the
     allowed doorways' openings, the grid's frame and band bound, and the
-    field values in each allowed room's and opening's ``_window``. A
-    constrained region looks the field up only at points that passed
-    containment: in an allowed room's half-open box, within its fallback
-    band of the closed box, or in an allowed opening. So a run reads no
-    node outside those windows, and the certified boxes are cut from nodes
-    inside them; they only short-circuit answers that are True anyway. A
-    corridor box lies inside its room's box together with its opening, so
-    its node window lies inside the union of their windows.
+    field values in the node window (``map_builder._node_window``) of each
+    allowed room's box grown by ``CONTAINMENT_TOL`` and a few ulps, and of
+    each allowed opening. A constrained region looks the field up only at
+    points that passed containment: in an allowed room's closed box or
+    within ``CONTAINMENT_TOL`` of it, or in an allowed opening. The cell
+    coordinate is monotone in the point, so a run reads no node outside
+    those windows, and the certified boxes are cut from nodes inside them;
+    they only short-circuit answers that are True anyway. A corridor box
+    lies inside its room's box together with its opening, so its node
+    window lies inside the union of their windows.
     """
     if a is b:
         return True
@@ -226,31 +232,20 @@ def _same_field(a: GlobalMap, b: GlobalMap, problem: GeometricProblem) -> bool:
             or (ga.origin, ga.resolution, ga.nx, ga.ny, ga.wall_half_width)
             != (gb.origin, gb.resolution, gb.nx, gb.ny, gb.wall_half_width)):
         return False
-    for box in [bounds for _, bounds in boxes] + [o for o in openings if o is not None]:
-        window = _window(ga, box)
-        if window is None or not np.array_equal(ga.values[window], gb.values[window]):
+    reads = [o for o in openings if o is not None]
+    for _, (x0, y0, x1, y1) in boxes:
+        # the ulps keep each rounded edge at least CONTAINMENT_TOL out
+        g = CONTAINMENT_TOL + 16 * math.ulp(max(abs(x0), abs(y0), abs(x1), abs(y1)))
+        reads.append((x0 - g, y0 - g, x1 + g, y1 + g))
+    for box in reads:
+        window = map_builder._node_window(ga, box)
+        if window is None:
+            return False
+        i0, i1, j0, j1 = window
+        rows, cols = slice(j0, j1 + 2), slice(i0, i1 + 2)
+        if not np.array_equal(ga.values[rows, cols], gb.values[rows, cols]):
             return False
     return True
-
-
-def _window(grid: SdfGrid, box: tuple[float, float, float, float]
-            ) -> tuple[slice, slice] | None:
-    """Rows and columns of ``grid.values`` that a lookup at a point of the
-    closed ``box`` reads, grown by one node on every side: the lookup's
-    cell coordinate is monotone in the point, so a point within
-    ``CONTAINMENT_TOL`` of the box, which ``Room.contains`` accepts, reads
-    at most one node further out. The band adds a few ulps to that
-    tolerance; None when it could span half a cell or a corner is not
-    finite on the grid."""
-    x0, y0, x1, y1 = box
-    ox, oy, res = grid.origin.x, grid.origin.y, grid.resolution
-    f = ((x0 - ox) / res, (y0 - oy) / res, (x1 - ox) / res, (y1 - oy) / res)
-    band = CONTAINMENT_TOL + 16 * math.ulp(max(map(abs, box)))
-    if not (all(map(math.isfinite, f)) and 2.0 * band < res):
-        return None
-    i0, j0, i1, j1 = map(math.floor, f)
-    return (slice(max(j0 - 1, 0), max(j1 + 3, 0)),
-            slice(max(i0 - 1, 0), max(i1 + 3, 0)))
 
 
 def solve_all(subs: tuple[Subproblem, ...] | list[Subproblem], gmap: GlobalMap,

@@ -12,7 +12,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from semnav import BenchConfig, Point2, run_bench
+from semnav import BenchConfig, Point2, cli, errors, run_bench
 from semnav.bench_harness import _PLAN_SALT
 from semnav.cli import main
 from semnav.rng import mix
@@ -421,6 +421,27 @@ def test_unknown_command_exits_two(capsys):
 
 def test_missing_required_argument_exits_two(capsys):
     assert main(["plan", "--start", "1,1", "--goal", "2,2"]) == 2
+
+
+def _error_classes(base=errors.SemNavError):
+    """Every subclass of ``base``, however deep."""
+    return [c for sub in base.__subclasses__() for c in (sub, *_error_classes(sub))]
+
+
+@pytest.mark.parametrize("cls", _error_classes(), ids=lambda c: c.__name__)
+def test_every_semnav_error_maps_to_an_exit_code(cls, monkeypatch, capsys):
+    # parse errors are usage errors; every other SemNavError, including
+    # one added later, is a domain failure and never escapes as a traceback
+    def fail(args):
+        raise cls(3, "boom") if cls is errors.SubproblemInfeasible else cls("boom")
+
+    monkeypatch.setattr(cli, "cmd_validate", fail)
+    code = main(["validate", THREEROOM])
+    err = capsys.readouterr().err
+    if issubclass(cls, errors.ParseError):
+        assert (code, err) == (2, "error: boom\n")
+    else:
+        assert (code, err) == (1, f"error: {cls.__name__}: boom\n")
 
 
 def test_entry_point_runs_in_subprocess(tmp_path):
