@@ -18,8 +18,7 @@ from .geometry import Point2, WallSegment
 from .scene_graph import (Doorway, Room, SceneGraph, load_map, locate_room,
                           save_map, set_doorway_blocked, shared_boundary)
 from .map_builder import (CarvedWalls, GlobalMap, SdfGrid, build_global_map,
-                          build_sdf, carve_doorways, doorway_openings,
-                          point_in_contour, sdf_query)
+                          build_sdf, point_in_contour, sdf_query)
 from .semantic_planner import (EUCLIDEAN, METRICS, SQUARED, SemanticRoute,
                                TopologyGraph, build_topology, edge_cost,
                                route_to_dict, semantic_route)
@@ -51,8 +50,7 @@ __all__ = [
     "SemanticRoute",
     "StartOutsideMap", "Subproblem", "SubproblemInfeasible", "TopologyGraph",
     "UnknownId", "ValidationError", "WallSegment", "build_global_map",
-    "build_sdf", "build_topology", "carve_doorways", "decompose",
-    "doorway_openings", "edge_cost",
+    "build_sdf", "build_topology", "decompose", "edge_cost",
     "export_csv", "export_summary_json", "generate_pairs",
     "global_path_to_dict", "join_segments", "load_map", "locate_room",
     "motion_valid", "path_to_dict", "plan", "plan_query", "point_in_contour",

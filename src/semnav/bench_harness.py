@@ -10,11 +10,13 @@ Modes:
 
 ``plan_query`` answers one query in one mode; ``semnav plan`` calls it too.
 Every query id gets one (start, goal, seed) triple, shared by all modes, so
-the rows are directly comparable. Queries run in parallel across processes;
-the modes of one query always run sequentially inside the same worker. With
-the default virtual planning clock the full record set is a pure function of
-the configuration, so CSV exports are byte-identical across repeat runs and
-across worker counts.
+the rows are directly comparable. ``run_bench`` builds one world (map and
+topology) per call for the pair draw and every query. Queries run in
+parallel across processes, each receiving the world once as its pool
+starts; the modes of one query always run sequentially inside the same
+worker. With the default virtual planning clock the full record set is a
+pure function of the configuration, so CSV exports are byte-identical across
+repeat runs and across worker counts.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
-from .errors import EmptyInput
+from .errors import EmptyInput, EmptyRegion
 from .geometry import Point2
 from .geometric_planner import (CLOCK_VIRTUAL, DEFAULT_GOAL_TOLERANCE,
                                 DEFAULT_OPS_PER_SECOND, DEFAULT_ROBOT_RADIUS,
@@ -169,40 +171,37 @@ class BenchRecord:
     time_s: float
 
 
-# per-process cache: rebuilding the map once per worker process instead of
-# once per query keeps the process pool worthwhile
-_WORLD_CACHE: dict = {}
-
-
-def _world(config: BenchConfig):
-    key = (config.map_path, config.penalty, config.metric)
-    world = _WORLD_CACHE.get(key)
-    if world is None:
-        scene = load_map(config.map_path)
-        gmap = build_global_map(scene)
-        topo = build_topology(scene, config.penalty, config.metric)
-        world = (scene, gmap, topo)
-        _WORLD_CACHE[key] = world
-    return world
-
-
 def generate_pairs(config: BenchConfig) -> list[tuple[Point2, Point2]]:
     """The (start, goal) pair of every query id, in order.
 
     Random pairs are valid states (full robot clearance) in two different
-    rooms, drawn from a per-query stream, so the list only depends on the
-    configuration.
+    rooms, drawn from a per-query stream on the map of ``config``, so the
+    list only depends on the configuration. Raises EmptyRegion when no
+    valid state can be drawn: at once when no node of the field reaches the
+    clearance (a bilinear value is a convex combination of four node
+    values, and the slack covers its rounding), else after 100,000 draws.
     """
     config.validate()
+    gmap = None
+    if config.pairs == PAIRS_RANDOM:
+        gmap = build_global_map(load_map(config.map_path))
+    return _pairs(config, gmap)
+
+
+def _pairs(config: BenchConfig, gmap: GlobalMap | None) -> list[tuple[Point2, Point2]]:
+    """``generate_pairs`` on the map of ``config``, which only random pairs read."""
     if config.pairs == PAIRS_FIXED:
         assert config.start is not None and config.goal is not None
         return [(config.start, config.goal)] * config.n_queries
-
-    scene, gmap, _ = _world(config)
     probe = GeometricProblem(start=Point2(0.0, 0.0), goal=Point2(0.0, 0.0),
                              robot_radius=config.robot_radius,
                              validity_margin=config.validity_margin)
     region = Region(gmap, probe)
+    top = float(gmap.sdf.values.max())
+    if not top + abs(top) * 2.0 ** -48 >= region.clearance:
+        raise EmptyRegion(f"no point of the map has {region.clearance:g} m "
+                          f"of clearance (largest field value {top:g} m)")
+    scene = gmap.scene
     lo, hi = scene.bbox
     pairs = []
     for qid in range(config.n_queries):
@@ -217,7 +216,7 @@ def generate_pairs(config: BenchConfig) -> list[tuple[Point2, Point2]]:
                 if room is None or room == exclude_room:
                     continue
                 return p, room
-            raise RuntimeError("could not draw a valid benchmark query point")
+            raise EmptyRegion("could not draw a valid benchmark query point")
 
         start, start_room = draw(None)
         goal, _ = draw(start_room)
@@ -225,10 +224,25 @@ def generate_pairs(config: BenchConfig) -> list[tuple[Point2, Point2]]:
     return pairs
 
 
-def _run_query(config: BenchConfig, qid: int,
+_World = tuple[GlobalMap, TopologyGraph]
+# a pool worker's world, set once as the pool starts; it ends with the pool
+_pool_world: _World | None = None
+
+
+def _enter_pool(world: _World) -> None:
+    global _pool_world
+    _pool_world = world
+
+
+def _run_pooled(config: BenchConfig, qid: int,
+                pair: tuple[Point2, Point2]) -> list[BenchRecord]:
+    return _run_query(config, _pool_world, qid, pair)
+
+
+def _run_query(config: BenchConfig, world: _World, qid: int,
                pair: tuple[Point2, Point2]) -> list[BenchRecord]:
     """All requested modes for one query id, sequentially."""
-    scene, gmap, topo = _world(config)
+    gmap, topo = world
     start, goal = pair
     plan_seed = mix(config.seed, qid, _PLAN_SALT)
     base = PlannerConfig(algorithm=INFORMED_RRT_STAR, timeout=config.timeout,
@@ -236,7 +250,7 @@ def _run_query(config: BenchConfig, qid: int,
                          ops_per_second=config.ops_per_second)
     records = []
     for mode in config.modes:
-        result = plan_query(scene, gmap, topo, mode, start, goal, base,
+        result = plan_query(gmap.scene, gmap, topo, mode, start, goal, base,
                             goal_tolerance=config.goal_tolerance,
                             robot_radius=config.robot_radius,
                             validity_margin=config.validity_margin)
@@ -252,26 +266,30 @@ def run_bench(config: BenchConfig, *, workers: int | None = None,
               progress=None) -> list[BenchRecord]:
     """Run the campaign and return records sorted by (query_id, mode).
 
-    ``workers`` > 1 distributes query ids over a process pool; the result is
-    identical for any worker count, and fewer than 1 raises ValueError.
+    One world, built here, serves the pairs and every query and ends with
+    the call; pool workers (``workers`` > 1) receive it as they start. The
+    result is identical for any worker count; fewer than 1 raises ValueError.
     ``progress(done, total)`` is called after each finished query when given.
     """
     if workers is not None and workers < 1:
         raise ValueError("workers must be at least 1")
     config.validate()
-    pairs = generate_pairs(config)
+    gmap = build_global_map(load_map(config.map_path))
+    world = (gmap, build_topology(gmap.scene, config.penalty, config.metric))
+    pairs = _pairs(config, gmap)
     total = len(pairs)
     # a process pool starts all its workers up front: never more than queries
     workers = min(workers or 1, total)
     records: list[BenchRecord] = []
     if workers <= 1:
         for qid, pair in enumerate(pairs):
-            records.extend(_run_query(config, qid, pair))
+            records.extend(_run_query(config, world, qid, pair))
             if progress is not None:
                 progress(qid + 1, total)
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_run_query, config, qid, pair)
+        with ProcessPoolExecutor(max_workers=workers, initializer=_enter_pool,
+                                 initargs=(world,)) as pool:
+            futures = [pool.submit(_run_pooled, config, qid, pair)
                        for qid, pair in enumerate(pairs)]
             for done, f in enumerate(futures):
                 records.extend(f.result())

@@ -56,7 +56,8 @@ class NoRoute(SemNavError):
 
 
 class EmptyRegion(SemNavError):
-    """Sampling region contains no allowed room."""
+    """A sampling region holds no valid state: no allowed room, or no point
+    with the robot's clearance."""
 
 
 class InvalidStart(SemNavError):

@@ -17,18 +17,24 @@ bilinear field lookup inline. Both give exactly the answers of
 ``Room.contains`` and ``sdf_query``, point for point (see ``Region``), and
 neither changes what the virtual clock charges.
 
-An unconstrained motion check also skips points that the field value of
-the last checked point proves valid (the free-space "bubble" of elastic
-bands). Every node stores its exact wall distance except band nodes, closer
-than the wall half width ``w``, which store it negated. Adjacent exact nodes
-differ by at most the resolution ``res``, so the bilinear field is
+An unconstrained motion check also skips points that the field value of the
+last checked point proves valid (the free-space "bubble" of elastic bands).
+Every node stores its exact wall distance except band nodes, closer than the
+wall half width ``w``, which store it negated. Adjacent exact nodes differ
+by at most the resolution ``res``, so the bilinear field is
 sqrt(2)-Lipschitz along any segment through cells without band corners; a
 cell with a band corner has every value below ``w + sqrt(2) * res``. So when
-the clearance ``c`` exceeds that bound, a point with value ``f >= c`` sees
-``f >= c`` at every point of the segment within ``(f - c - eps) / sqrt(2)``
-of it. Skipped points must also stay inside the bbox by ``eps``. Grids
-without a recorded band bound and coarse grids do not skip, and every check
-returns what the point-by-point check returns.
+``c - eps`` exceeds that bound, ``c`` the clearance, a point with value
+``f >= c`` sees ``f >= c`` at every point of the segment within
+``(f - c - eps) / sqrt(2)`` of it. Skipped points must also stay inside the
+bbox by ``eps``; the interpolated coordinates are monotone in the point
+index, so one margin per axis bounds them all. ``eps`` (``_stride_eps``)
+grows with the coordinate magnitude and the grid size: it covers the
+rounding of the points, of their cell coordinates and of ``f``, and a node
+value error of a few ulps per cell on a stride across the whole grid. Grids
+without a recorded band bound and coarse grids do not skip
+(``Region.stride``), and every check returns what the point-by-point check
+returns.
 
 Most motion checks need no point at all. A bilinear value is a convex
 combination of its cell's four node values, so if every node of every cell
@@ -39,13 +45,16 @@ certificates of Bialkowski, Otte, Karaman and Frazzoli, IJRR 2016). Each
 room, and in a constrained region each allowed doorway opening, gets such a
 box once per field: its box within the bbox, cut in from the sides until its
 nodes pass, then shrunk by ``eps`` (``SdfGrid.certified_box``,
-``Region.certified``). An opening's box holds the doorway centre at which a
-subproblem starts or ends; the wall band keeps it apart from its room's box,
-so a corridor box joins the two. A motion check with both endpoints in one
-certified box returns True at once, and so does a state check in one; in a
-constrained region any other motion check skips the points that the boxes
-holding its endpoints prove, and only those. Every check is still charged
-in full, so no virtual tick, record or digest changes.
+``Region.certified``), so rounding can neither carry an interpolated point
+out of the node window, the region or the bbox, nor pull a value of at least
+``c + eps`` below ``c``. An opening's box holds the doorway centre at which
+a subproblem starts or ends; the wall band keeps it apart from its room's
+box, so a corridor box joins the two. A motion check with both endpoints in
+the first box holding its start returns True at once, and so does a state
+check in one; in a constrained region any other motion check skips the
+points from each endpoint to the farthest reach of the boxes holding it
+(``_reach``), and only those. Every check is still charged in full, so no
+virtual tick, record or digest changes.
 
 Budgets come from a pluggable clock. The default "virtual" clock charges
 ticks per primitive operation: one per sample draw, one per 32 points of a
@@ -212,28 +221,12 @@ class Region:
     every point, and ``check_cost`` is untouched, so virtual-clock charges
     are unchanged.
 
-    An unconstrained region also strides. After a point passes with field
-    value ``f``, the following points within ``(f - c - eps) / sqrt(2)`` of
-    it and inside the bbox shrunk by ``eps`` are valid (module docstring)
-    and are not evaluated. The interpolated coordinates are monotone in the
-    point index, so a per-axis margin bounds all of them. ``stride`` holds
-    the condition, evaluated once from the grid's recorded band bound ``w``:
-    unconstrained and ``c - eps > w + sqrt(2) * res``; without it every
-    point the certified boxes leave is evaluated. ``eps`` grows with the
-    coordinate magnitude and with the grid size, to cover rounding in the
-    points, in ``f`` and in the node values.
-
-    Before any point, ``_motion_valid`` tests the endpoints against the
-    ``certified`` boxes (the allowed rooms', openings' and corridors', or
-    every room's when unconstrained): both in the first box holding ``a``
-    prove every point (module docstring); otherwise ``_walk`` skips, when
-    constrained, the points the boxes holding an endpoint prove. Each is the
-    grid's ``certified_box`` at ``c + eps`` shrunk by ``eps``, so rounding
-    can neither carry an interpolated point out of the node window, the
-    region or the bbox, nor pull a value of at least ``c + eps`` below
-    ``c``. Callers still charge every point. Once built (``plan`` builds
-    them first), the boxes answer ``valid`` too; a region that only checks
-    states never builds them.
+    Motion checks skip the points that the ``certified`` boxes or, in an
+    unconstrained region, the stride prove valid; the module docstring
+    states both arguments, ``stride`` holds the stride's condition and
+    ``stride_eps`` the slack of both. Callers still charge every point.
+    Once built (``plan`` builds them first), the boxes answer ``valid``
+    too; a region that only checks states never builds them.
     """
 
     def __init__(self, gmap: GlobalMap, problem: GeometricProblem):
@@ -295,15 +288,13 @@ class Region:
 
     @cached_property
     def certified(self) -> tuple[_Box, ...]:
-        """Closed boxes in which a motion check with both endpoints in one
-        box passes without evaluating a point: per allowed room (every room
-        of the map when unconstrained), then per allowed doorway opening
-        (``rects``, part of the region), the grid's certified box of its box
-        within the bbox at ``clearance + eps``, shrunk by ``eps``; then the
-        same for the ``_corridor`` of each certified opening and room, so
-        ``certified[0]`` stays a room's box. Built once per map, allowed
-        rooms, openings and clearance; none for a threshold that is not
-        positive (a NaN clearance would never find its key again)."""
+        """The certified boxes (module docstring): per allowed room (every
+        room of the map when unconstrained), then per allowed doorway
+        opening (``rects``), then per ``_corridor`` of a certified opening
+        and room, so ``certified[0]`` stays a room's box. Built once per
+        map, allowed rooms, openings and clearance; none for a threshold
+        that is not positive (a NaN clearance would never find its key
+        again)."""
         if not self.clearance + self.stride_eps > 0.0:
             return ()
         key = (self._allowed, self.clearance, self.rects)
@@ -508,13 +499,11 @@ class Region:
         return self._walk(a, b, n, length)
 
     def _walk(self, a: Point2, b: Point2, n: int, length: float) -> bool:
-        """The point-by-point part of ``_motion_valid``, less, when constrained,
-        the points up to the ``_reach`` of ``a`` and from ``n`` less that of
-        ``b`` back, which the endpoints' ``certified`` boxes prove (a doorway
-        centre lies first in its opening's box, but its corridor's reaches
-        into the room); every point between is evaluated. Every box is
-        shrunk by ``eps``, so rounding carries no skipped point out of it.
-        Unconstrained, the ``stride`` alone skips points."""
+        """The point-by-point part of ``_motion_valid``, less the points the
+        module docstring proves: when constrained, those up to the ``_reach``
+        of ``a`` and from ``n`` less that of ``b`` back (a doorway centre
+        lies first in its opening's box, but its corridor's reaches into the
+        room); unconstrained, those the ``stride`` skips."""
         ax, ay = a
         bx, by = b
         (bx0, by0, bx1, by1, constrained, boxes, clearance, v, ox, oy, res, nx,
@@ -679,11 +668,8 @@ def _reach(boxes: tuple[_Box, ...], x: float, y: float, dx: float, dy: float,
 
 
 def _stride_eps(grid: SdfGrid, bbox: tuple[Point2, Point2], clearance: float) -> float:
-    """Slack a motion check's stride and its certified boxes keep from the
-    clearance and from the box edges. It covers the rounding of the
-    interpolated points, of their cell coordinates and of the field value,
-    a few ulps of the coordinate and clearance magnitude, and a node value
-    error of as much per cell on a stride across the whole grid."""
+    """The slack ``eps`` of the stride and the certified boxes (module
+    docstring)."""
     lo, hi = bbox
     scale = max(abs(lo.x), abs(lo.y), abs(hi.x), abs(hi.y),
                 abs(grid.origin.x), abs(grid.origin.y), abs(clearance))

@@ -165,19 +165,6 @@ class GlobalMap:
 point_in_contour = Room.contains
 
 
-def carve_doorways(graph: SceneGraph) -> CarvedWalls:
-    """Remove doorway-width openings from both rooms' closest walls.
-
-    Blocked doorways carve nothing. Each unblocked doorway is projected onto
-    the closest parallel wall pair of its two rooms; an opening of the doorway
-    width, centered at the projection, is removed from both walls. Raises
-    DoorwayPlacement when the rooms' walls are farther apart than the
-    attachment threshold or the opening does not fit inside the shared wall
-    overlap.
-    """
-    return _carve(graph, _boundaries(graph))
-
-
 def _boundaries(graph: SceneGraph) -> list[SharedBoundary | None]:
     """``shared_boundary`` of each doorway's rooms, None if it is blocked."""
     rooms = {r.id: r for r in graph.rooms}
@@ -186,6 +173,10 @@ def _boundaries(graph: SceneGraph) -> list[SharedBoundary | None]:
 
 
 def _carve(graph: SceneGraph, boundaries: list[SharedBoundary | None]) -> CarvedWalls:
+    """Cut each unblocked doorway's width, centred at its projection, out of
+    the closest parallel walls of its two rooms. Raises DoorwayPlacement when
+    those walls are the attachment threshold or more apart, or an opening
+    leaves the shared overlap or meets another."""
     openings: dict[tuple[str, int], list[tuple[float, float, str]]] = {}
     for d, sb in zip(graph.doorways, boundaries):
         if d.blocked:
@@ -238,14 +229,10 @@ def _make_wall(axis: str, fixed: float, lo: float, hi: float) -> WallSegment:
     return WallSegment(Point2(lo, fixed), Point2(hi, fixed))
 
 
-def doorway_openings(graph: SceneGraph) -> dict[str, tuple[float, float, float, float]]:
-    """Axis-aligned rectangle per unblocked doorway: doorway width along the
-    wall, ``DEFAULT_OPENING_DEPTH`` across it, centered on the doorway center."""
-    return _openings(graph, _boundaries(graph))
-
-
 def _openings(graph: SceneGraph, boundaries: list[SharedBoundary | None]
               ) -> dict[str, tuple[float, float, float, float]]:
+    """Per unblocked doorway, the rectangle of its width along the wall and
+    ``DEFAULT_OPENING_DEPTH`` across it, centred on the doorway centre."""
     depth = DEFAULT_OPENING_DEPTH
     rects: dict[str, tuple[float, float, float, float]] = {}
     for d, sb in zip(graph.doorways, boundaries):

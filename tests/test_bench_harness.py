@@ -4,6 +4,8 @@ summary statistics, CSV round trips, and worker-count invariance."""
 import json
 import math
 import random
+import subprocess
+import sys
 from concurrent.futures import Future
 
 import pytest
@@ -12,13 +14,17 @@ from semnav import bench_harness
 from semnav import (
     BenchConfig,
     BenchRecord,
+    Doorway,
     EmptyInput,
+    EmptyRegion,
     GeometricPath,
     GeometricProblem,
     GlobalPath,
     MODES,
+    NoRoute,
     PlannerConfig,
     Point2,
+    SceneGraph,
     build_topology,
     export_csv,
     export_summary_json,
@@ -26,11 +32,12 @@ from semnav import (
     locate_room,
     plan_query,
     run_bench,
+    save_map,
     state_valid,
     summarize,
 )
 
-from conftest import fixture_path
+from conftest import fixture_path, rect_room
 
 
 # ---------------------------------------------------------------------------
@@ -142,11 +149,48 @@ class TestGeneratePairs:
 
     def test_drawing_pairs_builds_no_certified_boxes(self, monkeypatch):
         # the draws only check states: set-up must not pay for the boxes
-        monkeypatch.setattr(bench_harness, "_WORLD_CACHE", {})
-        cfg = _config(map_path=fixture_path("grid8.map"), n_queries=10, seed=5)
-        generate_pairs(cfg)
-        _, gmap, _ = bench_harness._world(cfg)
+        maps = []
+        build = bench_harness.build_global_map
+        monkeypatch.setattr(bench_harness, "build_global_map",
+                            lambda scene: maps.append(build(scene)) or maps[-1])
+        generate_pairs(_config(map_path=fixture_path("grid8.map"), n_queries=10, seed=5))
+        [gmap] = maps
         assert gmap._certified == {} and gmap.sdf._certified == {}
+
+    def test_a_map_without_clearance_raises_before_any_draw(self, tmp_path,
+                                                            monkeypatch):
+        # no point of two 0.5 m rooms has the 0.32 m clearance; the map loads
+        # and builds, but a pair draw could never end
+        monkeypatch.setattr(bench_harness, "make_stream", _forbidden)
+        with pytest.raises(EmptyRegion, match="clearance"):
+            generate_pairs(_config(map_path=_small_rooms_map(tmp_path)))
+
+    def test_bench_on_a_map_without_clearance_exits_1(self, tmp_path):
+        path = _small_rooms_map(tmp_path)
+        code = ("import sys; from semnav.cli import main; "
+                f"sys.exit(main(['bench', '--map', {path!r}, '--queries', '1']))")
+        done = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True)
+        assert done.returncode == 1
+        assert done.stderr.startswith("error: EmptyRegion: ")
+        assert "Traceback" not in done.stderr
+
+
+def _forbidden(*args, **kwargs):
+    raise AssertionError("called")
+
+
+def _small_rooms_map(tmp_path) -> str:
+    """Two 0.5 m rooms joined by a 0.3 m doorway: a valid map whose field
+    nowhere reaches the default robot clearance."""
+    scene = SceneGraph(
+        frame="map", bbox=(Point2(0.0, 0.0), Point2(1.0, 0.5)),
+        rooms=(rect_room("r1", 0.0, 0.0, 0.5, 0.5), rect_room("r2", 0.5, 0.0, 1.0, 0.5)),
+        doorways=(Doorway(id="d1", center=Point2(0.5, 0.25), width=0.3,
+                          rooms=("r1", "r2")),))
+    path = str(tmp_path / "small.map")
+    save_map(scene, path)
+    return path
 
 
 # ---------------------------------------------------------------------------
@@ -225,6 +269,21 @@ class TestRunBench:
         duo = run_bench(cfg, workers=2)
         assert solo == duo
 
+    def test_a_second_run_reads_the_map_file_again(self, tmp_path):
+        # nothing of a campaign outlives it: blocking every doorway of the
+        # file between two runs in one process leaves no route
+        with open(fixture_path("threeroom.map")) as f:
+            data = json.load(f)
+        path = tmp_path / "threeroom.map"
+        path.write_text(json.dumps(data))
+        cfg = _config(map_path=str(path), modes=("irrt_sg_sps",), n_queries=3, seed=1)
+        assert len(run_bench(cfg, workers=1)) == 3
+        for door in data["doorways"]:
+            door["blocked"] = True
+        path.write_text(json.dumps(data))
+        with pytest.raises(NoRoute):
+            run_bench(cfg, workers=1)
+
     def test_repeated_runs_identical(self):
         cfg = _config(modes=("irrt", "irrt_sg"), n_queries=3, timeout=0.02, seed=8)
         assert run_bench(cfg, workers=2) == run_bench(cfg, workers=2)
@@ -235,8 +294,9 @@ class TestRunBench:
         class InlinePool:
             """Records its size and runs each task at once, in process."""
 
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, initializer, initargs):
                 sizes.append(max_workers)
+                initializer(*initargs)
 
             def __enter__(self):
                 return self
@@ -250,6 +310,7 @@ class TestRunBench:
                 return done
 
         monkeypatch.setattr(bench_harness, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(bench_harness, "_pool_world", None)
         cfg = _config(n_queries=2, timeout=0.02, seed=11)
         assert run_bench(cfg, workers=64) == run_bench(cfg, workers=1)
         assert sizes == [2]

@@ -7,7 +7,6 @@ import json
 import math
 import random
 import statistics
-import timeit
 from dataclasses import replace
 
 import numpy as np
@@ -1237,7 +1236,7 @@ def test_certified_box_needs_clear_finite_nodes_on_the_grid():
         assert gmap._certified == {} and gmap.sdf._certified == {}
 
 
-def test_certified_boxes_are_built_once_per_map_and_clearance(grid8_map):
+def test_certified_boxes_are_built_once_per_map_and_clearance(grid8_map, monkeypatch):
     free = GeometricProblem(start=Point2(1.0, 1.0), goal=Point2(2.0, 2.0))
     boxes = Region(grid8_map, free).certified
     assert len(boxes) == len(grid8_map.scene.rooms)
@@ -1251,12 +1250,23 @@ def test_certified_boxes_are_built_once_per_map_and_clearance(grid8_map):
     assert len(grid8_map.sdf._certified) == cached
     # another clearance is another threshold
     assert Region(grid8_map, replace(free, robot_radius=0.2)).certified != boxes
-    # on a cache hit, building a region and reading its boxes costs at most
-    # twice what building it does
-    plain = min(timeit.repeat(lambda: Region(grid8_map, free), number=500, repeat=7))
-    hit = min(timeit.repeat(lambda: Region(grid8_map, free).certified,
-                            number=500, repeat=7))
-    assert hit < 2.0 * plain
+    # on a cache hit, reading a region's boxes builds and certifies nothing
+    calls = []
+    build, certify = Region._build_certified, SdfGrid.certified_box
+    monkeypatch.setattr(Region, "_build_certified",
+                        lambda self: calls.append("build") or build(self))
+    monkeypatch.setattr(SdfGrid, "certified_box",
+                        lambda self, *args: calls.append("box") or certify(self, *args))
+    assert Region(grid8_map, replace(free, start=Point2(5.0, 5.0))).certified is boxes
+    assert Region(grid8_map, two).certified == boxes[:2]
+    assert calls == []
+    # a clearance no region has read yet builds its boxes once, then hits
+    fresh = replace(free, robot_radius=0.2345)
+    Region(grid8_map, fresh).certified
+    assert calls == ["build"] + ["box"] * len(grid8_map.scene.rooms)
+    calls.clear()
+    Region(grid8_map, fresh).certified
+    assert calls == []
 
 
 # ------------------------------------------------------ rewire pre-filter

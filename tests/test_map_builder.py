@@ -17,9 +17,8 @@ from hypothesis import strategies as st
 from semnav import (CarvedWalls, DegenerateRoom, Doorway, DoorwayPlacement,
                     EmptyMap, OutOfBounds, Point2, Room, SceneGraph,
                     SdfGrid, UnknownId, ValidationError, WallSegment,
-                    build_global_map, build_sdf, carve_doorways,
-                    doorway_openings, load_map, point_in_contour, save_map,
-                    sdf_query, set_doorway_blocked)
+                    build_global_map, build_sdf, load_map, point_in_contour,
+                    save_map, sdf_query, set_doorway_blocked)
 from semnav import map_builder
 from semnav.geometry import dist
 from semnav.geometric_planner import (_SQRT2, GeometricProblem, PlannerConfig, Region,
@@ -105,22 +104,22 @@ def test_point_in_contour(threeroom_scene):
 # ----------------------------------------------------------------- carving
 
 
-def test_carve_counts(threeroom_scene, ring4_scene, grid8_scene):
+def test_carve_counts(threeroom_map, ring4_map, grid8_map):
     # each interior opening splits one wall into two pieces
-    assert len(carve_doorways(threeroom_scene).segments) == 12 + 2 * 2
-    assert len(carve_doorways(ring4_scene).segments) == 16 + 4 * 2
-    assert len(carve_doorways(grid8_scene).segments) == 32 + 10 * 2
+    assert len(threeroom_map.walls.segments) == 12 + 2 * 2
+    assert len(ring4_map.walls.segments) == 16 + 4 * 2
+    assert len(grid8_map.walls.segments) == 32 + 10 * 2
 
 
-def test_carved_length_conservation(grid8_scene):
+def test_carved_length_conservation(grid8_scene, grid8_map):
     total_wall = sum(dist(w.a, w.b) for r in grid8_scene.rooms for w in r.walls)
-    carved = sum(dist(s.a, s.b) for s in carve_doorways(grid8_scene).segments)
+    carved = sum(dist(s.a, s.b) for s in grid8_map.walls.segments)
     removed = sum(2.0 * d.width for d in grid8_scene.doorways if not d.blocked)
     assert math.isclose(total_wall - carved, removed, abs_tol=1e-9)
 
 
-def test_carve_piece_geometry(threeroom_scene):
-    walls = carve_doorways(threeroom_scene).segments
+def test_carve_piece_geometry(threeroom_map):
+    walls = threeroom_map.walls.segments
     on_line = sorted(
         (min(s.a.y, s.b.y), max(s.a.y, s.b.y))
         for s in walls if abs(s.a.x - 4.0) < 1e-12 and abs(s.b.x - 4.0) < 1e-12)
@@ -131,13 +130,14 @@ def test_carve_piece_geometry(threeroom_scene):
 def test_blocked_doorway_carves_nothing(threeroom_scene):
     from semnav import set_doorway_blocked
     blocked = set_doorway_blocked(threeroom_scene, "d1", True)
-    walls = carve_doorways(blocked).segments
+    gmap = build_global_map(blocked)
+    walls = gmap.walls.segments
     assert len(walls) == 12 + 1 * 2
     full_right = [s for s in walls
                   if abs(s.a.x - 4.0) < 1e-12 and abs(s.b.x - 4.0) < 1e-12]
     assert len(full_right) == 2  # both rooms keep the uncut wall
     assert all(dist(s.a, s.b) == 4.0 for s in full_right)
-    assert "d1" not in doorway_openings(blocked)
+    assert "d1" not in gmap.openings
 
 
 def test_attach_threshold_rejects_distant_walls():
@@ -146,7 +146,7 @@ def test_attach_threshold_rejects_distant_walls():
     d = Doorway(id="d", center=Point2(2.5, 1.0), width=0.5, rooms=("a", "b"))
     scene = _scene([a, b], [d])
     with pytest.raises(DoorwayPlacement, match="d: closest walls"):
-        carve_doorways(scene)
+        build_global_map(scene)
 
 
 def test_opening_outside_overlap_rejected():
@@ -154,7 +154,7 @@ def test_opening_outside_overlap_rejected():
     b = rect_room("b", 4.0, 0.0, 8.0, 2.0)
     d = Doorway(id="d", center=Point2(4.0, 1.8), width=1.0, rooms=("a", "b"))
     with pytest.raises(DoorwayPlacement, match="projects outside"):
-        carve_doorways(_scene([a, b], [d]))
+        build_global_map(_scene([a, b], [d]))
 
 
 def test_overlapping_openings_rejected():
@@ -163,11 +163,11 @@ def test_overlapping_openings_rejected():
     d1 = Doorway(id="d1", center=Point2(4.0, 2.0), width=1.5, rooms=("a", "b"))
     d2 = Doorway(id="d2", center=Point2(4.0, 2.5), width=1.5, rooms=("a", "b"))
     with pytest.raises(DoorwayPlacement, match="overlaps"):
-        carve_doorways(_scene([a, b], [d1, d2]))
+        build_global_map(_scene([a, b], [d1, d2]))
 
 
-def test_opening_rects(threeroom_scene):
-    rects = doorway_openings(threeroom_scene)
+def test_opening_rects(threeroom_map):
+    rects = threeroom_map.openings
     assert set(rects) == {"d1", "d2"}
     x0, y0, x1, y1 = rects["d1"]
     assert (x0, x1) == (pytest.approx(3.85), pytest.approx(4.15))
@@ -191,7 +191,7 @@ def test_sdf_known_values():
 
 def test_sdf_sign_marks_wall_band():
     room = rect_room("a", 0.0, 0.0, 4.0, 4.0)
-    walls = carve_doorways(_scene([room]))
+    walls = build_global_map(_scene([room])).walls
     grid = build_sdf(walls, (Point2(0, 0), Point2(4, 4)), resolution=0.025)
     xs = grid.origin.x + grid.resolution * np.arange(grid.nx)
     ys = grid.origin.y + grid.resolution * np.arange(grid.ny)
@@ -262,8 +262,8 @@ def test_sdf_query_close_to_exact_everywhere(threeroom_map, threeroom_scene):
     assert tested_clear > 800
 
 
-def test_sdf_refinement_reduces_error(threeroom_scene):
-    walls = carve_doorways(threeroom_scene)
+def test_sdf_refinement_reduces_error(threeroom_scene, threeroom_map):
+    walls = threeroom_map.walls
     coarse = build_sdf(walls, threeroom_scene.bbox, resolution=0.1)
     fine = build_sdf(walls, threeroom_scene.bbox, resolution=0.05)
     rng = random.Random(15)
@@ -297,14 +297,14 @@ def test_build_sdf_rejects_bad_input():
     with pytest.raises(EmptyMap):
         build_sdf(CarvedWalls(segments=()), (Point2(0, 0), Point2(1, 1)))
     room = rect_room("a", 0.0, 0.0, 2.0, 2.0)
-    walls = carve_doorways(_scene([room]))
+    walls = build_global_map(_scene([room])).walls
     with pytest.raises(ValueError):
         build_sdf(walls, (Point2(0, 0), Point2(2, 2)), resolution=0.0)
 
 
 @pytest.mark.parametrize("resolution", [math.nan, math.inf, -math.inf])
 def test_build_sdf_rejects_non_finite_resolution(resolution):
-    walls = carve_doorways(_scene([rect_room("a", 0.0, 0.0, 2.0, 2.0)]))
+    walls = build_global_map(_scene([rect_room("a", 0.0, 0.0, 2.0, 2.0)])).walls
     with pytest.raises(ValueError, match="resolution must be finite"):
         build_sdf(walls, (Point2(0, 0), Point2(2, 2)), resolution=resolution)
 
@@ -319,7 +319,7 @@ def test_build_sdf_rejects_oversized_grid_before_allocating(tmp_path):
     scene = load_map(path)
     with pytest.raises(ValidationError, match=r"bbox .* distance-field nodes"):
         build_global_map(scene)
-    walls = carve_doorways(_scene([room]))
+    walls = build_global_map(_scene([room])).walls
     with pytest.raises(ValidationError, match="finite grid"):
         build_sdf(walls, (Point2(0.0, 0.0), Point2(math.inf, 2.0)))
     with pytest.raises(ValidationError, match="finite grid"):
@@ -327,7 +327,7 @@ def test_build_sdf_rejects_oversized_grid_before_allocating(tmp_path):
 
 
 def test_build_sdf_node_limit_is_exact(monkeypatch):
-    walls = carve_doorways(_scene([rect_room("a", 0.0, 0.0, 2.0, 1.0)]))
+    walls = build_global_map(_scene([rect_room("a", 0.0, 0.0, 2.0, 1.0)])).walls
     bbox = (Point2(0.0, 0.0), Point2(2.0, 1.0))
     grid = build_sdf(walls, bbox, resolution=0.1)
     monkeypatch.setattr(map_builder, "_MAX_NODES", grid.nx * grid.ny)
@@ -379,7 +379,7 @@ def test_build_sdf_bitwise_equals_full_grid_reference(name, resolution):
     variants = [scene] + [set_doorway_blocked(scene, d.id, True)
                           for d in scene.doorways]
     for variant in variants:
-        walls = carve_doorways(variant)
+        walls = build_global_map(variant).walls
         got = build_sdf(walls, variant.bbox, resolution=resolution)
         want = _reference_sdf_values(walls, variant.bbox, resolution)
         assert got.values.shape == want.shape
@@ -470,8 +470,9 @@ def _tilted(wall: WallSegment, move) -> WallSegment:
     lambda wall: _tilted(wall, lambda c: math.nextafter(c, -math.inf)),
     lambda wall: WallSegment(Point2(1.0, 1.0), Point2(4.0, 3.0)),
 ], ids=["closure-tol", "one-ulp", "diagonal"])
-def test_build_sdf_rejects_a_tilted_piece_before_allocating(grid8_scene, piece):
-    walls = carve_doorways(grid8_scene).segments
+def test_build_sdf_rejects_a_tilted_piece_before_allocating(grid8_scene, grid8_map,
+                                                            piece):
+    walls = grid8_map.walls.segments
     tilted = CarvedWalls(segments=walls[1:] + (piece(walls[0]),))
     # 4005 x 4005 nodes, just under _MAX_NODES: a 128 MB grid were it allocated
     bbox = (Point2(0.0, 0.0), Point2(200.0, 200.0))
@@ -490,8 +491,9 @@ def test_build_sdf_rejects_a_tilted_piece_before_allocating(grid8_scene, piece):
 
 
 @pytest.mark.parametrize("resolution", [0.05, 0.1])
-def test_build_sdf_takes_pieces_shorter_than_1e_12_as_points(grid8_scene, resolution):
-    walls = carve_doorways(grid8_scene).segments
+def test_build_sdf_takes_pieces_shorter_than_1e_12_as_points(grid8_scene, grid8_map,
+                                                             resolution):
+    walls = grid8_map.walls.segments
     points = CarvedWalls(segments=walls + (
         WallSegment(Point2(9.0, 2.0), Point2(9.0, 2.0)),
         WallSegment(Point2(1.0, 1.0), Point2(1.0 + 5e-13, 1.0 + 5e-13))))
@@ -515,15 +517,15 @@ def one_piece_chunks(monkeypatch):
     return sizes
 
 
-def test_build_sdf_chunked_on_grid8(grid8_scene, one_piece_chunks):
-    walls = carve_doorways(grid8_scene)
+def test_build_sdf_chunked_on_grid8(grid8_scene, grid8_map, one_piece_chunks):
+    walls = grid8_map.walls
     _assert_matches_reference(walls, grid8_scene.bbox, 0.05)
     # both passes ran one piece at a time over every distinct piece
     assert one_piece_chunks == [1] * (2 * len(dict.fromkeys(walls.segments)))
 
 
 @pytest.mark.parametrize("resolution", [0.05, 0.025])
-def test_build_sdf_computes_one_chunk_of_bounds_once(grid8_scene, monkeypatch,
+def test_build_sdf_computes_one_chunk_of_bounds_once(grid8_scene, grid8_map, monkeypatch,
                                                      resolution):
     # every grid8 piece fits one chunk: pass 2 reuses pass 1's bounds
     calls = []
@@ -534,7 +536,7 @@ def test_build_sdf_computes_one_chunk_of_bounds_once(grid8_scene, monkeypatch,
         return chunks(pieces, *grid)
 
     monkeypatch.setattr(map_builder, "_tile_bounds", counted)
-    walls = carve_doorways(grid8_scene)
+    walls = grid8_map.walls
     _assert_matches_reference(walls, grid8_scene.bbox, resolution)
     assert calls == [len(dict.fromkeys(walls.segments))]
 
@@ -551,11 +553,12 @@ def test_build_sdf_chunked_on_random_walls(walls, resolution):
 
 
 @pytest.mark.parametrize("resolution", [0.05, 0.1, 0.25])
-def test_fill_tiles_sets_the_padding_before_the_tile_maxima(grid8_scene, resolution):
+def test_fill_tiles_sets_the_padding_before_the_tile_maxima(grid8_scene, grid8_map,
+                                                            resolution):
     # pass 1 leaves the padding rows unset: in a buffer that starts as NaN,
     # a padding node left so would make its tile's maximum NaN and skip
     # pass 2 there
-    walls = carve_doorways(grid8_scene)
+    walls = grid8_map.walls
     full = build_sdf(walls, grid8_scene.bbox, resolution)
     xs, ys = map_builder._node_coords(full.origin, resolution, full.nx, full.ny)
     tile = map_builder._TILE
@@ -584,8 +587,8 @@ def test_a_build_finds_each_doorway_boundary_once(grid8_scene, monkeypatch):
     calls.clear()
     derived = map_builder._derive_global_map(old, blocked)
     assert calls == [d.rooms for d in blocked.doorways if not d.blocked]
-    assert derived.walls == carve_doorways(blocked)
-    assert derived.openings == doorway_openings(blocked)
+    full = build_global_map(blocked)
+    assert (derived.walls, derived.openings) == (full.walls, full.openings)
 
 
 def test_build_sdf_memory_stays_a_small_multiple_of_the_grid():
@@ -605,7 +608,7 @@ def test_build_sdf_memory_stays_a_small_multiple_of_the_grid():
 
 
 def test_build_sdf_records_the_band_bound(threeroom_map):
-    walls = carve_doorways(_scene([rect_room("a", 0.0, 0.0, 2.0, 2.0)]))
+    walls = build_global_map(_scene([rect_room("a", 0.0, 0.0, 2.0, 2.0)])).walls
     grid = build_sdf(walls, (Point2(0, 0), Point2(2, 2)))
     assert grid.wall_half_width == map_builder.DEFAULT_WALL_HALF_WIDTH
     assert threeroom_map.sdf.wall_half_width == map_builder.DEFAULT_WALL_HALF_WIDTH
@@ -1020,7 +1023,7 @@ def test_derivation_recomputes_a_tile_whose_bound_equals_its_largest_value():
 
 def test_derivation_declines_what_it_cannot_derive(grid8_scene):
     old = build_global_map(grid8_scene)
-    walls = carve_doorways(set_doorway_blocked(grid8_scene, "d12", True))
+    walls = build_global_map(set_doorway_blocked(grid8_scene, "d12", True)).walls
     bbox = grid8_scene.bbox
     assert map_builder._derive_sdf(old.sdf, old.walls, walls, bbox) is not None
     # a grid built by hand records no band bound

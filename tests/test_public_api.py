@@ -41,7 +41,8 @@ def test_region_is_public():
                                   "read_csv", "_Region", "_rectangle", "Contour",
                                   "contour_from_room", "point_in_ring",
                                   "point_on_segment", "point_segment_distance",
-                                  "EPS", "_RECT_BAND"])
+                                  "EPS", "_RECT_BAND", "carve_doorways",
+                                  "doorway_openings", "_world", "_WORLD_CACHE"])
 def test_removed_names_are_gone(name):
     assert name not in semnav.__all__
     assert not hasattr(semnav, name)
@@ -78,8 +79,6 @@ def test_option_lists_are_pinned():
     params = {
         semnav.build_global_map: ["scene", "resolution"],
         semnav.build_sdf: ["walls", "bbox", "resolution"],
-        semnav.carve_doorways: ["graph"],
-        semnav.doorway_openings: ["graph"],
         semnav.render_map_svg: ["scene", "gmap", "path", "show_sdf"],
         semnav.render_summary_svg: ["summary"],
         semnav.render_boxplot_svg: ["summary", "metric"],
@@ -129,8 +128,8 @@ def test_perfbench_trace_targets_resolve(target):
 
 
 def test_perfbench_reads_harness_internals():
-    # run.py clears the world cache before each set-up and salts plan seeds
-    assert isinstance(semnav.bench_harness._WORLD_CACHE, dict)
+    # run.py salts plan seeds; its world-cache reset reads a name that is
+    # gone through getattr, so every set-up still builds its own world
     assert type(semnav.bench_harness._PLAN_SALT) is int
 
 
