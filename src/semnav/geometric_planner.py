@@ -43,8 +43,8 @@ field value of at least ``c``, whatever walls lie where; R is convex, so a
 segment with both endpoints in R passes every point check (the safety
 certificates of Bialkowski, Otte, Karaman and Frazzoli, IJRR 2016). Each
 room, and in a constrained region each allowed doorway opening, gets such a
-box once per field: its box within the bbox, cut in from the sides until its
-nodes pass, then shrunk by ``eps`` (``SdfGrid.certified_box``,
+box once per map and region: its box within the bbox, cut in from the sides
+until its nodes pass, then shrunk by ``eps`` (``SdfGrid.certified_box``,
 ``Region.certified``), so rounding can neither carry an interpolated point
 out of the node window, the region or the bbox, nor pull a value of at least
 ``c + eps`` below ``c``. An opening's box holds the doorway centre at which

@@ -28,10 +28,9 @@ equals the full per-segment evaluation bit for bit.
 
 A map that differs from an earlier one by a few wall pieces (a doorway
 blocked) can be derived from it: only the tiles a changed piece can reach
-are recomputed, by the same two passes, and the rest of the grid and its
-certified boxes carry over (``_derive_global_map``). ``build_blocked_map``
-keeps each such map on the map it came from, so a doorway blocked again
-costs a dictionary lookup.
+are recomputed, by the same two passes, and the rest of the grid is copied
+(``_derive_global_map``). ``build_blocked_map`` keeps each such map on the
+map it came from, so a doorway blocked again costs a dictionary lookup.
 """
 
 from __future__ import annotations
@@ -99,11 +98,6 @@ class SdfGrid:
         values = np.ascontiguousarray(self.values, dtype=np.float64)
         return memoryview(values.reshape(-1)).toreadonly()
 
-    @cached_property
-    def _certified(self) -> dict:
-        """``certified_box`` answers by (box, threshold), filled on first use."""
-        return {}
-
     def certified_box(self, box: tuple[float, float, float, float], threshold: float
                       ) -> tuple[float, float, float, float] | None:
         """A closed sub-box of the closed ``box`` (x0, y0, x1, y1) in which
@@ -116,13 +110,26 @@ class SdfGrid:
         and the point is inside the grid (no OutOfBounds, ``tx`` and ``ty`` in
         [0, 1]). The window starts as the cells meeting ``box`` and is cut in
         from its sides until all its nodes pass; only that window of
-        ``values`` is compared. A positive ``threshold`` is required. The
-        answer is cached per (box, threshold)."""
-        key = (box, threshold)
-        cache = self._certified
-        if key not in cache:
-            cache[key] = _certify(self, box, threshold)
-        return cache[key]
+        ``values`` is compared. A positive ``threshold`` is required. Nothing
+        is cached: ``GlobalMap._certified`` keeps the planner's boxes."""
+        window = _node_window(self, box)
+        if not threshold > 0.0 or window is None:
+            return None
+        i0, i1, j0, j1 = window
+        nodes = self.values[j0:j1 + 2, i0:i1 + 2]
+        window = _clear_window(np.isfinite(nodes) & (nodes >= threshold))
+        if window is None:
+            return None
+        r0, r1, c0, c1 = window
+        x0, y0, x1, y1 = box
+        ox, oy, res = self.origin.x, self.origin.y, self.resolution
+        cx0 = max(x0, _cell_start(ox, res, i0 + c0))
+        cy0 = max(y0, _cell_start(oy, res, j0 + r0))
+        cx1 = min(x1, _cell_end(ox, res, i0 + c1, i0 + c1 == self.nx - 1))
+        cy1 = min(y1, _cell_end(oy, res, j0 + r1, j0 + r1 == self.ny - 1))
+        if not (cx0 <= cx1 and cy0 <= cy1):
+            return None
+        return cx0, cy0, cx1, cy1
 
 
 @dataclass(frozen=True)
@@ -499,10 +506,7 @@ def _derive_sdf(grid: SdfGrid, old: CarvedWalls, walls: CarvedWalls,
     That is exact: in a copied tile a removed piece lay farther than ``M``
     from every node, so it was no node's minimum, and an added piece lies
     farther than ``M`` too, so it lowers no node. Each node's old minimum
-    is therefore the new one, and the copy keeps its bits.
-
-    Each ``certified_box`` answer of ``grid`` carries over when no node of
-    its node window changed; the answer depends on nothing else."""
+    is therefore the new one, and the copy keeps its bits."""
     res, nx, ny = grid.resolution, grid.nx, grid.ny
     if (grid.wall_half_width != DEFAULT_WALL_HALF_WIDTH or not walls.segments
             or _grid_frame(bbox, res) != (grid.origin, nx, ny)):
@@ -534,20 +538,8 @@ def _derive_sdf(grid: SdfGrid, old: CarvedWalls, walls: CarvedWalls,
         view[tr, tc] = work
     values = np.ascontiguousarray(dmin[:ny, :nx])
     values.setflags(write=False)
-    derived = SdfGrid(origin=grid.origin, resolution=res, nx=nx, ny=ny, values=values,
-                      wall_half_width=DEFAULT_WALL_HALF_WIDTH)
-
-    cached = grid.__dict__
-    if "_certified" in cached:
-        moved = values.view(np.int64) != grid.values.view(np.int64)
-        kept = {}
-        for key, answer in cached["_certified"].items():
-            window = _node_window(grid, key[0])
-            if window is None or not moved[window[2]:window[3] + 2,
-                                           window[0]:window[1] + 2].any():
-                kept[key] = answer
-        derived.__dict__["_certified"] = kept
-    return derived
+    return SdfGrid(origin=grid.origin, resolution=res, nx=nx, ny=ny, values=values,
+                   wall_half_width=DEFAULT_WALL_HALF_WIDTH)
 
 
 def _node_window(grid: SdfGrid, box: tuple[float, float, float, float]
@@ -568,29 +560,6 @@ def _node_window(grid: SdfGrid, box: tuple[float, float, float, float]
     if i0 > i1 or j0 > j1:
         return None
     return i0, i1, j0, j1
-
-
-def _certify(grid: SdfGrid, box: tuple[float, float, float, float],
-             threshold: float) -> tuple[float, float, float, float] | None:
-    """``SdfGrid.certified_box``, uncached."""
-    window = _node_window(grid, box)
-    if not threshold > 0.0 or window is None:
-        return None
-    i0, i1, j0, j1 = window
-    nodes = grid.values[j0:j1 + 2, i0:i1 + 2]
-    window = _clear_window(np.isfinite(nodes) & (nodes >= threshold))
-    if window is None:
-        return None
-    r0, r1, c0, c1 = window
-    x0, y0, x1, y1 = box
-    ox, oy, res = grid.origin.x, grid.origin.y, grid.resolution
-    cx0 = max(x0, _cell_start(ox, res, i0 + c0))
-    cy0 = max(y0, _cell_start(oy, res, j0 + r0))
-    cx1 = min(x1, _cell_end(ox, res, i0 + c1, i0 + c1 == grid.nx - 1))
-    cy1 = min(y1, _cell_end(oy, res, j0 + r1, j0 + r1 == grid.ny - 1))
-    if not (cx0 <= cx1 and cy0 <= cy1):
-        return None
-    return cx0, cy0, cx1, cy1
 
 
 def _clear_window(good: np.ndarray) -> tuple[int, int, int, int] | None:

@@ -135,29 +135,27 @@ def semantic_route(topo: TopologyGraph, graph: SceneGraph,
 
     # label: (cost, ndoors, doors_tuple); state: (door_id, room_entered) or "G"
     settled: dict[object, tuple] = {}
-    parents: dict[object, object] = {}
     heap: list[tuple] = []
     tick = 0  # heap tie breaker so states are never compared
     for did in topo.room_doors.get(start_room, ()):
         label = (_leg(start, centers[did], topo.metric) + topo.penalty, 1, (did,))
         state = (did, other_side(did, start_room))
-        heapq.heappush(heap, (label, tick, state, None))
+        heapq.heappush(heap, (label, tick, state))
         tick += 1
 
     goal_state = "G"
     while heap:
-        label, _, state, parent = heapq.heappop(heap)
+        label, _, state = heapq.heappop(heap)
         if state in settled:
             continue
         settled[state] = label
-        parents[state] = parent
         if state == goal_state:
             break
         door_id, room_id = state
         cost, ndoors, doors = label
         if room_id == goal_room:
             g_label = (cost + _leg(centers[door_id], goal, topo.metric), ndoors, doors)
-            heapq.heappush(heap, (g_label, tick, goal_state, state))
+            heapq.heappush(heap, (g_label, tick, goal_state))
             tick += 1
         in_edge = topo.edges[(room_id, door_id)]
         for nxt in topo.room_doors.get(room_id, ()):
@@ -168,23 +166,17 @@ def semantic_route(topo: TopologyGraph, graph: SceneGraph,
                 continue
             nxt_label = (cost + in_edge + topo.edges[(room_id, nxt)],
                          ndoors + 1, doors + (nxt,))
-            heapq.heappush(heap, (nxt_label, tick, nxt_state, state))
+            heapq.heappush(heap, (nxt_label, tick, nxt_state))
             tick += 1
 
     if goal_state not in settled:
         raise NoRoute(f"no doorway route from room {start_room} to room {goal_room}")
 
-    doors_rev = []
-    rooms_rev = []
-    node = parents[goal_state]
-    while node is not None:
-        door_id, room_id = node
-        doors_rev.append(door_id)
-        rooms_rev.append(room_id)
-        node = parents[node]
-    doorways = tuple(reversed(doors_rev))
-    rooms = (start_room,) + tuple(reversed(rooms_rev))
-    cost = settled[goal_state][0]
+    # the goal's label holds the doorway sequence; the rooms follow from it
+    cost, _, doorways = settled[goal_state]
+    rooms = (start_room,)
+    for did in doorways:
+        rooms += (other_side(did, rooms[-1]),)
     return SemanticRoute(start=start, goal=goal, doorways=doorways, rooms=rooms,
                          free_space=frozenset(rooms), cost=cost)
 

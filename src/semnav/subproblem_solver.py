@@ -18,21 +18,39 @@ joints line up bit for bit.
 recomputes the route from the robot's current position, and re-solves only
 the subproblems whose (start, goal, room) key has no previously solved
 segment that runs between those points and still checks out against the new
-map. The paths ``solve_all`` and ``replan`` return keep the map they were
-planned on, and the new map is derived from that one: only the
-distance-field tiles the closed gap can reach are recomputed, and the rest
-of the field and its certified boxes are carried over. The result is the
-map a full build would give, bit for bit, and it is kept on the map it came
-from, so blocking the same doorway again reuses it.
+map.
 
-Replans from one path share the subproblems they plan, the reuse principle
-of incremental replanners such as D* Lite (Koenig and Likhachev, AAAI 2002)
-at the level of subproblems. Sibling replans, which block different
-doorways of the same previous path, often re-plan the same (problem,
-sub-config) on maps whose field is identical over everything that problem
-can read. Each path keeps what was planned from it (``GlobalPath._replans``)
-and answers such a repeat from there. On the virtual clock ``plan`` is a
-pure function of the field it reads, the problem and the config, so the
+Derived maps. The paths ``solve_all`` and ``replan`` return keep the map they
+were planned on (``GlobalPath.gmap``). ``replan`` from such a path takes
+that map's ``build_blocked_map`` for the doorway: derived from it once, with
+only the distance-field tiles the closed gap can reach recomputed, and kept
+on it, so every later replan that blocks the same doorway from the same map
+gets the same map object. It is ``build_global_map`` of the blocked scene,
+bit for bit, and cuts its own certified boxes on first use. The returned
+path keeps the new map, so a chain of replans derives each map from the
+last.
+
+Shared replans. Replans from one path share the subproblems they plan, the
+reuse principle of incremental replanners such as D* Lite (Koenig and
+Likhachev, AAAI 2002) at the level of subproblems. Sibling replans, which
+block different doorways of the same previous path, often re-plan the same
+(problem, sub-config) on maps whose field is identical over everything that
+problem can read. Each path keeps, per (problem, start and goal bits,
+sub-config), the entries (map, path or None, stats) that virtual-clock
+replans from it planned (``GlobalPath._replans``). A later replan answers from
+the first entry whose map reads the same as its own (``_same_field``), and
+adds an entry when none does, so siblings on different fields keep each
+other's. On the virtual clock ``plan`` is a pure function of what it reads,
+the problem and the config, and a constrained region reads only the bbox,
+the allowed rooms' ids and bounds in scene order, the allowed doorways'
+openings, the grid's frame and band bound, and the field in the node windows
+(``map_builder._node_window``) of each allowed room's box grown by
+``CONTAINMENT_TOL`` and a few ulps, and of each allowed opening: it looks
+the field up only at points in an allowed room's closed box, within
+``CONTAINMENT_TOL`` of it or in an allowed opening, and the cell coordinate
+is monotone in the point. The certified boxes are cut from nodes inside
+those windows (a corridor box lies inside its room's box together with its
+opening) and only short-circuit answers that are True anyway. So a stored
 answer is the one ``plan`` would return; wall-clock runs are never stored.
 """
 
@@ -93,19 +111,11 @@ class GlobalPath:
     """Joined subproblem solutions: one geometric segment per room.
 
     ``gmap`` is the map the path was planned on, set by ``solve_all`` and
-    ``replan``; ``replan`` takes its blocked map from it
-    (``build_blocked_map``), which keeps that map for the next replan that
-    blocks the same doorway. It takes no part in equality, ``repr`` or
-    ``global_path_to_dict``.
-
-    ``_replans`` holds what the replans from this path planned, per
-    (problem, sub-config): a tuple of entries, each the map, the path (or
-    None) and the stats. A later replan from the same path answers such a
-    subproblem from the first entry whose map has the same field for the
-    problem as its own (module docstring), and adds an entry when none
-    has, so sibling replans on different fields keep each other's. The
-    entries keep their maps alive; the blocked maps of ``gmap`` stay alive
-    on it anyway. Copies, pickles and ``dataclasses.replace`` leave it out.
+    ``replan`` (module docstring, derived maps). It takes no part in
+    equality, ``repr`` or ``global_path_to_dict``. ``_replans`` holds what
+    the replans from this path planned (module docstring, shared replans);
+    its entries keep their maps alive. Copies, pickles and
+    ``dataclasses.replace`` leave it out.
     """
 
     segments: tuple[GeometricPath, ...]
@@ -165,11 +175,10 @@ def _solve_in_order(gmap: GlobalMap,
                     ) -> list[tuple[GeometricPath | None, PlannerStats]]:
     """Plan each (subproblem, sub-config) in the given order.
 
-    With a ``cache`` (``GlobalPath._replans``), a virtual-clock task planned
-    before on a map with the same field for its problem (``_same_field``)
-    returns the path and a copy of the stats of the first such entry; any
-    other virtual-clock result, None paths included, is added to its key's
-    entries with ``gmap``.
+    With a ``cache`` (``GlobalPath._replans``, module docstring), a
+    virtual-clock task takes the path and a copy of the stats of its first
+    entry on the same field; any other virtual-clock result, None paths
+    included, is added to its key's entries with ``gmap``.
     Raises SubproblemInfeasible at the first subproblem whose endpoints cannot
     be valid states; tasks come in index order, so that is the lowest index.
     Such a failure is never stored.
@@ -203,22 +212,9 @@ def _bits(p: Point2) -> tuple[str, ...]:
 
 def _same_field(a: GlobalMap, b: GlobalMap, problem: GeometricProblem) -> bool:
     """Whether ``plan`` reads the same from ``a`` and ``b`` for a
-    subproblem's ``problem``, which allows rooms.
-
-    True when they are the same map, or when everything ``plan`` reads is
-    equal: the bbox, the allowed rooms' ids and bounds in scene order, the
-    allowed doorways' openings, the grid's frame and band bound, and the
-    field values in the node window (``map_builder._node_window``) of each
-    allowed room's box grown by ``CONTAINMENT_TOL`` and a few ulps, and of
-    each allowed opening. A constrained region looks the field up only at
-    points that passed containment: in an allowed room's closed box or
-    within ``CONTAINMENT_TOL`` of it, or in an allowed opening. The cell
-    coordinate is monotone in the point, so a run reads no node outside
-    those windows, and the certified boxes are cut from nodes inside them;
-    they only short-circuit answers that are True anyway. A corridor box
-    lies inside its room's box together with its opening, so its node
-    window lies inside the union of their windows.
-    """
+    subproblem's ``problem``, which allows rooms: they are the same map, or
+    everything the module docstring (shared replans) lists as read is
+    equal."""
     if a is b:
         return True
     rooms = problem.allowed_rooms
@@ -375,24 +371,18 @@ def replan(scene: SceneGraph, prev_route: SemanticRoute,
     Marks the doorway blocked, updates the map (the doorway's wall gap
     closes), routes again from ``current_position`` to the original goal, and
     solves the new decomposition. When ``prev_path`` was planned on a map of
-    ``scene`` (``prev_path.gmap``), the new map is that map's
-    ``build_blocked_map`` for the doorway: derived from it once, with field
-    tiles the changed wall pieces cannot reach copied with their certified
-    boxes, and kept on it, so every later replan that blocks the same
-    doorway from the same map reuses the same map object, and the outcome's
-    scene is that map's scene. Otherwise the map is built in full. Either
-    way it is ``build_global_map`` of the blocked scene, bit for bit. The
-    returned path keeps the new map, so a chain of replans derives each map
-    from the last. Segments of ``prev_path`` whose
-    (start, goal, room) key matches a new subproblem are reused when their
-    first and last waypoints are that subproblem's start and goal bit for
-    bit and they still pass motion checks on the new map; everything else is
-    planned with the usual equal budget split, in index order, as in
-    ``solve_all``; ``workers`` is accepted and ignored for the same reason.
-    A subproblem an earlier replan from ``prev_path`` planned with the same
-    virtual-clock sub-config, on a map with the same field for it, takes
-    that result (``prev_path._replans``) instead of planning again: the
-    outcome is the same as without it, ``solved_indices`` included.
+    ``scene`` (``prev_path.gmap``), the new map is derived from it and kept
+    there, and the outcome's scene is that map's scene (module docstring,
+    derived maps); otherwise the map is built in full. Segments of
+    ``prev_path`` whose (start, goal, room) key matches a new subproblem are
+    reused when their first and last waypoints are that subproblem's start
+    and goal bit for bit and they still pass motion checks on the new map;
+    everything else is planned with the usual equal budget split, in index
+    order, as in ``solve_all``; ``workers`` is accepted and ignored for the
+    same reason. A subproblem an earlier replan from ``prev_path`` planned
+    takes that result instead of planning again (module docstring, shared
+    replans): the outcome is the same as without it, ``solved_indices``
+    included.
     Raises NoRoute when blocking the doorway disconnects the goal, and
     SubproblemInfeasible at the first re-planned subproblem whose endpoints
     cannot be valid states.

@@ -13,10 +13,18 @@ from semnav import (Doorway, Point2, Room, SceneGraph, WallSegment,
                     build_global_map, load_map)
 
 FIXTURES = os.path.join(os.path.dirname(os.path.abspath(__file__)), "fixtures")
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def fixture_path(name: str) -> str:
     return os.path.join(FIXTURES, name)
+
+
+def child_env() -> dict:
+    """The environment for a test's child Python: ``src`` first on
+    PYTHONPATH, so the child imports the semnav under test."""
+    path = os.environ.get("PYTHONPATH")
+    return {**os.environ, "PYTHONPATH": SRC + (os.pathsep + path if path else "")}
 
 
 @pytest.fixture(scope="session")

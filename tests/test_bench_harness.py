@@ -25,6 +25,7 @@ from semnav import (
     PlannerConfig,
     Point2,
     SceneGraph,
+    SdfGrid,
     build_topology,
     export_csv,
     export_summary_json,
@@ -37,7 +38,7 @@ from semnav import (
     summarize,
 )
 
-from conftest import fixture_path, rect_room
+from conftest import child_env, fixture_path, rect_room
 
 
 # ---------------------------------------------------------------------------
@@ -149,13 +150,15 @@ class TestGeneratePairs:
 
     def test_drawing_pairs_builds_no_certified_boxes(self, monkeypatch):
         # the draws only check states: set-up must not pay for the boxes
-        maps = []
-        build = bench_harness.build_global_map
+        maps, cut = [], []
+        build, certify = bench_harness.build_global_map, SdfGrid.certified_box
         monkeypatch.setattr(bench_harness, "build_global_map",
                             lambda scene: maps.append(build(scene)) or maps[-1])
+        monkeypatch.setattr(SdfGrid, "certified_box",
+                            lambda *args: cut.append(args) or certify(*args))
         generate_pairs(_config(map_path=fixture_path("grid8.map"), n_queries=10, seed=5))
         [gmap] = maps
-        assert gmap._certified == {} and gmap.sdf._certified == {}
+        assert gmap._certified == {} and cut == []
 
     def test_a_map_without_clearance_raises_before_any_draw(self, tmp_path,
                                                             monkeypatch):
@@ -169,7 +172,7 @@ class TestGeneratePairs:
         path = _small_rooms_map(tmp_path)
         code = ("import sys; from semnav.cli import main; "
                 f"sys.exit(main(['bench', '--map', {path!r}, '--queries', '1']))")
-        done = subprocess.run([sys.executable, "-c", code],
+        done = subprocess.run([sys.executable, "-c", code], env=child_env(),
                               capture_output=True, text=True)
         assert done.returncode == 1
         assert done.stderr.startswith("error: EmptyRegion: ")

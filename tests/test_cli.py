@@ -17,7 +17,7 @@ from semnav.bench_harness import _PLAN_SALT
 from semnav.cli import main
 from semnav.rng import mix
 
-from conftest import fixture_path
+from conftest import child_env, fixture_path
 
 THREEROOM = fixture_path("threeroom.map")
 
@@ -86,7 +86,7 @@ def test_validate_unreadable_numbers_and_nesting_are_usage_errors(tmp_path, comm
         argv = ["render", "--map", THREEROOM, "--out", str(tmp_path / "never.svg"),
                 "--path", str(bad)]
     code = f"import sys; from semnav.cli import main; sys.exit(main({argv!r}))"
-    done = subprocess.run([sys.executable, "-c", code],
+    done = subprocess.run([sys.executable, "-c", code], env=child_env(),
                           capture_output=True, text=True)
     assert done.returncode == 2
     assert done.stderr.startswith(f"error: {bad}: ")
@@ -234,8 +234,8 @@ def test_plan_non_finite_budget_or_negative_penalty_is_usage_error(extra):
     argv = ["plan", "--map", THREEROOM, "--start", "1,1", "--goal", "10.5,2",
             *extra]
     code = f"import sys; from semnav.cli import main; sys.exit(main({argv!r}))"
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, timeout=30)
+    done = subprocess.run([sys.executable, "-c", code], env=child_env(),
+                          capture_output=True, text=True, timeout=30)
     assert done.returncode == 2
     assert done.stderr.startswith("error: ")
 
@@ -450,7 +450,7 @@ def test_entry_point_runs_in_subprocess(tmp_path):
         "import sys; from semnav.cli import main; "
         f"sys.exit(main(['validate', {THREEROOM!r}]))"
     )
-    done = subprocess.run([sys.executable, "-c", code],
+    done = subprocess.run([sys.executable, "-c", code], env=child_env(),
                           capture_output=True, text=True)
     assert done.returncode == 0
     assert done.stdout.strip() == f"ok: {THREEROOM}"

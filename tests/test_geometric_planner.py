@@ -1152,12 +1152,16 @@ def test_certified_walks_evaluate_fewer_points(monkeypatch):
     assert sum(walks) < 14000
 
 
-def test_state_checks_alone_build_no_certified_boxes(grid8_scene):
+def test_state_checks_alone_build_no_certified_boxes(grid8_scene, monkeypatch):
+    cut = []
+    certify = SdfGrid.certified_box
+    monkeypatch.setattr(SdfGrid, "certified_box",
+                        lambda *args: cut.append(args) or certify(*args))
     gmap = build_global_map(grid8_scene)
     problem = GeometricProblem(start=Point2(-5.0, 1.0), goal=Point2(1.0, 1.0))
     region = Region(gmap, problem)
     assert region.valid(Point2(1.0, 1.0)) and not region.valid(Point2(-5.0, 1.0))
-    assert gmap._certified == {} and gmap.sdf._certified == {}
+    assert gmap._certified == {} and cut == []
     # plan builds them before its first state check, even one that fails
     with pytest.raises(InvalidStart):
         plan(gmap, problem, PlannerConfig(max_iterations=1))
@@ -1233,7 +1237,7 @@ def test_certified_box_needs_clear_finite_nodes_on_the_grid():
     for radius in (-0.5, math.nan):
         gmap = _one_room_map(clear, res, Point2(-0.5, -0.5))
         assert Region(gmap, replace(problem, robot_radius=radius)).certified == ()
-        assert gmap._certified == {} and gmap.sdf._certified == {}
+        assert gmap._certified == {}
 
 
 def test_certified_boxes_are_built_once_per_map_and_clearance(grid8_map, monkeypatch):
@@ -1241,13 +1245,11 @@ def test_certified_boxes_are_built_once_per_map_and_clearance(grid8_map, monkeyp
     boxes = Region(grid8_map, free).certified
     assert len(boxes) == len(grid8_map.scene.rooms)
     assert Region(grid8_map, replace(free, start=Point2(3.0, 3.0))).certified is boxes
-    # regions of other rooms read the same per-room boxes of the field
-    cached = len(grid8_map.sdf._certified)
+    # regions of other rooms cut the same per-room boxes from the field
     one = replace(free, allowed_rooms=frozenset({"r1"}))
     two = replace(free, allowed_rooms=frozenset({"r2", "r1"}))
     assert Region(grid8_map, one).certified == boxes[:1]
     assert Region(grid8_map, two).certified == boxes[:2]
-    assert len(grid8_map.sdf._certified) == cached
     # another clearance is another threshold
     assert Region(grid8_map, replace(free, robot_radius=0.2)).certified != boxes
     # on a cache hit, reading a region's boxes builds and certifies nothing

@@ -826,21 +826,13 @@ def test_sdf_values_are_read_only(threeroom_map):
 
 def _certified_everywhere(gmap):
     """Region.certified of every room at the default clearance, plus the
-    unconstrained region's; fills the grid's certified_box cache."""
+    unconstrained region's; fills the map's certified boxes."""
     problems = [GeometricProblem(start=r.center, goal=r.center,
                                  allowed_rooms=frozenset((r.id,)))
                 for r in gmap.scene.rooms]
     problems.append(GeometricProblem(start=gmap.scene.rooms[0].center,
                                      goal=gmap.scene.rooms[0].center))
     return [Region(gmap, p).certified for p in problems]
-
-
-def _doorway_boxes(gmap):
-    """A box around each doorway's opening, two cells past it on every side:
-    its node window holds nodes that blocking the doorway changes."""
-    pad = 2.0 * gmap.sdf.resolution
-    return [(x0 - pad, y0 - pad, x1 + pad, y1 + pad)
-            for x0, y0, x1, y1 in gmap.openings.values()]
 
 
 def _assert_same_map(derived, full):
@@ -854,9 +846,6 @@ def _assert_same_map(derived, full):
     assert derived.walls == full.walls
     assert derived.openings == full.openings
     assert derived.scene == full.scene
-    # every carried certified_box answer is the one the new field gives
-    for (box, threshold), answer in derived.sdf._certified.items():
-        assert answer == map_builder._certify(full.sdf, box, threshold), box
     assert _certified_everywhere(derived) == _certified_everywhere(full)
 
 
@@ -865,18 +854,18 @@ def _forbidden(*args, **kwargs):
 
 
 def _derive(old, scene, monkeypatch):
-    """_derive_global_map with a full field build forbidden."""
+    """_derive_global_map with a full field build forbidden; the derived map
+    holds no certified box, whatever ``old`` holds."""
     with monkeypatch.context() as mp:
         mp.setattr(map_builder, "build_sdf", _forbidden)
-        return map_builder._derive_global_map(old, scene)
+        derived = map_builder._derive_global_map(old, scene)
+    assert "_certified" not in derived.__dict__
+    return derived
 
 
 def _warm(gmap):
-    """Fill every cache a planner fills, the certified boxes, and one box
-    across each doorway."""
+    """Fill the certified boxes a planner fills."""
     _certified_everywhere(gmap)
-    for box in _doorway_boxes(gmap):
-        gmap.sdf.certified_box(box, 0.25)
     return gmap
 
 
@@ -916,7 +905,6 @@ def test_derived_map_of_an_already_blocked_doorway_copies_everything(
     _assert_same_map(derived, old)
     assert derived.sdf.values is not old.sdf.values
     assert not np.shares_memory(np.asarray(derived.sdf.flat_values), old.sdf.values)
-    assert derived.sdf._certified == old.sdf._certified
 
 
 @pytest.mark.parametrize("name", ["grid8", "ring4", "threeroom"])

@@ -42,7 +42,8 @@ def test_region_is_public():
                                   "contour_from_room", "point_in_ring",
                                   "point_on_segment", "point_segment_distance",
                                   "EPS", "_RECT_BAND", "carve_doorways",
-                                  "doorway_openings", "_world", "_WORLD_CACHE"])
+                                  "doorway_openings", "_world", "_WORLD_CACHE",
+                                  "_certify"])
 def test_removed_names_are_gone(name):
     assert name not in semnav.__all__
     assert not hasattr(semnav, name)
@@ -57,7 +58,7 @@ def test_removed_names_are_gone(name):
     (semnav.TopologyGraph, "node_count"), (semnav.TopologyGraph, "edge_count"),
     (semnav.WallSegment, "length"), (semnav.GlobalMap, "contour"),
     (semnav.Region, "room_table"), (semnav.GlobalMap, "contours"),
-    (semnav.Room, "ring"), (semnav.Region, "bands"),
+    (semnav.Room, "ring"), (semnav.Region, "bands"), (semnav.SdfGrid, "_certified"),
 ])
 def test_removed_attributes_are_gone(owner, name):
     assert not hasattr(owner, name)

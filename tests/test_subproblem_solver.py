@@ -22,7 +22,7 @@ from semnav import (INFORMED_RRT_STAR, BenchConfig, EmptyInput, GeometricPath,
 from semnav import (SdfGrid, WallSegment, cli, map_builder, set_doorway_blocked,
                     subproblem_solver)
 from semnav.bench_harness import _PLAN_SALT
-from semnav.geometric_planner import GeometricProblem, plan
+from semnav.geometric_planner import GeometricProblem, Region, plan
 from semnav.rng import mix
 
 from conftest import fixture_path, rect_room
@@ -235,13 +235,12 @@ def test_a_planned_map_and_its_path_survive_a_copy(ring4_scene, clone):
     gmap = build_global_map(ring4_scene)
     _, gpath = _solved_ring4(ring4_scene, gmap)
     # planning filled the map's caches and read its field
-    assert gpath.gmap is gmap and gmap._certified and gmap.sdf._certified
+    assert gpath.gmap is gmap and gmap._certified
     for got in (clone(gmap), clone(gpath).gmap):
         assert got is not gmap
         assert got.sdf.values.tobytes() == gmap.sdf.values.tobytes()
         assert got.sdf.flat_values == gmap.sdf.flat_values
         assert got._certified == gmap._certified
-        assert got.sdf._certified == gmap.sdf._certified
         # and it plans as the original does
         _, again = _solved_ring4(ring4_scene, got)
         assert again == gpath
@@ -631,6 +630,31 @@ def test_sibling_replans_equal_replans_without_the_cache(name, planned):
                 hits += fresh[b][1] - len(planned)
     if name in ("grid8", "ring4"):
         assert hits > 0
+
+
+def test_derived_maps_certify_each_sibling_subproblem_as_a_full_build(
+        grid8_scene, derivations):
+    # every region a grid8 sibling route cuts out, rooms, openings and
+    # corridors, has on a derived map the certified boxes of a full build:
+    # after each single-doorway block and after the chain d12, d26
+    gmap = build_global_map(grid8_scene)
+    problems = [sub.to_problem() for query in SIBLING_QUERIES["grid8"]
+                for sub in decompose(_route(grid8_scene, *query), grid8_scene)]
+    before = [Region(gmap, p).certified for p in problems]
+    assert any(len(boxes) > 3 for boxes in before)  # a corridor box among them
+    changed = 0
+    for doors in [(d.id,) for d in grid8_scene.doorways] + [("d12", "d26")]:
+        derived, scene = gmap, grid8_scene
+        for d in doors:
+            derived = map_builder.build_blocked_map(derived, d)
+            scene = set_doorway_blocked(scene, d, True)
+        assert "_certified" not in derived.__dict__  # derivation carries no box
+        full = build_global_map(scene)
+        got = [Region(derived, p).certified for p in problems]
+        assert got == [Region(full, p).certified for p in problems], doors
+        changed += got != before
+    assert len(derivations) == len(grid8_scene.doorways) + 1
+    assert changed > 0
 
 
 def test_blocking_a_doorway_of_the_room_re_plans_and_a_far_one_hits(
