@@ -120,7 +120,9 @@ class BenchConfig:
 
     ``pairs="random"`` draws, per query id, a start and a goal that are valid
     states in two different rooms; ``pairs="fixed"`` uses the given start and
-    goal for every query (queries then differ only by planner seed).
+    goal for every query (queries then differ only by planner seed). It
+    checks itself when made and in ``dataclasses.replace``, its budget and
+    clock by building the ``PlannerConfig`` that each query gets.
     """
 
     map_path: str
@@ -139,21 +141,21 @@ class BenchConfig:
     clock: str = CLOCK_VIRTUAL
     ops_per_second: float = DEFAULT_OPS_PER_SECOND
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not self.modes:
             raise ValueError("no benchmark modes selected")
         for m in self.modes:
             if m not in MODES:
                 raise ValueError(f"unknown benchmark mode '{m}'")
-        if self.n_queries < 1:
-            raise ValueError("n_queries must be at least 1")
+        n = self.n_queries  # True is an int, but no query count
+        if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+            raise ValueError("n_queries must be an int of at least 1")
         if not (math.isfinite(self.timeout) and self.timeout > 0):
             raise ValueError("timeout must be positive and finite")
         if not (math.isfinite(self.ops_per_second) and self.ops_per_second > 0):
             raise ValueError("ops_per_second must be positive and finite")
-        if (self.clock == CLOCK_VIRTUAL
-                and not math.isfinite(self.timeout * self.ops_per_second)):
-            raise ValueError("timeout * ops_per_second must be finite")
+        PlannerConfig(timeout=self.timeout, clock=self.clock,
+                      ops_per_second=self.ops_per_second)
         if self.pairs not in (PAIRS_RANDOM, PAIRS_FIXED):
             raise ValueError(f"unknown pair policy '{self.pairs}'")
         if self.pairs == PAIRS_FIXED and (self.start is None or self.goal is None):
@@ -181,7 +183,6 @@ def generate_pairs(config: BenchConfig) -> list[tuple[Point2, Point2]]:
     clearance (a bilinear value is a convex combination of four node
     values, and the slack covers its rounding), else after 100,000 draws.
     """
-    config.validate()
     gmap = None
     if config.pairs == PAIRS_RANDOM:
         gmap = build_global_map(load_map(config.map_path))
@@ -273,7 +274,6 @@ def run_bench(config: BenchConfig, *, workers: int | None = None,
     """
     if workers is not None and workers < 1:
         raise ValueError("workers must be at least 1")
-    config.validate()
     gmap = build_global_map(load_map(config.map_path))
     world = (gmap, build_topology(gmap.scene, config.penalty, config.metric))
     pairs = _pairs(config, gmap)

@@ -64,6 +64,9 @@ def cmd_validate(args: argparse.Namespace) -> int:
 def cmd_plan(args: argparse.Namespace) -> int:
     if (args.goal is None) == (args.goal_room is None):
         raise ValueError("exactly one of --goal and --goal-room is required")
+    config = PlannerConfig(algorithm=args.algorithm, timeout=args.timeout,
+                           seed=args.seed, clock=args.clock,
+                           ops_per_second=args.ops_per_second)
     scene = load_map(args.map)
     gmap = build_global_map(scene)
     start = _parse_point(args.start)
@@ -71,9 +74,6 @@ def cmd_plan(args: argparse.Namespace) -> int:
         goal = scene.room(args.goal_room).center
     else:
         goal = _parse_point(args.goal)
-    config = PlannerConfig(algorithm=args.algorithm, timeout=args.timeout,
-                           seed=args.seed, clock=args.clock,
-                           ops_per_second=args.ops_per_second)
     topo = build_topology(scene, args.p_d, args.metric)
     result = plan_query(scene, gmap, topo, args.mode, start, goal, config,
                         redistribute=args.redistribute)

@@ -157,8 +157,8 @@ class PlannerStats:
 
 @dataclass(frozen=True)
 class PlannerConfig:
-    """Knobs for one planner run. At least one of timeout / max_iterations
-    must be positive."""
+    """Knobs for one planner run, checked when made and again by
+    ``dataclasses.replace``; needs a positive timeout or max_iterations."""
 
     algorithm: str = INFORMED_RRT_STAR
     timeout: float | None = None
@@ -177,8 +177,6 @@ class PlannerConfig:
         if (self.clock == CLOCK_VIRTUAL and self.timeout is not None
                 and not math.isfinite(self.timeout * self.ops_per_second)):
             raise ValueError("timeout * ops_per_second must be finite")
-
-    def validate(self) -> None:
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm '{self.algorithm}'")
         # a bool is an int, but True is no iteration count
@@ -748,7 +746,6 @@ def plan(gmap: GlobalMap, problem: GeometricProblem, config: PlannerConfig,
     the end; the best solution is updated from the solutions that joined or
     got cheaper (costs only fall). None of this moves a float, draw or tick.
     """
-    config.validate()
     region = Region(gmap, problem)
     if region.constrained and not region.rooms:
         raise EmptyRegion("allowed region contains no known rooms")

@@ -54,8 +54,6 @@ class TopologyGraph:
 
     penalty: float
     metric: str
-    room_ids: tuple[str, ...]
-    doorway_ids: tuple[str, ...]
     edges: dict[tuple[str, str], float]  # (room_id, doorway_id) -> cost
     room_doors: dict[str, tuple[str, ...]]
     door_rooms: dict[str, tuple[str, str]]
@@ -71,11 +69,9 @@ def build_topology(graph: SceneGraph, p_d: float = DEFAULT_DOORWAY_PENALTY,
     edges: dict[tuple[str, str], float] = {}
     room_doors: dict[str, list[str]] = {r.id: [] for r in graph.rooms}
     door_rooms: dict[str, tuple[str, str]] = {}
-    doorway_ids = []
     for d in graph.doorways:
         if d.blocked:
             continue
-        doorway_ids.append(d.id)
         door_rooms[d.id] = d.rooms
         for rid in d.rooms:
             edges[(rid, d.id)] = edge_cost(rooms[rid], d, p_d, metric)
@@ -83,8 +79,6 @@ def build_topology(graph: SceneGraph, p_d: float = DEFAULT_DOORWAY_PENALTY,
     return TopologyGraph(
         penalty=p_d,
         metric=metric,
-        room_ids=tuple(r.id for r in graph.rooms),
-        doorway_ids=tuple(doorway_ids),
         edges=edges,
         room_doors={k: tuple(v) for k, v in room_doors.items()},
         door_rooms=door_rooms,

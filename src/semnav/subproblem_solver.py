@@ -270,7 +270,6 @@ def solve_all(subs: tuple[Subproblem, ...] | list[Subproblem], gmap: GlobalMap,
     pass is split evenly among the unsolved subproblems, which are retried
     with a re-salted seed. Off by default to keep the baseline split exact.
     """
-    config.validate()
     subs = tuple(subs)
     if not subs:
         raise EmptyInput("no subproblems to solve")
@@ -387,7 +386,6 @@ def replan(scene: SceneGraph, prev_route: SemanticRoute,
     SubproblemInfeasible at the first re-planned subproblem whose endpoints
     cannot be valid states.
     """
-    config.validate()
     old = prev_path.gmap if prev_path is not None else None
     if old is not None and old.scene == scene:
         gmap = build_blocked_map(old, blocked_id)

@@ -7,6 +7,7 @@ import random
 import subprocess
 import sys
 from concurrent.futures import Future
+from dataclasses import replace
 
 import pytest
 
@@ -64,46 +65,61 @@ class TestConfigValidation:
         assert MODES == ("irrt", "irrt_sg", "irrt_sg_sps")
 
     def test_valid_config_passes(self):
-        _config().validate()
-        _config(modes=MODES, n_queries=50).validate()
+        # a config checks itself when it is made, so an invalid one never exists
+        _config()
+        _config(modes=MODES, n_queries=50)
 
     def test_no_modes_rejected(self):
         with pytest.raises(ValueError, match="no benchmark modes"):
-            _config(modes=()).validate()
+            _config(modes=())
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError, match="unknown benchmark mode 'rrt_connect'"):
-            _config(modes=("irrt", "rrt_connect")).validate()
+            _config(modes=("irrt", "rrt_connect"))
 
     def test_nonpositive_query_count_rejected(self):
         with pytest.raises(ValueError, match="n_queries"):
-            _config(n_queries=0).validate()
+            _config(n_queries=0)
+
+    @pytest.mark.parametrize("bad", [2.5, 1.0, "3", True])
+    def test_query_count_that_is_no_count_rejected(self, bad):
+        # the typed error, not a TypeError from range() or <, and True is
+        # no count of one
+        with pytest.raises(ValueError, match="n_queries must be an int of at least 1"):
+            _config(n_queries=bad)
+        with pytest.raises(ValueError, match="n_queries must be an int of at least 1"):
+            replace(_config(), n_queries=bad)
 
     def test_nonpositive_timeout_rejected(self):
         with pytest.raises(ValueError, match="timeout must be positive"):
-            _config(timeout=0.0).validate()
+            _config(timeout=0.0)
 
     @pytest.mark.parametrize("field", ["timeout", "ops_per_second"])
     @pytest.mark.parametrize("value", [math.inf, math.nan])
     def test_non_finite_budget_rejected(self, field, value):
         with pytest.raises(ValueError, match=f"{field} must be positive and finite"):
-            _config(**{field: value}).validate()
+            _config(**{field: value})
 
     def test_virtual_budget_overflow_rejected(self):
         # 1e308 s at 2e6 ticks per second is inf ticks: no query would stop
         with pytest.raises(ValueError, match=r"timeout \* ops_per_second must be finite"):
-            _config(timeout=1e308).validate()
-        _config(timeout=1e308, clock="wall").validate()
+            _config(timeout=1e308)
+        _config(timeout=1e308, clock="wall")
+
+    def test_unknown_clock_rejected(self):
+        # here, before the campaign builds a map or draws a pair
+        with pytest.raises(ValueError, match="unknown clock 'cpu'"):
+            _config(clock="cpu")
 
     def test_unknown_pair_policy_rejected(self):
         with pytest.raises(ValueError, match="pair policy"):
-            _config(pairs="adversarial").validate()
+            _config(pairs="adversarial")
 
     def test_fixed_pairs_require_endpoints(self):
         with pytest.raises(ValueError, match="fixed"):
-            _config(pairs="fixed").validate()
+            _config(pairs="fixed")
         # Supplying both endpoints makes the same config valid.
-        _config(pairs="fixed", start=Point2(1.0, 1.0), goal=Point2(9.0, 2.0)).validate()
+        _config(pairs="fixed", start=Point2(1.0, 1.0), goal=Point2(9.0, 2.0))
 
 
 # ---------------------------------------------------------------------------

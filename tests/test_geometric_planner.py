@@ -50,28 +50,28 @@ def empty_room_map():
 
 
 def test_config_validation():
-    PlannerConfig(timeout=1.0).validate()
-    PlannerConfig(timeout=None, max_iterations=100).validate()
+    # a config checks itself when it is made, so an invalid one never exists
+    PlannerConfig(timeout=1.0)
+    PlannerConfig(timeout=None, max_iterations=100)
     with pytest.raises(ValueError, match="algorithm"):
-        PlannerConfig(algorithm="dijkstra", timeout=1.0).validate()
+        PlannerConfig(algorithm="dijkstra", timeout=1.0)
     with pytest.raises(ValueError, match="timeout or max_iterations"):
-        PlannerConfig().validate()
+        PlannerConfig()
     with pytest.raises(ValueError, match="clock"):
-        PlannerConfig(timeout=1.0, clock="cpu").validate()
+        PlannerConfig(timeout=1.0, clock="cpu")
     with pytest.raises(ValueError, match="ops_per_second"):
-        PlannerConfig(timeout=1.0, ops_per_second=0.0).validate()
+        PlannerConfig(timeout=1.0, ops_per_second=0.0)
 
 
 @pytest.mark.parametrize("bad", [0, -5, 2.5, 1.0, True, "3"])
-def test_config_rejects_an_iteration_cap_that_is_no_count(threeroom_map, bad):
-    # -5 ran no iteration and 2.5 ran three; both looked like a valid run
-    problem = GeometricProblem(start=Point2(2.0, 2.0), goal=Point2(10.0, 2.0))
+def test_config_rejects_an_iteration_cap_that_is_no_count(bad):
+    # -5 ran no iteration and 2.5 ran three; both looked like a valid run.
+    # Such a config can no longer be built, so plan() never sees one.
     for timeout in (1.0, None):
-        config = PlannerConfig(timeout=timeout, max_iterations=bad)
         with pytest.raises(ValueError, match="int of at least 1"):
-            config.validate()
+            PlannerConfig(timeout=timeout, max_iterations=bad)
         with pytest.raises(ValueError, match="int of at least 1"):
-            plan(threeroom_map, problem, config)
+            replace(PlannerConfig(timeout=1.0), timeout=timeout, max_iterations=bad)
 
 
 @pytest.mark.parametrize("kwargs", [

@@ -59,6 +59,8 @@ def test_removed_names_are_gone(name):
     (semnav.WallSegment, "length"), (semnav.GlobalMap, "contour"),
     (semnav.Region, "room_table"), (semnav.GlobalMap, "contours"),
     (semnav.Room, "ring"), (semnav.Region, "bands"), (semnav.SdfGrid, "_certified"),
+    (semnav.TopologyGraph, "room_ids"), (semnav.TopologyGraph, "doorway_ids"),
+    (semnav.PlannerConfig, "validate"), (semnav.BenchConfig, "validate"),
 ])
 def test_removed_attributes_are_gone(owner, name):
     assert not hasattr(owner, name)
@@ -88,6 +90,10 @@ def test_option_lists_are_pinned():
         assert list(inspect.signature(fn).parameters) == names, fn.__name__
     assert [f.name for f in dataclasses.fields(semnav.PlannerConfig)] == [
         "algorithm", "timeout", "max_iterations", "seed", "clock", "ops_per_second"]
+    assert [f.name for f in dataclasses.fields(semnav.BenchConfig)] == [
+        "map_path", "modes", "n_queries", "timeout", "seed", "pairs", "start",
+        "goal", "penalty", "metric", "goal_tolerance", "robot_radius",
+        "validity_margin", "clock", "ops_per_second"]
 
 
 def test_replan_has_no_map_build_options():

@@ -55,7 +55,7 @@ def test_topology_counts(threeroom_scene, ring4_scene, grid8_scene):
     for scene, nodes, edges in ((threeroom_scene, 5, 4), (ring4_scene, 8, 8),
                                 (grid8_scene, 18, 20)):
         topo = build_topology(scene)
-        assert len(topo.room_ids) + len(topo.doorway_ids) == nodes
+        assert len(topo.room_doors) + len(topo.door_rooms) == nodes
         assert len(topo.edges) == edges
 
 
@@ -68,8 +68,8 @@ def test_topology_rejects_a_penalty_that_breaks_dijkstra(threeroom_scene, p_d):
 def test_topology_excludes_blocked(threeroom_scene):
     blocked = set_doorway_blocked(threeroom_scene, "d1", True)
     topo = build_topology(blocked)
-    assert (len(topo.room_ids) + len(topo.doorway_ids), len(topo.edges)) == (4, 2)
-    assert "d1" not in topo.doorway_ids
+    assert (len(topo.room_doors) + len(topo.door_rooms), len(topo.edges)) == (4, 2)
+    assert "d1" not in topo.door_rooms
     assert all("d1" not in doors for doors in topo.room_doors.values())
 
 

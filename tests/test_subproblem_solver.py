@@ -332,15 +332,13 @@ def test_replan_reuses_no_segment_that_runs_between_other_points(ring4_scene, ri
 
 
 @pytest.mark.parametrize("bad", [-5, 2.5])
-def test_solve_all_and_replan_reject_an_iteration_cap_that_is_no_count(
-        ring4_scene, ring4_map, bad):
-    # the per-subproblem split turned -5 into 1 and 2.5 into 2.0
-    route, gpath = _solved_ring4(ring4_scene, ring4_map, goal=Point2(6.0, 2.0))
-    config = PlannerConfig(timeout=0.3, max_iterations=bad)
+def test_solve_all_and_replan_reject_an_iteration_cap_that_is_no_count(bad):
+    # the per-subproblem split turned -5 into 1 and 2.5 into 2.0; now the
+    # config fails where it is built, so solve_all and replan never get one
     with pytest.raises(ValueError, match="max_iterations"):
-        solve_all(decompose(route, ring4_scene), ring4_map, config)
+        PlannerConfig(timeout=0.3, max_iterations=bad)
     with pytest.raises(ValueError, match="max_iterations"):
-        replan(ring4_scene, route, gpath, "d34", Point2(2.0, 2.0), config)
+        replace(PlannerConfig(timeout=0.3), max_iterations=bad)
 
 
 def test_replan_start_without_clearance_is_infeasible(ring4_scene, ring4_map):
