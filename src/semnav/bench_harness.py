@@ -33,7 +33,7 @@ from .geometric_planner import (CLOCK_VIRTUAL, DEFAULT_GOAL_TOLERANCE,
                                 DEFAULT_OPS_PER_SECOND, DEFAULT_ROBOT_RADIUS,
                                 DEFAULT_VALIDITY_MARGIN, INFORMED_RRT_STAR,
                                 GeometricPath, GeometricProblem, PlannerConfig,
-                                PlannerStats, Region, plan)
+                                PlannerStats, Region, _finite, plan)
 from .map_builder import GlobalMap, build_global_map
 from .rng import make_stream, mix
 from .scene_graph import SceneGraph, load_map, locate_room
@@ -121,8 +121,8 @@ class BenchConfig:
     ``pairs="random"`` draws, per query id, a start and a goal that are valid
     states in two different rooms; ``pairs="fixed"`` uses the given start and
     goal for every query (queries then differ only by planner seed). It
-    checks itself when made and in ``dataclasses.replace``, its budget and
-    clock by building the ``PlannerConfig`` that each query gets.
+    checks itself when made and in ``dataclasses.replace``, its budget, seed
+    and clock by building the ``PlannerConfig`` that each query gets.
     """
 
     map_path: str
@@ -150,11 +150,11 @@ class BenchConfig:
         n = self.n_queries  # True is an int, but no query count
         if isinstance(n, bool) or not isinstance(n, int) or n < 1:
             raise ValueError("n_queries must be an int of at least 1")
-        if not (math.isfinite(self.timeout) and self.timeout > 0):
-            raise ValueError("timeout must be positive and finite")
-        if not (math.isfinite(self.ops_per_second) and self.ops_per_second > 0):
-            raise ValueError("ops_per_second must be positive and finite")
-        PlannerConfig(timeout=self.timeout, clock=self.clock,
+        for name in ("timeout", "ops_per_second"):
+            v = getattr(self, name)
+            if not (_finite(v) and v > 0):
+                raise ValueError(f"{name} must be positive and finite, not {v!r}")
+        PlannerConfig(timeout=self.timeout, seed=self.seed, clock=self.clock,
                       ops_per_second=self.ops_per_second)
         if self.pairs not in (PAIRS_RANDOM, PAIRS_FIXED):
             raise ValueError(f"unknown pair policy '{self.pairs}'")

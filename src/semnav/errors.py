@@ -24,7 +24,7 @@ class UnknownId(SemNavError):
 
 
 class DegenerateRoom(SemNavError):
-    """Room walls do not close into a simple rectangle."""
+    """A room's bounds are not a box of finite, positive extent."""
 
 
 class DoorwayPlacement(SemNavError):

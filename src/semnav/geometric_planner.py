@@ -155,6 +155,11 @@ class PlannerStats:
     best_cost: float = math.inf
 
 
+def _finite(value: object) -> bool:
+    """True for a finite int or float; a bool is an int, but no number."""
+    return not isinstance(value, bool) and isinstance(value, (int, float)) and math.isfinite(value)
+
+
 @dataclass(frozen=True)
 class PlannerConfig:
     """Knobs for one planner run, checked when made and again by
@@ -168,11 +173,13 @@ class PlannerConfig:
     ops_per_second: float = DEFAULT_OPS_PER_SECOND
 
     def __post_init__(self) -> None:
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int):
+            raise ValueError(f"seed must be an int, not {self.seed!r}")
         # a budget that can never run out would let the tree grow forever
-        if self.timeout is not None and not math.isfinite(self.timeout):
-            raise ValueError("timeout must be finite")
-        if not math.isfinite(self.ops_per_second):
-            raise ValueError("ops_per_second must be finite")
+        for name in ("timeout", "ops_per_second"):
+            v = getattr(self, name)
+            if not (_finite(v) or v is None and name == "timeout"):
+                raise ValueError(f"{name} must be a finite number, not {v!r}")
         # the virtual budget in ticks overflows to inf for a huge timeout
         if (self.clock == CLOCK_VIRTUAL and self.timeout is not None
                 and not math.isfinite(self.timeout * self.ops_per_second)):
@@ -438,8 +445,8 @@ class Region:
 
         True at once in a ``certified`` box the region has already built;
         otherwise the bbox test, the room boxes and the bilinear lookup of
-        ``sdf_query`` run inline, as in ``_motion_valid``; a point in the
-        bbox but off the grid raises OutOfBounds, as ``sdf_query`` does.
+        ``sdf_query`` run inline, as in ``_walk``; a point in the bbox but off
+        the grid raises OutOfBounds, as ``sdf_query`` does.
         """
         x, y = p
         for x0, y0, x1, y1 in self._held:
@@ -475,18 +482,14 @@ class Region:
     def motion_valid(self, a: Point2, b: Point2) -> bool:
         """Straight-line motion check: every interpolated state must be valid.
 
+        True at once when both endpoints lie in the first ``certified`` box
+        that holds ``a``, else ``_walk``; ``plan`` runs the same test inline.
         A non-finite endpoint is not a valid state, so its motion is invalid
         (its length is not finite either).
         """
         length = dist(a, b)
         if not math.isfinite(length):
             return False
-        return self._motion_valid(a, b, max(1, math.ceil(length / self.step)), length)
-
-    def _motion_valid(self, a: Point2, b: Point2, n: int, length: float) -> bool:
-        """``motion_valid`` given ``length == dist(a, b)`` and ``n + 1`` points:
-        True at once when both endpoints lie in the first ``certified`` box
-        that holds ``a``, else ``_walk``. ``plan`` runs the same test inline."""
         ax, ay = a
         bx, by = b
         for x0, y0, x1, y1 in self.certified:
@@ -494,14 +497,15 @@ class Region:
                 if x0 <= bx <= x1 and y0 <= by <= y1:
                     return True
                 break
-        return self._walk(a, b, n, length)
+        return self._walk(a, b, max(1, math.ceil(length / self.step)), length)
 
     def _walk(self, a: Point2, b: Point2, n: int, length: float) -> bool:
-        """The point-by-point part of ``_motion_valid``, less the points the
-        module docstring proves: when constrained, those up to the ``_reach``
-        of ``a`` and from ``n`` less that of ``b`` back (a doorway centre
-        lies first in its opening's box, but its corridor's reaches into the
-        room); unconstrained, those the ``stride`` skips."""
+        """The point-by-point part of ``motion_valid``, over ``n + 1`` points
+        given ``length == dist(a, b)``, less the points the module docstring
+        proves: when constrained, those up to the ``_reach`` of ``a`` and from
+        ``n`` less that of ``b`` back (a doorway centre lies first in its
+        opening's box, but its corridor's reaches into the room);
+        unconstrained, those the ``stride`` skips."""
         ax, ay = a
         bx, by = b
         (bx0, by0, bx1, by1, constrained, boxes, clearance, v, ox, oy, res, nx,
@@ -775,7 +779,7 @@ def plan(gmap: GlobalMap, problem: GeometricProblem, config: PlannerConfig,
 
     def motion_ok(a: Point2, b: Point2, length: float) -> bool:
         """Charge a motion check by its points and run it; length is dist(a, b).
-        The certificate test of ``Region._motion_valid``, inline."""
+        The certificate test of ``Region.motion_valid``, inline."""
         nonlocal ticks
         m = math.ceil(length / step) or 1
         ticks += (m + 1) * check_cost

@@ -2,7 +2,7 @@
 
 The builder turns the semantic layer into geometry a sampling planner can use:
 
-* a check that each room's stored box is the rectangle its walls close,
+* a check that each room's box has a finite, positive extent,
 * the wall set with doorway-width gaps carved out of both adjacent walls,
 * a signed distance field sampled on a regular grid, exact at the nodes and
   bilinearly interpolated between them,
@@ -44,9 +44,8 @@ import numpy as np
 from .errors import (DegenerateRoom, DoorwayPlacement, EmptyMap, OutOfBounds,
                      ValidationError)
 from .geometry import Point2, WallSegment
-from .scene_graph import (Room, SceneGraph, SharedBoundary, _rect_from_walls,
-                          _snap_walls, _wall_interval, set_doorway_blocked,
-                          shared_boundary)
+from .scene_graph import (CLOSURE_TOL, Room, SceneGraph, SharedBoundary, _wall_interval,
+                          set_doorway_blocked, shared_boundary)
 
 DEFAULT_RESOLUTION = 0.05
 DEFAULT_WALL_HALF_WIDTH = 0.05
@@ -305,8 +304,8 @@ def build_sdf(walls: CarvedWalls, bbox: tuple[Point2, Point2],
     both passes read the same bounds, computed once.
 
     Raises EmptyMap without segments, ValidationError for a piece neither
-    exactly horizontal, vertical nor a point (rooms snap their walls to
-    their boxes, so carved walls pass), ValueError for a non-finite or
+    exactly horizontal, vertical nor a point (a room's walls are the sides
+    of its box, so carved walls pass), ValueError for a non-finite or
     non-positive resolution and ValidationError when the grid would have
     more than ``_MAX_NODES`` nodes; nothing is allocated before these checks.
     """
@@ -655,8 +654,9 @@ def build_global_map(scene: SceneGraph,
                      resolution: float = DEFAULT_RESOLUTION) -> GlobalMap:
     """Build carved walls, SDF and doorway openings for one scene.
 
-    The planner reads each room's ``bounds``, so a room whose walls do not
-    lie exactly on that box (a ``Room`` built by hand) raises DegenerateRoom.
+    A room's walls are the sides of its ``bounds``, so a ``Room`` built by
+    hand whose bounds are not four finite numbers, each extent above
+    ``CLOSURE_TOL``, raises DegenerateRoom before any field is built.
     """
     return _global_map(scene, lambda walls: build_sdf(walls, scene.bbox, resolution=resolution))
 
@@ -707,10 +707,7 @@ def _check_rooms(scene: SceneGraph) -> None:
     if not scene.rooms:
         raise EmptyMap("scene has no rooms")
     for room in scene.rooms:
-        try:
-            box = _rect_from_walls(room.walls)
-        except ValueError as e:
-            raise DegenerateRoom(f"room {room.id}: {e}") from e
-        if (box, _snap_walls(room.walls, box)) != (room.bounds, room.walls):
-            raise DegenerateRoom(f"room {room.id}: bounds {room.bounds} and walls "
-                                 f"are not exactly the box {box} the walls close")
+        b = room.bounds
+        if not (len(b) == 4 and all(map(math.isfinite, b))
+                and b[2] - b[0] > CLOSURE_TOL and b[3] - b[1] > CLOSURE_TOL):
+            raise DegenerateRoom(f"room {room.id}: bounds {b} are not a box")

@@ -1,9 +1,10 @@
 """Semantic scene graph: rooms, doorways and the map file they are loaded from.
 
-A scene graph is the semantic layer of the planner. Rooms are axis-aligned
-rectangles described by four wall segments, stored snapped onto the box they
-close within ``CLOSURE_TOL`` (``Room.build``), so each runs exactly between
-two corners. Doorways connect exactly two rooms across a shared boundary, and
+A scene graph is the semantic layer of the planner. A room is an axis-aligned
+box. A map file gives it as four wall segments, which the loader reads only to
+find the box they close within ``CLOSURE_TOL`` (``Room.build``); ``save_map``
+writes the box's four sides, counter-clockwise from its lower-left corner.
+Doorways connect exactly two rooms across a shared boundary, and
 everything is immutable after loading; mutation style APIs (such as blocking
 a doorway) return a new graph.
 
@@ -30,6 +31,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Iterable, NamedTuple
 
 from .errors import ParseError, UnknownId, ValidationError
@@ -103,47 +105,30 @@ def _rect_from_walls(walls: tuple[WallSegment, ...]) -> tuple[float, float, floa
     return x0, y0, x1, y1
 
 
-def _snap_walls(walls: tuple[WallSegment, ...], box: tuple[float, float, float, float]
-                ) -> tuple[WallSegment, ...]:
-    """``walls``, closed into ``box`` by ``_rect_from_walls``, with every
-    endpoint moved onto the box, in the same order and a-to-b direction. A
-    coordinate equal to the box's keeps its bits (-0.0 included), so walls
-    already on the box come back equal."""
-    x0, y0, x1, y1 = box
-    snapped = []
-    for w in walls:
-        a, b = w
-        if abs(a.x - b.x) <= CLOSURE_TOL:  # vertical, on the side its midpoint gave
-            xa = xb = x0 if _mid(a.x, b.x) == x0 else x1
-            ya, yb = (y0, y1) if a.y < b.y else (y1, y0)
-        else:
-            ya = yb = y0 if _mid(a.y, b.y) == y0 else y1
-            xa, xb = (x0, x1) if a.x < b.x else (x1, x0)
-        snapped.append(w if a == (xa, ya) and b == (xb, yb) else WallSegment(
-            Point2(a.x if a.x == xa else xa, a.y if a.y == ya else ya),
-            Point2(b.x if b.x == xb else xb, b.y if b.y == yb else yb)))
-    return tuple(snapped)
-
-
 @dataclass(frozen=True)
 class Room:
-    """Axis-aligned rectangular room; ``bounds`` is the rectangle its walls
-    close, as (xmin, ymin, xmax, ymax). ``build`` snaps the walls onto it,
-    keeping their order and direction; ``build_global_map`` rejects a room
-    built by hand whose walls are not exactly on ``bounds``."""
+    """Axis-aligned rectangular room: ``bounds`` is its box, as (xmin, ymin,
+    xmax, ymax). ``build`` reads a file's four walls only to find that box;
+    ``walls`` are its sides, counter-clockwise from (xmin, ymin)."""
 
     id: str
     center: Point2
-    walls: tuple[WallSegment, ...]
     bounds: tuple[float, float, float, float]
 
     @classmethod
     def build(cls, room_id: str, center: Point2, walls: Iterable[WallSegment]) -> "Room":
-        walls = tuple(walls)
-        box = x0, y0, x1, y1 = _rect_from_walls(walls)
+        box = x0, y0, x1, y1 = _rect_from_walls(tuple(walls))
         if not (x0 < center.x < x1 and y0 < center.y < y1):
             raise ValueError("center does not lie strictly inside the walls")
-        return cls(id=room_id, center=center, walls=_snap_walls(walls, box), bounds=box)
+        return cls(id=room_id, center=center, bounds=box)
+
+    @cached_property
+    def walls(self) -> tuple[WallSegment, ...]:
+        """Bottom, right, top and left side of ``bounds``, each running
+        counter-clockwise."""
+        x0, y0, x1, y1 = self.bounds
+        a, b, c, d = Point2(x0, y0), Point2(x1, y0), Point2(x1, y1), Point2(x0, y1)
+        return WallSegment(a, b), WallSegment(b, c), WallSegment(c, d), WallSegment(d, a)
 
     def contains(self, p: Point2) -> bool:
         """True when ``p`` lies within ``CONTAINMENT_TOL`` (Euclidean) of the
@@ -231,11 +216,10 @@ def _validate_graph(graph: SceneGraph) -> None:
     if not (lo.x < hi.x and lo.y < hi.y):
         raise ValidationError("bbox: min must be strictly below max")
     for r in graph.rooms:
-        for w in r.walls:
-            for p in (w.a, w.b):
-                if not (lo.x - BBOX_TOL <= p.x <= hi.x + BBOX_TOL
-                        and lo.y - BBOX_TOL <= p.y <= hi.y + BBOX_TOL):
-                    raise ValidationError(f"room {r.id}: wall vertex {tuple(p)} outside bbox")
+        x0, y0, x1, y1 = r.bounds
+        if not (lo.x - BBOX_TOL <= x0 and x1 <= hi.x + BBOX_TOL
+                and lo.y - BBOX_TOL <= y0 and y1 <= hi.y + BBOX_TOL):
+            raise ValidationError(f"room {r.id}: box {r.bounds} outside bbox")
 
     room_ids = {r.id: r for r in graph.rooms}
     for d in graph.doorways:
@@ -417,22 +401,12 @@ def locate_room(graph: SceneGraph, p: Point2) -> str | None:
     A point on a shared boundary belongs to several rooms; the tie breaks to
     the lexicographically smallest id so the answer is deterministic.
     """
-    hits = [r.id for r in graph.rooms if r.contains(p)]
-    if not hits:
-        return None
-    return min(hits)
+    return min((r.id for r in graph.rooms if r.contains(p)), default=None)
 
 
 def set_doorway_blocked(graph: SceneGraph, doorway_id: str, blocked: bool) -> SceneGraph:
-    """Return a copy of the graph with one doorway's blocked flag replaced."""
-    found = False
-    new_doorways = []
-    for d in graph.doorways:
-        if d.id == doorway_id:
-            new_doorways.append(replace(d, blocked=blocked))
-            found = True
-        else:
-            new_doorways.append(d)
-    if not found:
-        raise UnknownId(f"unknown doorway id '{doorway_id}'")
-    return replace(graph, doorways=tuple(new_doorways))
+    """Return a copy of the graph with one doorway's blocked flag replaced;
+    UnknownId when the graph has no such doorway."""
+    graph.doorway(doorway_id)
+    return replace(graph, doorways=tuple(replace(d, blocked=blocked) if d.id == doorway_id else d
+                                         for d in graph.doorways))

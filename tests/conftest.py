@@ -87,7 +87,7 @@ def rectangle_rooms(draw) -> Room:
     y0 = scale * draw(st.floats(-1.0, 1.0))
     x1 = x0 + draw(st.floats(0.05, 20.0))
     y1 = y0 + draw(st.floats(0.05, 20.0))
-    return Room(id="a", center=Point2((x0 + x1) / 2.0, (y0 + y1) / 2.0), walls=(),
+    return Room(id="a", center=Point2((x0 + x1) / 2.0, (y0 + y1) / 2.0),
                 bounds=(x0, y0, x1, y1))
 
 

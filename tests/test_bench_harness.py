@@ -100,6 +100,22 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=f"{field} must be positive and finite"):
             _config(**{field: value})
 
+    @pytest.mark.parametrize("field, value, match", [
+        ("seed", 2.5, "seed must be an int"), ("seed", True, "seed must be an int"),
+        ("seed", "1", "seed must be an int"), ("timeout", None, "timeout must be positive"),
+        ("timeout", "1", "timeout must be positive"),
+        ("timeout", True, "timeout must be positive"),
+        ("ops_per_second", "2", "ops_per_second must be positive"),
+        ("ops_per_second", None, "ops_per_second must be positive"),
+    ])
+    def test_wrong_type_rejected(self, field, value, match):
+        # the typed error at construction, not a TypeError from rng.mix or
+        # math.isfinite once the campaign runs
+        with pytest.raises(ValueError, match=match):
+            _config(**{field: value})
+        with pytest.raises(ValueError, match=match):
+            replace(_config(), **{field: value})
+
     def test_virtual_budget_overflow_rejected(self):
         # 1e308 s at 2e6 ticks per second is inf ticks: no query would stop
         with pytest.raises(ValueError, match=r"timeout \* ops_per_second must be finite"):

@@ -74,6 +74,26 @@ def test_config_rejects_an_iteration_cap_that_is_no_count(bad):
             replace(PlannerConfig(timeout=1.0), timeout=timeout, max_iterations=bad)
 
 
+@pytest.mark.parametrize("kwargs, match", [
+    ({"timeout": 0.01, "seed": 2.5}, "seed must be an int"),
+    ({"timeout": 0.01, "seed": True}, "seed must be an int"),
+    ({"timeout": 0.01, "seed": None}, "seed must be an int"),
+    ({"timeout": "1"}, "timeout must be a finite number"),
+    ({"timeout": True}, "timeout must be a finite number"),
+    ({"max_iterations": 10, "timeout": "1"}, "timeout must be a finite number"),
+    ({"timeout": 1.0, "ops_per_second": "2"}, "ops_per_second must be a finite number"),
+    ({"timeout": 1.0, "ops_per_second": None}, "ops_per_second must be a finite number"),
+    ({"timeout": 1.0, "ops_per_second": True}, "ops_per_second must be a finite number"),
+])
+def test_config_rejects_a_wrong_type(kwargs, match):
+    # the typed error when made, not a TypeError from math.isfinite here or
+    # from the seed's 64-bit mask when a subproblem seed is mixed
+    with pytest.raises(ValueError, match=match):
+        PlannerConfig(**kwargs)
+    with pytest.raises(ValueError, match=match):
+        replace(PlannerConfig(timeout=1.0), **kwargs)
+
+
 @pytest.mark.parametrize("kwargs", [
     {"timeout": math.inf}, {"timeout": math.nan},
     {"timeout": 1.0, "ops_per_second": math.nan},
@@ -594,7 +614,7 @@ def test_rectangle_containment_equals_room_contains(room, data):
 
 
 def test_rectangle_containment_boundary_band():
-    room = Room(id="a", center=Point2(1.0, 0.5), walls=(), bounds=(0.0, 0.0, 2.0, 1.0))
+    room = Room(id="a", center=Point2(1.0, 0.5), bounds=(0.0, 0.0, 2.0, 1.0))
     region = _contour_region([room])
     for p, inside in [(Point2(1.0, 0.5), True), (Point2(2.0, 0.5), True),
                       (Point2(2.0 + 5e-10, 1.0), True), (Point2(-5e-10, 0.5), True),
@@ -671,7 +691,7 @@ def test_state_check_equals_containment_and_field_lookup(fixture_maps, name, dat
 
 def test_state_check_raises_off_the_grid_as_sdf_query_does():
     # the grid covers only (-1, -1)..(-0.95, -0.95), in no room but in the opening
-    room = Room(id="a", center=Point2(1.0, 0.5), walls=(), bounds=(0.0, 0.0, 2.0, 1.0))
+    room = Room(id="a", center=Point2(1.0, 0.5), bounds=(0.0, 0.0, 2.0, 1.0))
     region = _contour_region([room], {"d": (-1.0, -1.0, -0.9, -0.9)})
     for p in (Point2(1.0, 0.5), Point2(-0.92, -0.92)):
         with pytest.raises(OutOfBounds):
@@ -978,8 +998,11 @@ def test_certified_motion_check_equals_pointwise_check(fixture_maps, name, data)
     got = region.motion_valid(a, b)
     if kind == "non_finite":
         assert got is False
-        # the certificate itself never accepts a non-finite endpoint
-        assert region._motion_valid(a, b, 1, 1.0) is False
+        # nor would the certificate test, which plan runs inline: no
+        # certified box holds a non-finite endpoint
+        assert not any(x0 <= x <= x1 and y0 <= y <= y1 for x, y in (a, b)
+                       if not (math.isfinite(x) and math.isfinite(y))
+                       for x0, y0, x1, y1 in region.certified)
         return
     assert got == _reference_motion_valid(region, a, b)
     if kind == "inside":

@@ -49,42 +49,25 @@ def test_contour_is_the_room_box(name):
 
 def test_contour_degenerate_room():
     good = rect_room("a", 0.0, 0.0, 2.0, 2.0)
-    broken = Room(id="bad", center=good.center, walls=good.walls[:3],
-                  bounds=good.bounds)
+    broken = Room(id="bad", center=good.center, bounds=(0.0, 0.0, 2.0, 0.0))
     with pytest.raises(DegenerateRoom, match="bad"):
         build_global_map(_scene([good, broken]))
 
 
-def test_build_global_map_rejects_bounds_its_walls_do_not_close():
-    # the planner reads bounds, so a hand-built room whose box disagrees
-    # with its walls would plan in a room the distance field does not have
-    good = rect_room("a", 0.0, 0.0, 2.0, 2.0)
-    shifted = Room(id="off", center=good.center, walls=good.walls,
-                   bounds=(0.0, 0.0, 2.0, 3.0))
-    with pytest.raises(DegenerateRoom, match="off"):
-        build_global_map(_scene([shifted]))
-
-
-@pytest.mark.parametrize("walls, on_bounds", [
-    # x = 2 tilted at end b by just under CLOSURE_TOL: the box moves off bounds
-    (lambda w: (w[0], WallSegment(w[1].a, Point2(2.0 + 0.999 * CLOSURE_TOL, 2.0)), *w[2:]),
-     False),
-    # x = 2 tilted by 2**-20 about its midpoint: the box is still bounds
-    (lambda w: (w[0], WallSegment(Point2(2.0 - 2.0 ** -21, 0.0),
-                                  Point2(2.0 + 2.0 ** -21, 2.0)), *w[2:]), True),
-    # the bottom wall ends CLOSURE_TOL short of the corner
-    (lambda w: (WallSegment(Point2(0.0, 0.0), Point2(2.0 - CLOSURE_TOL, 0.0)), *w[1:]), True),
-], ids=["tilted", "tilted-about-midpoint", "short"])
-def test_build_global_map_rejects_hand_built_walls_off_their_box(walls, on_bounds,
-                                                                 monkeypatch):
-    # Room.build would snap these walls; the constructor keeps them, and the
-    # map build rejects them before a field build could meet a tilted piece
-    good = rect_room("a", 0.0, 0.0, 2.0, 2.0)
-    off = Room(id="off", center=good.center, walls=walls(good.walls), bounds=good.bounds)
-    assert (_rect_from_walls(off.walls) == off.bounds) == on_bounds
+@pytest.mark.parametrize("bounds", [
+    (0.0, 0.0, 0.0, 2.0), (0.0, 0.0, 2.0, CLOSURE_TOL), (2.0, 0.0, 0.0, 2.0),
+    (0.0, 2.0, 2.0, 0.0), (math.nan, 0.0, 2.0, 2.0), (0.0, 0.0, 2.0, math.nan),
+    (0.0, 0.0, math.inf, 2.0), (-math.inf, 0.0, 2.0, 2.0), (0.0, 0.0, 2.0),
+], ids=["zero-width", "height-at-tolerance", "inverted-x", "inverted-y", "nan-x0",
+        "nan-y1", "inf-x1", "inf-x0", "three-numbers"])
+def test_build_global_map_rejects_hand_built_bounds_that_are_no_box(bounds, monkeypatch):
+    # a loaded room's box has four finite corners and each extent above
+    # CLOSURE_TOL; one built by hand is held to the same before any field
+    # build, which would otherwise make a field of the bbox for no room
+    room = Room(id="off", center=Point2(1.0, 1.0), bounds=bounds)
     monkeypatch.setattr(map_builder, "build_sdf", _forbidden)
     with pytest.raises(DegenerateRoom, match="off"):
-        build_global_map(_scene([off]))
+        build_global_map(_scene([room], bbox=(Point2(0.0, 0.0), Point2(2.0, 2.0))))
 
 
 def test_point_in_contour(threeroom_scene):

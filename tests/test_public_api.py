@@ -43,13 +43,13 @@ def test_region_is_public():
                                   "point_on_segment", "point_segment_distance",
                                   "EPS", "_RECT_BAND", "carve_doorways",
                                   "doorway_openings", "_world", "_WORLD_CACHE",
-                                  "_certify"])
+                                  "_certify", "_snap_walls"])
 def test_removed_names_are_gone(name):
     assert name not in semnav.__all__
     assert not hasattr(semnav, name)
     for module in (semnav.geometric_planner, semnav.subproblem_solver,
                    semnav.semantic_planner, semnav.bench_harness,
-                   semnav.map_builder, semnav.geometry):
+                   semnav.map_builder, semnav.geometry, semnav.scene_graph):
         assert not hasattr(module, name), (module.__name__, name)
 
 
@@ -61,6 +61,7 @@ def test_removed_names_are_gone(name):
     (semnav.Room, "ring"), (semnav.Region, "bands"), (semnav.SdfGrid, "_certified"),
     (semnav.TopologyGraph, "room_ids"), (semnav.TopologyGraph, "doorway_ids"),
     (semnav.PlannerConfig, "validate"), (semnav.BenchConfig, "validate"),
+    (semnav.Region, "_motion_valid"),
 ])
 def test_removed_attributes_are_gone(owner, name):
     assert not hasattr(owner, name)
@@ -88,6 +89,7 @@ def test_option_lists_are_pinned():
     }
     for fn, names in params.items():
         assert list(inspect.signature(fn).parameters) == names, fn.__name__
+    assert [f.name for f in dataclasses.fields(semnav.Room)] == ["id", "center", "bounds"]
     assert [f.name for f in dataclasses.fields(semnav.PlannerConfig)] == [
         "algorithm", "timeout", "max_iterations", "seed", "clock", "ops_per_second"]
     assert [f.name for f in dataclasses.fields(semnav.BenchConfig)] == [

@@ -6,7 +6,9 @@ import copy
 import importlib.util
 import json
 import math
+import os
 import random
+import tempfile
 from fractions import Fraction
 
 import pytest
@@ -19,7 +21,7 @@ from semnav import (Doorway, ParseError, Point2, Room, SceneGraph, UnknownId,
 from semnav.cli import main
 from semnav.scene_graph import CLOSURE_TOL, CONTAINMENT_TOL, _mid
 
-from conftest import fixture_path, near, rect_room, rectangle_rooms
+from conftest import fixture_path, near, random_scene, rect_room, rectangle_rooms
 from oracles import room_of_point
 
 
@@ -77,9 +79,9 @@ def test_fixture_generator_writes_the_committed_maps(tmp_path, name):
 
 @pytest.mark.parametrize("name", ["threeroom", "ring4", "grid8"])
 def test_fixture_wall_vertices_are_exactly_box_corners(name):
-    # The loader snaps walls onto their box. Every record (golden CSVs,
-    # anytime curves, perfbench digests) was made on these files as written,
-    # so a vertex off its box would move them.
+    # The loader keeps only the box a room's walls close. Every record
+    # (golden CSVs, anytime curves, perfbench digests) was made on these
+    # files as written, so a vertex off its box would move them.
     with open(fixture_path(f"{name}.map")) as f:
         data = json.load(f)
     scene = load_map(fixture_path(f"{name}.map"))
@@ -91,7 +93,7 @@ def test_fixture_wall_vertices_are_exactly_box_corners(name):
         ends = [(float(x).hex(), float(y).hex())
                 for wall in entry["walls"] for x, y in (wall["a"], wall["b"])]
         assert set(ends) <= corners, entry["id"]
-        # so the loader keeps every wall as written
+        # and the box's sides, counter-clockwise, are the walls as written
         assert ends == [(x.hex(), y.hex()) for wall in room.walls for x, y in wall]
 
 
@@ -162,14 +164,14 @@ def test_room_contains_is_the_exact_distance_to_the_box(room, data):
      (-0.5210248324112385, 10.605088991200565)),
 ])
 def test_room_contains_rejects_points_just_past_a_corner(bounds, p):
-    room = Room(id="a", center=Point2(1.0, 1.0), walls=(), bounds=bounds)
+    room = Room(id="a", center=Point2(1.0, 1.0), bounds=bounds)
     assert _box_distance_sq(bounds, p) > _TOL * _TOL
     assert room.contains(Point2(*p)) is False
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_room_contains_rejects_non_finite_points(bad):
-    room = Room(id="a", center=Point2(1.0, 0.5), walls=(), bounds=(0.0, 0.0, 2.0, 1.0))
+    room = Room(id="a", center=Point2(1.0, 0.5), bounds=(0.0, 0.0, 2.0, 1.0))
     for p in (Point2(bad, 0.5), Point2(1.0, bad), Point2(bad, bad)):
         assert room.contains(p) is False
 
@@ -365,7 +367,7 @@ def test_direct_construction_helpers():
         Room.build("bad", Point2(5.0, 5.0), list(room.walls))
 
 
-# ------------------------------------------------ walls snapped to the box
+# ------------------------------------------------ walls read as their box
 
 
 # sliding an end along its wall, in units of CLOSURE_TOL, wall after wall
@@ -397,19 +399,92 @@ def _perturbed(data: dict, swap: bool) -> tuple[dict, dict]:
     return exact, moved
 
 
+def _sides(x0: float, y0: float, x1: float, y1: float) -> tuple[WallSegment, ...]:
+    """Bottom, right, top and left side of the box, counter-clockwise."""
+    return (WallSegment(Point2(x0, y0), Point2(x1, y0)),
+            WallSegment(Point2(x1, y0), Point2(x1, y1)),
+            WallSegment(Point2(x1, y1), Point2(x0, y1)),
+            WallSegment(Point2(x0, y1), Point2(x0, y0)))
+
+
 def test_room_build_keeps_walls_on_the_box_bit_for_bit():
-    # x0 is -0.0 (the midpoint of the left wall); the bottom and top walls
-    # end at 0.0, which equals it and so keeps its sign
+    # x0 is -0.0 (the midpoint of the left wall); the walls are the sides of
+    # the box, so every end at x0 is -0.0, whatever sign the file gave it
     walls = (WallSegment(Point2(0.0, 0.0), Point2(2.0, 0.0)),
              WallSegment(Point2(2.0, 0.0), Point2(2.0, 2.0)),
              WallSegment(Point2(2.0, 2.0), Point2(0.0, 2.0)),
              WallSegment(Point2(-0.0, 2.0), Point2(-0.0, 0.0)))
     room = Room.build("a", Point2(1.0, 1.0), walls)
     assert repr(room.bounds) == repr((-0.0, 0.0, 2.0, 2.0))
-    assert repr(room.walls) == repr(walls)
-    # so does an end of a wall that is snapped at its other end
-    slid = (WallSegment(Point2(0.0, 0.0), Point2(2.0 + 2.0 ** -24, 0.0)),) + walls[1:]
-    assert repr(Room.build("a", Point2(1.0, 1.0), slid).walls) == repr(walls)
+    assert repr(room.walls) == repr(_sides(-0.0, 0.0, 2.0, 2.0))
+    # computed once per room
+    assert room.walls is room.walls
+    # the same walls in another order and direction, one slid along itself
+    moved = (WallSegment(walls[2].b, walls[2].a), walls[3],
+             WallSegment(Point2(0.0, 0.0), Point2(2.0 + 2.0 ** -24, 0.0)), walls[1])
+    again = Room.build("a", Point2(1.0, 1.0), moved)
+    assert again == room and repr(again) == repr(room)
+    assert repr(again.walls) == repr(room.walls)
+
+
+# box corners on a 1/64 grid: a side's ends moved across it by _HALF_TILT
+# either way are exact, and so is their midpoint
+_GRID = st.integers(-6400, 6400).map(lambda k: k / 64.0)
+_SLIDE = st.floats(-0.99, 0.99).map(lambda f: f * CLOSURE_TOL)
+
+
+def _moved_side(side: WallSegment, flip: bool, slide_a: float, slide_b: float,
+                tilt: float) -> WallSegment:
+    """``side`` with each end slid along it and the two ends moved across it
+    by ``tilt`` opposite ways (a turn about its midpoint), reversed when
+    ``flip`` is set. A zero ``tilt`` leaves the fixed coordinate's bits."""
+    (ax, ay), (bx, by) = side
+    if ax == bx:
+        if tilt:
+            ax, bx = ax - tilt, bx + tilt
+        a, b = Point2(ax, ay + slide_a), Point2(bx, by + slide_b)
+    else:
+        if tilt:
+            ay, by = ay - tilt, by + tilt
+        a, b = Point2(ax + slide_a, ay), Point2(bx + slide_b, by)
+    return WallSegment(b, a) if flip else WallSegment(a, b)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_any_walls_that_close_a_box_build_the_room_of_that_box(data):
+    x0 = data.draw(st.just(-0.0) | _GRID)
+    y0 = data.draw(_GRID)
+    x1 = x0 + data.draw(st.integers(1, 1280)) / 64.0
+    y1 = y0 + data.draw(st.integers(1, 1280)) / 64.0
+    center = Point2((x0 + x1) / 2.0, (y0 + y1) / 2.0)
+    sides = _sides(x0, y0, x1, y1)
+    walls = []
+    for k in data.draw(st.permutations(range(4))):
+        fixed = sides[k].a.x if k % 2 else sides[k].a.y
+        # a side at a zero coordinate stays untilted: its tilted ends would
+        # average to 0.0 and lose the sign of -0.0
+        tilt = data.draw(st.sampled_from([0.0, _HALF_TILT, -_HALF_TILT])) if fixed else 0.0
+        walls.append(_moved_side(sides[k], data.draw(st.booleans()), data.draw(_SLIDE),
+                                 data.draw(_SLIDE), tilt))
+    room = Room.build("a", center, walls)
+    want = Room(id="a", center=center, bounds=(x0, y0, x1, y1))
+    assert room == want and repr(room) == repr(want)
+    assert repr(room.walls) == repr(sides)
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_random_scenes_round_trip_through_the_map_file(seed):
+    scene = random_scene(random.Random(seed))
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = os.path.join(tmp, "first.map"), os.path.join(tmp, "second.map")
+        save_map(scene, first)
+        again = load_map(first)
+        assert again == scene and repr(again) == repr(scene)
+        save_map(again, second)
+        with open(first, "rb") as f, open(second, "rb") as g:
+            assert f.read() == g.read()
 
 
 def _write_as(tmp_path, name: str, data: dict) -> str:

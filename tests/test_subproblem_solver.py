@@ -876,8 +876,8 @@ def test_replan_builds_in_full_when_it_cannot_derive(ring4_scene, ring4_map,
 
 def test_replan_derives_the_map_of_rooms_built_from_tilted_walls(full_builds, derivations):
     scene = _tilted_wall_scene()
-    # Room.build snapped the shared wall onto x = 4, keeping each direction,
-    # so blocking doorway ab changes only exactly vertical pieces
+    # Room.build read the tilted walls as their box, whose sides at x = 4
+    # are exactly vertical, so blocking doorway ab changes only such pieces
     assert scene.room("a").walls[1] == WallSegment(Point2(4.0, 0.0), Point2(4.0, 4.0))
     assert scene.room("b").walls[3] == WallSegment(Point2(4.0, 4.0), Point2(4.0, 0.0))
     gmap = build_global_map(scene)
