@@ -9,13 +9,13 @@ robot radius; the margin (default 0.02 m) covers both the spacing of motion
 interpolation points and the worst-case interpolation error near carved gap
 ends, so returned paths hold up under arbitrarily dense re-checking.
 
-Validity checks run in every iteration. Rooms are axis-aligned rectangles, so room
-containment is two box comparisons; only points outside every room's
-half-open box go on to ``Room.contains``. A state check, and a motion check
-for every interpolated point, run the bbox test, the room boxes and the
-bilinear field lookup inline. Both give exactly the answers of
-``Room.contains`` and ``sdf_query``, point for point (see ``Region``), and
-neither changes what the virtual clock charges.
+Validity checks run in every iteration. A room is its closed box
+(``Room.contains``), so a constrained region is the union of the closed
+boxes of its rooms and openings, and membership is two comparisons per box.
+A state check, and a motion check for every interpolated point, run the
+bbox test, these boxes and the bilinear field lookup inline. Both give
+exactly the answers of ``Room.contains`` and ``sdf_query``, point for point
+(see ``Region``), and neither changes what the virtual clock charges.
 
 An unconstrained motion check also skips points that the field value of the
 last checked point proves valid (the free-space "bubble" of elastic bands).
@@ -180,6 +180,9 @@ class PlannerConfig:
             v = getattr(self, name)
             if not (_finite(v) or v is None and name == "timeout"):
                 raise ValueError(f"{name} must be a finite number, not {v!r}")
+            # zero or below leaves no budget to run, even beside a cap
+            if v is not None and not v > 0:
+                raise ValueError(f"{name} must be positive, not {v!r}")
         # the virtual budget in ticks overflows to inf for a huge timeout
         if (self.clock == CLOCK_VIRTUAL and self.timeout is not None
                 and not math.isfinite(self.timeout * self.ops_per_second)):
@@ -190,12 +193,10 @@ class PlannerConfig:
         m = self.max_iterations
         if m is not None and (isinstance(m, bool) or not isinstance(m, int) or m < 1):
             raise ValueError("max_iterations must be an int of at least 1")
-        if not ((self.timeout is not None and self.timeout > 0) or m is not None):
+        if self.timeout is None and m is None:
             raise ValueError("config needs a positive timeout or max_iterations")
         if self.clock not in (CLOCK_VIRTUAL, CLOCK_WALL):
             raise ValueError(f"unknown clock '{self.clock}'")
-        if self.ops_per_second <= 0:
-            raise ValueError("ops_per_second must be positive")
 
 
 class Region:
@@ -214,12 +215,10 @@ class Region:
     from the informed ellipse of Informed RRT* and rejects draws outside
     the region; it keeps the ellipse's semi-axes until ``c_best`` changes.
 
-    A point is in an allowed room when ``Room.contains`` says so. A point in
-    a room's half-open box ``x0 <= x < x1, y0 <= y < y1`` is, so two
-    comparisons answer most points; any other point asks ``Room.contains``
-    of each allowed room, then tests the openings.
+    A constrained region is the union of ``boxes``: the closed boxes of the
+    allowed rooms (``Room.contains``), then those of the allowed openings.
 
-    ``valid`` fuses the bbox test, the room boxes and the bilinear field
+    ``valid`` fuses the bbox test, these boxes and the bilinear field
     lookup of ``sdf_query`` (the same float arithmetic in the same order),
     and ``motion_valid`` does the same for each interpolated point, without
     building points or calling out. Its answers are those of ``valid`` on
@@ -259,12 +258,13 @@ class Region:
         self.stride_eps = eps
         # the bbox shrunk by eps: (x0, y0, x1, y1)
         self.inner = (lo.x + eps, lo.y + eps, hi.x - eps, hi.y - eps)
-        # half-open boxes of the rooms
-        self.boxes = [r.bounds for r in self.rooms]
-        # area of each room in scene order, their sum, and the boxes:
+        # the closed boxes whose union is the region when constrained
+        rooms = [r.bounds for r in self.rooms]
+        self.boxes = rooms + list(self.rects)
+        # area of each room in scene order, their sum, and the room boxes:
         # everything ``sample`` reads, in one attribute
-        areas = [(x1 - x0) * (y1 - y0) for x0, y0, x1, y1 in self.boxes]
-        self.sampling = (areas, sum(areas), self.boxes)
+        areas = [(x1 - x0) * (y1 - y0) for x0, y0, x1, y1 in rooms]
+        self.sampling = (areas, sum(areas), rooms)
         # virtual-clock ticks per validity check: one field lookup plus one
         # tick per room the check has in scope. An unconstrained
         # check answers against the whole map, a constrained one only
@@ -417,7 +417,8 @@ class Region:
         return None, draws
 
     def contains(self, p: Point2) -> bool:
-        """Region membership only (bbox and allowed rooms), no clearance."""
+        """Region membership only (bbox, allowed rooms and openings), no
+        clearance."""
         lo, hi = self.bbox
         x, y = p
         if not (lo.x <= x <= hi.x and lo.y <= y <= hi.y):
@@ -425,17 +426,6 @@ class Region:
         if not self.constrained:
             return True
         for x0, y0, x1, y1 in self.boxes:
-            if x0 <= x < x1 and y0 <= y < y1:
-                return True
-        return self._edge_or_opening(x, y)
-
-    def _edge_or_opening(self, x: float, y: float) -> bool:
-        """Membership of a point in no room's half-open box: ``Room.contains``
-        for each allowed room, then the doorway openings."""
-        for r in self.rooms:
-            if r.contains((x, y)):
-                return True
-        for x0, y0, x1, y1 in self.rects:
             if x0 <= x <= x1 and y0 <= y <= y1:
                 return True
         return False
@@ -444,7 +434,7 @@ class Region:
         """``contains(p)`` and a field value of at least the clearance.
 
         True at once in a ``certified`` box the region has already built;
-        otherwise the bbox test, the room boxes and the bilinear lookup of
+        otherwise the bbox test, the ``boxes`` and the bilinear lookup of
         ``sdf_query`` run inline, as in ``_walk``; a point in the bbox but off
         the grid raises OutOfBounds, as ``sdf_query`` does.
         """
@@ -458,11 +448,10 @@ class Region:
             return False
         if constrained:
             for x0, y0, x1, y1 in boxes:
-                if x0 <= x < x1 and y0 <= y < y1:
+                if x0 <= x <= x1 and y0 <= y <= y1:
                     break
             else:
-                if not self._edge_or_opening(x, y):
-                    return False
+                return False
         fx = (x - ox) / res
         fy = (y - oy) / res
         if not (-1e-9 <= fx <= fx_max and -1e-9 <= fy <= fy_max):
@@ -535,11 +524,10 @@ class Region:
                 return False
             if constrained:
                 for x0, y0, x1, y1 in boxes:
-                    if x0 <= x < x1 and y0 <= y < y1:
+                    if x0 <= x <= x1 and y0 <= y <= y1:
                         break
                 else:
-                    if not self._edge_or_opening(x, y):
-                        return False
+                    return False
             # sdf_query, inlined
             fx = (x - ox) / res
             fy = (y - oy) / res

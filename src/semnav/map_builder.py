@@ -150,8 +150,8 @@ class GlobalMap:
 
     @cached_property
     def _certified(self) -> dict:
-        """The planner's certified boxes per (allowed rooms, clearance),
-        assembled once from ``sdf.certified_box``."""
+        """The planner's certified boxes per (allowed rooms, clearance,
+        openings), assembled once from ``sdf.certified_box``."""
         return {}
 
     @cached_property

@@ -40,8 +40,6 @@ from .geometry import Point2, WallSegment
 CLOSURE_TOL = 1e-6
 DOORWAY_TOL = 1e-6
 BBOX_TOL = 1e-9
-# farthest a point may lie from a room's closed box and still be in the room
-CONTAINMENT_TOL = 1e-9
 
 
 class SharedBoundary(NamedTuple):
@@ -131,18 +129,11 @@ class Room:
         return WallSegment(a, b), WallSegment(b, c), WallSegment(c, d), WallSegment(d, a)
 
     def contains(self, p: Point2) -> bool:
-        """True when ``p`` lies within ``CONTAINMENT_TOL`` (Euclidean) of the
-        closed box ``bounds``, so the corners are rounded; False for a
-        coordinate that is not finite."""
+        """True when ``p`` lies in the closed box ``bounds``; False for a NaN
+        coordinate."""
         x, y = p
         x0, y0, x1, y1 = self.bounds
-        dx = x0 - x if x < x0 else x - x1
-        dy = y0 - y if y < y0 else y - y1
-        if dx <= 0.0 and dy <= 0.0:
-            return True
-        if not (dx <= CONTAINMENT_TOL and dy <= CONTAINMENT_TOL):
-            return False
-        return math.hypot(max(dx, 0.0), max(dy, 0.0)) <= CONTAINMENT_TOL
+        return x0 <= x <= x1 and y0 <= y <= y1
 
 
 @dataclass(frozen=True)

@@ -44,19 +44,16 @@ other's. On the virtual clock ``plan`` is a pure function of what it reads,
 the problem and the config, and a constrained region reads only the bbox,
 the allowed rooms' ids and bounds in scene order, the allowed doorways'
 openings, the grid's frame and band bound, and the field in the node windows
-(``map_builder._node_window``) of each allowed room's box grown by
-``CONTAINMENT_TOL`` and a few ulps, and of each allowed opening: it looks
-the field up only at points in an allowed room's closed box, within
-``CONTAINMENT_TOL`` of it or in an allowed opening, and the cell coordinate
-is monotone in the point. The certified boxes are cut from nodes inside
-those windows (a corridor box lies inside its room's box together with its
-opening) and only short-circuit answers that are True anyway. So a stored
-answer is the one ``plan`` would return; wall-clock runs are never stored.
+(``map_builder._node_window``) of its closed boxes: it looks the field up
+only at points in one of them, and the cell coordinate is monotone in the
+point. The certified boxes are cut from nodes inside those windows (a
+corridor box lies inside its room's box together with its opening) and only
+short-circuit answers that are True anyway. So a stored answer is the one
+``plan`` would return; wall-clock runs are never stored.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import asdict, dataclass, field, replace
 from functools import cached_property
 
@@ -70,7 +67,7 @@ from .geometric_planner import (CLOCK_VIRTUAL, DEFAULT_GOAL_TOLERANCE,
                                 DEFAULT_ROBOT_RADIUS, DEFAULT_VALIDITY_MARGIN,
                                 GeometricPath, GeometricProblem, PlannerConfig,
                                 PlannerStats, Region, path_to_dict, plan)
-from .scene_graph import CONTAINMENT_TOL, SceneGraph, set_doorway_blocked
+from .scene_graph import SceneGraph, set_doorway_blocked
 from .semantic_planner import (DEFAULT_DOORWAY_PENALTY, SQUARED, SemanticRoute,
                                build_topology, semantic_route)
 
@@ -228,12 +225,7 @@ def _same_field(a: GlobalMap, b: GlobalMap, problem: GeometricProblem) -> bool:
             or (ga.origin, ga.resolution, ga.nx, ga.ny, ga.wall_half_width)
             != (gb.origin, gb.resolution, gb.nx, gb.ny, gb.wall_half_width)):
         return False
-    reads = [o for o in openings if o is not None]
-    for _, (x0, y0, x1, y1) in boxes:
-        # the ulps keep each rounded edge at least CONTAINMENT_TOL out
-        g = CONTAINMENT_TOL + 16 * math.ulp(max(abs(x0), abs(y0), abs(x1), abs(y1)))
-        reads.append((x0 - g, y0 - g, x1 + g, y1 + g))
-    for box in reads:
+    for box in [b for _, b in boxes] + [o for o in openings if o is not None]:
         window = map_builder._node_window(ga, box)
         if window is None:
             return False
@@ -431,14 +423,12 @@ def replan(scene: SceneGraph, prev_route: SemanticRoute,
             segments[sub.index - 1] = path
             solved.append(sub.index)
 
-    filled = [st if st is not None else PlannerStats() for st in stats]
     if any(s is None for s in segments):
         path = None
     else:
-        path = replace(join_segments([s for s in segments if s is not None], filled),
-                       gmap=gmap)
+        path = replace(join_segments(segments, stats), gmap=gmap)
     return ReplanOutcome(scene=new_scene, gmap=gmap, route=route, path=path,
-                         stats=tuple(filled), solved_indices=tuple(solved),
+                         stats=tuple(stats), solved_indices=tuple(solved),
                          reused_indices=tuple(reused))
 
 

@@ -6,6 +6,7 @@ import hashlib
 import json
 import math
 import random
+import re
 import statistics
 from dataclasses import replace
 
@@ -14,20 +15,20 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from semnav import (CarvedWalls, Doorway, EmptyRegion, GeometricPath,
-                    GeometricProblem, GlobalMap, InvalidGoal, InvalidStart,
-                    OutOfBounds, PlannerConfig, Point2, Region, Room, SceneGraph,
-                    SdfGrid, build_global_map, build_topology, decompose, load_map,
-                    motion_valid, path_to_dict, plan, sample_state, sdf_query,
-                    semantic_route, state_valid)
+from semnav import (CarvedWalls, Doorway, DoorwayPlacement, EmptyRegion,
+                    GeometricPath, GeometricProblem, GlobalMap, InvalidGoal,
+                    InvalidStart, NoRoute, OutOfBounds, PlannerConfig, Point2, Region,
+                    Room, SceneGraph, SdfGrid, build_global_map, build_topology,
+                    decompose, load_map, locate_room, motion_valid, path_to_dict,
+                    plan, sample_state, sdf_query, semantic_route, state_valid)
 from semnav import map_builder
 from semnav.bench_harness import MODE_IRRT_SG_SPS, BenchConfig, run_bench
 from semnav.geometric_planner import _cheapest, _informed_axes, _lower_best, _may_rewire
 from semnav.geometry import dist
 from semnav.rng import make_stream
-from semnav.scene_graph import CONTAINMENT_TOL
 
-from conftest import fixture_path, near, rect_room, rectangle_rooms
+from conftest import (fixture_path, interior_point, near, random_scene, rect_room,
+                      rectangle_rooms)
 from oracles import dense_path_clear, ellipse_contains, min_wall_distance, path_in_region
 
 CLEARANCE = 0.3 + 0.02  # default robot radius plus validity margin
@@ -108,6 +109,17 @@ def test_config_rejects_a_budget_that_never_runs_out(kwargs):
         PlannerConfig(**kwargs)
     with pytest.raises(ValueError, match="finite"):
         replace(PlannerConfig(timeout=1.0), **kwargs)
+
+
+@pytest.mark.parametrize("timeout", [0.0, -0.0, -1.0])
+def test_config_rejects_a_timeout_of_no_time(timeout):
+    # beside an iteration cap, such a budget gave an unsolved run of 0
+    # iterations that looked like a failed search
+    match = re.escape(f"timeout must be positive, not {timeout!r}")
+    with pytest.raises(ValueError, match=match):
+        PlannerConfig(timeout=timeout, max_iterations=500)
+    with pytest.raises(ValueError, match=match):
+        replace(PlannerConfig(max_iterations=500), timeout=timeout)
 
 
 # ---------------------------------------------------------------- validity
@@ -614,13 +626,18 @@ def test_rectangle_containment_equals_room_contains(room, data):
 
 
 def test_rectangle_containment_boundary_band():
+    # a room is its closed box: its edges and corners are in, and no point
+    # beside them is, however close
     room = Room(id="a", center=Point2(1.0, 0.5), bounds=(0.0, 0.0, 2.0, 1.0))
     region = _contour_region([room])
     for p, inside in [(Point2(1.0, 0.5), True), (Point2(2.0, 0.5), True),
-                      (Point2(2.0 + 5e-10, 1.0), True), (Point2(-5e-10, 0.5), True),
-                      (Point2(2.0 + 6e-10, 1.0 + 6e-10), True),
+                      (Point2(0.0, 0.5), True), (Point2(2.0, 1.0), True),
+                      (Point2(0.0, 0.0), True), (Point2(1.0, 1.0), True),
+                      (Point2(2.0 + 5e-10, 1.0), False), (Point2(-5e-10, 0.5), False),
+                      (Point2(2.0 + 6e-10, 1.0 + 6e-10), False),
+                      (Point2(1.0, 1.0 + math.ulp(1.0)), False),
+                      (Point2(-math.ulp(0.0), 0.0), False),
                       (Point2(2.0 + 2e-9, 0.5), False), (Point2(1.0, -1e-8), False),
-                      # the 1e-9 tolerance rounds the corners
                       (Point2(2.0 + 8e-10, 1.0 + 8e-10), False)]:
         assert region.contains(p) is inside
         assert room.contains(p) is inside
@@ -649,6 +666,55 @@ def test_grid8_containment_equals_room_contains(grid8_map, data):
     x0, y0, x1, y1 = c.bounds
     p = Point2(data.draw(near(x0, x1)), data.draw(near(y0, y1)))
     assert region.contains(p) == _reference_contains(region, p)
+
+
+def _in_box(box, p) -> bool:
+    x0, y0, x1, y1 = box
+    return x0 <= p.x <= x1 and y0 <= p.y <= y1
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_random_world_regions_are_unions_of_closed_boxes(seed, data):
+    # In every subproblem region of a random route, a member is a point of
+    # the closed box of its room or of an allowed opening, and a valid state
+    # is a member with enough field; a point's room is the smallest id whose
+    # closed box holds it. Points lie on, just beside (offsets of 5e-10 and
+    # 2e-9 among them) and off the edges and corners of every box.
+    scene = random_scene(random.Random(seed))
+    try:
+        gmap = build_global_map(scene)
+    except DoorwayPlacement:  # random doorways may overlap
+        return
+    rng = random.Random(seed)
+    a, b = (interior_point(rng, data.draw(st.sampled_from(scene.rooms))) for _ in range(2))
+    topo = build_topology(scene)
+    try:
+        route = semantic_route(topo, scene, a, b)
+    except NoRoute:
+        route = semantic_route(topo, scene, a, a)
+    boxes = [r.bounds for r in scene.rooms] + list(gmap.openings.values())
+    points = []
+    for _ in range(20):
+        x0, y0, x1, y1 = data.draw(st.sampled_from(boxes))
+        points.append(Point2(data.draw(near(x0, x1)), data.draw(near(y0, y1))))
+    for p in points:
+        holders = [r.id for r in scene.rooms if _in_box(r.bounds, p)]
+        assert locate_room(scene, p) == min(holders, default=None)
+    for sub in decompose(route, scene):
+        problem = sub.to_problem()
+        region = Region(gmap, problem)
+        if data.draw(st.booleans()):
+            region.certified  # valid then answers from the boxes it built
+        own = [scene.room(sub.room).bounds] + [gmap.openings[d] for d in
+                                               (sub.entry, sub.exit) if d is not None]
+        clearance = problem.robot_radius + problem.validity_margin
+        lo, hi = scene.bbox
+        for p in points:
+            member = (_in_box((lo.x, lo.y, hi.x, hi.y), p)
+                      and any(_in_box(box, p) for box in own))
+            assert region.contains(p) is member, (sub.room, p)
+            assert region.valid(p) is (member and sdf_query(gmap.sdf, p) >= clearance)
 
 
 @st.composite
@@ -1090,13 +1156,9 @@ def test_walk_between_two_certified_boxes_equals_pointwise_check(fixture_maps, n
 
 def _node_mask(grid, rooms, openings) -> np.ndarray:
     """The nodes ``_same_field`` compares: the node windows of the rooms'
-    boxes grown by the containment band, and of the openings."""
+    closed boxes and of the openings."""
     mask = np.zeros(grid.values.shape, dtype=bool)
-    grown = []
-    for x0, y0, x1, y1 in rooms:
-        g = CONTAINMENT_TOL + 16 * math.ulp(max(abs(x0), abs(y0), abs(x1), abs(y1)))
-        grown.append((x0 - g, y0 - g, x1 + g, y1 + g))
-    for box in grown + list(openings):
+    for box in list(rooms) + list(openings):
         i0, i1, j0, j1 = map_builder._node_window(grid, box)
         mask[j0:j1 + 2, i0:i1 + 2] = True
     return mask

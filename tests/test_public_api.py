@@ -43,7 +43,7 @@ def test_region_is_public():
                                   "point_on_segment", "point_segment_distance",
                                   "EPS", "_RECT_BAND", "carve_doorways",
                                   "doorway_openings", "_world", "_WORLD_CACHE",
-                                  "_certify", "_snap_walls"])
+                                  "_certify", "_snap_walls", "CONTAINMENT_TOL"])
 def test_removed_names_are_gone(name):
     assert name not in semnav.__all__
     assert not hasattr(semnav, name)
@@ -61,7 +61,7 @@ def test_removed_names_are_gone(name):
     (semnav.Room, "ring"), (semnav.Region, "bands"), (semnav.SdfGrid, "_certified"),
     (semnav.TopologyGraph, "room_ids"), (semnav.TopologyGraph, "doorway_ids"),
     (semnav.PlannerConfig, "validate"), (semnav.BenchConfig, "validate"),
-    (semnav.Region, "_motion_valid"),
+    (semnav.Region, "_motion_valid"), (semnav.Region, "_edge_or_opening"),
 ])
 def test_removed_attributes_are_gone(owner, name):
     assert not hasattr(owner, name)

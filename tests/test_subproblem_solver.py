@@ -734,18 +734,18 @@ def test_copies_of_a_path_leave_its_replans_out(ring4_scene, ring4_map, clone):
     assert got == gpath and got._replans == {}
 
 
-def _band_nodes(gmap, box):
-    """The nodes a lookup just outside each edge of ``box`` reads first,
-    as (row, column) beyond the edge: the fallback band of a room's edges
-    sends such points to the field."""
+def _edge_nodes(gmap, box):
+    """The outermost node that a lookup on each edge of the closed ``box``
+    reads, as (row, column): a point on the edge is in the region, so its
+    lookup reads the node on or beyond the edge."""
     g = gmap.sdf
     ox, oy, res = g.origin.x, g.origin.y, g.resolution
     x0, y0, x1, y1 = box
     xm, ym = (x0 + x1) / 2, (y0 + y1) / 2
     col = lambda x: min(int((x - ox) / res), g.nx - 2)
     row = lambda y: min(int((y - oy) / res), g.ny - 2)
-    return [(row(ym), col(x0 - 2e-9)), (row(ym), col(x1 + 2e-9) + 1),
-            (row(y0 - 2e-9), col(xm)), (row(y1 + 2e-9) + 1, col(xm))]
+    return [(row(ym), col(x0)), (row(ym), col(x1) + 1),
+            (row(y0), col(xm)), (row(y1) + 1, col(xm))]
 
 
 def test_same_field_compares_every_node_a_band_lookup_reads(grid8_scene, grid8_map):
@@ -756,7 +756,7 @@ def test_same_field_compares_every_node_a_band_lookup_reads(grid8_scene, grid8_m
         room = next(r for r in grid8_scene.rooms if r.id == sub.room)
         boxes = [room.bounds] + [grid8_map.openings[d] for d in problem.allowed_doorways]
         for box in boxes:
-            for j, i in _band_nodes(grid8_map, box):
+            for j, i in _edge_nodes(grid8_map, box):
                 if not (0 <= i < g.nx and 0 <= j < g.ny):
                     continue
                 values = g.values.copy()
@@ -769,7 +769,7 @@ def test_same_field_compares_every_node_a_band_lookup_reads(grid8_scene, grid8_m
         far = next(r for r in grid8_scene.rooms
                    if r.id != sub.room and all(abs(a - b) > 1.0 for a, b in
                                                zip(r.bounds, room.bounds)))
-        j, i = _band_nodes(grid8_map, far.bounds)[0]
+        j, i = _edge_nodes(grid8_map, far.bounds)[0]
         values[j + 2, i + 2] += 1.0
         other = replace(grid8_map, sdf=replace(g, values=values))
         assert subproblem_solver._same_field(grid8_map, other, problem)
