@@ -714,19 +714,27 @@ def _informed_axes(c_min: float, c_best: float) -> tuple[float, float]:
 def plan(gmap: GlobalMap, problem: GeometricProblem, config: PlannerConfig,
          *, sample_hook=None, iteration_hook=None
          ) -> tuple[GeometricPath | None, PlannerStats]:
-    """Grow a tree from start toward goal until the budget runs out.
+    """Grow a tree from start toward goal until the budget runs out, or
+    until the best cost reaches the straight line.
 
     Returns the best path found (None if unsolved) plus run statistics. The
     planner is anytime: with the RRT* variants the best cost only improves
     over iterations, and the informed variant switches to ellipse sampling
-    once a first solution exists. ``sample_hook(point, c_best)`` and
+    once a first solution exists. The run ends after the iteration that
+    lowers the best cost to at most ``dist(start, goal) * (1 + 1e-9)``, for
+    every algorithm: no path is shorter than the straight line, so a later
+    iteration could gain at most 1e-9 of the length, the tolerance within
+    which ``_informed_axes`` clamps ``c_best`` to ``c_min``. There the
+    informed set is the start-goal segment, which has no area (Gammell,
+    Srinivasa & Barfoot, IROS 2014). ``sample_hook(point, c_best)`` and
     ``iteration_hook(iteration, best_cost)`` are optional observers used by
     diagnostics and tests; c_best is None before the first solution.
     ``iteration_hook`` is called only for iterations that reach the end of
     the loop: one whose informed draws all miss, whose sample lands on an
     existing node or fails its state check, or whose connecting motion
     check fails moves on to the next without a call, so the calls can skip
-    iteration numbers and need not add up to ``stats.iterations``.
+    iteration numbers and need not add up to ``stats.iterations``. The
+    iteration that reaches the straight line makes the run's last call.
 
     The tree's coordinates live in one complex array ``zs`` whose unused
     entries hold ``complex(inf, inf)`` (never the first-minimum ``argmin``,
@@ -823,6 +831,7 @@ def plan(gmap: GlobalMap, problem: GeometricProblem, config: PlannerConfig,
     noted: list[int] = []
     best_cost = math.inf
     best_node = -1
+    line = d0 * (1.0 + 1e-9)
 
     gamma = DEFAULT_REWIRE_FACTOR * math.sqrt(3.0 * region.free_area / math.pi)
     rewiring = config.algorithm in (RRT_STAR, INFORMED_RRT_STAR)
@@ -972,6 +981,9 @@ def plan(gmap: GlobalMap, problem: GeometricProblem, config: PlannerConfig,
                 best_cost, best_node = _lower_best(noted, goal_dist, cost,
                                                    best_cost, best_node)
                 noted.clear()
+                if best_cost <= line:
+                    # converged: end the run at the loop's next top test
+                    max_iterations = iterations
 
         if iteration_hook is not None:
             iteration_hook(iterations, best_cost)
