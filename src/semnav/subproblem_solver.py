@@ -156,9 +156,13 @@ def decompose(route: SemanticRoute, scene: SceneGraph) -> tuple[Subproblem, ...]
 
 def _sub_config(config: PlannerConfig, n: int, index: int,
                 salt: int = 0, timeout: float | None = None) -> PlannerConfig:
-    """Equal budget share and a distinct seed for one subproblem."""
-    if timeout is None:
-        timeout = config.timeout / n if config.timeout is not None else None
+    """Equal budget share and a distinct seed for one subproblem. Raises
+    ValueError when the caller's timeout is too small to share among ``n``."""
+    if timeout is None and config.timeout is not None:
+        timeout = config.timeout / n
+        if timeout == 0.0:
+            raise ValueError(f"timeout {config.timeout!r} is too small to share "
+                             f"among {n} subproblems")
     max_iter = config.max_iterations
     if max_iter is not None:
         max_iter = max(1, max_iter // n)
@@ -247,7 +251,9 @@ def solve_all(subs: tuple[Subproblem, ...] | list[Subproblem], gmap: GlobalMap,
 
     The total budget is split evenly: with a timeout of T and n subproblems
     each planner run gets T/n (iteration caps divide the same way), and
-    subproblem i plans with seed ``config.seed ^ i``. Subproblems run one
+    subproblem i plans with seed ``config.seed ^ i``. A run that reaches its
+    straight line ends early (``plan``), and its unspent share is not handed
+    on. Subproblems run one
     after another in index order. ``workers`` is accepted and ignored: the
     planner is pure Python, so a thread pool gained nothing under the GIL,
     and existing callers still pass it.
@@ -258,9 +264,16 @@ def solve_all(subs: tuple[Subproblem, ...] | list[Subproblem], gmap: GlobalMap,
     whose endpoints cannot be valid states (for example a doorway too narrow
     for the robot) raises SubproblemInfeasible carrying its 1-based index.
 
-    ``redistribute=True`` adds a second pass: budget left over by the first
-    pass is split evenly among the unsolved subproblems, which are retried
-    with a re-salted seed. Off by default to keep the baseline split exact.
+    ``redistribute=True`` adds a second pass when the first leaves a
+    subproblem unsolved: the timeout minus the first pass's summed
+    ``planning_time`` is split evenly among the unsolved subproblems, which
+    are retried with a re-salted seed, and only when that split is above 0.
+    A retry spends no more than its split, so the call spends no more than
+    its timeout, up to the one-iteration overshoot of each run. Off by
+    default to keep the baseline split exact.
+
+    A timeout too small to share among the subproblems (its split underflows
+    to 0) raises ValueError before any planning.
     """
     subs = tuple(subs)
     if not subs:
@@ -275,13 +288,10 @@ def solve_all(subs: tuple[Subproblem, ...] | list[Subproblem], gmap: GlobalMap,
 
     retry_idx = [i for i, p in enumerate(paths) if p is None]
     if redistribute and config.timeout is not None and retry_idx:
-        allotted = config.timeout / n
-        leftover = sum(max(0.0, allotted - st.planning_time) for st in stats)
-        if leftover > 0.0:
-            extra = leftover / len(retry_idx)
+        share = (config.timeout - sum(st.planning_time for st in stats)) / len(retry_idx)
+        if share > 0.0:
             tasks = [(subs[i], _sub_config(config, n, subs[i].index,
-                                           salt=_RETRY_SALT,
-                                           timeout=allotted + extra))
+                                           salt=_RETRY_SALT, timeout=share))
                      for i in retry_idx]
             retry = _solve_in_order(gmap, tasks, pk)
             for i, (path, st) in zip(retry_idx, retry):

@@ -563,6 +563,7 @@ def test_trees_past_the_first_buffer_sizes_are_pinned(grid8_scene, grid8_map, na
     gmap, problem = grid8_map, GeometricProblem(start=route.start, goal=route.goal)
     if name == "sps":
         problem = decompose(route, grid8_scene)[3].to_problem()
+        assert not motion_valid(gmap, problem, problem.start, problem.goal)
     elif name == "origin":
         gmap = build_global_map(_scene([rect_room("a", -10.0, -10.0, 10.0, 10.0)]))
         problem = GeometricProblem(start=Point2(7.0, 7.0), goal=Point2(-7.0, -7.0))
@@ -575,6 +576,31 @@ def test_trees_past_the_first_buffer_sizes_are_pinned(grid8_scene, grid8_map, na
            stats.iterations, stats.solved, stats.planning_time.hex(), stats.best_cost.hex())
     assert got == _GROWN_TREES[name]
     assert path.length == stats.best_cost
+
+
+@pytest.mark.parametrize("clock", ["virtual", "wall"])
+def test_a_run_that_reaches_its_straight_line_stops_there(grid8_scene, grid8_map, clock):
+    # the second subproblem of the grid8 route from (2, 3.5) to (15, 12),
+    # doorway centre to doorway centre across room r2, reaches its line at
+    # iteration 249 of 3000 at seed 5; a 60 s wall-clock budget ends there too
+    route = semantic_route(build_topology(grid8_scene), grid8_scene,
+                           Point2(2.0, 3.5), Point2(15.0, 12.0))
+    problem = decompose(route, grid8_scene)[1].to_problem()
+    d0 = dist(problem.start, problem.goal)
+    line = d0 * (1.0 + 1e-9)
+    budget = ({"max_iterations": 3000} if clock == "virtual"
+              else {"clock": "wall", "timeout": 60.0})
+    calls = []
+    path, stats = plan(grid8_map, problem, PlannerConfig(seed=5, **budget),
+                       iteration_hook=lambda i, c: calls.append((i, c)))
+    assert stats.iterations == 249
+    assert stats.planning_time < 60.0
+    assert abs(path.length - d0) <= d0 * 1e-9
+    assert path.length == stats.best_cost
+    # the stopping iteration makes the last hook call, the first at the line
+    assert calls[-1][0] == stats.iterations
+    assert calls[-1][1] <= line
+    assert all(c > line for _, c in calls[:-1])
 
 
 # ------------------------------------- rectangle fast path, fused motion check

@@ -174,6 +174,53 @@ def test_solve_all_redistribute_flips_unsolved(threeroom_map, threeroom_scene):
     assert again_stats == redo_stats
 
 
+@pytest.mark.parametrize("timeout", [0.0005, 0.001, 0.002])
+@pytest.mark.parametrize("seed", range(6))
+def test_solve_all_redistribute_spends_no_more_than_its_timeout(
+        threeroom_map, threeroom_scene, monkeypatch, timeout, seed):
+    # the first subproblem starts within the goal tolerance and returns at
+    # once, so the first pass leaves budget over and every case retries;
+    # each run may overshoot its own budget by its last iteration
+    runs = []
+    plan = subproblem_solver.plan
+
+    def recorded(gmap, problem, config):
+        path, st = plan(gmap, problem, config)
+        runs.append((config.timeout, st.planning_time))
+        return path, st
+
+    monkeypatch.setattr(subproblem_solver, "plan", recorded)
+    route = _route(threeroom_scene, Point2(3.95, 2.0), Point2(11.0, 3.3))
+    subs = decompose(route, threeroom_scene)
+    cfg = PlannerConfig(timeout=timeout, seed=seed)
+    _, stats = solve_all(subs, threeroom_map, cfg, redistribute=True)
+    first, retries = runs[:len(subs)], runs[len(subs):]
+    assert retries
+    # the retries share what the first pass left, and nothing more
+    left = timeout - sum(t for _, t in first)
+    assert sum(sub for sub, _ in retries) == pytest.approx(left, rel=1e-12)
+    overshoot = sum(max(0.0, t - sub) for sub, t in runs)
+    assert sum(st.planning_time for st in stats) <= timeout + overshoot + 1e-15
+
+
+def test_a_timeout_too_small_to_share_names_the_callers_timeout(
+        threeroom_map, threeroom_scene, ring4_scene, ring4_map, monkeypatch):
+    # 5e-324 / 3 underflows to 0.0: the error names the caller's timeout,
+    # not the share, and comes before any planning
+    cfg = PlannerConfig(timeout=5e-324, seed=1)
+    subs = decompose(_route(threeroom_scene, Point2(2.0, 2.0), Point2(10.0, 2.0)),
+                     threeroom_scene)
+    route, gpath = _solved_ring4(ring4_scene, ring4_map)
+    calls = []
+    monkeypatch.setattr(subproblem_solver, "plan", lambda *a: calls.append(a))
+    message = r"^timeout 5e-324 is too small to share among 3 subproblems$"
+    with pytest.raises(ValueError, match=message):
+        solve_all(subs, threeroom_map, cfg)
+    with pytest.raises(ValueError, match=message):
+        replan(ring4_scene, route, gpath, "d12", Point2(2.0, 2.0), cfg)
+    assert calls == []
+
+
 # ----------------------------------------------------------------- joining
 
 
