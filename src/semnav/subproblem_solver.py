@@ -253,10 +253,9 @@ def solve_all(subs: tuple[Subproblem, ...] | list[Subproblem], gmap: GlobalMap,
     each planner run gets T/n (iteration caps divide the same way), and
     subproblem i plans with seed ``config.seed ^ i``. A run that reaches its
     straight line ends early (``plan``), and its unspent share is not handed
-    on. Subproblems run one
-    after another in index order. ``workers`` is accepted and ignored: the
-    planner is pure Python, so a thread pool gained nothing under the GIL,
-    and existing callers still pass it.
+    on. Subproblems run one after another in index order. ``workers`` is
+    accepted and ignored: the planner is pure Python, so a thread pool
+    gained nothing under the GIL, and existing callers still pass it.
 
     Returns (path, stats). ``path`` is None when any subproblem stays
     unsolved, and otherwise keeps ``gmap`` as the map it was planned on;

@@ -555,9 +555,8 @@ def test_trees_past_the_first_buffer_sizes_are_pinned(grid8_scene, grid8_map, na
     # and a room centred on the origin, where a buffer column left at zero
     # would be some sample's nearest node. The straight line of the r7
     # subproblem is no valid motion, so its optimum bends, its run never
-    # stops at the line and it spends all 3000 iterations, exactly as before
-    # runs stopped there; the route's other subproblems reach their line
-    # short of 2048 nodes.
+    # stops at the line and it spends all 3000 iterations; the route's
+    # other subproblems reach their line short of 2048 nodes.
     route = semantic_route(build_topology(grid8_scene), grid8_scene,
                            Point2(2.0, 3.5), Point2(15.0, 12.0))
     gmap, problem = grid8_map, GeometricProblem(start=route.start, goal=route.goal)
